@@ -2,15 +2,20 @@
 
 Maintains at most ``budget_k`` storage slots. Each slot holds the
 servable rank-controlled adapter plus an exact float64 running delta
-cache. Similarity is always measured against the stored adapter (what
-the device actually holds); the running-average update is applied to
-the exact cache, which keeps the fold order-invariant regardless of
-rank truncation.
+cache in canonical thin-SVD form (see :class:`SlotState`). Similarity is
+always measured against the stored adapter (what the device actually
+holds); the running-average update is applied to the exact cache, which
+keeps the fold order-invariant regardless of rank truncation.
+
+Stores written with manifest version 2 hold canonical caches and restore
+as they are; version-1 stores, which held concatenated factors, are
+canonicalised once on restore.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +52,7 @@ VARIANTS = ("k_merge", "k_merge_pp")
 ALLOCATED = "allocated_new_slot"
 MERGED = "merged_into"
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2  # 2: running caches are stored in canonical form
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,22 @@ class IngestDecision:
     elapsed: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlotState:
+    """One slot: the served adapter and the exact running cache.
+
+    ``cache`` holds, per layer, a canonical :class:`LowRankDelta` (a
+    balanced thin SVD with descending singular values): under the running
+    average, the exact mean of the slot's member deltas, into which a merge
+    folds the incoming delta by projection onto its singular bases; under
+    a pairwise operator, that operator's last output. ``adapter`` is, for a
+    slot with one member, that member; after a merge under the
+    ``svd_truncate`` rank policy it is the rank-``target_rank`` slice of the
+    cache (its leading columns of ``b`` and rows of ``a``, zero-padded),
+    which is the best approximation at that rank. An ingest replaces a
+    slot's state whole and never mutates it.
+    """
+
     adapter: LoraAdapter
     cache: dict[LayerKey, LowRankDelta]
 
@@ -167,12 +186,24 @@ class MergeEngine:
             )
 
         if do_merge:
-            self._merge_into(best_key, incoming, t)
-            action, slot_key, similarity = MERGED, best_key, best_score
+            slot_key, action, similarity = best_key, MERGED, best_score
+            slot = self._merged_slot(slot_key, incoming)
+            tasks = self.history.entries[slot_key] + [t]
         else:
-            slot_key = self._allocate(incoming, t)
-            action, similarity = ALLOCATED, None
+            slot_key, action, similarity = self.history.next_slot_key, ALLOCATED, None
+            cache = {
+                key: LowRankDelta.from_factors(fp, incoming.scaling).compressed()
+                for key, fp in incoming.layers.items()
+            }
+            slot = SlotState(adapter=incoming, cache=cache)
+            tasks = [t]
 
+        # Everything above may raise and changes no engine state; the commit
+        # below cannot raise, so an ingest is all-or-nothing.
+        self.store.slots[slot_key] = slot
+        self.history.entries[slot_key] = tasks
+        if action == ALLOCATED:
+            self.history.next_slot_key += 1
         self.timestep = t
         self.task_ids[t] = incoming.task_id
         return IngestDecision(
@@ -184,37 +215,23 @@ class MergeEngine:
             elapsed=time.perf_counter() - start,
         )
 
-    def _allocate(self, incoming: LoraAdapter, t: int) -> int:
-        slot_key = self.history.next_slot_key
-        self.history.next_slot_key += 1
-        cache = {
-            key: LowRankDelta.from_factors(fp, incoming.scaling)
-            for key, fp in incoming.layers.items()
-        }
-        self.store.slots[slot_key] = SlotState(adapter=incoming, cache=cache)
-        self.history.entries[slot_key] = [t]
-        return slot_key
-
-    def _merge_into(self, slot_key: int, incoming: LoraAdapter, t: int) -> None:
+    def _merged_slot(self, slot_key: int, incoming: LoraAdapter) -> SlotState:
+        """The slot after folding ``incoming`` into it, built without changing it."""
         slot = self.store.slots[slot_key]
         operator = self.config.operator
         if operator.kind == "running_average":
             n = len(self.history.entries[slot_key])
-            cache = {}
-            for key, fp in incoming.layers.items():
-                inc = LowRankDelta.from_factors(fp, incoming.scaling)
-                combined = LowRankDelta.combine(
-                    [inc, slot.cache[key]], [1.0 / (n + 1), n / (n + 1)]
+            cache = {
+                key: slot.cache[key].fold(
+                    n / (n + 1), 1.0 / (n + 1), LowRankDelta.from_factors(fp, incoming.scaling)
                 )
-                if combined.rank_bound > min(combined.shape):
-                    combined = combined.compressed()
-                cache[key] = combined
+                for key, fp in incoming.layers.items()
+            }
         else:
             merged = self._pairwise_baseline(slot.adapter, incoming, operator)
             cache = {key: LowRankDelta.from_dense(d) for key, d in merged.dense().items()}
-        slot.cache = cache
-        slot.adapter = self._stored_form(slot_key, slot, incoming)
-        self.history.entries[slot_key].append(t)
+        adapter = self._stored_form(slot_key, slot.adapter, cache, incoming)
+        return SlotState(adapter=adapter, cache=cache)
 
     @staticmethod
     def _pairwise_baseline(
@@ -231,13 +248,17 @@ class MergeEngine:
         raise ShapeError(f"unexpected operator kind {operator.kind!r}")
 
     def _stored_form(
-        self, slot_key: int, slot: SlotState, incoming: LoraAdapter
+        self,
+        slot_key: int,
+        stored: LoraAdapter,
+        cache: dict[LayerKey, LowRankDelta],
+        incoming: LoraAdapter,
     ) -> LoraAdapter:
         policy = self.config.rank_policy
         if policy.mode == "factor_average":
-            return factor_average(slot.adapter, incoming, task_id=f"slot-{slot_key}")
+            return factor_average(stored, incoming, task_id=f"slot-{slot_key}")
         result = refactor(
-            MergedDelta(layers=dict(slot.cache)),
+            MergedDelta(layers=dict(cache)),
             policy,
             task_id=f"slot-{slot_key}",
             scale_numerator=incoming.scaling * policy.target_rank,
@@ -249,40 +270,44 @@ class MergeEngine:
     def persist(self, directory: str | Path) -> None:
         """Write slot adapters, the exact running caches, and a manifest.
 
-        Caches are stored as raw float64 little-endian tensors so a
-        restored engine continues from the same exact state.
+        Caches are stored as raw float64 little-endian tensors, in their
+        canonical form, so a restored engine continues from the same exact
+        state. Each tensor is written straight to the cache file.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
 
-        cache_blob = bytearray()
         cache_index = []
         slot_entries = []
-        for slot_key in sorted(self.store.slots):
-            slot = self.store.slots[slot_key]
-            file_name = f"slot_{slot_key}.kmrg"
-            write_adapter(slot.adapter, directory / file_name)
-            slot_entries.append(
-                {
-                    "slot_key": slot_key,
-                    "file": file_name,
-                    "tasks": list(self.history.entries[slot_key]),
-                    "merge_count": len(self.history.entries[slot_key]),
-                }
-            )
-            for key in sorted(slot.cache, key=LayerKey.sort_key):
-                low = slot.cache[key]
-                entry = {
-                    "slot_key": slot_key,
-                    "layer": key.layer,
-                    "proj": key.proj,
-                    "b_shape": list(low.b.shape),
-                    "a_shape": list(low.a.shape),
-                    "offset": len(cache_blob),
-                }
-                cache_blob += np.ascontiguousarray(low.b, dtype="<f8").tobytes()
-                cache_blob += np.ascontiguousarray(low.a, dtype="<f8").tobytes()
-                cache_index.append(entry)
+        offset = 0
+        tmp_cache = directory / "running_cache.bin.tmp"
+        with open(tmp_cache, "wb") as out:
+            for slot_key in sorted(self.store.slots):
+                slot = self.store.slots[slot_key]
+                file_name = f"slot_{slot_key}.kmrg"
+                write_adapter(slot.adapter, directory / file_name)
+                slot_entries.append(
+                    {
+                        "slot_key": slot_key,
+                        "file": file_name,
+                        "tasks": list(self.history.entries[slot_key]),
+                        "merge_count": len(self.history.entries[slot_key]),
+                    }
+                )
+                for key in sorted(slot.cache, key=LayerKey.sort_key):
+                    low = slot.cache[key]
+                    cache_index.append(
+                        {
+                            "slot_key": slot_key,
+                            "layer": key.layer,
+                            "proj": key.proj,
+                            "b_shape": list(low.b.shape),
+                            "a_shape": list(low.a.shape),
+                            "offset": offset,
+                        }
+                    )
+                    for factor in (low.b, low.a):
+                        offset += out.write(np.ascontiguousarray(factor, dtype="<f8"))
 
         manifest = {
             "version": MANIFEST_VERSION,
@@ -306,9 +331,7 @@ class MergeEngine:
             "timestep": self.timestep,
             "ingested": [[t, self.task_ids[t]] for t in sorted(self.task_ids)],
         }
-        tmp = directory / "running_cache.bin.tmp"
-        tmp.write_bytes(bytes(cache_blob))
-        tmp.replace(directory / "running_cache.bin")
+        tmp_cache.replace(directory / "running_cache.bin")
         tmp = directory / "manifest.json.tmp"
         tmp.write_text(json.dumps(manifest, indent=2))
         tmp.replace(directory / "manifest.json")
@@ -333,8 +356,9 @@ class MergeEngine:
                     raise RestoreError(f"manifest missing field {path!r}") from None
             return node
 
-        if get(manifest, "version") != MANIFEST_VERSION:
-            raise RestoreError(f"unsupported manifest version {manifest['version']}")
+        version = get(manifest, "version")
+        if version not in (1, MANIFEST_VERSION):
+            raise RestoreError(f"unsupported manifest version {version}")
         config = PolicyConfig(
             budget_k=get(manifest, "budget_k"),
             variant=get(manifest, "variant"),
@@ -358,25 +382,25 @@ class MergeEngine:
         cache_path = directory / str(get(manifest, "running_cache_file"))
         if not cache_path.exists():
             raise RestoreError(f"running cache file {cache_path.name} is missing")
-        blob = cache_path.read_bytes()
         caches: dict[int, dict[LayerKey, LowRankDelta]] = {}
-        for entry in get(manifest, "cache_index"):
-            slot_key = int(entry["slot_key"])
-            key = LayerKey(int(entry["layer"]), str(entry["proj"]))
-            b_shape = tuple(entry["b_shape"])
-            a_shape = tuple(entry["a_shape"])
-            offset = int(entry["offset"])
-            nb = 8 * b_shape[0] * b_shape[1]
-            na = 8 * a_shape[0] * a_shape[1]
-            if offset + nb + na > len(blob):
-                raise RestoreError(
-                    f"running cache truncated for slot {slot_key} layer {key}"
-                )
-            b = np.frombuffer(blob, dtype="<f8", count=b_shape[0] * b_shape[1], offset=offset)
-            a = np.frombuffer(blob, dtype="<f8", count=a_shape[0] * a_shape[1], offset=offset + nb)
-            caches.setdefault(slot_key, {})[key] = LowRankDelta(
-                b=b.reshape(b_shape).copy(), a=a.reshape(a_shape).copy()
-            )
+        with open(cache_path, "rb") as blob:
+            size = os.fstat(blob.fileno()).st_size
+            for entry in get(manifest, "cache_index"):
+                slot_key = int(entry["slot_key"])
+                key = LayerKey(int(entry["layer"]), str(entry["proj"]))
+                b = np.empty(tuple(entry["b_shape"]), dtype="<f8")
+                a = np.empty(tuple(entry["a_shape"]), dtype="<f8")
+                offset = int(entry["offset"])
+                if offset + b.nbytes + a.nbytes > size:
+                    raise RestoreError(
+                        f"running cache truncated for slot {slot_key} layer {key}"
+                    )
+                blob.seek(offset)
+                blob.readinto(b)
+                blob.readinto(a)
+                # Version-1 stores kept concatenated factors; canonicalise them once.
+                low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
+                caches.setdefault(slot_key, {})[key] = low.compressed()
 
         for entry in get(manifest, "slots"):
             slot_key = int(entry["slot_key"])

@@ -227,9 +227,13 @@ def refactor(
 
     ``svd_truncate`` stores the best rank-r approximation per layer and
     reports the relative Frobenius truncation residual (0 for a zero
-    layer). ``factor_average`` has no meaning for delta-space input and
-    is rejected; it is applied directly on factor pairs by the policy
-    engine.
+    layer). Each layer is brought to canonical thin-SVD form (dense
+    arrays by ``LowRankDelta.from_dense``, other deltas by
+    ``compressed()``, which leaves canonical ones such as the engine's
+    slot caches as they are); the stored factors are then its leading r
+    columns of ``b`` and rows of ``a``. ``factor_average`` has no meaning
+    for delta-space input and is rejected; it is applied directly on
+    factor pairs by the policy engine.
     """
     if policy.mode != "svd_truncate":
         raise UnsupportedMode(

@@ -18,6 +18,7 @@ from kmerge.errors import (
     ShapeError,
     SlotVacant,
     UnknownTask,
+    UnsupportedMode,
 )
 from kmerge.merging import MergeOperator, RankPolicy
 
@@ -342,3 +343,107 @@ def test_persist_is_idempotent(tmp_path, rng):
     first = (tmp_path / "manifest.json").read_bytes()
     engine.persist(tmp_path)
     assert (tmp_path / "manifest.json").read_bytes() == first
+
+
+def test_rejected_merge_leaves_engine_unchanged(rng):
+    """A merge that fails after the fold (factor averaging needs equal
+    ranks) must leave cache, adapter, history, timestep and task ids as
+    they were."""
+    engine = MergeEngine(
+        PolicyConfig(budget_k=1, rank_policy=RankPolicy(mode="factor_average", target_rank=4))
+    )
+    engine.ingest(small_random_adapter("rank4", rng, rank=4))
+    slot = engine.store.slots[1]
+    before = {key: (low.b.copy(), low.a.copy()) for key, low in slot.cache.items()}
+    entries = {key: list(tasks) for key, tasks in engine.history.entries.items()}
+    next_slot_key, timestep, task_ids = engine.history.next_slot_key, engine.timestep, dict(engine.task_ids)
+
+    with pytest.raises(UnsupportedMode):
+        engine.ingest(small_random_adapter("rank2", rng, rank=2))
+
+    assert engine.store.slots[1] is slot
+    assert engine.load_for_inference(1) is slot.adapter
+    for key, (b, a) in before.items():
+        np.testing.assert_array_equal(slot.cache[key].b, b)
+        np.testing.assert_array_equal(slot.cache[key].a, a)
+    assert engine.history.entries == entries
+    assert engine.history.next_slot_key == next_slot_key
+    assert engine.timestep == timestep
+    assert engine.task_ids == task_ids
+
+
+def test_persisted_cache_file_layout(tmp_path, rng):
+    """running_cache.bin is every index entry's b then a, float64
+    little-endian, back to back in index order."""
+    engine = MergeEngine(_config(2))
+    for a in _stream(rng, 5, n_keys=3):
+        engine.ingest(a)
+    engine.persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    expected = bytearray()
+    for entry in manifest["cache_index"]:
+        low = engine.store.slots[entry["slot_key"]].cache[LayerKey(entry["layer"], entry["proj"])]
+        assert entry["offset"] == len(expected)
+        assert entry["b_shape"] == list(low.b.shape) and entry["a_shape"] == list(low.a.shape)
+        expected += low.b.astype("<f8").tobytes() + low.a.astype("<f8").tobytes()
+    assert len(manifest["cache_index"]) == 2 * 3
+    assert (tmp_path / "running_cache.bin").read_bytes() == bytes(expected)
+
+
+def _write_version1_caches(store, engine, stream):
+    """Rewrite a persisted store the way manifest version 1 kept caches:
+    each slot's mean as the concatenated, 1/n-weighted member factors."""
+    manifest = json.loads((store / "manifest.json").read_text())
+    blob = bytearray()
+    index = []
+    for slot_key in sorted(engine.history.entries):
+        members = [stream[t - 1] for t in engine.history.entries[slot_key]]
+        for key in sorted(members[0].layers, key=LayerKey.sort_key):
+            b = np.hstack([m.scaling * m.layers[key].b.astype(np.float64) for m in members]) / len(members)
+            a = np.vstack([m.layers[key].a.astype(np.float64) for m in members])
+            index.append({"slot_key": slot_key, "layer": key.layer, "proj": key.proj,
+                          "b_shape": list(b.shape), "a_shape": list(a.shape), "offset": len(blob)})
+            blob += b.astype("<f8").tobytes() + a.astype("<f8").tobytes()
+    manifest["version"] = 1
+    manifest["cache_index"] = index
+    (store / "running_cache.bin").write_bytes(bytes(blob))
+    (store / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_restore_version1_store_continues_identically(tmp_path, rng):
+    stream = _stream(rng, 12, n_keys=2, width=6)
+    full = MergeEngine(_config(2))
+    full_decisions = [full.ingest(a) for a in stream]
+
+    first = MergeEngine(_config(2))
+    for a in stream[:8]:
+        first.ingest(a)
+    first.persist(tmp_path)
+    _write_version1_caches(tmp_path, first, stream)
+    assert max(e["b_shape"][1] for e in json.loads((tmp_path / "manifest.json").read_text())["cache_index"]) > 6
+
+    resumed = MergeEngine.restore(tmp_path)
+    for slot in resumed.store.slots.values():
+        for low in slot.cache.values():
+            assert low.canonical and low.rank_bound <= 6
+    resumed_decisions = [resumed.ingest(a) for a in stream[8:]]
+
+    for expect, got in zip(full_decisions[8:], resumed_decisions):
+        assert (got.action, got.slot_key, got.task_index) == (
+            expect.action, expect.slot_key, expect.task_index
+        )
+    assert resumed.history.entries == full.history.entries
+    for key, slot in full.store.slots.items():
+        for lkey, low in slot.cache.items():
+            ref = low.materialize()
+            got = resumed.store.slots[key].cache[lkey].materialize()
+            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+        # Served factors are float32 and a singular vector's sign is free,
+        # so the served updates are compared, at float32 precision.
+        for lkey in slot.adapter.layers:
+            served = dense_delta_map(resumed.store.slots[key].adapter)[lkey]
+            ref = dense_delta_map(slot.adapter)[lkey]
+            assert np.linalg.norm(served - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    resumed.persist(tmp_path / "again")
+    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 2

@@ -1,0 +1,116 @@
+"""Dense oracles for the canonical thin-SVD running cache.
+
+Streams mix unrelated members with members that share a factor with an
+earlier one (so the mean's rank is below n * r), zero adapters, members
+1e8 times smaller than the rest (whose directions the cache must keep), and
+widths where the cache rank plus the incoming rank exceeds the width
+(width 6 at rank 2 saturates after three members, the geometry of
+acceptance criteria 1, 2 and 11).
+"""
+
+import numpy as np
+import pytest
+
+from kmerge.adapters import LayerKey
+from kmerge.lowrank import LowRankDelta
+from kmerge.merging import MergedDelta, RankPolicy, refactor
+
+K0 = LayerKey(0, "key")
+
+
+def _member(rng, kind, shape, rank, proto):
+    d_out, d_in = shape
+    b = rng.standard_normal((d_out, rank))
+    a = rng.standard_normal((rank, d_in))
+    if kind == "shared_b":
+        b = proto[0].copy()
+    elif kind == "shared_a":
+        a = proto[1].copy()
+    elif kind == "zero":
+        b = np.zeros_like(b)
+    elif kind == "tiny":
+        b = b * 1e-8
+    return LowRankDelta(b=b * rng.uniform(0.1, 10.0), a=a)
+
+
+def _streams(seed, count):
+    rng = np.random.default_rng(seed)
+    shapes = [((6, 6), 2), ((5, 9), 3), ((9, 4), 3), ((12, 12), 3), ((3, 3), 4)]
+    kinds = ["fresh", "shared_b", "shared_a", "zero", "tiny"]
+    for trial in range(count):
+        shape, rank = shapes[trial % len(shapes)]
+        proto = (rng.standard_normal((shape[0], rank)), rng.standard_normal((rank, shape[1])))
+        size = int(rng.integers(2, 9))
+        picks = rng.choice(len(kinds), size=size, p=[0.35, 0.2, 0.2, 0.1, 0.15])
+        yield [_member(rng, kinds[i], shape, rank, proto) for i in picks]
+
+
+def _check_canonical(low):
+    s = low.singular_values()
+    assert np.all(np.diff(s) <= 0)
+    assert np.all(s > 0)
+    u = low.b / np.sqrt(s)
+    v = low.a.T / np.sqrt(s)
+    eye = np.eye(s.size)
+    assert np.abs(u.T @ u - eye).max(initial=0.0) <= 1e-12
+    assert np.abs(v.T @ v - eye).max(initial=0.0) <= 1e-12
+
+
+def _check_against_dense(low, mean, target_rank):
+    dense_s = np.linalg.svd(mean, compute_uv=False)
+    scale = max(dense_s[0], 1e-300)
+    assert np.linalg.norm(low.materialize() - mean) <= 1e-9 * max(np.linalg.norm(mean), 1e-300)
+
+    s = low.singular_values()
+    # Keeps every direction clearly above rounding, and no rounding noise.
+    assert np.count_nonzero(dense_s > 1e-12 * scale) <= s.size
+    assert s.size <= np.count_nonzero(dense_s > 1e-15 * scale)
+    np.testing.assert_allclose(s, dense_s[: s.size], rtol=0, atol=1e-9 * scale)
+    assert np.all(dense_s[s.size :] <= 1e-9 * scale)
+
+    served, _ = low.svd_truncate(target_rank)
+    keep = min(target_rank, dense_s.size)
+    np.testing.assert_allclose(
+        np.linalg.svd(served.materialize(), compute_uv=False)[:keep],
+        dense_s[:keep],
+        rtol=0,
+        atol=1e-9 * scale,
+    )
+    tail = np.sqrt(np.sum(dense_s[target_rank:] ** 2))
+    assert np.linalg.norm(mean - served.materialize()) == pytest.approx(tail, abs=1e-9 * scale)
+
+    result = refactor(MergedDelta(layers={K0: low}), RankPolicy(target_rank=target_rank), task_id="m")
+    total = np.sqrt(np.sum(dense_s**2))
+    expected = tail / total if total > 0 else 0.0
+    assert result.residuals[K0] == pytest.approx(expected, abs=1e-9)
+
+
+def test_fold_matches_dense_oracle():
+    for stream in _streams(seed=7, count=150):
+        cache = stream[0].compressed()
+        dense = [stream[0].materialize()]
+        for n, incoming in enumerate(stream[1:], start=1):
+            cache = cache.fold(n / (n + 1), 1.0 / (n + 1), incoming)
+            dense.append(incoming.materialize())
+            assert cache.canonical
+            _check_canonical(cache)
+            _check_against_dense(cache, np.mean(dense, axis=0), target_rank=2)
+
+
+def test_compressed_is_canonical_and_idempotent():
+    rng = np.random.default_rng(8)
+    for stream in _streams(seed=8, count=40):
+        merged = LowRankDelta.combine(stream, [1.0 / len(stream)] * len(stream))
+        canonical = merged.compressed()
+        _check_canonical(canonical)
+        _check_against_dense(canonical, merged.materialize(), target_rank=int(rng.integers(1, 5)))
+        assert canonical.compressed() is canonical
+
+
+def test_fold_of_zero_members_is_empty():
+    zero = LowRankDelta(b=np.zeros((6, 2)), a=np.zeros((2, 6)))
+    cache = zero.compressed().fold(0.5, 0.5, zero)
+    assert cache.rank_bound == 0
+    served, singular = cache.svd_truncate(2)
+    assert served.b.shape == (6, 2) and not served.b.any()
+    assert singular.size == 0
