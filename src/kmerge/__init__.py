@@ -28,7 +28,6 @@ from .merging import (
     dare_ties_merge,
     linear_merge,
     refactor,
-    running_average_merge,
     ties_merge,
 )
 from .similarity import (

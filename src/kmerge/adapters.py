@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import FormatError, KeyNotFound, ShapeError
+from .errors import FormatError, IncompatibleAdapters, KeyNotFound, ShapeError
 
 PROJECTIONS = ("key", "query", "value", "output")
 _PROJ_ORDER = {p: i for i, p in enumerate(PROJECTIONS)}
@@ -118,6 +118,14 @@ class LoraAdapter:
         return frozenset(self.layers)
 
 
+def check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
+    """Raise :class:`IncompatibleAdapters` unless ``x`` and ``y`` adapt the same layers."""
+    if x.key_set() != y.key_set():
+        raise IncompatibleAdapters(
+            f"adapters {x.task_id!r} and {y.task_id!r} have different layer key-sets"
+        )
+
+
 def materialize_delta(adapter: LoraAdapter, key: LayerKey) -> np.ndarray:
     """Dense update for one layer: ``scaling * b @ a`` in float64."""
     try:
@@ -197,8 +205,8 @@ def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
         fh.write(header)
         for key in adapter.sorted_keys():
             fp = adapter.layers[key]
-            fh.write(np.ascontiguousarray(fp.a, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(fp.b, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(fp.a, dtype="<f4"))
+            fh.write(np.ascontiguousarray(fp.b, dtype="<f4"))
     tmp.replace(path)
 
 
@@ -208,6 +216,17 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     if len(data) != n:
         raise FormatError(f"truncated payload while reading {what}", offset)
     return data
+
+
+def _read_tensor(fh, shape: tuple[int, int], what: str) -> np.ndarray:
+    """A float32 tensor read straight into its own array, with no bytes copy."""
+    offset = fh.tell()
+    if min(shape) < 0:
+        raise FormatError(f"negative dimension in {what}: {shape}", offset)
+    out = np.empty(shape, dtype="<f4")
+    if fh.readinto(out) != out.nbytes:
+        raise FormatError(f"truncated payload while reading {what}", offset)
+    return out
 
 
 def read_adapter(path: str | Path) -> LoraAdapter:
@@ -233,14 +252,10 @@ def read_adapter(path: str | Path) -> LoraAdapter:
         for entry in header["layers"]:
             key = LayerKey(int(entry["layer"]), str(entry["proj"]))
             d_in, d_out = int(entry["d_in"]), int(entry["d_out"])
-            a = np.frombuffer(
-                _read_exact(fh, 4 * rank * d_in, f"A tensor of layer {key}"), dtype="<f4"
-            ).reshape(rank, d_in)
-            b = np.frombuffer(
-                _read_exact(fh, 4 * d_out * rank, f"B tensor of layer {key}"), dtype="<f4"
-            ).reshape(d_out, rank)
+            a = _read_tensor(fh, (rank, d_in), f"A tensor of layer {key}")
+            b = _read_tensor(fh, (d_out, rank), f"B tensor of layer {key}")
             try:
-                layers[key] = FactorPair(a=a.copy(), b=b.copy())
+                layers[key] = FactorPair(a=a, b=b)
             except ShapeError as exc:
                 raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
         trailing = fh.read(1)

@@ -29,23 +29,14 @@ from .bench import (
     save_suite,
     threshold_sweep,
 )
-from .engine import MANIFEST_VERSION, MergeEngine, PolicyConfig
-from .errors import ConfigError, KMergeError
-from .merging import (
-    MergedDelta,
-    MergeOperator,
-    RankPolicy,
-    dare_merge,
-    dare_ties_merge,
-    linear_merge,
-    refactor,
-    running_average_merge,
-    ties_merge,
+from .engine import (
+    MANIFEST_VERSION, VARIANTS, MergeEngine, PolicyConfig, SlotState, merged_cache, slot_cache,
 )
-from .merging import delta_map
+from .errors import ConfigError, KMergeError
+from .merging import OPERATOR_KINDS, RANK_MODES, MergedDelta, MergeOperator, RankPolicy, refactor
 from .similarity import calibrate_threshold, similarity_matrix
 
-OPERATOR_FLAGS = ("running-average", "linear", "ties", "dare", "dare-ties")
+OPERATOR_FLAGS = tuple(kind.replace("_", "-") for kind in OPERATOR_KINDS)
 
 
 def _operator_from_flags(args) -> MergeOperator:
@@ -68,14 +59,11 @@ def _policy_from_flags(args) -> PolicyConfig:
 
 
 def _policy_from_config_file(path: str) -> PolicyConfig:
-    manifest = json.loads(Path(path).read_text())
-    return PolicyConfig(
-        budget_k=int(manifest["budget_k"]),
-        variant=str(manifest["variant"]),
-        threshold_s=manifest.get("threshold_s"),
-        operator=MergeOperator(**manifest["operator"]),
-        rank_policy=RankPolicy(**manifest["rank_policy"]),
-    )
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    return PolicyConfig.from_dict(data)
 
 
 def cmd_gen(args) -> int:
@@ -159,28 +147,18 @@ def cmd_merge(args) -> int:
     x = read_adapter(args.inputs[0])
     y = read_adapter(args.inputs[1])
     operator = _operator_from_flags(args)
-    kind = operator.kind
-    if kind == "running_average":
-        merged = running_average_merge(x, 1, y)
-    elif kind == "linear":
-        merged = linear_merge(x, y, weight=args.weight)
-    elif kind == "ties":
-        merged = ties_merge([delta_map(x), delta_map(y)], operator.density)
-    elif kind == "dare":
-        merged = dare_merge(x, y, operator)
-    else:
-        merged = dare_ties_merge(x, y, operator)
+    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x)), 1, y, args.weight)
     target_rank = args.target_rank or max(x.rank, y.rank)
     result = refactor(
-        merged,
+        MergedDelta(layers=cache),
         RankPolicy(mode="svd_truncate", target_rank=target_rank),
         task_id=f"merged-{x.task_id}-{y.task_id}",
         scale_numerator=x.scaling * target_rank,
     )
     write_adapter(result.adapter, args.out)
     report = {
-        "operator": kind,
-        "merge_count": merged.merge_count,
+        "operator": operator.kind,
+        "merge_count": 2,
         "target_rank": target_rank,
         "per_layer_residuals": {str(k): v for k, v in sorted(result.residuals.items(), key=lambda kv: kv[0].sort_key())},
     }
@@ -269,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def policy_flags(p):
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--variant", choices=["k-merge", "k-merge-pp"], default="k-merge")
+        p.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS], default="k-merge")
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--operator", choices=list(OPERATOR_FLAGS), default="running-average")
         p.add_argument("--density", type=float, default=0.5)
         p.add_argument("--drop-rate", type=float, default=0.5)
         p.add_argument("--op-seed", type=int, default=0)
-        p.add_argument("--rank-mode", choices=["svd_truncate", "factor_average"], default="svd_truncate")
+        p.add_argument("--rank-mode", choices=list(RANK_MODES), default="svd_truncate")
         p.add_argument("--target-rank", type=int, default=4)
 
     p = sub.add_parser("run", help="replay a stream and write score reports")

@@ -17,16 +17,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .adapters import LayerKey, LoraAdapter, read_adapter, write_adapter
+from .adapters import LayerKey, LoraAdapter, check_compatible, read_adapter, write_adapter
 from .errors import (
+    ConfigError,
     DuplicateTask,
-    IncompatibleAdapters,
     RestoreError,
     ShapeError,
     SlotVacant,
@@ -71,6 +70,34 @@ class PolicyConfig:
         if self.variant == "k_merge_pp" and self.threshold_s is None:
             raise ShapeError("k_merge_pp requires threshold_s")
 
+    def to_dict(self) -> dict:
+        """The policy as the JSON object stored in manifests and read by ``--config``."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data) -> "PolicyConfig":
+        """Inverse of :meth:`to_dict`. Every field is required; a missing or
+        invalid one raises :class:`ConfigError` naming it. Other keys are
+        ignored, so a whole manifest is a valid input."""
+        kwargs = {name: _field(data, name) for name in ("budget_k", "variant", "threshold_s")}
+        try:
+            for name, kind in (("operator", MergeOperator), ("rank_policy", RankPolicy)):
+                kwargs[name] = kind(**{f.name: _field(data, f"{name}.{f.name}") for f in fields(kind)})
+            return cls(**kwargs)
+        except (ShapeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid policy: {exc}") from None
+
+
+def _field(node, path: str, error: type[Exception] = ConfigError):
+    """The value at the dotted ``path`` below ``node``; raises ``error``
+    naming ``path`` when it is missing."""
+    for part in path.split("."):
+        try:
+            node = node[part]
+        except (KeyError, TypeError):
+            raise error(f"missing field {path!r}") from None
+    return node
+
 
 @dataclass(frozen=True)
 class IngestDecision:
@@ -100,6 +127,48 @@ class SlotState:
 
     adapter: LoraAdapter
     cache: dict[LayerKey, LowRankDelta]
+
+
+def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
+    """The running cache of a slot whose only member is ``adapter``."""
+    return {
+        key: LowRankDelta.from_factors(fp, adapter.scaling).compressed()
+        for key, fp in adapter.layers.items()
+    }
+
+
+def merged_cache(
+    operator: MergeOperator,
+    slot: SlotState,
+    count: int,
+    incoming: LoraAdapter,
+    weight: float = 0.5,
+) -> dict[LayerKey, LowRankDelta]:
+    """The running cache of ``slot``, which has ``count`` members, after
+    merging ``incoming`` into it; ``slot`` is left unchanged.
+
+    The running average folds ``incoming`` into the cache by projection.
+    A pairwise operator merges the served adapter with ``incoming`` in
+    dense space (``linear`` with ``weight`` on the served adapter) and
+    stores the canonical form of its output.
+    """
+    check_compatible(slot.adapter, incoming)
+    if operator.kind == "running_average":
+        alpha, beta = count / (count + 1), 1.0 / (count + 1)
+        return {
+            key: slot.cache[key].fold(alpha, beta, LowRankDelta.from_factors(fp, incoming.scaling))
+            for key, fp in incoming.layers.items()
+        }
+    stored = slot.adapter
+    if operator.kind == "linear":
+        merged = linear_merge(stored, incoming, weight=weight)
+    elif operator.kind == "ties":
+        merged = ties_merge([delta_map(stored), delta_map(incoming)], operator.density)
+    elif operator.kind == "dare":
+        merged = dare_merge(stored, incoming, operator)
+    else:
+        merged = dare_ties_merge(stored, incoming, operator)
+    return {key: LowRankDelta.from_dense(d) for key, d in merged.dense().items()}
 
 
 @dataclass
@@ -166,11 +235,7 @@ class MergeEngine:
         if incoming.task_id in self.task_ids.values():
             raise DuplicateTask(f"task {incoming.task_id!r} already ingested")
         if self.store.slots:
-            reference = next(iter(self.store.slots.values())).adapter
-            if reference.key_set() != incoming.key_set():
-                raise IncompatibleAdapters(
-                    f"incoming adapter {incoming.task_id!r} does not match the store's layer key-set"
-                )
+            check_compatible(next(iter(self.store.slots.values())).adapter, incoming)
         t = self.timestep + 1
 
         best_key, best_score = None, None
@@ -191,11 +256,7 @@ class MergeEngine:
             tasks = self.history.entries[slot_key] + [t]
         else:
             slot_key, action, similarity = self.history.next_slot_key, ALLOCATED, None
-            cache = {
-                key: LowRankDelta.from_factors(fp, incoming.scaling).compressed()
-                for key, fp in incoming.layers.items()
-            }
-            slot = SlotState(adapter=incoming, cache=cache)
+            slot = SlotState(adapter=incoming, cache=slot_cache(incoming))
             tasks = [t]
 
         # Everything above may raise and changes no engine state; the commit
@@ -216,36 +277,11 @@ class MergeEngine:
         )
 
     def _merged_slot(self, slot_key: int, incoming: LoraAdapter) -> SlotState:
-        """The slot after folding ``incoming`` into it, built without changing it."""
+        """The slot after merging ``incoming`` into it, built without changing it."""
         slot = self.store.slots[slot_key]
-        operator = self.config.operator
-        if operator.kind == "running_average":
-            n = len(self.history.entries[slot_key])
-            cache = {
-                key: slot.cache[key].fold(
-                    n / (n + 1), 1.0 / (n + 1), LowRankDelta.from_factors(fp, incoming.scaling)
-                )
-                for key, fp in incoming.layers.items()
-            }
-        else:
-            merged = self._pairwise_baseline(slot.adapter, incoming, operator)
-            cache = {key: LowRankDelta.from_dense(d) for key, d in merged.dense().items()}
+        cache = merged_cache(self.config.operator, slot, self.merge_count(slot_key), incoming)
         adapter = self._stored_form(slot_key, slot.adapter, cache, incoming)
         return SlotState(adapter=adapter, cache=cache)
-
-    @staticmethod
-    def _pairwise_baseline(
-        stored: LoraAdapter, incoming: LoraAdapter, operator: MergeOperator
-    ) -> MergedDelta:
-        if operator.kind == "linear":
-            return linear_merge(stored, incoming, weight=0.5)
-        if operator.kind == "ties":
-            return ties_merge([delta_map(stored), delta_map(incoming)], operator.density)
-        if operator.kind == "dare":
-            return dare_merge(stored, incoming, operator)
-        if operator.kind == "dare_ties":
-            return dare_ties_merge(stored, incoming, operator)
-        raise ShapeError(f"unexpected operator kind {operator.kind!r}")
 
     def _stored_form(
         self,
@@ -311,19 +347,7 @@ class MergeEngine:
 
         manifest = {
             "version": MANIFEST_VERSION,
-            "budget_k": self.config.budget_k,
-            "variant": self.config.variant,
-            "threshold_s": self.config.threshold_s,
-            "operator": {
-                "kind": self.config.operator.kind,
-                "density": self.config.operator.density,
-                "drop_rate": self.config.operator.drop_rate,
-                "rng_seed": self.config.operator.rng_seed,
-            },
-            "rank_policy": {
-                "mode": self.config.rank_policy.mode,
-                "target_rank": self.config.rank_policy.target_rank,
-            },
+            **self.config.to_dict(),
             "slots": slot_entries,
             "running_cache_file": "running_cache.bin",
             "cache_index": cache_index,
@@ -347,54 +371,50 @@ class MergeEngine:
         except json.JSONDecodeError as exc:
             raise RestoreError(f"manifest.json is not valid JSON: {exc}") from None
 
-        def get(mapping, path):
-            node = mapping
-            for part in path.split("."):
-                try:
-                    node = node[part]
-                except (KeyError, TypeError):
-                    raise RestoreError(f"manifest missing field {path!r}") from None
-            return node
-
-        version = get(manifest, "version")
+        version = _field(manifest, "version", RestoreError)
         if version not in (1, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
-        config = PolicyConfig(
-            budget_k=get(manifest, "budget_k"),
-            variant=get(manifest, "variant"),
-            threshold_s=get(manifest, "threshold_s"),
-            operator=MergeOperator(
-                kind=get(manifest, "operator.kind"),
-                density=get(manifest, "operator.density"),
-                drop_rate=get(manifest, "operator.drop_rate"),
-                rng_seed=get(manifest, "operator.rng_seed"),
-            ),
-            rank_policy=RankPolicy(
-                mode=get(manifest, "rank_policy.mode"),
-                target_rank=get(manifest, "rank_policy.target_rank"),
-            ),
-        )
+        try:
+            config = PolicyConfig.from_dict(manifest)
+        except ConfigError as exc:
+            raise RestoreError(f"manifest policy: {exc}") from None
         engine = cls(config)
-        engine.history.next_slot_key = int(get(manifest, "next_slot_key"))
-        engine.timestep = int(get(manifest, "timestep"))
-        engine.task_ids = {int(t): str(name) for t, name in get(manifest, "ingested")}
+        engine.history.next_slot_key = int(_field(manifest, "next_slot_key", RestoreError))
+        engine.timestep = int(_field(manifest, "timestep", RestoreError))
+        engine.task_ids = {
+            int(t): str(name) for t, name in _field(manifest, "ingested", RestoreError)
+        }
 
-        cache_path = directory / str(get(manifest, "running_cache_file"))
+        cache_path = directory / str(_field(manifest, "running_cache_file", RestoreError))
         if not cache_path.exists():
             raise RestoreError(f"running cache file {cache_path.name} is missing")
         caches: dict[int, dict[LayerKey, LowRankDelta]] = {}
         with open(cache_path, "rb") as blob:
             size = os.fstat(blob.fileno()).st_size
-            for entry in get(manifest, "cache_index"):
-                slot_key = int(entry["slot_key"])
-                key = LayerKey(int(entry["layer"]), str(entry["proj"]))
-                b = np.empty(tuple(entry["b_shape"]), dtype="<f8")
-                a = np.empty(tuple(entry["a_shape"]), dtype="<f8")
-                offset = int(entry["offset"])
-                if offset + b.nbytes + a.nbytes > size:
+            for entry in _field(manifest, "cache_index", RestoreError):
+                slot_key, layer, proj, b_shape, a_shape, offset = (
+                    _field(entry, name, RestoreError)
+                    for name in ("slot_key", "layer", "proj", "b_shape", "a_shape", "offset")
+                )
+                slot_key = int(slot_key)
+                key = LayerKey(int(layer), str(proj))
+                offset = int(offset)
+                shapes_ok = all(
+                    isinstance(s, list) and len(s) == 2
+                    and all(isinstance(d, int) and d >= 0 for d in s)
+                    for s in (b_shape, a_shape)
+                )
+                if not shapes_ok or b_shape[1] != a_shape[0] or offset < 0:
+                    raise RestoreError(
+                        f"bad cache entry for slot {slot_key} layer {key}: "
+                        f"shapes {b_shape} x {a_shape} at offset {offset}"
+                    )
+                if offset + 8 * (b_shape[0] * b_shape[1] + a_shape[0] * a_shape[1]) > size:
                     raise RestoreError(
                         f"running cache truncated for slot {slot_key} layer {key}"
                     )
+                b = np.empty(tuple(b_shape), dtype="<f8")
+                a = np.empty(tuple(a_shape), dtype="<f8")
                 blob.seek(offset)
                 blob.readinto(b)
                 blob.readinto(a)
@@ -402,9 +422,12 @@ class MergeEngine:
                 low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
                 caches.setdefault(slot_key, {})[key] = low.compressed()
 
-        for entry in get(manifest, "slots"):
-            slot_key = int(entry["slot_key"])
-            adapter_path = directory / str(entry["file"])
+        for entry in _field(manifest, "slots", RestoreError):
+            slot_key, file_name, tasks = (
+                _field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
+            )
+            slot_key = int(slot_key)
+            adapter_path = directory / str(file_name)
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
             adapter = read_adapter(adapter_path)
@@ -413,5 +436,6 @@ class MergeEngine:
             engine.store.slots[slot_key] = SlotState(
                 adapter=adapter, cache=caches[slot_key]
             )
-            engine.history.entries[slot_key] = [int(t) for t in entry["tasks"]]
+            engine.history.entries[slot_key] = [int(t) for t in tasks]
         return engine
+

@@ -35,10 +35,6 @@ class InsufficientData(KMergeError):
     """Threshold calibration needs at least two held-out adapters."""
 
 
-class InvalidHistoryCount(KMergeError):
-    """Running-average merge called with a non-positive history count."""
-
-
 class InsufficientInputs(KMergeError):
     """A multi-input merge operator received fewer than two inputs."""
 

@@ -14,14 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, delta_map
-from .errors import (
-    IncompatibleAdapters,
-    InsufficientInputs,
-    InvalidHistoryCount,
-    ShapeError,
-    UnsupportedMode,
-)
+from .adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, check_compatible, delta_map
+from .errors import IncompatibleAdapters, InsufficientInputs, ShapeError, UnsupportedMode
 from .lowrank import LowRankDelta
 
 DeltaMap = dict[LayerKey, np.ndarray]
@@ -73,36 +67,11 @@ class MergedDelta:
         return out
 
 
-def _check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
-    if x.key_set() != y.key_set():
-        raise IncompatibleAdapters(
-            f"adapters {x.task_id!r} and {y.task_id!r} have different layer key-sets"
-        )
-
-
-def running_average_merge(
-    stored: LoraAdapter, stored_count: int, incoming: LoraAdapter
-) -> MergedDelta:
-    """Fold ``incoming`` into a slot already holding ``stored_count`` tasks.
-
-    Per layer: (delta_incoming + n * delta_stored) / (n + 1). Folding a
-    whole cluster this way, in any order, yields the plain arithmetic
-    mean of all deltas.
-    """
-    if stored_count < 1:
-        raise InvalidHistoryCount(f"stored_count must be >= 1, got {stored_count}")
-    _check_compatible(stored, incoming)
-    ds, di = delta_map(stored), delta_map(incoming)
-    n = stored_count
-    layers = {key: (di[key] + n * ds[key]) / (n + 1) for key in ds}
-    return MergedDelta(layers=layers, merge_count=n + 1)
-
-
 def linear_merge(x: LoraAdapter, y: LoraAdapter, weight: float = 0.5) -> MergedDelta:
     """weight * delta_x + (1 - weight) * delta_y, per layer."""
     if not 0.0 <= weight <= 1.0:
         raise ShapeError("weight must be in [0, 1]")
-    _check_compatible(x, y)
+    check_compatible(x, y)
     dx, dy = delta_map(x), delta_map(y)
     layers = {key: weight * dx[key] + (1.0 - weight) * dy[key] for key in dx}
     return MergedDelta(layers=layers, merge_count=2)
@@ -184,7 +153,7 @@ def _input_seed(base_seed: int, index: int) -> int:
 
 def dare_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedDelta:
     """Sum of the drop-and-rescaled deltas with unary weights."""
-    _check_compatible(x, y)
+    check_compatible(x, y)
     pre = [
         dare_preprocess(delta_map(adapter), config.drop_rate, _input_seed(config.rng_seed, i))
         for i, adapter in enumerate((x, y))
@@ -195,7 +164,7 @@ def dare_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedD
 
 def dare_ties_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedDelta:
     """TIES applied to the drop-and-rescaled deltas."""
-    _check_compatible(x, y)
+    check_compatible(x, y)
     pre = [
         dare_preprocess(delta_map(adapter), config.drop_rate, _input_seed(config.rng_seed, i))
         for i, adapter in enumerate((x, y))
@@ -272,7 +241,7 @@ def factor_average(x: LoraAdapter, y: LoraAdapter, task_id: str) -> LoraAdapter:
     This is an approximation: the materialized update of the result is
     not the mean of the inputs' updates. Offered for ablation only.
     """
-    _check_compatible(x, y)
+    check_compatible(x, y)
     if x.rank != y.rank:
         raise UnsupportedMode("factor averaging requires equal ranks")
     if x.scale_numerator != y.scale_numerator:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .adapters import LayerKey, LoraAdapter
+from .adapters import LayerKey, LoraAdapter, check_compatible
 from .errors import EmptyStore, IncompatibleAdapters, InsufficientData, KeyNotFound, ShapeError
 from .lowrank import LowRankDelta
 
@@ -49,18 +49,11 @@ def layer_similarity(x: LoraAdapter, y: LoraAdapter, key: LayerKey) -> float:
     return float(np.clip(dx.inner(dy) / (nx * ny), -1.0, 1.0))
 
 
-def _check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
-    if x.key_set() != y.key_set():
-        raise IncompatibleAdapters(
-            f"adapters {x.task_id!r} and {y.task_id!r} have different layer key-sets"
-        )
-
-
 def adapter_similarity(x: LoraAdapter, y: LoraAdapter) -> float:
     """Mean of the per-layer cosines over all layer keys."""
     if x is y:
         return 1.0
-    _check_compatible(x, y)
+    check_compatible(x, y)
     return float(np.mean([layer_similarity(x, y, key) for key in x.layers]))
 
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,19 @@ def test_truncated_payload_names_tensor(tmp_path, rng):
     per_layer = 4 * (fp.a.size + fp.b.size)
     path.write_bytes(raw[:-per_layer])
     with pytest.raises(FormatError, match="tensor"):
+        read_adapter(path)
+
+
+def test_negative_dimension_rejected(tmp_path, rng):
+    path = tmp_path / "a.kmrg"
+    write_adapter(small_random_adapter("x", rng), path)
+    raw = path.read_bytes()
+    magic, version, header_len = struct.unpack("<4sHI", raw[:10])
+    header = json.loads(raw[10 : 10 + header_len])
+    header["layers"][0]["d_in"] = -header["layers"][0]["d_in"]
+    encoded = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sHI", magic, version, len(encoded)) + encoded + raw[10 + header_len :])
+    with pytest.raises(FormatError, match="negative dimension"):
         read_adapter(path)
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from kmerge.adapters import read_adapter, write_adapter
 from kmerge.cli import main
-from kmerge.engine import MergeEngine
+from kmerge.engine import MergeEngine, PolicyConfig
+from kmerge.merging import RankPolicy
 
 from conftest import small_random_adapter
 
@@ -104,6 +105,24 @@ def test_run_config_file(suite_dir, tmp_path):
     assert payload["config"]["budget_k"] == 2
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (json.dumps({"budget_k": 2, "variant": "k_merge", "threshold_s": None,
+                     "rank_policy": {"mode": "svd_truncate", "target_rank": 3}}), "operator"),
+        ('{"budget_k": 2,', "not valid JSON"),
+    ],
+    ids=["missing-operator", "invalid-json"],
+)
+def test_run_config_errors_exit_2(suite_dir, tmp_path, capsys, text, problem):
+    path = tmp_path / "policy.json"
+    path.write_text(text)
+    code = main(["run", "--suite", str(suite_dir), "--k", "2",
+                 "--config", str(path), "--seeds", "0", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_run_pp_requires_threshold(suite_dir, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--suite", str(suite_dir), "--k", "3",
@@ -135,6 +154,25 @@ def test_merge_command(tmp_path, rng, capsys):
     payload = json.loads(report.read_text())
     assert payload["merge_count"] == 2
     assert len(payload["per_layer_residuals"]) == 4
+
+
+def test_merge_running_average_matches_engine(tmp_path, rng):
+    x = small_random_adapter("left", rng, rank=3, n_keys=4)
+    y = small_random_adapter("right", rng, rank=3, n_keys=4)
+    write_adapter(x, tmp_path / "x.kmrg")
+    write_adapter(y, tmp_path / "y.kmrg")
+    out = tmp_path / "m.kmrg"
+    assert main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                 "--op", "running-average", "--out", str(out)]) == 0
+    engine = MergeEngine(PolicyConfig(budget_k=1, rank_policy=RankPolicy(target_rank=3)))
+    engine.ingest(x)
+    engine.ingest(y)
+    served, merged = engine.load_for_inference(1), read_adapter(out)
+    assert (merged.rank, merged.scale_numerator) == (served.rank, served.scale_numerator)
+    assert merged.key_set() == served.key_set()
+    for key, fp in served.layers.items():
+        np.testing.assert_array_equal(merged.layers[key].a, fp.a)
+        np.testing.assert_array_equal(merged.layers[key].b, fp.b)
 
 
 def test_merge_all_operators(tmp_path, rng):

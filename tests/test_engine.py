@@ -338,6 +338,41 @@ def test_restore_truncated_cache(tmp_path, rng):
         MergeEngine.restore(tmp_path)
 
 
+DAMAGED_ENTRIES = {
+    "no-offset": ("cache_index", lambda e: e.pop("offset"), "offset"),
+    "no-b_shape": ("cache_index", lambda e: e.pop("b_shape"), "b_shape"),
+    "negative-b": ("cache_index", lambda e: e.__setitem__("b_shape", [-1, 3]), "bad cache entry"),
+    "negative-a": ("cache_index", lambda e: e.__setitem__("a_shape", [-2, 8]), "bad cache entry"),
+    "flat-b": ("cache_index", lambda e: e.__setitem__("b_shape", [8]), "bad cache entry"),
+    "inner-mismatch": (
+        "cache_index", lambda e: e["a_shape"].__setitem__(0, e["b_shape"][1] + 1), "bad cache entry"
+    ),
+    "negative-offset": ("cache_index", lambda e: e.__setitem__("offset", -8), "bad cache entry"),
+    "huge-shape": ("cache_index", lambda e: e["b_shape"].__setitem__(0, 1 << 40), "truncated"),
+    "no-tasks": ("slots", lambda e: e.pop("tasks"), "tasks"),
+    "no-file": ("slots", lambda e: e.pop("file"), "file"),
+}
+
+
+@pytest.mark.parametrize("table, damage, match", DAMAGED_ENTRIES.values(), ids=DAMAGED_ENTRIES)
+def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    damage(manifest[table][0])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+def test_restore_invalid_policy_value(tmp_path, rng):
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["operator"]["density"] = "half"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match="policy"):
+        MergeEngine.restore(tmp_path)
+
+
 def test_persist_is_idempotent(tmp_path, rng):
     engine = _persisted(tmp_path, rng)
     first = (tmp_path / "manifest.json").read_bytes()

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import LayerKey, delta_map
-from kmerge.errors import (
-    InsufficientInputs,
-    InvalidHistoryCount,
-    ShapeError,
-    UnsupportedMode,
-)
+from kmerge.errors import InsufficientInputs, ShapeError, UnsupportedMode
 from kmerge.lowrank import LowRankDelta
 from kmerge.merging import (
     MergedDelta,
@@ -19,11 +14,10 @@ from kmerge.merging import (
     factor_average,
     linear_merge,
     refactor,
-    running_average_merge,
     ties_merge,
 )
 
-from conftest import dense_delta_map, make_adapter, naive_ties, small_random_adapter
+from conftest import dense_delta_map, naive_ties, small_random_adapter
 
 K0 = LayerKey(0, "key")
 
@@ -35,22 +29,6 @@ def _fold_mean(adapters):
         inc = dense_delta_map(incoming)
         current = {k: (inc[k] + n * current[k]) / (n + 1) for k in current}
     return current
-
-
-def test_running_average_equal_inputs(rng):
-    x = small_random_adapter("x", rng)
-    y = make_adapter("y", {k: (fp.a, fp.b) for k, fp in x.layers.items()}, x.rank, x.scale_numerator)
-    merged = running_average_merge(x, 1, y)
-    for key, value in merged.dense().items():
-        np.testing.assert_allclose(value, dense_delta_map(x)[key], rtol=1e-12)
-    assert merged.merge_count == 2
-
-
-def test_running_average_zero_stored(rng):
-    y = small_random_adapter("y", rng, n_keys=1)
-    zero = make_adapter("z", {K0: (np.zeros((2, 8)), np.zeros((8, 2)))}, 2, 2)
-    merged = running_average_merge(zero, 1, y)
-    np.testing.assert_allclose(merged.dense()[K0], dense_delta_map(y)[K0] / 2, rtol=1e-12)
 
 
 def test_running_average_batch_mean_oracle(rng):
@@ -73,12 +51,6 @@ def test_running_average_order_invariance(rng):
         results.append(_fold_mean(list(perm))[K0])
     for other in results[1:]:
         np.testing.assert_allclose(other, results[0], rtol=1e-9)
-
-
-def test_running_average_invalid_count(rng):
-    x = small_random_adapter("x", rng)
-    with pytest.raises(InvalidHistoryCount):
-        running_average_merge(x, 0, x)
 
 
 def test_linear_merge_identity(rng):
