@@ -35,6 +35,7 @@ from .similarity import (
     calibrate_threshold,
     layer_similarity,
     most_similar,
+    similarities,
     similarity_matrix,
 )
 from .bench import (

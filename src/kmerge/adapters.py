@@ -87,6 +87,11 @@ class LoraAdapter:
 
     ``scale_numerator`` is the LoRA scaling numerator; the update applied
     for a layer is ``(scale_numerator / rank) * b @ a``.
+
+    Adapters are treated as immutable once built: similarity caches each
+    adapter's per-layer update norms on it at first use (``layer_norms``),
+    so changing ``layers`` or the scaling afterwards would leave them
+    stale. Build a new adapter instead.
     """
 
     task_id: str
@@ -95,6 +100,10 @@ class LoraAdapter:
     rank: int
     scale_numerator: float
     layers: dict[LayerKey, FactorPair] = field(default_factory=dict)
+    # Frobenius norm of each layer's update, in ``layers`` order; filled by
+    # ``kmerge.similarity`` on first use. Threads that fill it at once all
+    # write the same values.
+    layer_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:

@@ -29,7 +29,7 @@ from .adapters import (
 from .engine import MergeEngine, MergeHistory, PolicyConfig
 from .errors import ConfigError
 from .merging import RankPolicy
-from .similarity import adapter_similarity
+from .similarity import adapter_similarity, similarities
 
 ORDERING_KINDS = ("random", "problem_types", "worst")
 
@@ -294,12 +294,22 @@ def aggregate_score(
     engine: MergeEngine, seen: Sequence[tuple[int, LoraAdapter]]
 ) -> tuple[float, list[float]]:
     """Mean surrogate ratio over the seen tasks; ``seen`` pairs each
-    arrival index with the task's original single-task adapter."""
-    ratios = []
-    for arrival_index, original in seen:
-        slot_key = engine.route(arrival_index)
+    arrival index with the task's original single-task adapter.
+
+    Tasks are grouped by the slot that serves them, and each slot's served
+    adapter is compared against its tasks' originals in one similarity
+    call. Each ratio equals ``surrogate_metric(served, original)``; the
+    ratios are returned in the order of ``seen``.
+    """
+    by_slot: dict[int, list[int]] = {}
+    for position, (arrival_index, _) in enumerate(seen):
+        by_slot.setdefault(engine.route(arrival_index), []).append(position)
+    ratios = [0.0] * len(seen)
+    for slot_key, positions in by_slot.items():
         candidate = engine.load_for_inference(slot_key)
-        ratios.append(surrogate_metric(candidate, original))
+        scores = similarities(candidate, [seen[i][1] for i in positions])
+        for position, score in zip(positions, scores):
+            ratios[position] = max(0.0, score)
     return float(np.mean(ratios)), ratios
 
 
@@ -385,22 +395,29 @@ def run_simulation(
 ) -> SimulationReport:
     """Replay the stream through a fresh engine, scoring after every step.
 
-    Deterministic given the seeds, except for the wall-clock ``elapsed``
-    fields, which are measurements.
+    The score after a step is the mean surrogate ratio over every task
+    seen so far, in arrival order. An ingest changes only the served
+    adapter of the slot it touched, so only that slot's tasks are
+    rescored; the others keep their ratios. Deterministic given the seeds,
+    except for the wall-clock ``elapsed`` fields, which are measurements.
     """
     if len(adapters) != len(tasks):
         raise ConfigError("adapters and tasks must align")
     engine = MergeEngine(config)
     order = order_stream(tasks, ordering)
     rows: list[SimulationRow] = []
-    seen: list[tuple[int, LoraAdapter]] = []
+    originals: dict[int, LoraAdapter] = {}
+    ratios: dict[int, float] = {}  # by arrival index, in arrival order
     tasks_by_arrival: dict[int, TaskSpec] = {}
     for position in order:
         adapter, task = adapters[position], tasks[position]
         decision = engine.ingest(adapter)
-        seen.append((decision.task_index, adapter))
+        originals[decision.task_index] = adapter
         tasks_by_arrival[decision.task_index] = task
-        score, _ = aggregate_score(engine, seen)
+        members = engine.history.entries[decision.slot_key]
+        _, rescored = aggregate_score(engine, [(t, originals[t]) for t in members])
+        ratios.update(zip(members, rescored))
+        score = float(np.mean(list(ratios.values())))
         rows.append(
             SimulationRow(
                 timestep=decision.task_index,

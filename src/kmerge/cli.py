@@ -246,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     def policy_flags(p):
-        p.add_argument("--k", type=int, required=True)
         p.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS], default="k-merge")
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--operator", choices=list(OPERATOR_FLAGS), default="running-average")
@@ -258,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="replay a stream and write score reports")
     p.add_argument("--suite", required=True)
+    p.add_argument("--k", type=int, help="slot budget; required unless --config is given")
     policy_flags(p)
     p.add_argument("--config", help="JSON policy config (manifest schema); overrides flags")
     p.add_argument("--ordering", choices=["random", "problem-types", "worst"], default="random")
@@ -269,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="threshold ablation for k-merge-pp")
     p.add_argument("--suite", required=True)
+    p.add_argument("--k", type=int, required=True)
     policy_flags(p)
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--s-values", type=float, nargs="+", required=True)
@@ -310,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "inspect" and not (args.store or args.geometry):
         parser.error("inspect needs --store or --geometry")
+    if args.command == "run" and args.k is None and not args.config:
+        parser.error("--k is required unless --config is given")
     if args.command == "run" and args.variant == "k-merge-pp" and args.threshold is None and not args.config:
         parser.error("k-merge-pp requires --threshold")
     try:

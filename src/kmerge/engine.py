@@ -99,6 +99,15 @@ def _field(node, path: str, error: type[Exception] = ConfigError):
     return node
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; raises :class:`RestoreError`
+    naming ``what`` otherwise. Booleans, floats and digit strings are not
+    integers here: converting them would restore a different state."""
+    if type(value) is int:
+        return value
+    raise RestoreError(f"{what} is not an integer: {value!r}")
+
+
 @dataclass(frozen=True)
 class IngestDecision:
     task_index: int
@@ -379,11 +388,17 @@ class MergeEngine:
         except ConfigError as exc:
             raise RestoreError(f"manifest policy: {exc}") from None
         engine = cls(config)
-        engine.history.next_slot_key = int(_field(manifest, "next_slot_key", RestoreError))
-        engine.timestep = int(_field(manifest, "timestep", RestoreError))
-        engine.task_ids = {
-            int(t): str(name) for t, name in _field(manifest, "ingested", RestoreError)
-        }
+        engine.history.next_slot_key = _int(
+            _field(manifest, "next_slot_key", RestoreError), "next_slot_key"
+        )
+        engine.timestep = _int(_field(manifest, "timestep", RestoreError), "timestep")
+        try:
+            engine.task_ids = {
+                _int(t, "ingested task index"): str(name)
+                for t, name in _field(manifest, "ingested", RestoreError)
+            }
+        except (TypeError, ValueError):
+            raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
 
         cache_path = directory / str(_field(manifest, "running_cache_file", RestoreError))
         if not cache_path.exists():
@@ -396,12 +411,12 @@ class MergeEngine:
                     _field(entry, name, RestoreError)
                     for name in ("slot_key", "layer", "proj", "b_shape", "a_shape", "offset")
                 )
-                slot_key = int(slot_key)
-                key = LayerKey(int(layer), str(proj))
-                offset = int(offset)
+                slot_key = _int(slot_key, "cache entry slot_key")
+                key = LayerKey(_int(layer, f"cache entry layer of slot {slot_key}"), str(proj))
+                offset = _int(offset, f"cache entry offset of slot {slot_key} layer {key}")
                 shapes_ok = all(
                     isinstance(s, list) and len(s) == 2
-                    and all(isinstance(d, int) and d >= 0 for d in s)
+                    and all(type(d) is int and d >= 0 for d in s)
                     for s in (b_shape, a_shape)
                 )
                 if not shapes_ok or b_shape[1] != a_shape[0] or offset < 0:
@@ -426,7 +441,7 @@ class MergeEngine:
             slot_key, file_name, tasks = (
                 _field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
             )
-            slot_key = int(slot_key)
+            slot_key = _int(slot_key, "slot entry slot_key")
             adapter_path = directory / str(file_name)
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
@@ -436,6 +451,10 @@ class MergeEngine:
             engine.store.slots[slot_key] = SlotState(
                 adapter=adapter, cache=caches[slot_key]
             )
-            engine.history.entries[slot_key] = [int(t) for t in tasks]
+            if not isinstance(tasks, list):
+                raise RestoreError(f"tasks of slot {slot_key} is not a list: {tasks!r}")
+            engine.history.entries[slot_key] = [
+                _int(t, f"task index of slot {slot_key}") for t in tasks
+            ]
         return engine
 

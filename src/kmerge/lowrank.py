@@ -1,7 +1,7 @@
 """Exact low-rank representation of dense update matrices.
 
 A ``LowRankDelta`` holds float64 factors ``b`` (d_out x r) and ``a``
-(r x d_in) whose product is the represented matrix. Similarity and
+(r x d_in) whose product is the represented matrix. Folding and
 truncation work on the factors without ever forming the dense product,
 which keeps large-geometry stores affordable.
 
@@ -96,15 +96,6 @@ class LowRankDelta:
 
     def materialize(self) -> np.ndarray:
         return self.b @ self.a
-
-    def inner(self, other: "LowRankDelta") -> float:
-        """Frobenius inner product <self, other> via the r x r Gram matrices."""
-        m = self.b.T @ other.b
-        n = self.a @ other.a.T
-        return float(np.sum(m * n))
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(0.0, self.inner(self))))
 
     def singular_values(self) -> np.ndarray:
         """Nonzero singular values, descending: in canonical form, the squared

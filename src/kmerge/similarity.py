@@ -1,60 +1,137 @@
-"""Pairwise adapter similarity, nearest-slot selection, and threshold
-calibration.
+"""Adapter similarity, nearest-slot selection, and threshold calibration.
 
 The score for one layer is the cosine between the flattened dense
 updates of the two adapters. It is evaluated through the r x r Gram
 matrices of the low-rank factors, which is algebraically identical to
 flattening the dense products and never materializes them.
+
+One kernel compares one adapter against many: :func:`similarities`, and
+:func:`layer_similarity` for a single layer; the other functions here call
+it. It walks the first adapter's layers in runs of consecutive same-shape
+layers, stacks that adapter's scaled float64 factors once per run and each
+other adapter's once, and gets the per-layer inner products as batched
+Gram products. Per-layer norms are cached on each adapter at first use
+(``LoraAdapter.layer_norms``). The float64 factor copies are not cached:
+each is twice the size of the float32 factors it comes from, for every
+adapter a store or a suite holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .adapters import LayerKey, LoraAdapter, check_compatible
+from .adapters import FactorPair, LayerKey, LoraAdapter, check_compatible
 from .errors import EmptyStore, IncompatibleAdapters, InsufficientData, KeyNotFound, ShapeError
-from .lowrank import LowRankDelta
 
 DEGENERATE_NORM = 1e-12
 
 
-def _layer_delta(adapter: LoraAdapter, key: LayerKey) -> LowRankDelta:
+def _factor_pair(adapter: LoraAdapter, key: LayerKey) -> FactorPair:
     try:
-        fp = adapter.layers[key]
+        return adapter.layers[key]
     except KeyError:
         raise KeyNotFound(f"adapter {adapter.task_id!r} has no layer {key}") from None
-    return LowRankDelta.from_factors(fp, adapter.scaling)
 
 
-def layer_similarity(x: LoraAdapter, y: LoraAdapter, key: LayerKey) -> float:
-    """Cosine of the two flattened dense updates for one layer.
+def _runs(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> Iterator[list[LayerKey]]:
+    """``keys`` in order, split into runs of consecutive layers of one shape
+    in ``adapter``."""
+    def shape(key: LayerKey) -> tuple[int, int]:
+        return adapter.layers[key].d_out, adapter.layers[key].d_in
+
+    for _, run in groupby(keys, key=shape):
+        yield list(run)
+
+
+def _stacked(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled float64 factors of same-shape layers ``keys``, stacked:
+    ``b`` is (n, d_out, r) and ``a`` is (n, r, d_in)."""
+    first = adapter.layers[keys[0]]
+    b = np.empty((len(keys), first.d_out, first.rank))
+    a = np.empty((len(keys), first.rank, first.d_in))
+    for i, key in enumerate(keys):
+        fp = adapter.layers[key]
+        b[i], a[i] = fp.b, fp.a
+    b *= adapter.scaling
+    return b, a
+
+
+def _inner(bx: np.ndarray, ax: np.ndarray, by: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """Per-layer Frobenius inner products <bx ax, by ay> of stacked factors,
+    via the batched r x r Gram matrices."""
+    gram = (bx.transpose(0, 2, 1) @ by) * (ax @ ay.transpose(0, 2, 1))
+    return gram.reshape(len(gram), -1).sum(axis=1)
+
+
+def _norms(adapter: LoraAdapter, keys: list[LayerKey]) -> np.ndarray:
+    """Frobenius norms of ``adapter``'s updates at ``keys``, from the
+    per-layer norms cached on it."""
+    order = list(adapter.layers)
+    if adapter.layer_norms is None:
+        squares = []
+        for run in _runs(adapter, order):
+            b, a = _stacked(adapter, run)
+            squares.append(_inner(b, a, b, a))
+        adapter.layer_norms = np.sqrt(np.maximum(0.0, np.concatenate(squares)))
+    if keys == order:
+        return adapter.layer_norms
+    position = {key: i for i, key in enumerate(order)}
+    return adapter.layer_norms[[position[key] for key in keys]]
+
+
+def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) -> np.ndarray:
+    """Per-layer cosines, one row per adapter in ``ys`` and one column per key.
 
     Near-zero-norm updates contribute 0 by convention: a zero adapter
     carries no direction and 0 keeps averages and argmax well-defined.
+    Ranks may differ; the layer shapes must agree.
     """
-    dx = _layer_delta(x, key)
-    dy = _layer_delta(y, key)
-    if dx.shape != dy.shape:
-        raise ShapeError(
-            f"layer {key} shapes disagree: {dx.shape} vs {dy.shape}"
-        )
-    nx = dx.norm()
-    ny = dy.norm()
-    if nx < DEGENERATE_NORM or ny < DEGENERATE_NORM:
-        return 0.0
-    return float(np.clip(dx.inner(dy) / (nx * ny), -1.0, 1.0))
+    for y in ys:
+        for key in keys:
+            fx, fy = _factor_pair(x, key), _factor_pair(y, key)
+            if (fx.d_out, fx.d_in) != (fy.d_out, fy.d_in):
+                raise ShapeError(
+                    f"layer {key} shapes disagree: {(fx.d_out, fx.d_in)} vs {(fy.d_out, fy.d_in)}"
+                )
+    inner = np.empty((len(ys), len(keys)))
+    start = 0
+    for run in _runs(x, keys):
+        stop = start + len(run)
+        bx, ax = _stacked(x, run)
+        for i, y in enumerate(ys):
+            inner[i, start:stop] = _inner(bx, ax, *_stacked(y, run))
+        start = stop
+    nx = _norms(x, keys)
+    ny = np.array([_norms(y, keys) for y in ys])
+    live = (nx >= DEGENERATE_NORM) & (ny >= DEGENERATE_NORM)
+    cos = np.divide(inner, nx * ny, out=np.zeros_like(inner), where=live)
+    return np.clip(cos, -1.0, 1.0)
+
+
+def similarities(x: LoraAdapter, others: Sequence[LoraAdapter]) -> list[float]:
+    """``[adapter_similarity(x, y) for y in others]``, in one pass over
+    ``x``'s layers: the mean of the per-layer cosines over ``x``'s layer
+    keys, in order, and exactly 1.0 for ``x`` itself."""
+    rest = [y for y in others if y is not x]
+    for y in rest:
+        check_compatible(x, y)
+    rows = iter(_cosines(x, rest, list(x.layers)) if rest else ())
+    return [1.0 if y is x else float(np.mean(next(rows))) for y in others]
+
+
+def layer_similarity(x: LoraAdapter, y: LoraAdapter, key: LayerKey) -> float:
+    """Cosine of the two flattened dense updates for one layer."""
+    return float(_cosines(x, [y], [key])[0, 0])
 
 
 def adapter_similarity(x: LoraAdapter, y: LoraAdapter) -> float:
     """Mean of the per-layer cosines over all layer keys."""
-    if x is y:
-        return 1.0
-    check_compatible(x, y)
-    return float(np.mean([layer_similarity(x, y, key) for key in x.layers]))
+    return similarities(x, [y])[0]
 
 
 def most_similar(
@@ -66,9 +143,9 @@ def most_similar(
     """
     if not slots:
         raise EmptyStore("cannot select the most similar slot of an empty store")
+    keys = sorted(slots)
     best_key, best_score = None, -np.inf
-    for slot_key in sorted(slots):
-        score = adapter_similarity(incoming, slots[slot_key])
+    for slot_key, score in zip(keys, similarities(incoming, [slots[k] for k in keys])):
         if score > best_score:
             best_key, best_score = slot_key, score
     return best_key, best_score
@@ -93,18 +170,15 @@ def similarity_matrix(adapters: Sequence[LoraAdapter]) -> SimilarityMatrix:
     n = len(adapters)
     values = np.ones((n, n))
     for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = adapter_similarity(adapters[i], adapters[j])
+        values[i, i + 1:] = values[i + 1:, i] = similarities(adapters[i], adapters[i + 1:])
     return SimilarityMatrix([a.task_id for a in adapters], values)
 
 
 def pairwise_similarities(adapters: Sequence[LoraAdapter]) -> np.ndarray:
     """Upper-triangle pairwise scores as a flat array."""
-    scores = []
-    for i in range(len(adapters)):
-        for j in range(i + 1, len(adapters)):
-            scores.append(adapter_similarity(adapters[i], adapters[j]))
-    return np.array(scores)
+    return np.array(
+        [s for i in range(len(adapters)) for s in similarities(adapters[i], adapters[i + 1:])]
+    )
 
 
 def calibrate_threshold(held_out: Sequence[LoraAdapter]) -> float:

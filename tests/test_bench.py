@@ -6,6 +6,7 @@ import pytest
 from kmerge.adapters import LayerKey
 from kmerge.bench import (
     GEOMETRY_PRESETS,
+    ORDERING_KINDS,
     LLAMA_3_2_1B_MODULES,
     QWEN_2_5_1_5B_MODULES,
     GeneratorConfig,
@@ -178,6 +179,53 @@ def test_simulation_deterministic_modulo_elapsed():
         assert a.score == b.score
         assert a.similarity == b.similarity
     assert r1.final_score == r2.final_score
+
+
+MIXED = GeneratorConfig(
+    alpha_types=3,
+    beta_langs=4,
+    rank=4,
+    n_layers=2,
+    layer_spec=((16, 16), (16, 16), (8, 16), (16, 16)),
+    seed=21,
+)
+
+
+def _full_recount_rows(adapters, tasks, ordering, config):
+    """The simulation with every seen task rescored after every ingest,
+    one pair at a time, as the harness did before scoring went incremental."""
+    engine = MergeEngine(config)
+    seen, rows = [], []
+    for position in order_stream(tasks, ordering):
+        decision = engine.ingest(adapters[position])
+        seen.append((decision.task_index, adapters[position]))
+        ratios = [
+            surrogate_metric(engine.load_for_inference(engine.route(t)), original)
+            for t, original in seen
+        ]
+        assert aggregate_score(engine, seen) == (float(np.mean(ratios)), ratios)
+        rows.append((decision.action, decision.slot_key, decision.similarity,
+                     float(np.mean(ratios)), engine.store.occupied))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ORDERING_KINDS)
+@pytest.mark.parametrize("variant, rank_mode", [
+    ("k_merge", "svd_truncate"), ("k_merge_pp", "svd_truncate"), ("k_merge", "factor_average"),
+])
+def test_incremental_scores_equal_full_recount(variant, rank_mode, kind):
+    adapters, tasks = generate_suite(MIXED)
+    config = PolicyConfig(
+        budget_k=3,
+        variant=variant,
+        threshold_s=calibrate_threshold(adapters) if variant == "k_merge_pp" else None,
+        rank_policy=RankPolicy(mode=rank_mode, target_rank=MIXED.rank),
+    )
+    ordering = OrderingSpec(kind, 4)
+    report = run_simulation(adapters, tasks, ordering, config)
+    got = [(r.action, r.slot_key, r.similarity, r.score, r.occupied) for r in report.rows]
+    assert got == _full_recount_rows(adapters, tasks, ordering, config)
+    assert any(row[0] == MERGED for row in got)
 
 
 def test_simulation_report_files(tmp_path):

@@ -105,6 +105,23 @@ def test_run_config_file(suite_dir, tmp_path):
     assert payload["config"]["budget_k"] == 2
 
 
+def test_run_config_without_k(suite_dir, tmp_path):
+    config = PolicyConfig(budget_k=2, rank_policy=RankPolicy(target_rank=3)).to_dict()
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--suite", str(suite_dir), "--config", str(path),
+                 "--seeds", "0", "--out", str(tmp_path / "r")])
+    assert code == 0
+    assert json.loads((tmp_path / "r_seed0.json").read_text())["config"]["budget_k"] == 2
+
+
+def test_run_needs_k_or_config(suite_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--suite", str(suite_dir), "--seeds", "0", "--out", str(tmp_path / "r")])
+    assert err.value.code == 2
+    assert "--k is required unless --config is given" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [

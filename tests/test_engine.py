@@ -173,6 +173,24 @@ def test_route_by_task_id(rng):
     assert engine.route_task_id("beta") == 2
 
 
+def test_restored_engine_routes_and_rejects_like_original(tmp_path, rng):
+    engine = MergeEngine(_config(2))
+    stream = _stream(rng, 6)
+    for a in stream:
+        engine.ingest(a)
+    engine.persist(tmp_path)
+    back = MergeEngine.restore(tmp_path)
+    for t, adapter in enumerate(stream, start=1):
+        assert back.route(t) == engine.route(t)
+        assert back.route_task_id(adapter.task_id) == engine.route_task_id(adapter.task_id)
+    for other in (engine, back):
+        with pytest.raises(DuplicateTask):
+            other.ingest(stream[3])
+        with pytest.raises(UnknownTask):
+            other.route_task_id("never-seen")
+    assert back.timestep == engine.timestep == len(stream)
+
+
 def test_load_vacant_slot(rng):
     engine = MergeEngine(_config(2))
     with pytest.raises(SlotVacant):
@@ -351,6 +369,16 @@ DAMAGED_ENTRIES = {
     "huge-shape": ("cache_index", lambda e: e["b_shape"].__setitem__(0, 1 << 40), "truncated"),
     "no-tasks": ("slots", lambda e: e.pop("tasks"), "tasks"),
     "no-file": ("slots", lambda e: e.pop("file"), "file"),
+    "text-layer": ("cache_index", lambda e: e.__setitem__("layer", "x"), "layer"),
+    "text-slot-key": ("cache_index", lambda e: e.__setitem__("slot_key", "one"), "slot_key"),
+    "null-offset": ("cache_index", lambda e: e.__setitem__("offset", None), "offset"),
+    "text-slot": ("slots", lambda e: e.__setitem__("slot_key", "first"), "slot_key"),
+    "text-task": ("slots", lambda e: e["tasks"].__setitem__(0, "late"), "task index"),
+    "scalar-tasks": ("slots", lambda e: e.__setitem__("tasks", 3), "tasks"),
+    "digit-string-tasks": ("slots", lambda e: e.__setitem__("tasks", "12"), "tasks"),
+    "digit-string-layer": ("cache_index", lambda e: e.__setitem__("layer", "3"), "layer"),
+    "bool-offset": ("cache_index", lambda e: e.__setitem__("offset", True), "offset"),
+    "float-task": ("slots", lambda e: e["tasks"].__setitem__(0, 1.0), "task index"),
 }
 
 
@@ -361,6 +389,20 @@ def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
     damage(manifest[table][0])
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timestep", "late"), ("timestep", 2.7), ("timestep", "3"), ("next_slot_key", [2]),
+    ("next_slot_key", True), ("ingested", [["one", "t0"]]), ("ingested", [["1", "t0"]]),
+    ("ingested", [7]),
+])
+def test_restore_non_integer_manifest_field(tmp_path, rng, field, value):
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=field):
         MergeEngine.restore(tmp_path)
 
 

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from kmerge.adapters import LayerKey
-from kmerge.errors import EmptyStore, IncompatibleAdapters, InsufficientData
+from kmerge.adapters import PROJECTIONS, LayerKey
+from kmerge.errors import (
+    EmptyStore, IncompatibleAdapters, InsufficientData, KeyNotFound, ShapeError,
+)
 from kmerge.similarity import (
     adapter_similarity,
     calibrate_threshold,
     layer_similarity,
     most_similar,
     pairwise_similarities,
+    similarities,
     similarity_matrix,
 )
 from kmerge.bench import GeneratorConfig, generate_suite
 
-from conftest import dense_adapter_similarity, dense_cosine, make_adapter, small_random_adapter
+from conftest import (
+    dense_adapter_similarity, dense_cosine, dense_delta, make_adapter, small_random_adapter,
+)
 
 K0 = LayerKey(0, "key")
 K1 = LayerKey(0, "query")
@@ -199,3 +204,86 @@ def test_matrix_csv_roundtrip(tmp_path, rng):
     parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
     np.testing.assert_allclose(parsed, parsed.T, atol=1e-6)
     np.testing.assert_allclose(parsed, m.values, atol=5e-7)
+
+
+# -- the one-against-many kernel -------------------------------------------
+
+# (d_out, d_in) per layer: same-shape neighbours share a run, so these
+# seven layers make five runs.
+MIXED_SHAPES = [(8, 8), (8, 8), (12, 4), (8, 8), (12, 4), (12, 4), (6, 10)]
+MIXED_KEYS = [LayerKey(i // len(PROJECTIONS), PROJECTIONS[i % len(PROJECTIONS)]) for i in range(7)]
+
+
+def _mixed_adapter(task_id, rng, rank, shapes=MIXED_SHAPES, zero_layers=()):
+    layers = {}
+    for i, (key, (d_out, d_in)) in enumerate(zip(MIXED_KEYS, shapes)):
+        b = rng.standard_normal((d_out, rank))
+        layers[key] = (rng.standard_normal((rank, d_in)), 0.0 * b if i in zero_layers else b)
+    return make_adapter(task_id, layers, rank, scale_numerator=float(rng.uniform(1, 16)))
+
+
+def _mixed_pool(rng):
+    x = _mixed_adapter("x", rng, rank=3)
+    ys = [_mixed_adapter(f"y{r}", rng, rank=r) for r in (1, 2, 3, 5)]
+    ys.append(_mixed_adapter("zero-layer", rng, rank=2, zero_layers={2}))
+    reordered = {key: (fp.a, fp.b) for key, fp in reversed(list(ys[1].layers.items()))}
+    ys.append(make_adapter("reordered", reordered, ys[1].rank, ys[1].scale_numerator))
+    ys.insert(2, x)
+    return x, ys
+
+
+def test_similarities_match_dense_oracle(rng):
+    x, ys = _mixed_pool(rng)
+    got = similarities(x, ys)
+    assert len(got) == len(ys)
+    for y, score in zip(ys, got):
+        expected = 1.0 if y is x else dense_adapter_similarity(x, y)
+        assert score == pytest.approx(expected, abs=1e-9)
+    assert got[2] == 1.0
+
+
+def test_similarities_equal_pairwise_calls_exactly(rng):
+    x, ys = _mixed_pool(rng)
+    assert similarities(x, ys) == [adapter_similarity(x, y) for y in ys]
+    assert similarities(x, []) == []
+    assert similarities(x, [x, x]) == [1.0, 1.0]
+
+
+def test_similarities_equal_one_layer_at_a_time_exactly(rng):
+    """Stacking layers into runs is a batching choice: scoring each layer
+    on its own gives the same bits."""
+    x, ys = _mixed_pool(rng)
+    one_by_one = [
+        1.0 if y is x else float(np.mean([layer_similarity(x, y, key) for key in x.layers]))
+        for y in ys
+    ]
+    assert similarities(x, ys) == one_by_one
+
+
+def test_zero_layer_scores_zero_and_caches_norms(rng):
+    x, _ = _mixed_pool(rng)
+    zero = _mixed_adapter("z", rng, rank=2, zero_layers={2})
+    assert layer_similarity(x, zero, MIXED_KEYS[2]) == 0.0
+    assert zero.layer_norms[2] == 0.0
+    expected = [np.linalg.norm(dense_delta(x, key)) for key in x.layers]
+    np.testing.assert_allclose(x.layer_norms, expected, rtol=1e-12)
+
+
+def test_similarities_key_set_mismatch(rng):
+    x, ys = _mixed_pool(rng)
+    short = make_adapter("short", {k: (fp.a, fp.b) for k, fp in list(x.layers.items())[:3]}, 3, 3.0)
+    with pytest.raises(IncompatibleAdapters):
+        similarities(x, ys + [short])
+    with pytest.raises(KeyNotFound):
+        layer_similarity(x, short, MIXED_KEYS[5])
+
+
+def test_similarities_shape_mismatch(rng):
+    x, ys = _mixed_pool(rng)
+    shapes = list(MIXED_SHAPES)
+    shapes[4] = (4, 12)  # same size, transposed
+    bad = _mixed_adapter("bad", rng, rank=3, shapes=shapes)
+    with pytest.raises(ShapeError):
+        similarities(x, ys + [bad])
+    with pytest.raises(ShapeError):
+        adapter_similarity(bad, x)
