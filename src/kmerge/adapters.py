@@ -11,7 +11,6 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -101,8 +100,7 @@ class LoraAdapter:
     scale_numerator: float
     layers: dict[LayerKey, FactorPair] = field(default_factory=dict)
     # Frobenius norm of each layer's update, in ``layers`` order; filled by
-    # ``kmerge.similarity`` on first use. Threads that fill it at once all
-    # write the same values.
+    # ``kmerge.similarity`` on first use.
     layer_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -155,25 +153,6 @@ def flatten(delta: np.ndarray) -> np.ndarray:
     if not np.isfinite(delta).all():
         raise ShapeError("cannot flatten a non-finite matrix")
     return delta.reshape(-1)
-
-
-def zero_adapter_like(adapter: LoraAdapter, task_id: str = "zero") -> LoraAdapter:
-    """An all-zero adapter with the same layer geometry (zero-shot stand-in)."""
-    layers = {
-        key: FactorPair(
-            a=np.zeros_like(fp.a),
-            b=np.zeros_like(fp.b),
-        )
-        for key, fp in adapter.layers.items()
-    }
-    return LoraAdapter(
-        task_id=task_id,
-        problem_type="none",
-        language="none",
-        rank=adapter.rank,
-        scale_numerator=adapter.scale_numerator,
-        layers=layers,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -281,8 +260,3 @@ def read_adapter(path: str | Path) -> LoraAdapter:
         )
     except ShapeError as exc:
         raise FormatError(f"header/tensor disagreement: {exc}") from None
-
-
-def iter_adapter_files(directory: str | Path) -> Iterator[Path]:
-    """Adapter files in a directory, sorted by name for determinism."""
-    yield from sorted(Path(directory).glob("*.kmrg"))

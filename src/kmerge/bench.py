@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -443,7 +443,6 @@ def run_simulation(
             "variant": config.variant,
             "threshold_s": config.threshold_s,
             "operator": config.operator.kind,
-            "rank_mode": config.rank_policy.mode,
             "target_rank": config.rank_policy.target_rank,
         },
         ordering={"kind": ordering.kind, "seed": ordering.seed},
@@ -526,7 +525,7 @@ def integration_timing(
             PolicyConfig(
                 budget_k=m,
                 variant="k_merge",
-                rank_policy=RankPolicy(mode="svd_truncate", target_rank=rank),
+                rank_policy=RankPolicy(target_rank=rank),
             )
         )
         for i in range(m):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .engine import (
     MANIFEST_VERSION, VARIANTS, MergeEngine, PolicyConfig, SlotState, merged_cache, slot_cache,
 )
 from .errors import ConfigError, KMergeError
-from .merging import OPERATOR_KINDS, RANK_MODES, MergedDelta, MergeOperator, RankPolicy, refactor
+from .merging import OPERATOR_KINDS, MergeOperator, RankPolicy, refactor
 from .similarity import calibrate_threshold, similarity_matrix
 
 OPERATOR_FLAGS = tuple(kind.replace("_", "-") for kind in OPERATOR_KINDS)
@@ -54,7 +53,7 @@ def _policy_from_flags(args) -> PolicyConfig:
         variant=args.variant.replace("-", "_"),
         threshold_s=args.threshold,
         operator=_operator_from_flags(args),
-        rank_policy=RankPolicy(mode=args.rank_mode, target_rank=args.target_rank),
+        rank_policy=RankPolicy(target_rank=args.target_rank),
     )
 
 
@@ -108,21 +107,14 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    def one(seed: int):
+    scores = []
+    for seed in args.seeds:
         ordering = OrderingSpec(kind=args.ordering.replace("-", "_"), seed=seed)
-        store_dir = None
-        if args.store_dir and seed == args.seeds[-1]:
-            store_dir = args.store_dir
+        store_dir = args.store_dir if seed == args.seeds[-1] else None
         report = run_simulation(adapters, tasks, ordering, base, store_dir=store_dir)
         report.to_json(f"{out}_seed{seed}.json")
         report.to_csv(f"{out}_seed{seed}.csv")
-        return report.final_score
-
-    if args.parallel and len(args.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(args.seeds))) as pool:
-            scores = list(pool.map(one, args.seeds))
-    else:
-        scores = [one(seed) for seed in args.seeds]
+        scores.append(report.final_score)
     print(f"final S: mean={np.mean(scores):.4f} std={np.std(scores):.4f} over seeds {args.seeds}")
     return 0
 
@@ -149,12 +141,7 @@ def cmd_merge(args) -> int:
     operator = _operator_from_flags(args)
     cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x)), 1, y, args.weight)
     target_rank = args.target_rank or max(x.rank, y.rank)
-    result = refactor(
-        MergedDelta(layers=cache),
-        RankPolicy(mode="svd_truncate", target_rank=target_rank),
-        task_id=f"merged-{x.task_id}-{y.task_id}",
-        scale_numerator=x.scaling * target_rank,
-    )
+    result = refactor(cache, target_rank, f"merged-{x.task_id}-{y.task_id}", y.scaling)
     write_adapter(result.adapter, args.out)
     report = {
         "operator": operator.kind,
@@ -252,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--density", type=float, default=0.5)
         p.add_argument("--drop-rate", type=float, default=0.5)
         p.add_argument("--op-seed", type=int, default=0)
-        p.add_argument("--rank-mode", choices=list(RANK_MODES), default="svd_truncate")
         p.add_argument("--target-rank", type=int, default=4)
 
     p = sub.add_parser("run", help="replay a stream and write score reports")
@@ -264,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--out", required=True, help="report path prefix")
     p.add_argument("--store-dir", help="persist the final store of the last seed here")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="threshold ablation for k-merge-pp")

@@ -33,13 +33,11 @@ from .errors import (
 )
 from .lowrank import LowRankDelta
 from .merging import (
-    MergedDelta,
     MergeOperator,
     RankPolicy,
     dare_merge,
     dare_ties_merge,
     delta_map,
-    factor_average,
     linear_merge,
     refactor,
     ties_merge,
@@ -78,8 +76,13 @@ class PolicyConfig:
     def from_dict(cls, data) -> "PolicyConfig":
         """Inverse of :meth:`to_dict`. Every field is required; a missing or
         invalid one raises :class:`ConfigError` naming it. Other keys are
-        ignored, so a whole manifest is a valid input."""
+        ignored, so a whole manifest is a valid input. Older policies name a
+        rank mode; ``rank_policy.mode`` ``"svd_truncate"``, the served form
+        that remains, is accepted and any other mode rejected."""
         kwargs = {name: _field(data, name) for name in ("budget_k", "variant", "threshold_s")}
+        rank_policy = _field(data, "rank_policy")
+        if isinstance(rank_policy, dict) and rank_policy.get("mode", "svd_truncate") != "svd_truncate":
+            raise ConfigError(f"unsupported rank_policy.mode {rank_policy['mode']!r}")
         try:
             for name, kind in (("operator", MergeOperator), ("rank_policy", RankPolicy)):
                 kwargs[name] = kind(**{f.name: _field(data, f"{name}.{f.name}") for f in fields(kind)})
@@ -127,9 +130,9 @@ class SlotState:
     average, the exact mean of the slot's member deltas, into which a merge
     folds the incoming delta by projection onto its singular bases; under
     a pairwise operator, that operator's last output. ``adapter`` is, for a
-    slot with one member, that member; after a merge under the
-    ``svd_truncate`` rank policy it is the rank-``target_rank`` slice of the
-    cache (its leading columns of ``b`` and rows of ``a``, zero-padded),
+    slot with one member, that member; after a merge it is the
+    rank-``target_rank`` slice of the cache (its leading columns of ``b``
+    and rows of ``a``, zero-padded, by :func:`kmerge.merging.refactor`),
     which is the best approximation at that rank. An ingest replaces a
     slot's state whole and never mutates it.
     """
@@ -182,7 +185,6 @@ def merged_cache(
 
 @dataclass
 class AdapterStore:
-    budget_k: int
     slots: dict[int, SlotState] = field(default_factory=dict)
 
     @property
@@ -212,7 +214,7 @@ class MergeEngine:
 
     def __init__(self, config: PolicyConfig):
         self.config = config
-        self.store = AdapterStore(budget_k=config.budget_k)
+        self.store = AdapterStore()
         self.history = MergeHistory()
         self.timestep = 0
         self.task_ids: dict[int, str] = {}
@@ -289,26 +291,10 @@ class MergeEngine:
         """The slot after merging ``incoming`` into it, built without changing it."""
         slot = self.store.slots[slot_key]
         cache = merged_cache(self.config.operator, slot, self.merge_count(slot_key), incoming)
-        adapter = self._stored_form(slot_key, slot.adapter, cache, incoming)
-        return SlotState(adapter=adapter, cache=cache)
-
-    def _stored_form(
-        self,
-        slot_key: int,
-        stored: LoraAdapter,
-        cache: dict[LayerKey, LowRankDelta],
-        incoming: LoraAdapter,
-    ) -> LoraAdapter:
-        policy = self.config.rank_policy
-        if policy.mode == "factor_average":
-            return factor_average(stored, incoming, task_id=f"slot-{slot_key}")
-        result = refactor(
-            MergedDelta(layers=dict(cache)),
-            policy,
-            task_id=f"slot-{slot_key}",
-            scale_numerator=incoming.scaling * policy.target_rank,
+        served = refactor(
+            cache, self.config.rank_policy.target_rank, f"slot-{slot_key}", incoming.scaling
         )
-        return result.adapter
+        return SlotState(adapter=served.adapter, cache=cache)
 
     # -- persistence ------------------------------------------------------
 
@@ -393,12 +379,13 @@ class MergeEngine:
         )
         engine.timestep = _int(_field(manifest, "timestep", RestoreError), "timestep")
         try:
-            engine.task_ids = {
-                _int(t, "ingested task index"): str(name)
+            ingested = [
+                (_int(t, "ingested task index"), str(name))
                 for t, name in _field(manifest, "ingested", RestoreError)
-            }
+            ]
         except (TypeError, ValueError):
             raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
+        engine.task_ids = dict(ingested)
 
         cache_path = directory / str(_field(manifest, "running_cache_file", RestoreError))
         if not cache_path.exists():
@@ -456,5 +443,19 @@ class MergeEngine:
             engine.history.entries[slot_key] = [
                 _int(t, f"task index of slot {slot_key}") for t in tasks
             ]
+
+        # The parts must describe one state: the next ingest takes index
+        # timestep + 1 and, if it allocates, slot next_slot_key.
+        arrivals = list(range(1, engine.timestep + 1))
+        if len(ingested) != engine.timestep or sorted(t for t, _ in ingested) != arrivals:
+            raise RestoreError(f"ingested task indices are not 1..{engine.timestep} (timestep)")
+        if len(set(engine.task_ids.values())) != len(ingested):
+            raise RestoreError("two ingested tasks share a task id")
+        if sorted(t for tasks in engine.history.entries.values() for t in tasks) != arrivals:
+            raise RestoreError("slot task lists do not partition the ingested task indices")
+        if engine.store.slots and engine.history.next_slot_key <= max(engine.store.slots):
+            raise RestoreError(
+                f"next_slot_key {engine.history.next_slot_key} does not exceed every slot key"
+            )
         return engine
 

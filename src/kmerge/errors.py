@@ -39,10 +39,6 @@ class InsufficientInputs(KMergeError):
     """A multi-input merge operator received fewer than two inputs."""
 
 
-class UnsupportedMode(KMergeError):
-    """A rank policy mode is not applicable to the given input."""
-
-
 class DuplicateTask(KMergeError):
     """A task id was delivered to the store more than once."""
 

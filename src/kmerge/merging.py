@@ -1,5 +1,5 @@
-"""Merge operators over dense update (delta) space, plus rank control
-for the stored result.
+"""Merge operators over dense update (delta) space, and the one served
+form of a merged slot: the rank-r slice of its running cache.
 
 All operators act per (layer, projection) tensor. Merging is defined on
 the applied updates, never on the raw factors: factor-wise averaging
@@ -9,19 +9,18 @@ does not commute with the product b @ a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, check_compatible, delta_map
-from .errors import IncompatibleAdapters, InsufficientInputs, ShapeError, UnsupportedMode
+from .errors import IncompatibleAdapters, InsufficientInputs, ShapeError
 from .lowrank import LowRankDelta
 
 DeltaMap = dict[LayerKey, np.ndarray]
 
 OPERATOR_KINDS = ("running_average", "linear", "ties", "dare", "dare_ties")
-RANK_MODES = ("svd_truncate", "factor_average")
 
 
 @dataclass(frozen=True)
@@ -42,29 +41,21 @@ class MergeOperator:
 
 @dataclass(frozen=True)
 class RankPolicy:
-    mode: str = "svd_truncate"
     target_rank: int = 4
 
     def __post_init__(self):
-        if self.mode not in RANK_MODES:
-            raise ShapeError(f"unknown rank mode {self.mode!r}")
         if self.target_rank < 1:
             raise ShapeError("target_rank must be >= 1")
 
 
 @dataclass
 class MergedDelta:
-    """Intermediate merge result in delta space; values may be dense
-    arrays or :class:`LowRankDelta`."""
+    """A pairwise operator's output: one dense update per layer."""
 
-    layers: dict[LayerKey, np.ndarray | LowRankDelta]
-    merge_count: int = 1
+    layers: DeltaMap
 
     def dense(self) -> DeltaMap:
-        out = {}
-        for key, value in self.layers.items():
-            out[key] = value.materialize() if isinstance(value, LowRankDelta) else value
-        return out
+        return self.layers
 
 
 def linear_merge(x: LoraAdapter, y: LoraAdapter, weight: float = 0.5) -> MergedDelta:
@@ -74,7 +65,7 @@ def linear_merge(x: LoraAdapter, y: LoraAdapter, weight: float = 0.5) -> MergedD
     check_compatible(x, y)
     dx, dy = delta_map(x), delta_map(y)
     layers = {key: weight * dx[key] + (1.0 - weight) * dy[key] for key in dx}
-    return MergedDelta(layers=layers, merge_count=2)
+    return MergedDelta(layers=layers)
 
 
 def _trim(flat: np.ndarray, density: float) -> np.ndarray:
@@ -119,7 +110,7 @@ def ties_merge(deltas: Sequence[DeltaMap], density: float = 0.5) -> MergedDelta:
         shape = deltas[0][key].shape
         stack = np.stack([np.asarray(d[key], dtype=np.float64).reshape(-1) for d in deltas])
         layers[key] = _ties_layer(stack, density).reshape(shape)
-    return MergedDelta(layers=layers, merge_count=len(deltas))
+    return MergedDelta(layers=layers)
 
 
 def _drop_mask(shape: tuple[int, int], drop_rate: float, seed: int, key: LayerKey) -> np.ndarray:
@@ -159,7 +150,7 @@ def dare_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedD
         for i, adapter in enumerate((x, y))
     ]
     layers = {key: pre[0][key] + pre[1][key] for key in pre[0]}
-    return MergedDelta(layers=layers, merge_count=2)
+    return MergedDelta(layers=layers)
 
 
 def dare_ties_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedDelta:
@@ -172,12 +163,6 @@ def dare_ties_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> Me
     return ties_merge(pre, config.density)
 
 
-def _as_lowrank(value: np.ndarray | LowRankDelta) -> LowRankDelta:
-    if isinstance(value, LowRankDelta):
-        return value
-    return LowRankDelta.from_dense(value)
-
-
 @dataclass
 class RefactorResult:
     adapter: LoraAdapter
@@ -185,79 +170,41 @@ class RefactorResult:
 
 
 def refactor(
-    merged: MergedDelta,
-    policy: RankPolicy,
-    task_id: str,
-    problem_type: str = "merged",
-    language: str = "merged",
-    scale_numerator: float | None = None,
+    cache: dict[LayerKey, LowRankDelta], target_rank: int, task_id: str, scaling: float
 ) -> RefactorResult:
-    """Convert a delta-space merge result back to stored factor form.
+    """The served adapter of a slot whose running cache is ``cache``.
 
-    ``svd_truncate`` stores the best rank-r approximation per layer and
-    reports the relative Frobenius truncation residual (0 for a zero
-    layer). Each layer is brought to canonical thin-SVD form (dense
-    arrays by ``LowRankDelta.from_dense``, other deltas by
-    ``compressed()``, which leaves canonical ones such as the engine's
-    slot caches as they are); the stored factors are then its leading r
-    columns of ``b`` and rows of ``a``. ``factor_average`` has no meaning
-    for delta-space input and is rejected; it is applied directly on
-    factor pairs by the policy engine.
+    Each layer serves the leading ``target_rank`` columns of the cache's
+    ``b`` and rows of its ``a``, zero-padded, which is the best
+    approximation at that rank; a non-canonical delta is brought to
+    canonical thin-SVD form first (``compressed()``, free on canonical
+    ones). The adapter has applied scaling ``scaling``. Also reports,
+    per layer, the relative Frobenius truncation residual (0 for a zero
+    layer).
     """
-    if policy.mode != "svd_truncate":
-        raise UnsupportedMode(
-            f"rank mode {policy.mode!r} cannot refactor a delta-space result"
-        )
-    r = policy.target_rank
-    if scale_numerator is None:
-        scale_numerator = float(r)  # unit applied scaling
-    scaling = scale_numerator / r
+    if target_rank < 1:
+        raise ShapeError("target_rank must be >= 1")
+    r = target_rank
+    scale_numerator = scaling * r
     layers: dict[LayerKey, FactorPair] = {}
     residuals: dict[LayerKey, float] = {}
-    for key, value in merged.layers.items():
-        low = _as_lowrank(value)
+    for key, low in cache.items():
         truncated, singvals = low.svd_truncate(r)
         total = float(np.sum(singvals**2))
         tail = float(np.sum(singvals[r:] ** 2))
         residuals[key] = math.sqrt(max(0.0, tail) / total) if total > 0 else 0.0
         layers[key] = FactorPair(
             a=(truncated.a).astype(np.float32),
-            b=(truncated.b / scaling).astype(np.float32),
+            # The served adapter's own scaling, which may differ from
+            # ``scaling`` in the last bit.
+            b=(truncated.b / (scale_numerator / r)).astype(np.float32),
         )
     adapter = LoraAdapter(
         task_id=task_id,
-        problem_type=problem_type,
-        language=language,
+        problem_type="merged",
+        language="merged",
         rank=r,
         scale_numerator=scale_numerator,
         layers=layers,
     )
     return RefactorResult(adapter=adapter, residuals=residuals)
-
-
-def factor_average(x: LoraAdapter, y: LoraAdapter, task_id: str) -> LoraAdapter:
-    """Cheap factor-wise mean of two equal-rank adapters.
-
-    This is an approximation: the materialized update of the result is
-    not the mean of the inputs' updates. Offered for ablation only.
-    """
-    check_compatible(x, y)
-    if x.rank != y.rank:
-        raise UnsupportedMode("factor averaging requires equal ranks")
-    if x.scale_numerator != y.scale_numerator:
-        raise UnsupportedMode("factor averaging requires equal scaling")
-    layers = {
-        key: FactorPair(
-            a=(x.layers[key].a + y.layers[key].a) / 2,
-            b=(x.layers[key].b + y.layers[key].b) / 2,
-        )
-        for key in x.layers
-    }
-    return LoraAdapter(
-        task_id=task_id,
-        problem_type="merged",
-        language="merged",
-        rank=x.rank,
-        scale_numerator=x.scale_numerator,
-        layers=layers,
-    )

@@ -210,16 +210,17 @@ def _full_recount_rows(adapters, tasks, ordering, config):
 
 
 @pytest.mark.parametrize("kind", ORDERING_KINDS)
-@pytest.mark.parametrize("variant, rank_mode", [
-    ("k_merge", "svd_truncate"), ("k_merge_pp", "svd_truncate"), ("k_merge", "factor_average"),
-])
-def test_incremental_scores_equal_full_recount(variant, rank_mode, kind):
+# The ids keep naming the served form, svd_truncate, so the test names stay stable.
+@pytest.mark.parametrize(
+    "variant", ["k_merge", "k_merge_pp"], ids=["k_merge-svd_truncate", "k_merge_pp-svd_truncate"]
+)
+def test_incremental_scores_equal_full_recount(variant, kind):
     adapters, tasks = generate_suite(MIXED)
     config = PolicyConfig(
         budget_k=3,
         variant=variant,
         threshold_s=calibrate_threshold(adapters) if variant == "k_merge_pp" else None,
-        rank_policy=RankPolicy(mode=rank_mode, target_rank=MIXED.rank),
+        rank_policy=RankPolicy(target_rank=MIXED.rank),
     )
     ordering = OrderingSpec(kind, 4)
     report = run_simulation(adapters, tasks, ordering, config)

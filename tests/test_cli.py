@@ -67,19 +67,6 @@ def test_run_deterministic_scores(suite_dir, tmp_path):
     assert score("x") == score("y")
 
 
-def test_run_parallel_matches_serial(suite_dir, tmp_path):
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    base = ["run", "--suite", str(suite_dir), "--k", "3", "--target-rank", "3",
-            "--seeds", "0", "1", "2"]
-    main(base + ["--out", str(serial)])
-    main(base + ["--out", str(parallel), "--parallel"])
-    for seed in (0, 1, 2):
-        a = json.loads((tmp_path / f"s_seed{seed}.json").read_text())
-        b = json.loads((tmp_path / f"p_seed{seed}.json").read_text())
-        assert a["final_score"] == b["final_score"]
-        assert [r["action"] for r in a["rows"]] == [r["action"] for r in b["rows"]]
-
-
 def test_run_store_dir_restores(suite_dir, tmp_path):
     store = tmp_path / "store"
     main(["run", "--suite", str(suite_dir), "--k", "3", "--target-rank", "3",
@@ -128,8 +115,10 @@ def test_run_needs_k_or_config(suite_dir, tmp_path, capsys):
         (json.dumps({"budget_k": 2, "variant": "k_merge", "threshold_s": None,
                      "rank_policy": {"mode": "svd_truncate", "target_rank": 3}}), "operator"),
         ('{"budget_k": 2,', "not valid JSON"),
+        (json.dumps({**PolicyConfig(budget_k=2).to_dict(),
+                     "rank_policy": {"mode": "factor_average", "target_rank": 3}}), "rank_policy.mode"),
     ],
-    ids=["missing-operator", "invalid-json"],
+    ids=["missing-operator", "invalid-json", "unknown-rank-mode"],
 )
 def test_run_config_errors_exit_2(suite_dir, tmp_path, capsys, text, problem):
     path = tmp_path / "policy.json"
@@ -174,22 +163,24 @@ def test_merge_command(tmp_path, rng, capsys):
 
 
 def test_merge_running_average_matches_engine(tmp_path, rng):
-    x = small_random_adapter("left", rng, rank=3, n_keys=4)
-    y = small_random_adapter("right", rng, rank=3, n_keys=4)
-    write_adapter(x, tmp_path / "x.kmrg")
-    write_adapter(y, tmp_path / "y.kmrg")
-    out = tmp_path / "m.kmrg"
-    assert main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
-                 "--op", "running-average", "--out", str(out)]) == 0
-    engine = MergeEngine(PolicyConfig(budget_k=1, rank_policy=RankPolicy(target_rank=3)))
-    engine.ingest(x)
-    engine.ingest(y)
-    served, merged = engine.load_for_inference(1), read_adapter(out)
-    assert (merged.rank, merged.scale_numerator) == (served.rank, served.scale_numerator)
-    assert merged.key_set() == served.key_set()
-    for key, fp in served.layers.items():
-        np.testing.assert_array_equal(merged.layers[key].a, fp.a)
-        np.testing.assert_array_equal(merged.layers[key].b, fp.b)
+    # Equal scalings, then unequal ones: both serve at the incoming scaling.
+    for scalings in ((None, None), (6.0, 24.0)):
+        x = small_random_adapter("left", rng, rank=3, n_keys=4, scale_numerator=scalings[0])
+        y = small_random_adapter("right", rng, rank=3, n_keys=4, scale_numerator=scalings[1])
+        write_adapter(x, tmp_path / "x.kmrg")
+        write_adapter(y, tmp_path / "y.kmrg")
+        out = tmp_path / "m.kmrg"
+        assert main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                     "--op", "running-average", "--out", str(out)]) == 0
+        engine = MergeEngine(PolicyConfig(budget_k=1, rank_policy=RankPolicy(target_rank=3)))
+        engine.ingest(x)
+        engine.ingest(y)
+        served, merged = engine.load_for_inference(1), read_adapter(out)
+        assert (merged.rank, merged.scale_numerator) == (served.rank, served.scale_numerator)
+        assert merged.key_set() == served.key_set()
+        for key, fp in served.layers.items():
+            np.testing.assert_array_equal(merged.layers[key].a, fp.a)
+            np.testing.assert_array_equal(merged.layers[key].b, fp.b)
 
 
 def test_merge_all_operators(tmp_path, rng):

@@ -18,8 +18,8 @@ from kmerge.errors import (
     ShapeError,
     SlotVacant,
     UnknownTask,
-    UnsupportedMode,
 )
+import kmerge.engine
 from kmerge.merging import MergeOperator, RankPolicy
 
 from conftest import (
@@ -406,6 +406,52 @@ def test_restore_non_integer_manifest_field(tmp_path, rng, field, value):
         MergeEngine.restore(tmp_path)
 
 
+INCONSISTENT_MANIFESTS = {
+    "shared-task-id": (
+        lambda m: m["ingested"][1].__setitem__(1, m["ingested"][0][1]), "share a task id"
+    ),
+    "task-in-two-slots": (
+        lambda m: m["slots"][1]["tasks"].append(m["slots"][0]["tasks"][0]), "partition"
+    ),
+    "task-in-no-slot": (
+        lambda m: max(m["slots"], key=lambda e: len(e["tasks"]))["tasks"].pop(), "partition"
+    ),
+    "unknown-task-index": (lambda m: m["slots"][0]["tasks"].append(99), "partition"),
+    "timestep-behind-ingested": (
+        lambda m: m.__setitem__("timestep", m["timestep"] - 1), "timestep"
+    ),
+    "next-slot-key-occupied": (lambda m: m.__setitem__("next_slot_key", 1), "next_slot_key"),
+}
+
+
+@pytest.mark.parametrize("damage, match", INCONSISTENT_MANIFESTS.values(), ids=INCONSISTENT_MANIFESTS)
+def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    damage(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+@pytest.mark.parametrize("mode, error", [
+    pytest.param("svd_truncate", None, id="svd_truncate"),
+    pytest.param("factor_average", RestoreError, id="factor_average"),
+])
+def test_restore_stored_rank_mode(tmp_path, rng, mode, error):
+    """Stores that name the rank mode ``svd_truncate`` restore as before;
+    any other mode is rejected, naming ``rank_policy.mode``."""
+    engine = _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["rank_policy"]["mode"] = mode
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    if error is None:
+        assert MergeEngine.restore(tmp_path).config == engine.config
+    else:
+        with pytest.raises(error, match="rank_policy.mode"):
+            MergeEngine.restore(tmp_path)
+
+
 def test_restore_invalid_policy_value(tmp_path, rng):
     _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -422,22 +468,27 @@ def test_persist_is_idempotent(tmp_path, rng):
     assert (tmp_path / "manifest.json").read_bytes() == first
 
 
-def test_rejected_merge_leaves_engine_unchanged(rng):
-    """A merge that fails after the fold (factor averaging needs equal
-    ranks) must leave cache, adapter, history, timestep and task ids as
-    they were."""
-    engine = MergeEngine(
-        PolicyConfig(budget_k=1, rank_policy=RankPolicy(mode="factor_average", target_rank=4))
-    )
-    engine.ingest(small_random_adapter("rank4", rng, rank=4))
+def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):
+    """A merge that fails after the fold (here in ``refactor``) must leave
+    cache, adapter, history, timestep and task ids as they were."""
+    engine = MergeEngine(_config(1))
+    engine.ingest(small_random_adapter("first", rng))
     slot = engine.store.slots[1]
     before = {key: (low.b.copy(), low.a.copy()) for key, low in slot.cache.items()}
     entries = {key: list(tasks) for key, tasks in engine.history.entries.items()}
     next_slot_key, timestep, task_ids = engine.history.next_slot_key, engine.timestep, dict(engine.task_ids)
 
-    with pytest.raises(UnsupportedMode):
-        engine.ingest(small_random_adapter("rank2", rng, rank=2))
+    folded = []
 
+    def failing_refactor(cache, *args):
+        folded.append(cache)
+        raise ShapeError("refactor failed")
+
+    monkeypatch.setattr(kmerge.engine, "refactor", failing_refactor)
+    with pytest.raises(ShapeError, match="refactor failed"):
+        engine.ingest(small_random_adapter("second", rng))
+
+    assert len(folded) == 1 and folded[0] is not slot.cache
     assert engine.store.slots[1] is slot
     assert engine.load_for_inference(1) is slot.adapter
     for key, (b, a) in before.items():

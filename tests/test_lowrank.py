@@ -13,7 +13,7 @@ import pytest
 
 from kmerge.adapters import LayerKey
 from kmerge.lowrank import LowRankDelta
-from kmerge.merging import MergedDelta, RankPolicy, refactor
+from kmerge.merging import refactor
 
 K0 = LayerKey(0, "key")
 
@@ -79,7 +79,7 @@ def _check_against_dense(low, mean, target_rank):
     tail = np.sqrt(np.sum(dense_s[target_rank:] ** 2))
     assert np.linalg.norm(mean - served.materialize()) == pytest.approx(tail, abs=1e-9 * scale)
 
-    result = refactor(MergedDelta(layers={K0: low}), RankPolicy(target_rank=target_rank), task_id="m")
+    result = refactor({K0: low}, target_rank, "m", 1.0)
     total = np.sqrt(np.sum(dense_s**2))
     expected = tail / total if total > 0 else 0.0
     assert result.residuals[K0] == pytest.approx(expected, abs=1e-9)

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import LayerKey, delta_map
-from kmerge.errors import InsufficientInputs, ShapeError, UnsupportedMode
+from kmerge.errors import InsufficientInputs, ShapeError
 from kmerge.lowrank import LowRankDelta
 from kmerge.merging import (
-    MergedDelta,
     MergeOperator,
-    RankPolicy,
     dare_merge,
     dare_preprocess,
     dare_ties_merge,
-    factor_average,
     linear_merge,
     refactor,
     ties_merge,
@@ -189,8 +186,8 @@ def test_operator_validation():
 def test_refactor_exact_recovery(rng):
     # rank-2 input truncated to rank 2: exact up to float32 storage
     x = small_random_adapter("x", rng, rank=2, n_keys=2)
-    merged = MergedDelta(layers=dict(dense_delta_map(x)), merge_count=1)
-    result = refactor(merged, RankPolicy(target_rank=2), task_id="m", scale_numerator=2.0)
+    cache = {key: LowRankDelta.from_dense(d) for key, d in dense_delta_map(x).items()}
+    result = refactor(cache, 2, "m", 1.0)
     for key, residual in result.residuals.items():
         assert residual <= 1e-6
     back = dense_delta_map(result.adapter)
@@ -202,8 +199,7 @@ def test_refactor_exact_recovery(rng):
 def test_refactor_residual_matches_eigen_oracle(rng):
     x = small_random_adapter("x", rng, rank=2, n_keys=1)
     delta = dense_delta_map(x)[K0]
-    merged = MergedDelta(layers={K0: delta}, merge_count=1)
-    result = refactor(merged, RankPolicy(target_rank=1), task_id="m", scale_numerator=1.0)
+    result = refactor({K0: LowRankDelta.from_dense(delta)}, 1, "m", 1.0)
     # independent spectrum via eigendecomposition of delta^T delta
     eigvals = np.sort(np.linalg.eigvalsh(delta.T @ delta))[::-1]
     sig = np.sqrt(np.clip(eigvals[:2], 0, None))
@@ -212,17 +208,20 @@ def test_refactor_residual_matches_eigen_oracle(rng):
 
 
 def test_refactor_zero_delta():
-    merged = MergedDelta(layers={K0: np.zeros((6, 5))}, merge_count=1)
-    result = refactor(merged, RankPolicy(target_rank=2), task_id="m", scale_numerator=2.0)
+    result = refactor({K0: LowRankDelta.from_dense(np.zeros((6, 5)))}, 2, "m", 1.0)
     assert result.residuals[K0] == 0.0
     fp = result.adapter.layers[K0]
     assert not fp.a.any() and not fp.b.any()
 
 
+def test_refactor_rejects_rank_below_one():
+    with pytest.raises(ShapeError):
+        refactor({K0: LowRankDelta.from_dense(np.eye(3))}, 0, "m", 1.0)
+
+
 def test_refactor_beats_random_rank_r(rng):
     delta = rng.standard_normal((8, 8))
-    merged = MergedDelta(layers={K0: delta}, merge_count=1)
-    result = refactor(merged, RankPolicy(target_rank=3), task_id="m", scale_numerator=3.0)
+    result = refactor({K0: LowRankDelta.from_dense(delta)}, 3, "m", 1.0)
     best = np.linalg.norm(delta - dense_delta_map(result.adapter)[K0])
     for _ in range(20):
         b = rng.standard_normal((8, 3))
@@ -232,37 +231,14 @@ def test_refactor_beats_random_rank_r(rng):
         assert best <= candidate + 1e-6
 
 
-def test_refactor_rejects_factor_average_mode(rng):
-    x = small_random_adapter("x", rng)
-    merged = MergedDelta(layers=dict(dense_delta_map(x)), merge_count=1)
-    with pytest.raises(UnsupportedMode):
-        refactor(merged, RankPolicy(mode="factor_average", target_rank=2), task_id="m")
-
-
 def test_refactor_lowrank_input_agrees_with_dense(rng):
     x = small_random_adapter("x", rng, rank=3, n_keys=1, width=10)
     dense = dense_delta_map(x)[K0]
     low = LowRankDelta.from_factors(x.layers[K0], x.scaling)
-    r_dense = refactor(MergedDelta(layers={K0: dense}), RankPolicy(target_rank=2), task_id="a", scale_numerator=2.0)
-    r_low = refactor(MergedDelta(layers={K0: low}), RankPolicy(target_rank=2), task_id="b", scale_numerator=2.0)
+    r_dense = refactor({K0: LowRankDelta.from_dense(dense)}, 2, "a", 1.0)
+    r_low = refactor({K0: low}, 2, "b", 1.0)
     assert r_dense.residuals[K0] == pytest.approx(r_low.residuals[K0], abs=1e-9)
     np.testing.assert_allclose(
         dense_delta_map(r_dense.adapter)[K0], dense_delta_map(r_low.adapter)[K0], atol=1e-5
     )
 
-
-def test_factor_average_requires_equal_rank(rng):
-    x = small_random_adapter("x", rng, rank=2)
-    y = small_random_adapter("y", rng, rank=3, scale_numerator=2.0)
-    with pytest.raises(UnsupportedMode):
-        factor_average(x, y, task_id="m")
-
-
-def test_factor_average_averages_factors(rng):
-    x = small_random_adapter("x", rng)
-    y = small_random_adapter("y", rng)
-    merged = factor_average(x, y, task_id="m")
-    for key in x.layers:
-        np.testing.assert_allclose(
-            merged.layers[key].a, (x.layers[key].a + y.layers[key].a) / 2, rtol=1e-6
-        )
