@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -462,14 +462,7 @@ def threshold_sweep(
     ordering = ordering or OrderingSpec("random", 0)
     table = []
     for s in s_values:
-        swept = PolicyConfig(
-            budget_k=config.budget_k,
-            variant="k_merge_pp",
-            threshold_s=float(s),
-            operator=config.operator,
-            rank_policy=config.rank_policy,
-        )
-        report = run_simulation(adapters, tasks, ordering, swept)
+        report = run_simulation(adapters, tasks, ordering, replace(config, threshold_s=float(s)))
         table.append(
             {
                 "s": float(s),

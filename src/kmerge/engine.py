@@ -38,7 +38,7 @@ from .merging import (
     dare_merge,
     dare_ties_merge,
     delta_map,
-    linear_merge,
+    linear_merge,  # unused here; perfbench/tracing.py wraps kmerge.engine.linear_merge by name
     refactor,
     ties_merge,
 )
@@ -111,6 +111,15 @@ def _int(value, what: str) -> int:
     raise RestoreError(f"{what} is not an integer: {value!r}")
 
 
+def _file_name(value, what: str) -> str:
+    """``value`` if it is a single file name; raises :class:`RestoreError`
+    naming ``what`` otherwise, so that a manifest cannot name a file outside
+    its store."""
+    if type(value) is str and value not in ("", "..") and Path(value).name == value:
+        return value
+    raise RestoreError(f"{what} is not a file name in the store: {value!r}")
+
+
 @dataclass(frozen=True)
 class IngestDecision:
     task_index: int
@@ -159,28 +168,32 @@ def merged_cache(
     """The running cache of ``slot``, which has ``count`` members, after
     merging ``incoming`` into it; ``slot`` is left unchanged.
 
-    The running average folds ``incoming`` into the cache by projection.
-    A pairwise operator merges the served adapter with ``incoming`` in
-    dense space (``linear`` with ``weight`` on the served adapter) and
-    stores the canonical form of its output.
+    The running average folds ``incoming`` into the slot's cache with
+    weights ``count/(count+1)`` and ``1/(count+1)``; ``linear`` folds it into
+    the served adapter's cache with ``weight`` and ``1 - weight``, both by
+    projection (``LowRankDelta.fold``). TIES and DARE vote and drop per
+    entry, so they merge the served adapter with ``incoming`` in dense space
+    and store the canonical form of the output.
     """
     check_compatible(slot.adapter, incoming)
     if operator.kind == "running_average":
-        alpha, beta = count / (count + 1), 1.0 / (count + 1)
-        return {
-            key: slot.cache[key].fold(alpha, beta, LowRankDelta.from_factors(fp, incoming.scaling))
-            for key, fp in incoming.layers.items()
-        }
-    stored = slot.adapter
-    if operator.kind == "linear":
-        merged = linear_merge(stored, incoming, weight=weight)
-    elif operator.kind == "ties":
-        merged = ties_merge([delta_map(stored), delta_map(incoming)], operator.density)
-    elif operator.kind == "dare":
-        merged = dare_merge(stored, incoming, operator)
+        base, alpha, beta = slot.cache, count / (count + 1), 1.0 / (count + 1)
+    elif operator.kind == "linear":
+        if not 0.0 <= weight <= 1.0:
+            raise ShapeError("weight must be in [0, 1]")
+        base, alpha, beta = slot_cache(slot.adapter), weight, 1.0 - weight
     else:
-        merged = dare_ties_merge(stored, incoming, operator)
-    return {key: LowRankDelta.from_dense(d) for key, d in merged.dense().items()}
+        if operator.kind == "ties":
+            merged = ties_merge([delta_map(slot.adapter), delta_map(incoming)], operator.density)
+        elif operator.kind == "dare":
+            merged = dare_merge(slot.adapter, incoming, operator)
+        else:
+            merged = dare_ties_merge(slot.adapter, incoming, operator)
+        return {key: LowRankDelta.from_dense(d) for key, d in merged.dense().items()}
+    return {
+        key: base[key].fold(alpha, beta, LowRankDelta.from_factors(fp, incoming.scaling))
+        for key, fp in incoming.layers.items()
+    }
 
 
 @dataclass
@@ -245,8 +258,6 @@ class MergeEngine:
         start = time.perf_counter()
         if incoming.task_id in self.task_ids.values():
             raise DuplicateTask(f"task {incoming.task_id!r} already ingested")
-        if self.store.slots:
-            check_compatible(next(iter(self.store.slots.values())).adapter, incoming)
         t = self.timestep + 1
 
         best_key, best_score = None, None
@@ -387,10 +398,30 @@ class MergeEngine:
             raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
         engine.task_ids = dict(ingested)
 
-        cache_path = directory / str(_field(manifest, "running_cache_file", RestoreError))
+        adapters: dict[int, LoraAdapter] = {}
+        for entry in _field(manifest, "slots", RestoreError):
+            slot_key, file_name, tasks = (
+                _field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
+            )
+            slot_key = _int(slot_key, "slot entry slot_key")
+            if slot_key in adapters:
+                raise RestoreError(f"two slot entries for slot {slot_key}")
+            adapter_path = directory / _file_name(file_name, f"file of slot {slot_key}")
+            if not adapter_path.exists():
+                raise RestoreError(f"adapter file for slot {slot_key} is missing")
+            adapters[slot_key] = read_adapter(adapter_path)
+            if not isinstance(tasks, list):
+                raise RestoreError(f"tasks of slot {slot_key} is not a list: {tasks!r}")
+            engine.history.entries[slot_key] = [
+                _int(t, f"task index of slot {slot_key}") for t in tasks
+            ]
+
+        cache_path = directory / _file_name(
+            _field(manifest, "running_cache_file", RestoreError), "running_cache_file"
+        )
         if not cache_path.exists():
             raise RestoreError(f"running cache file {cache_path.name} is missing")
-        caches: dict[int, dict[LayerKey, LowRankDelta]] = {}
+        caches: dict[int, dict[LayerKey, LowRankDelta]] = {slot_key: {} for slot_key in adapters}
         with open(cache_path, "rb") as blob:
             size = os.fstat(blob.fileno()).st_size
             for entry in _field(manifest, "cache_index", RestoreError):
@@ -415,6 +446,21 @@ class MergeEngine:
                     raise RestoreError(
                         f"running cache truncated for slot {slot_key} layer {key}"
                     )
+                # Each slot's cache holds its adapter's layers, once each, at their shapes.
+                if slot_key not in adapters:
+                    raise RestoreError(f"cache entry names slot {slot_key}, which the manifest lacks")
+                fp = adapters[slot_key].layers.get(key)
+                if fp is None:
+                    raise RestoreError(
+                        f"cache entry for slot {slot_key} names layer {key}, which its adapter lacks"
+                    )
+                if key in caches[slot_key]:
+                    raise RestoreError(f"two cache entries for slot {slot_key} layer {key}")
+                if b_shape[0] != fp.d_out or a_shape[1] != fp.d_in:
+                    raise RestoreError(
+                        f"cache entry for slot {slot_key} layer {key} is {b_shape[0]} x "
+                        f"{a_shape[1]}, its adapter's layer is {fp.d_out} x {fp.d_in}"
+                    )
                 b = np.empty(tuple(b_shape), dtype="<f8")
                 a = np.empty(tuple(a_shape), dtype="<f8")
                 blob.seek(offset)
@@ -422,27 +468,12 @@ class MergeEngine:
                 blob.readinto(a)
                 # Version-1 stores kept concatenated factors; canonicalise them once.
                 low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
-                caches.setdefault(slot_key, {})[key] = low.compressed()
+                caches[slot_key][key] = low.compressed()
 
-        for entry in _field(manifest, "slots", RestoreError):
-            slot_key, file_name, tasks = (
-                _field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
-            )
-            slot_key = _int(slot_key, "slot entry slot_key")
-            adapter_path = directory / str(file_name)
-            if not adapter_path.exists():
-                raise RestoreError(f"adapter file for slot {slot_key} is missing")
-            adapter = read_adapter(adapter_path)
-            if slot_key not in caches:
-                raise RestoreError(f"no running cache entries for slot {slot_key}")
-            engine.store.slots[slot_key] = SlotState(
-                adapter=adapter, cache=caches[slot_key]
-            )
-            if not isinstance(tasks, list):
-                raise RestoreError(f"tasks of slot {slot_key} is not a list: {tasks!r}")
-            engine.history.entries[slot_key] = [
-                _int(t, f"task index of slot {slot_key}") for t in tasks
-            ]
+        for slot_key, adapter in adapters.items():
+            if len(caches[slot_key]) != len(adapter.layers):
+                raise RestoreError(f"running cache of slot {slot_key} lacks layers of its adapter")
+            engine.store.slots[slot_key] = SlotState(adapter=adapter, cache=caches[slot_key])
 
         # The parts must describe one state: the next ingest takes index
         # timestep + 1 and, if it allocates, slot next_slot_key.

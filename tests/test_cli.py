@@ -195,6 +195,16 @@ def test_merge_all_operators(tmp_path, rng):
         assert out.exists()
 
 
+def test_merge_linear_weight_out_of_range(tmp_path, rng, capsys):
+    for name in ("x", "y"):
+        write_adapter(small_random_adapter(name, rng), tmp_path / f"{name}.kmrg")
+    out = tmp_path / "m.kmrg"
+    code = main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                 "--op", "linear", "--weight", "1.5", "--out", str(out)])
+    assert code != 0 and not out.exists()
+    assert "weight" in capsys.readouterr().err
+
+
 def test_sim_csv(suite_dir, tmp_path, capsys):
     csv = tmp_path / "m.csv"
     assert main(["sim", str(suite_dir), "--csv", str(csv)]) == 0

@@ -9,7 +9,10 @@ from kmerge.engine import (
     MERGED,
     MergeEngine,
     PolicyConfig,
+    SlotState,
+    merged_cache,
     route,
+    slot_cache,
 )
 from kmerge.errors import (
     DuplicateTask,
@@ -20,7 +23,8 @@ from kmerge.errors import (
     UnknownTask,
 )
 import kmerge.engine
-from kmerge.merging import MergeOperator, RankPolicy
+from kmerge.lowrank import LowRankDelta
+from kmerge.merging import MergeOperator, RankPolicy, linear_merge
 
 from conftest import (
     NaiveState,
@@ -124,6 +128,48 @@ def test_running_average_cache_is_batch_mean(rng):
     cache = engine.store.slots[1].cache[K0].materialize()
     batch = np.mean([dense_delta_map(a)[K0] for a in adapters], axis=0)
     np.testing.assert_allclose(cache, batch, rtol=1e-9)
+
+
+def _relative_error(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+def test_linear_cache_matches_dense_oracle(rng, weight):
+    """``linear`` folds in factor space; its cache is the dense
+    ``linear_merge`` output, at the rank its full SVD has."""
+    x = small_random_adapter("x", rng, rank=3, n_keys=4, scale_numerator=6.0)
+    y = small_random_adapter("y", rng, rank=3, n_keys=4, scale_numerator=24.0)
+    linear = MergeOperator(kind="linear")
+    cache = merged_cache(linear, SlotState(adapter=x, cache=slot_cache(x)), 1, y, weight)
+    dense = linear_merge(x, y, weight=weight).dense()
+    assert cache.keys() == dense.keys()
+    for key, low in cache.items():
+        assert low.canonical
+        assert low.rank_bound == LowRankDelta.from_dense(dense[key]).rank_bound
+        assert _relative_error(low.materialize(), dense[key]) <= 1e-12
+
+
+def test_linear_engine_follows_dense_recurrence(rng):
+    """A K=1 ``linear`` engine's cache after each merge is the even mix of
+    the adapter it served before and the incoming one."""
+    engine = MergeEngine(_config(1, operator=MergeOperator(kind="linear")))
+    stream = _stream(rng, 4, rank=3, n_keys=3)
+    engine.ingest(stream[0])
+    for incoming in stream[1:]:
+        served = dense_delta_map(engine.load_for_inference(1))
+        engine.ingest(incoming)
+        fresh = dense_delta_map(incoming)
+        for key, low in engine.store.slots[1].cache.items():
+            ref = 0.5 * served[key] + 0.5 * fresh[key]
+            assert _relative_error(low.materialize(), ref) <= 1e-12
+    assert engine.merge_count(1) == 4
+
+
+def test_linear_weight_out_of_range(rng):
+    x, y = _stream(rng, 2)
+    with pytest.raises(ShapeError, match="weight"):
+        merged_cache(MergeOperator(kind="linear"), SlotState(x, slot_cache(x)), 1, y, weight=1.5)
 
 
 def test_stored_adapter_respects_target_rank(rng):
@@ -406,6 +452,10 @@ def test_restore_non_integer_manifest_field(tmp_path, rng, field, value):
         MergeEngine.restore(tmp_path)
 
 
+def _duplicate_first_cache_entry(manifest, **changes):
+    manifest["cache_index"].append({**manifest["cache_index"][0], **changes})
+
+
 INCONSISTENT_MANIFESTS = {
     "shared-task-id": (
         lambda m: m["ingested"][1].__setitem__(1, m["ingested"][0][1]), "share a task id"
@@ -421,6 +471,25 @@ INCONSISTENT_MANIFESTS = {
         lambda m: m.__setitem__("timestep", m["timestep"] - 1), "timestep"
     ),
     "next-slot-key-occupied": (lambda m: m.__setitem__("next_slot_key", 1), "next_slot_key"),
+    "slot-entry-repeated": (
+        lambda m: m["slots"].append({**m["slots"][0], "file": m["slots"][1]["file"]}),
+        "two slot entries for slot 1",
+    ),
+    # Each slot's cache must hold exactly its adapter's layers, at their shapes.
+    "cache-layer-missing": (lambda m: m["cache_index"].pop(0), "slot 1 lacks layers"),
+    "cache-layer-extra": (
+        lambda m: _duplicate_first_cache_entry(m, layer=99), "layer 99.key, which its adapter lacks"
+    ),
+    "cache-b-rows": (
+        lambda m: m["cache_index"][0]["b_shape"].__setitem__(0, 9), "is 9 x 8, its adapter's"
+    ),
+    "cache-a-columns": (
+        lambda m: m["cache_index"][0]["a_shape"].__setitem__(1, 7), "is 8 x 7, its adapter's"
+    ),
+    "cache-unknown-slot": (
+        lambda m: _duplicate_first_cache_entry(m, slot_key=7), "slot 7, which the manifest lacks"
+    ),
+    "cache-entry-repeated": (_duplicate_first_cache_entry, "two cache entries for slot 1"),
 }
 
 
@@ -432,6 +501,23 @@ def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
         MergeEngine.restore(tmp_path)
+
+
+@pytest.mark.parametrize("outside", ["parent", "absolute"])
+@pytest.mark.parametrize("field", ["file", "running_cache_file"])
+def test_restore_rejects_file_outside_store(tmp_path, rng, field, outside):
+    """A manifest naming a file outside its store is rejected, even when
+    that file exists and holds the right bytes."""
+    store = tmp_path / "store"
+    _persisted(store, rng)
+    manifest = json.loads((store / "manifest.json").read_text())
+    owner = manifest["slots"][0] if field == "file" else manifest
+    copy = tmp_path / owner[field]
+    copy.write_bytes((store / owner[field]).read_bytes())
+    owner[field] = f"../{copy.name}" if outside == "parent" else str(copy)
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match="not a file name"):
+        MergeEngine.restore(store)
 
 
 @pytest.mark.parametrize("mode, error", [
