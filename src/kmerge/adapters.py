@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, IncompatibleAdapters, KeyNotFound, ShapeError
+from .jsonfields import json_field
 
 PROJECTIONS = ("key", "query", "value", "output")
 _PROJ_ORDER = {p: i for i, p in enumerate(PROJECTIONS)}
@@ -126,11 +128,20 @@ class LoraAdapter:
 
 
 def check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
-    """Raise :class:`IncompatibleAdapters` unless ``x`` and ``y`` adapt the same layers."""
+    """Check that ``x`` and ``y`` can meet in a similarity or a merge: they
+    adapt the same layers (else :class:`IncompatibleAdapters`) at the same
+    ``(d_out, d_in)`` (else :class:`ShapeError`). Ranks may differ."""
     if x.key_set() != y.key_set():
         raise IncompatibleAdapters(
             f"adapters {x.task_id!r} and {y.task_id!r} have different layer key-sets"
         )
+    for key, fx in x.layers.items():
+        fy = y.layers[key]
+        if (fx.d_out, fx.d_in) != (fy.d_out, fy.d_in):
+            raise ShapeError(
+                f"layer {key} shapes disagree: {(fx.d_out, fx.d_in)} in {x.task_id!r} "
+                f"vs {(fy.d_out, fy.d_in)} in {y.task_id!r}"
+            )
 
 
 def materialize_delta(adapter: LoraAdapter, key: LayerKey) -> np.ndarray:
@@ -206,19 +217,21 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def _read_tensor(fh, shape: tuple[int, int], what: str) -> np.ndarray:
-    """A float32 tensor read straight into its own array, with no bytes copy."""
+def _read_tensor(fh, shape: tuple[int, int], name: str, key: LayerKey) -> np.ndarray:
+    """Tensor ``name`` of layer ``key``, read as float32 straight into its
+    own array, with no bytes copy."""
     offset = fh.tell()
     if min(shape) < 0:
-        raise FormatError(f"negative dimension in {what}: {shape}", offset)
+        raise FormatError(f"negative dimension in {name} tensor of layer {key}: {shape}", offset)
     out = np.empty(shape, dtype="<f4")
     if fh.readinto(out) != out.nbytes:
-        raise FormatError(f"truncated payload while reading {what}", offset)
+        raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
     return out
 
 
 def read_adapter(path: str | Path) -> LoraAdapter:
-    """Parse a ``.kmrg`` file, validating magic, version, and payload size."""
+    """Parse a ``.kmrg`` file, validating magic, version, header fields and
+    payload size."""
     with open(path, "rb") as fh:
         head = _read_exact(fh, _HEAD.size, "file header")
         magic, version, header_len = _HEAD.unpack(head)
@@ -231,17 +244,25 @@ def read_adapter(path: str | Path) -> LoraAdapter:
             header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"unparseable JSON header: {exc}", _HEAD.size) from None
-        for field_name in ("task_id", "problem_type", "language", "rank",
-                           "scale_numerator", "layers"):
-            if field_name not in header:
-                raise FormatError(f"header missing field {field_name!r}", _HEAD.size)
-        rank = int(header["rank"])
+        bad_header = partial(FormatError, offset=_HEAD.size)
+        text = {
+            name: json_field(header, name, bad_header, str)
+            for name in ("task_id", "problem_type", "language")
+        }
+        rank = json_field(header, "rank", bad_header, int)
+        scale_numerator = float(json_field(header, "scale_numerator", bad_header, float))
         layers: dict[LayerKey, FactorPair] = {}
-        for entry in header["layers"]:
-            key = LayerKey(int(entry["layer"]), str(entry["proj"]))
-            d_in, d_out = int(entry["d_in"]), int(entry["d_out"])
-            a = _read_tensor(fh, (rank, d_in), f"A tensor of layer {key}")
-            b = _read_tensor(fh, (d_out, rank), f"B tensor of layer {key}")
+        for entry in json_field(header, "layers", bad_header, list):
+            layer = json_field(entry, "layer", bad_header, int)
+            proj = json_field(entry, "proj", bad_header, str)
+            d_in = json_field(entry, "d_in", bad_header, int)
+            d_out = json_field(entry, "d_out", bad_header, int)
+            try:
+                key = LayerKey(layer, proj)
+            except ShapeError as exc:
+                raise bad_header(f"invalid layer entry: {exc}") from None
+            a = _read_tensor(fh, (rank, d_in), "A", key)
+            b = _read_tensor(fh, (d_out, rank), "B", key)
             try:
                 layers[key] = FactorPair(a=a, b=b)
             except ShapeError as exc:
@@ -250,13 +271,6 @@ def read_adapter(path: str | Path) -> LoraAdapter:
         if trailing:
             raise FormatError("trailing bytes after declared payload", fh.tell() - 1)
     try:
-        return LoraAdapter(
-            task_id=str(header["task_id"]),
-            problem_type=str(header["problem_type"]),
-            language=str(header["language"]),
-            rank=rank,
-            scale_numerator=float(header["scale_numerator"]),
-            layers=layers,
-        )
+        return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=layers, **text)
     except ShapeError as exc:
         raise FormatError(f"header/tensor disagreement: {exc}") from None

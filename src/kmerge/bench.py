@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +28,8 @@ from .adapters import (
     write_adapter,
 )
 from .engine import MergeEngine, MergeHistory, PolicyConfig
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
+from .jsonfields import json_field, json_file_name, json_value
 from .merging import RankPolicy
 from .similarity import adapter_similarity, similarities
 
@@ -212,17 +214,23 @@ def save_suite(
 
 
 def load_suite(directory: str | Path) -> tuple[list[LoraAdapter], list[TaskSpec]]:
+    """The suite :func:`save_suite` wrote to ``directory``; a damaged
+    ``tasks.json`` raises :class:`FormatError` naming the problem."""
     directory = Path(directory)
-    index = json.loads((directory / "tasks.json").read_text())
+    try:
+        index = json.loads((directory / "tasks.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"tasks.json is not valid JSON: {exc}") from None
     adapters, tasks = [], []
-    for entry in index:
-        adapters.append(read_adapter(directory / entry["file"]))
+    for entry in json_value(index, list, FormatError, "tasks.json"):
+        file_name = json_file_name(json_field(entry, "file", FormatError), FormatError, "file")
+        adapters.append(read_adapter(directory / file_name))
         tasks.append(
             TaskSpec(
-                task_index=int(entry["task_index"]),
-                task_id=str(entry["task_id"]),
-                problem_type=str(entry["problem_type"]),
-                language=str(entry["language"]),
+                task_index=json_field(entry, "task_index", FormatError, int),
+                task_id=json_field(entry, "task_id", FormatError, str),
+                problem_type=json_field(entry, "problem_type", FormatError, str),
+                language=json_field(entry, "language", FormatError, str),
             )
         )
     return adapters, tasks
@@ -313,19 +321,18 @@ def aggregate_score(
     return float(np.mean(ratios)), ratios
 
 
+def _modal_matches(clusters: Sequence[Sequence[TaskSpec]]) -> int:
+    """Number of tasks whose problem type is the modal one of their cluster."""
+    return sum(max(Counter(t.problem_type for t in members).values()) for members in clusters)
+
+
 def clustering_consistency(
     history: MergeHistory, tasks_by_arrival: dict[int, TaskSpec]
 ) -> float:
     """Fraction of tasks matching their cluster's modal problem type."""
-    matches, total = 0, 0
-    for members in history.entries.values():
-        types = [tasks_by_arrival[t].problem_type for t in members]
-        counts: dict[str, int] = {}
-        for ptype in types:
-            counts[ptype] = counts.get(ptype, 0) + 1
-        matches += max(counts.values())
-        total += len(types)
-    return matches / total if total else 0.0
+    clusters = [[tasks_by_arrival[t] for t in members] for members in history.entries.values()]
+    total = sum(map(len, clusters))
+    return _modal_matches(clusters) / total if total else 0.0
 
 
 # -- simulation harness ----------------------------------------------------
@@ -359,21 +366,10 @@ class SimulationReport:
             "final_score": self.final_score,
             "clustering_consistency": self.consistency,
             "occupied": self.occupied,
-            "rows": [
-                {
-                    "timestep": row.timestep,
-                    "task_index": row.task_index,
-                    "task_id": row.task_id,
-                    "action": row.action,
-                    "slot_key": row.slot_key,
-                    "similarity": row.similarity,
-                    "occupied": row.occupied,
-                    "score": row.score,
-                    "elapsed_us": row.elapsed * 1e6,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
+        for row in payload["rows"]:
+            row["elapsed_us"] = row.pop("elapsed") * 1e6
         Path(path).write_text(json.dumps(payload, indent=2))
 
     def to_csv(self, path: str | Path) -> None:
@@ -487,13 +483,7 @@ def random_assignment_consistency(
             clusters.append([tasks[position]])
         else:
             clusters[int(rng.integers(len(clusters)))].append(tasks[position])
-    matches = 0
-    for members in clusters:
-        counts: dict[str, int] = {}
-        for task in members:
-            counts[task.problem_type] = counts.get(task.problem_type, 0) + 1
-        matches += max(counts.values())
-    return matches / len(tasks)
+    return _modal_matches(clusters) / len(tasks)
 
 
 # -- integration timing ----------------------------------------------------

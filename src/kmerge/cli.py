@@ -47,11 +47,11 @@ def _operator_from_flags(args) -> MergeOperator:
     )
 
 
-def _policy_from_flags(args) -> PolicyConfig:
+def _policy_from_flags(args, variant: str, threshold_s: float | None) -> PolicyConfig:
     return PolicyConfig(
         budget_k=args.k,
-        variant=args.variant.replace("-", "_"),
-        threshold_s=args.threshold,
+        variant=variant,
+        threshold_s=threshold_s,
         operator=_operator_from_flags(args),
         rank_policy=RankPolicy(target_rank=args.target_rank),
     )
@@ -103,7 +103,7 @@ def cmd_run(args) -> int:
     if args.config:
         base = _policy_from_config_file(args.config)
     else:
-        base = _policy_from_flags(args)
+        base = _policy_from_flags(args, args.variant.replace("-", "_"), args.threshold)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -121,12 +121,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     adapters, tasks = load_suite(args.suite)
-    args.variant = "k-merge-pp"
-    if args.threshold is None:
-        args.threshold = 0.0  # placeholder; replaced by each swept value
-    config = _policy_from_flags(args)
+    # threshold_sweep replaces the threshold with each swept value in turn.
+    config = _policy_from_flags(args, "k_merge_pp", args.s_values[0])
     table = threshold_sweep(
-        adapters, tasks, config, args.s_values, OrderingSpec("random", args.seeds[0])
+        adapters, tasks, config, args.s_values, OrderingSpec("random", args.seed)
     )
     for row in table:
         print(f"s={row['s']:.4f}  S={row['final_score']:.4f}  occupied={row['occupied']}")
@@ -232,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.set_defaults(func=cmd_calibrate)
 
-    def policy_flags(p):
-        p.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS], default="k-merge")
-        p.add_argument("--threshold", type=float, default=None)
+    def operator_flags(p):
         p.add_argument("--operator", choices=list(OPERATOR_FLAGS), default="running-average")
         p.add_argument("--density", type=float, default=0.5)
         p.add_argument("--drop-rate", type=float, default=0.5)
@@ -244,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="replay a stream and write score reports")
     p.add_argument("--suite", required=True)
     p.add_argument("--k", type=int, help="slot budget; required unless --config is given")
-    policy_flags(p)
+    p.add_argument("--variant", choices=[v.replace("_", "-") for v in VARIANTS], default="k-merge")
+    p.add_argument("--threshold", type=float, default=None)
+    operator_flags(p)
     p.add_argument("--config", help="JSON policy config (manifest schema); overrides flags")
     p.add_argument("--ordering", choices=["random", "problem-types", "worst"], default="random")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
@@ -255,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="threshold ablation for k-merge-pp")
     p.add_argument("--suite", required=True)
     p.add_argument("--k", type=int, required=True)
-    policy_flags(p)
-    p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    operator_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random stream ordering")
     p.add_argument("--s-values", type=float, nargs="+", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -19,6 +19,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
     SlotVacant,
     UnknownTask,
 )
+from .jsonfields import json_field, json_file_name, json_value
 from .lowrank import LowRankDelta
 from .merging import (
     MergeOperator,
@@ -50,6 +52,10 @@ ALLOCATED = "allocated_new_slot"
 MERGED = "merged_into"
 
 MANIFEST_VERSION = 2  # 2: running caches are stored in canonical form
+
+# Field types of the policy's nested records, which ``PolicyConfig.from_dict``
+# requires of their JSON values; resolved once, as resolving is slow.
+_FIELD_TYPES = {kind: get_type_hints(kind) for kind in (MergeOperator, RankPolicy)}
 
 
 @dataclass(frozen=True)
@@ -74,50 +80,34 @@ class PolicyConfig:
 
     @classmethod
     def from_dict(cls, data) -> "PolicyConfig":
-        """Inverse of :meth:`to_dict`. Every field is required; a missing or
-        invalid one raises :class:`ConfigError` naming it. Other keys are
-        ignored, so a whole manifest is a valid input. Older policies name a
-        rank mode; ``rank_policy.mode`` ``"svd_truncate"``, the served form
-        that remains, is accepted and any other mode rejected."""
-        kwargs = {name: _field(data, name) for name in ("budget_k", "variant", "threshold_s")}
-        rank_policy = _field(data, "rank_policy")
+        """Inverse of :meth:`to_dict`. Every field is required and must be a
+        JSON value of the field's type (``threshold_s`` may be null); a
+        missing or invalid one raises :class:`ConfigError` naming it. Other
+        keys are ignored, so a whole manifest is a valid input. Older
+        policies name a rank mode; ``rank_policy.mode`` ``"svd_truncate"``,
+        the served form that remains, is accepted and any other mode
+        rejected."""
+        kwargs = {
+            "budget_k": json_field(data, "budget_k", ConfigError, int),
+            "variant": json_field(data, "variant", ConfigError, str),
+        }
+        threshold = json_field(data, "threshold_s", ConfigError)
+        if threshold is not None:
+            json_value(threshold, float, ConfigError, "threshold_s")
+        kwargs["threshold_s"] = threshold
+        rank_policy = json_field(data, "rank_policy", ConfigError)
         if isinstance(rank_policy, dict) and rank_policy.get("mode", "svd_truncate") != "svd_truncate":
             raise ConfigError(f"unsupported rank_policy.mode {rank_policy['mode']!r}")
         try:
             for name, kind in (("operator", MergeOperator), ("rank_policy", RankPolicy)):
-                kwargs[name] = kind(**{f.name: _field(data, f"{name}.{f.name}") for f in fields(kind)})
+                types = _FIELD_TYPES[kind]
+                kwargs[name] = kind(**{
+                    f.name: json_field(data, f"{name}.{f.name}", ConfigError, types[f.name])
+                    for f in fields(kind)
+                })
             return cls(**kwargs)
-        except (ShapeError, TypeError, ValueError) as exc:
+        except ShapeError as exc:
             raise ConfigError(f"invalid policy: {exc}") from None
-
-
-def _field(node, path: str, error: type[Exception] = ConfigError):
-    """The value at the dotted ``path`` below ``node``; raises ``error``
-    naming ``path`` when it is missing."""
-    for part in path.split("."):
-        try:
-            node = node[part]
-        except (KeyError, TypeError):
-            raise error(f"missing field {path!r}") from None
-    return node
-
-
-def _int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; raises :class:`RestoreError`
-    naming ``what`` otherwise. Booleans, floats and digit strings are not
-    integers here: converting them would restore a different state."""
-    if type(value) is int:
-        return value
-    raise RestoreError(f"{what} is not an integer: {value!r}")
-
-
-def _file_name(value, what: str) -> str:
-    """``value`` if it is a single file name; raises :class:`RestoreError`
-    naming ``what`` otherwise, so that a manifest cannot name a file outside
-    its store."""
-    if type(value) is str and value not in ("", "..") and Path(value).name == value:
-        return value
-    raise RestoreError(f"{what} is not a file name in the store: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -377,7 +367,7 @@ class MergeEngine:
         except json.JSONDecodeError as exc:
             raise RestoreError(f"manifest.json is not valid JSON: {exc}") from None
 
-        version = _field(manifest, "version", RestoreError)
+        version = json_field(manifest, "version", RestoreError)
         if version not in (1, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
         try:
@@ -385,53 +375,57 @@ class MergeEngine:
         except ConfigError as exc:
             raise RestoreError(f"manifest policy: {exc}") from None
         engine = cls(config)
-        engine.history.next_slot_key = _int(
-            _field(manifest, "next_slot_key", RestoreError), "next_slot_key"
-        )
-        engine.timestep = _int(_field(manifest, "timestep", RestoreError), "timestep")
+        engine.history.next_slot_key = json_field(manifest, "next_slot_key", RestoreError, int)
+        engine.timestep = json_field(manifest, "timestep", RestoreError, int)
         try:
             ingested = [
-                (_int(t, "ingested task index"), str(name))
-                for t, name in _field(manifest, "ingested", RestoreError)
+                (json_value(t, int, RestoreError, "ingested task index"), str(name))
+                for t, name in json_field(manifest, "ingested", RestoreError)
             ]
         except (TypeError, ValueError):
             raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
         engine.task_ids = dict(ingested)
 
         adapters: dict[int, LoraAdapter] = {}
-        for entry in _field(manifest, "slots", RestoreError):
+        for entry in json_field(manifest, "slots", RestoreError):
             slot_key, file_name, tasks = (
-                _field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
+                json_field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
             )
-            slot_key = _int(slot_key, "slot entry slot_key")
+            slot_key = json_value(slot_key, int, RestoreError, "slot entry slot_key")
             if slot_key in adapters:
                 raise RestoreError(f"two slot entries for slot {slot_key}")
-            adapter_path = directory / _file_name(file_name, f"file of slot {slot_key}")
+            adapter_path = directory / json_file_name(
+                file_name, RestoreError, "file of slot {}", slot_key
+            )
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
             adapters[slot_key] = read_adapter(adapter_path)
-            if not isinstance(tasks, list):
-                raise RestoreError(f"tasks of slot {slot_key} is not a list: {tasks!r}")
             engine.history.entries[slot_key] = [
-                _int(t, f"task index of slot {slot_key}") for t in tasks
+                json_value(t, int, RestoreError, "task index of slot {}", slot_key)
+                for t in json_value(tasks, list, RestoreError, "tasks of slot {}", slot_key)
             ]
 
-        cache_path = directory / _file_name(
-            _field(manifest, "running_cache_file", RestoreError), "running_cache_file"
+        cache_path = directory / json_file_name(
+            json_field(manifest, "running_cache_file", RestoreError),
+            RestoreError,
+            "running_cache_file",
         )
         if not cache_path.exists():
             raise RestoreError(f"running cache file {cache_path.name} is missing")
         caches: dict[int, dict[LayerKey, LowRankDelta]] = {slot_key: {} for slot_key in adapters}
         with open(cache_path, "rb") as blob:
             size = os.fstat(blob.fileno()).st_size
-            for entry in _field(manifest, "cache_index", RestoreError):
+            for entry in json_field(manifest, "cache_index", RestoreError):
                 slot_key, layer, proj, b_shape, a_shape, offset = (
-                    _field(entry, name, RestoreError)
+                    json_field(entry, name, RestoreError)
                     for name in ("slot_key", "layer", "proj", "b_shape", "a_shape", "offset")
                 )
-                slot_key = _int(slot_key, "cache entry slot_key")
-                key = LayerKey(_int(layer, f"cache entry layer of slot {slot_key}"), str(proj))
-                offset = _int(offset, f"cache entry offset of slot {slot_key} layer {key}")
+                slot_key = json_value(slot_key, int, RestoreError, "cache entry slot_key")
+                layer = json_value(layer, int, RestoreError, "cache entry layer of slot {}", slot_key)
+                key = LayerKey(layer, str(proj))
+                offset = json_value(
+                    offset, int, RestoreError, "cache entry offset of slot {} layer {}", slot_key, key
+                )
                 shapes_ok = all(
                     isinstance(s, list) and len(s) == 2
                     and all(type(d) is int and d >= 0 for d in s)

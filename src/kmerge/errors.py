@@ -24,7 +24,8 @@ class FormatError(KMergeError):
 
 
 class IncompatibleAdapters(KMergeError):
-    """Two adapters do not share the same layer key-set or layer widths."""
+    """Two adapters do not share the same layer key-set. (Same keys at
+    different widths raise :class:`ShapeError`.)"""
 
 
 class EmptyStore(KMergeError):

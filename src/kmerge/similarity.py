@@ -25,17 +25,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .adapters import FactorPair, LayerKey, LoraAdapter, check_compatible
+from .adapters import LayerKey, LoraAdapter, check_compatible
 from .errors import EmptyStore, IncompatibleAdapters, InsufficientData, KeyNotFound, ShapeError
 
 DEGENERATE_NORM = 1e-12
-
-
-def _factor_pair(adapter: LoraAdapter, key: LayerKey) -> FactorPair:
-    try:
-        return adapter.layers[key]
-    except KeyError:
-        raise KeyNotFound(f"adapter {adapter.task_id!r} has no layer {key}") from None
 
 
 def _runs(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> Iterator[list[LayerKey]]:
@@ -89,15 +82,9 @@ def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) ->
 
     Near-zero-norm updates contribute 0 by convention: a zero adapter
     carries no direction and 0 keeps averages and argmax well-defined.
-    Ranks may differ; the layer shapes must agree.
+    Ranks may differ; the callers have checked that every adapter in ``ys``
+    has ``x``'s shape at each key.
     """
-    for y in ys:
-        for key in keys:
-            fx, fy = _factor_pair(x, key), _factor_pair(y, key)
-            if (fx.d_out, fx.d_in) != (fy.d_out, fy.d_in):
-                raise ShapeError(
-                    f"layer {key} shapes disagree: {(fx.d_out, fx.d_in)} vs {(fy.d_out, fy.d_in)}"
-                )
     inner = np.empty((len(ys), len(keys)))
     start = 0
     for run in _runs(x, keys):
@@ -125,7 +112,16 @@ def similarities(x: LoraAdapter, others: Sequence[LoraAdapter]) -> list[float]:
 
 
 def layer_similarity(x: LoraAdapter, y: LoraAdapter, key: LayerKey) -> float:
-    """Cosine of the two flattened dense updates for one layer."""
+    """Cosine of the two flattened dense updates for one layer; only that
+    layer must be present in both, at one shape."""
+    for adapter in (x, y):
+        if key not in adapter.layers:
+            raise KeyNotFound(f"adapter {adapter.task_id!r} has no layer {key}")
+    fx, fy = x.layers[key], y.layers[key]
+    if (fx.d_out, fx.d_in) != (fy.d_out, fy.d_in):
+        raise ShapeError(
+            f"layer {key} shapes disagree: {(fx.d_out, fx.d_in)} vs {(fy.d_out, fy.d_in)}"
+        )
     return float(_cosines(x, [y], [key])[0, 0])
 
 

@@ -7,7 +7,9 @@ and the policy reference re-implements the decision branches naively.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,28 @@ def small_random_adapter(task_id, rng, rank=2, n_keys=2, width=8, scale_numerato
         for key in keys
     }
     return make_adapter(task_id, layers, rank, scale_numerator)
+
+
+def width_mismatched_pair(rng):
+    """An adapter whose one layer is 8 x 8, and one with the same key and
+    rank whose layer is 1 x 8."""
+    key = LayerKey(0, "key")
+    wide, thin = (
+        make_adapter(name, {key: (rng.standard_normal((2, 8)), rng.standard_normal((d_out, 2)))}, 2, 2.0)
+        for name, d_out in (("wide", 8), ("thin", 1))
+    )
+    return wide, thin
+
+
+def rewrite_header(path, change):
+    """Apply ``change`` to the JSON header of the ``.kmrg`` file at ``path``,
+    keeping its tensor payload."""
+    raw = path.read_bytes()
+    magic, version, header_len = struct.unpack("<4sHI", raw[:10])
+    header = json.loads(raw[10 : 10 + header_len])
+    change(header)
+    encoded = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sHI", magic, version, len(encoded)) + encoded + raw[10 + header_len :])
 
 
 # -- dense oracles ---------------------------------------------------------

@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 
@@ -8,15 +5,18 @@ from kmerge.adapters import (
     FactorPair,
     LayerKey,
     LoraAdapter,
+    check_compatible,
     delta_map,
     flatten,
     materialize_delta,
     read_adapter,
     write_adapter,
 )
-from kmerge.errors import FormatError, KeyNotFound, ShapeError
+from kmerge.errors import FormatError, IncompatibleAdapters, KeyNotFound, ShapeError
 
-from conftest import make_adapter, naive_matmul, small_random_adapter
+from conftest import (
+    make_adapter, naive_matmul, rewrite_header, small_random_adapter, width_mismatched_pair,
+)
 
 K0 = LayerKey(0, "key")
 
@@ -123,14 +123,58 @@ def test_truncated_payload_names_tensor(tmp_path, rng):
 def test_negative_dimension_rejected(tmp_path, rng):
     path = tmp_path / "a.kmrg"
     write_adapter(small_random_adapter("x", rng), path)
-    raw = path.read_bytes()
-    magic, version, header_len = struct.unpack("<4sHI", raw[:10])
-    header = json.loads(raw[10 : 10 + header_len])
-    header["layers"][0]["d_in"] = -header["layers"][0]["d_in"]
-    encoded = json.dumps(header).encode()
-    path.write_bytes(struct.pack("<4sHI", magic, version, len(encoded)) + encoded + raw[10 + header_len :])
+    rewrite_header(path, lambda h: h["layers"][0].__setitem__("d_in", -h["layers"][0]["d_in"]))
     with pytest.raises(FormatError, match="negative dimension"):
         read_adapter(path)
+
+
+def _set_layer(name, value):
+    return lambda h: h["layers"][0].__setitem__(name, value)
+
+
+DAMAGED_HEADERS = {
+    "no-d_in": (lambda h: h["layers"][0].pop("d_in"), "d_in"),
+    "no-language": (lambda h: h.pop("language"), "language"),
+    "scalar-layers": (lambda h: h.__setitem__("layers", 5), "layers"),
+    "text-scale": (lambda h: h.__setitem__("scale_numerator", "abc"), "scale_numerator"),
+    "bool-scale": (lambda h: h.__setitem__("scale_numerator", True), "scale_numerator"),
+    "fractional-rank": (lambda h: h.__setitem__("rank", 4.9), "rank"),
+    "integral-float-rank": (lambda h: h.__setitem__("rank", float(h["rank"])), "rank"),
+    "digit-string-rank": (lambda h: h.__setitem__("rank", str(h["rank"])), "rank"),
+    "fractional-layer": (_set_layer("layer", 0.5), "layer"),
+    "bool-d_out": (_set_layer("d_out", True), "d_out"),
+    "null-proj": (_set_layer("proj", None), "proj"),
+    "number-task_id": (lambda h: h.__setitem__("task_id", 5), "task_id"),
+    "unknown-proj": (_set_layer("proj", "gate"), "projection"),
+    "negative-layer": (_set_layer("layer", -1), "layer index"),
+}
+
+
+@pytest.mark.parametrize("damage, match", DAMAGED_HEADERS.values(), ids=DAMAGED_HEADERS)
+def test_damaged_header_field_rejected(tmp_path, rng, damage, match):
+    path = tmp_path / "a.kmrg"
+    write_adapter(small_random_adapter("x", rng), path)
+    rewrite_header(path, damage)
+    with pytest.raises(FormatError, match=match):
+        read_adapter(path)
+
+
+def test_integer_scale_numerator_reads_as_float(tmp_path, rng):
+    path = tmp_path / "a.kmrg"
+    write_adapter(small_random_adapter("x", rng, scale_numerator=4.0), path)
+    rewrite_header(path, lambda h: h.__setitem__("scale_numerator", 4))
+    back = read_adapter(path).scale_numerator
+    assert type(back) is float and back == 4.0
+
+
+def test_check_compatible_names_layer_and_both_shapes(rng):
+    wide, thin = width_mismatched_pair(rng)
+    with pytest.raises(ShapeError, match=r"layer 0\.key .*\(8, 8\).*\(1, 8\)"):
+        check_compatible(wide, thin)
+    with pytest.raises(IncompatibleAdapters):
+        check_compatible(wide, small_random_adapter("other", rng, n_keys=2))
+    # Ranks may differ.
+    check_compatible(wide, make_adapter("r3", {K0: (np.ones((3, 8)), np.ones((8, 3)))}, 3, 3.0))
 
 
 def test_bad_version(tmp_path, rng):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import read_adapter, write_adapter
+from kmerge.bench import OrderingSpec, load_suite, threshold_sweep
 from kmerge.cli import main
 from kmerge.engine import MergeEngine, PolicyConfig
+from kmerge.errors import FormatError
 from kmerge.merging import RankPolicy
 
-from conftest import small_random_adapter
+from conftest import small_random_adapter, width_mismatched_pair
 
 GEN = [
     "gen",
@@ -117,8 +119,12 @@ def test_run_needs_k_or_config(suite_dir, tmp_path, capsys):
         ('{"budget_k": 2,', "not valid JSON"),
         (json.dumps({**PolicyConfig(budget_k=2).to_dict(),
                      "rank_policy": {"mode": "factor_average", "target_rank": 3}}), "rank_policy.mode"),
+        (json.dumps({**PolicyConfig(budget_k=2).to_dict(), "budget_k": True}), "budget_k"),
+        (json.dumps({**PolicyConfig(budget_k=2).to_dict(),
+                     "rank_policy": {"target_rank": 3.5}}), "rank_policy.target_rank"),
     ],
-    ids=["missing-operator", "invalid-json", "unknown-rank-mode"],
+    ids=["missing-operator", "invalid-json", "unknown-rank-mode", "bool-budget_k",
+         "fractional-target_rank"],
 )
 def test_run_config_errors_exit_2(suite_dir, tmp_path, capsys, text, problem):
     path = tmp_path / "policy.json"
@@ -144,6 +150,57 @@ def test_sweep_prints_table(suite_dir, tmp_path, capsys):
     table = json.loads(out.read_text())
     assert table[1]["occupied"] == 1
     assert "s=2.0000" in capsys.readouterr().out
+
+
+def test_sweep_drops_ignored_options(suite_dir, tmp_path):
+    for extra in (["--variant", "k-merge"], ["--threshold", "0.5"], ["--seeds", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--suite", str(suite_dir), "--k", "4", "--s-values", "0.1", *extra])
+        assert err.value.code == 2
+
+
+def test_sweep_seed_orders_the_stream(suite_dir, tmp_path):
+    out = tmp_path / "sweep.json"
+    values = [2.0, 0.2, -1.1]
+    assert main(["sweep", "--suite", str(suite_dir), "--k", "4", "--target-rank", "3",
+                 "--s-values", *map(str, values), "--seed", "3", "--out", str(out)]) == 0
+    adapters, tasks = load_suite(suite_dir)
+    config = PolicyConfig(budget_k=4, variant="k_merge_pp", threshold_s=0.0,
+                          rank_policy=RankPolicy(target_rank=3))
+    expected = threshold_sweep(adapters, tasks, config, values, OrderingSpec("random", 3))
+    assert json.loads(out.read_text()) == expected
+    assert expected != threshold_sweep(adapters, tasks, config, values, OrderingSpec("random", 0))
+
+
+DAMAGED_SUITES = {
+    "invalid-json": (lambda text: text[:-2], "not valid JSON"),
+    "no-task_id": (lambda text: _edit_first(text, lambda e: e.pop("task_id")), "task_id"),
+    "fractional-task_index": (
+        lambda text: _edit_first(text, lambda e: e.__setitem__("task_index", 1.7)), "task_index"
+    ),
+    "file-outside-suite": (
+        lambda text: _edit_first(text, lambda e: e.__setitem__("file", "../" + e["file"])), "file"
+    ),
+}
+
+
+def _edit_first(text, change):
+    index = json.loads(text)
+    change(index[0])
+    return json.dumps(index)
+
+
+@pytest.mark.parametrize("damage, problem", DAMAGED_SUITES.values(), ids=DAMAGED_SUITES)
+def test_run_damaged_suite_exits_1(suite_dir, tmp_path, capsys, damage, problem):
+    index = suite_dir / "tasks.json"
+    index.write_text(damage(index.read_text()))
+    (tmp_path / "task_001.kmrg").write_bytes((suite_dir / "task_001.kmrg").read_bytes())
+    with pytest.raises(FormatError, match=problem):
+        load_suite(suite_dir)
+    code = main(["run", "--suite", str(suite_dir), "--k", "2", "--seeds", "0",
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert problem in capsys.readouterr().err
 
 
 def test_merge_command(tmp_path, rng, capsys):
@@ -193,6 +250,19 @@ def test_merge_all_operators(tmp_path, rng):
         assert main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
                      "--op", op, "--out", str(out)]) == 0
         assert out.exists()
+
+
+@pytest.mark.parametrize("op", ["running-average", "linear", "ties", "dare", "dare-ties"])
+def test_merge_width_mismatch_exits_1(tmp_path, rng, capsys, op):
+    """Same keys, different widths: every operator exits 1 naming the layer
+    and writes nothing, instead of crashing or broadcasting the 1-row layer."""
+    for adapter, name in zip(width_mismatched_pair(rng), ("x", "y")):
+        write_adapter(adapter, tmp_path / f"{name}.kmrg")
+    out = tmp_path / "m.kmrg"
+    code = main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                 "--op", op, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "layer 0.key" in capsys.readouterr().err
 
 
 def test_merge_linear_weight_out_of_range(tmp_path, rng, capsys):

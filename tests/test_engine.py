@@ -15,7 +15,9 @@ from kmerge.engine import (
     slot_cache,
 )
 from kmerge.errors import (
+    ConfigError,
     DuplicateTask,
+    FormatError,
     IncompatibleAdapters,
     RestoreError,
     ShapeError,
@@ -30,7 +32,9 @@ from conftest import (
     NaiveState,
     dense_delta_map,
     naive_policy_step,
+    rewrite_header,
     small_random_adapter,
+    width_mismatched_pair,
 )
 
 K0 = LayerKey(0, "key")
@@ -545,6 +549,75 @@ def test_restore_invalid_policy_value(tmp_path, rng):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match="policy"):
         MergeEngine.restore(tmp_path)
+
+
+MISTYPED_POLICIES = {
+    "bool-budget_k": ("budget_k", True),
+    "fractional-budget_k": ("budget_k", 2.5),
+    "number-variant": ("variant", 1),
+    "text-threshold_s": ("threshold_s", "0.3"),
+    "fractional-target_rank": ("rank_policy.target_rank", 3.5),
+    "text-density": ("operator.density", "0.5"),
+    "null-drop_rate": ("operator.drop_rate", None),
+    "float-rng_seed": ("operator.rng_seed", 1.0),
+}
+
+
+def _set_path(data, path, value):
+    *parents, last = path.split(".")
+    for part in parents:
+        data = data[part]
+    data[last] = value
+
+
+@pytest.mark.parametrize("path, value", MISTYPED_POLICIES.values(), ids=MISTYPED_POLICIES)
+def test_mistyped_policy_field_rejected(tmp_path, rng, path, value):
+    """A policy field of the wrong JSON type is rejected by name, both by
+    ``from_dict`` and by ``restore``, instead of failing at first use."""
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    _set_path(manifest, path, value)
+    with pytest.raises(ConfigError, match=path):
+        PolicyConfig.from_dict(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=path):
+        MergeEngine.restore(tmp_path)
+
+
+def test_policy_numbers_may_be_integers():
+    data = PolicyConfig(budget_k=2, variant="k_merge_pp", threshold_s=0.25).to_dict()
+    data["threshold_s"], data["operator"]["density"], data["operator"]["drop_rate"] = 1, 1, 0
+    config = PolicyConfig.from_dict(data)
+    assert (config.threshold_s, config.operator.density, config.operator.drop_rate) == (1, 1, 0)
+
+
+def test_restore_slot_header_missing_field(tmp_path, rng):
+    _persisted(tmp_path, rng)
+    rewrite_header(tmp_path / "slot_1.kmrg", lambda h: h["layers"][0].pop("d_in"))
+    with pytest.raises(FormatError, match="d_in"):
+        MergeEngine.restore(tmp_path)
+
+
+def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
+    """Messages naming a layer are built only when raising, so a valid
+    store persists and restores without formatting any layer key."""
+    engine = _persisted(tmp_path / "before", rng)
+
+    def no_str(key):
+        raise AssertionError(f"formatted layer key {key.layer}.{key.proj}")
+
+    monkeypatch.setattr(LayerKey, "__str__", no_str)
+    engine.persist(tmp_path / "store")
+    restored = MergeEngine.restore(tmp_path / "store")
+    assert restored.history.entries == engine.history.entries
+
+
+@pytest.mark.parametrize("kind", ["running_average", "linear", "ties", "dare", "dare_ties"])
+def test_merged_cache_rejects_width_mismatch(rng, kind):
+    wide, thin = width_mismatched_pair(rng)
+    slot = SlotState(adapter=wide, cache=slot_cache(wide))
+    with pytest.raises(ShapeError, match="layer 0.key"):
+        merged_cache(MergeOperator(kind=kind), slot, 1, thin)
 
 
 def test_persist_is_idempotent(tmp_path, rng):

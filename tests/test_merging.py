@@ -14,7 +14,7 @@ from kmerge.merging import (
     ties_merge,
 )
 
-from conftest import dense_delta_map, naive_ties, small_random_adapter
+from conftest import dense_delta_map, naive_ties, small_random_adapter, width_mismatched_pair
 
 K0 = LayerKey(0, "key")
 
@@ -172,6 +172,19 @@ def test_dare_merge_expectation(rng):
         acc += dare_merge(x, y, cfg).dense()[K0]
     scale = np.max(np.abs(target))
     assert np.max(np.abs(acc / n_seeds - target)) < 0.25 * scale
+
+
+@pytest.mark.parametrize("merge", [
+    pytest.param(lambda x, y: linear_merge(x, y, 0.5), id="linear_merge"),
+    pytest.param(lambda x, y: dare_merge(x, y, MergeOperator(kind="dare")), id="dare_merge"),
+    pytest.param(lambda x, y: dare_ties_merge(x, y, MergeOperator(kind="dare_ties")), id="dare_ties_merge"),
+])
+def test_pairwise_merge_rejects_width_mismatch(rng, merge):
+    """Same keys, different widths: rejected by name, never broadcast."""
+    wide, thin = width_mismatched_pair(rng)
+    for x, y in ((wide, thin), (thin, wide)):
+        with pytest.raises(ShapeError, match="layer 0.key"):
+            merge(x, y)
 
 
 def test_operator_validation():
