@@ -356,7 +356,7 @@ class SimulationReport:
     final_score: float
     consistency: float
     occupied: int
-    config: dict
+    config: dict  # PolicyConfig.to_dict() of the simulated policy
     ordering: dict
 
     def to_json(self, path: str | Path) -> None:
@@ -434,13 +434,7 @@ def run_simulation(
         final_score=rows[-1].score if rows else 0.0,
         consistency=clustering_consistency(engine.history, tasks_by_arrival),
         occupied=engine.store.occupied,
-        config={
-            "budget_k": config.budget_k,
-            "variant": config.variant,
-            "threshold_s": config.threshold_s,
-            "operator": config.operator.kind,
-            "target_rank": config.rank_policy.target_rank,
-        },
+        config=config.to_dict(),
         ordering={"kind": ordering.kind, "seed": ordering.seed},
     )
 

@@ -29,7 +29,8 @@ from .bench import (
     threshold_sweep,
 )
 from .engine import (
-    MANIFEST_VERSION, VARIANTS, MergeEngine, PolicyConfig, SlotState, merged_cache, slot_cache,
+    MANIFEST_VERSION, VARIANTS, MergeEngine, PolicyConfig, SlotState, merged_cache, read_manifest,
+    slot_cache,
 )
 from .errors import ConfigError, KMergeError
 from .merging import OPERATOR_KINDS, MergeOperator, RankPolicy, refactor
@@ -137,14 +138,14 @@ def cmd_merge(args) -> int:
     x = read_adapter(args.inputs[0])
     y = read_adapter(args.inputs[1])
     operator = _operator_from_flags(args)
+    rank_policy = RankPolicy(max(x.rank, y.rank) if args.target_rank is None else args.target_rank)
     cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x)), 1, y, args.weight)
-    target_rank = args.target_rank or max(x.rank, y.rank)
-    result = refactor(cache, target_rank, f"merged-{x.task_id}-{y.task_id}", y.scaling)
+    result = refactor(cache, rank_policy.target_rank, f"merged-{x.task_id}-{y.task_id}", y.scaling)
     write_adapter(result.adapter, args.out)
     report = {
         "operator": operator.kind,
         "merge_count": 2,
-        "target_rank": target_rank,
+        "target_rank": rank_policy.target_rank,
         "per_layer_residuals": {str(k): v for k, v in sorted(result.residuals.items(), key=lambda kv: kv[0].sort_key())},
     }
     if args.report:
@@ -196,8 +197,7 @@ def cmd_inspect(args) -> int:
         print(f"parameters per adapter (rank {args.rank}): {params}")
         print(f"file bytes per adapter: {size}")
         return 0
-    manifest = json.loads((Path(args.store) / "manifest.json").read_text())
-    print(json.dumps(manifest, indent=2))
+    print(json.dumps(read_manifest(args.store), indent=2))
     return 0
 
 
@@ -296,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("inspect needs --store or --geometry")
     if args.command == "run" and args.k is None and not args.config:
         parser.error("--k is required unless --config is given")
-    if args.command == "run" and args.variant == "k-merge-pp" and args.threshold is None and not args.config:
-        parser.error("k-merge-pp requires --threshold")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -68,11 +68,11 @@ class PolicyConfig:
 
     def __post_init__(self):
         if self.budget_k < 1:
-            raise ShapeError("budget_k must be >= 1")
+            raise ConfigError("budget_k must be >= 1")
         if self.variant not in VARIANTS:
-            raise ShapeError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == "k_merge_pp" and self.threshold_s is None:
-            raise ShapeError("k_merge_pp requires threshold_s")
+            raise ConfigError("k_merge_pp requires threshold_s")
 
     def to_dict(self) -> dict:
         """The policy as the JSON object stored in manifests and read by ``--config``."""
@@ -82,7 +82,8 @@ class PolicyConfig:
     def from_dict(cls, data) -> "PolicyConfig":
         """Inverse of :meth:`to_dict`. Every field is required and must be a
         JSON value of the field's type (``threshold_s`` may be null); a
-        missing or invalid one raises :class:`ConfigError` naming it. Other
+        missing or mistyped one raises :class:`ConfigError` naming it, and
+        the records reject values out of range with the same error. Other
         keys are ignored, so a whole manifest is a valid input. Older
         policies name a rank mode; ``rank_policy.mode`` ``"svd_truncate"``,
         the served form that remains, is accepted and any other mode
@@ -98,16 +99,13 @@ class PolicyConfig:
         rank_policy = json_field(data, "rank_policy", ConfigError)
         if isinstance(rank_policy, dict) and rank_policy.get("mode", "svd_truncate") != "svd_truncate":
             raise ConfigError(f"unsupported rank_policy.mode {rank_policy['mode']!r}")
-        try:
-            for name, kind in (("operator", MergeOperator), ("rank_policy", RankPolicy)):
-                types = _FIELD_TYPES[kind]
-                kwargs[name] = kind(**{
-                    f.name: json_field(data, f"{name}.{f.name}", ConfigError, types[f.name])
-                    for f in fields(kind)
-                })
-            return cls(**kwargs)
-        except ShapeError as exc:
-            raise ConfigError(f"invalid policy: {exc}") from None
+        for name, kind in (("operator", MergeOperator), ("rank_policy", RankPolicy)):
+            types = _FIELD_TYPES[kind]
+            kwargs[name] = kind(**{
+                f.name: json_field(data, f"{name}.{f.name}", ConfigError, types[f.name])
+                for f in fields(kind)
+            })
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -202,6 +200,18 @@ class AdapterStore:
 class MergeHistory:
     entries: dict[int, list[int]] = field(default_factory=dict)
     next_slot_key: int = 1
+
+
+def read_manifest(directory: str | Path) -> dict:
+    """The parsed ``manifest.json`` of a store directory; raises
+    :class:`RestoreError` when it is missing or not valid JSON."""
+    manifest_path = Path(directory) / "manifest.json"
+    if not manifest_path.exists():
+        raise RestoreError(f"no manifest.json in {directory}")
+    try:
+        return json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise RestoreError(f"manifest.json is not valid JSON: {exc}") from None
 
 
 def route(history: MergeHistory, task_index: int) -> int:
@@ -359,14 +369,7 @@ class MergeEngine:
     @classmethod
     def restore(cls, directory: str | Path) -> "MergeEngine":
         directory = Path(directory)
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.exists():
-            raise RestoreError(f"no manifest.json in {directory}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise RestoreError(f"manifest.json is not valid JSON: {exc}") from None
-
+        manifest = read_manifest(directory)
         version = json_field(manifest, "version", RestoreError)
         if version not in (1, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
@@ -379,7 +382,10 @@ class MergeEngine:
         engine.timestep = json_field(manifest, "timestep", RestoreError, int)
         try:
             ingested = [
-                (json_value(t, int, RestoreError, "ingested task index"), str(name))
+                (
+                    json_value(t, int, RestoreError, "ingested task index"),
+                    json_value(name, str, RestoreError, "ingested task id"),
+                )
                 for t, name in json_field(manifest, "ingested", RestoreError)
             ]
         except (TypeError, ValueError):
@@ -422,7 +428,10 @@ class MergeEngine:
                 )
                 slot_key = json_value(slot_key, int, RestoreError, "cache entry slot_key")
                 layer = json_value(layer, int, RestoreError, "cache entry layer of slot {}", slot_key)
-                key = LayerKey(layer, str(proj))
+                try:
+                    key = LayerKey(layer, proj)
+                except (ShapeError, TypeError) as exc:
+                    raise RestoreError(f"bad cache entry key for slot {slot_key}: {exc}") from None
                 offset = json_value(
                     offset, int, RestoreError, "cache entry offset of slot {} layer {}", slot_key, key
                 )

@@ -10,7 +10,10 @@ class KeyNotFound(KMergeError):
 
 
 class ShapeError(KMergeError):
-    """Tensor dimensions are inconsistent with the declared rank or widths."""
+    """A tensor, shape or library argument is invalid: dimensions that
+    disagree with the declared rank or widths, a layer key, a truncation
+    rank, a drop rate or a merge weight. Policy values raise
+    :class:`ConfigError`."""
 
 
 class FormatError(KMergeError):
@@ -57,4 +60,7 @@ class RestoreError(KMergeError):
 
 
 class ConfigError(KMergeError):
-    """A generator or policy configuration is infeasible."""
+    """A configuration record holds an infeasible value: a generator
+    (``GeneratorConfig``), an ordering (``OrderingSpec``) or a policy
+    (``PolicyConfig``, ``MergeOperator``, ``RankPolicy``), whether built
+    from flags or read from ``--config``. The CLI exits 2 for it."""

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, check_compatible, delta_map
-from .errors import IncompatibleAdapters, InsufficientInputs, ShapeError
+from .errors import ConfigError, IncompatibleAdapters, InsufficientInputs, ShapeError
 from .lowrank import LowRankDelta
 
 DeltaMap = dict[LayerKey, np.ndarray]
@@ -32,11 +32,11 @@ class MergeOperator:
 
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
-            raise ShapeError(f"unknown operator kind {self.kind!r}")
+            raise ConfigError(f"unknown operator kind {self.kind!r}")
         if not 0.0 < self.density <= 1.0:
-            raise ShapeError("density must be in (0, 1]")
+            raise ConfigError("density must be in (0, 1]")
         if not 0.0 <= self.drop_rate < 1.0:
-            raise ShapeError("drop_rate must be in [0, 1)")
+            raise ConfigError("drop_rate must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class RankPolicy:
 
     def __post_init__(self):
         if self.target_rank < 1:
-            raise ShapeError("target_rank must be >= 1")
+            raise ConfigError("target_rank must be >= 1")
 
 
 @dataclass
@@ -142,25 +142,25 @@ def _input_seed(base_seed: int, index: int) -> int:
     return (base_seed * 2654435761 + index * 40503) % 2**63
 
 
-def dare_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedDelta:
-    """Sum of the drop-and-rescaled deltas with unary weights."""
+def _dare_inputs(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> list[DeltaMap]:
+    """The drop-and-rescaled deltas of two compatible adapters, each
+    dropped with its own seed derived from ``config.rng_seed``."""
     check_compatible(x, y)
-    pre = [
+    return [
         dare_preprocess(delta_map(adapter), config.drop_rate, _input_seed(config.rng_seed, i))
         for i, adapter in enumerate((x, y))
     ]
-    layers = {key: pre[0][key] + pre[1][key] for key in pre[0]}
-    return MergedDelta(layers=layers)
+
+
+def dare_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedDelta:
+    """Sum of the drop-and-rescaled deltas with unary weights."""
+    dx, dy = _dare_inputs(x, y, config)
+    return MergedDelta(layers={key: dx[key] + dy[key] for key in dx})
 
 
 def dare_ties_merge(x: LoraAdapter, y: LoraAdapter, config: MergeOperator) -> MergedDelta:
     """TIES applied to the drop-and-rescaled deltas."""
-    check_compatible(x, y)
-    pre = [
-        dare_preprocess(delta_map(adapter), config.drop_rate, _input_seed(config.rng_seed, i))
-        for i, adapter in enumerate((x, y))
-    ]
-    return ties_merge(pre, config.density)
+    return ties_merge(_dare_inputs(x, y, config), config.density)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from kmerge.bench import OrderingSpec, load_suite, threshold_sweep
 from kmerge.cli import main
 from kmerge.engine import MergeEngine, PolicyConfig
 from kmerge.errors import FormatError
-from kmerge.merging import RankPolicy
+from kmerge.merging import MergeOperator, RankPolicy
 
 from conftest import small_random_adapter, width_mismatched_pair
 
@@ -136,10 +136,74 @@ def test_run_config_errors_exit_2(suite_dir, tmp_path, capsys, text, problem):
 
 
 def test_run_pp_requires_threshold(suite_dir, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["run", "--suite", str(suite_dir), "--k", "3",
-              "--variant", "k-merge-pp", "--seeds", "0", "--out", str(tmp_path / "r")])
-    assert err.value.code == 2
+    code = main(["run", "--suite", str(suite_dir), "--k", "3",
+                 "--variant", "k-merge-pp", "--seeds", "0", "--out", str(tmp_path / "r")])
+    assert code == 2
+
+
+def _command_args(command, suite_dir, tmp_path):
+    """Everything but the policy flags that ``command`` needs to run."""
+    if command == "merge":
+        inputs = [str(p) for p in sorted(suite_dir.glob("*.kmrg"))[:2]]
+        return [*inputs, "--op", "running-average", "--out", str(tmp_path / "m.kmrg")]
+    if command == "sweep":
+        return ["--suite", str(suite_dir), "--s-values", "0.5"]
+    return ["--suite", str(suite_dir), "--seeds", "0", "--out", str(tmp_path / "r")]
+
+
+@pytest.mark.parametrize(
+    "flags, field, value",
+    [
+        (["run", "--k", "0"], "budget_k", 0),
+        (["run", "--k", "2", "--target-rank", "0"], "rank_policy.target_rank", 0),
+        (["run", "--k", "2", "--density", "0"], "operator.density", 0.0),
+        (["run", "--k", "2", "--drop-rate", "1"], "operator.drop_rate", 1.0),
+        (["run", "--k", "2", "--variant", "k-merge-pp"], "variant", "k_merge_pp"),
+        (["sweep", "--k", "0"], "budget_k", 0),
+        (["merge", "--density", "0"], "operator.density", 0.0),
+        (["merge", "--target-rank", "0"], "rank_policy.target_rank", 0),
+    ],
+    ids=["run-k", "run-target-rank", "run-density", "run-drop-rate", "run-pp-no-threshold",
+         "sweep-k", "merge-density", "merge-target-rank"],
+)
+def test_policy_flag_errors_match_config(suite_dir, tmp_path, capsys, flags, field, value):
+    command, *policy_flags = flags
+    assert main([command, *_command_args(command, suite_dir, tmp_path), *policy_flags]) == 2
+    flag_error = capsys.readouterr().err
+    policy = PolicyConfig(budget_k=2).to_dict()
+    *parents, name = field.split(".")
+    node = policy
+    for part in parents:
+        node = node[part]
+    node[name] = value
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy))
+    assert main(["run", "--config", str(path), *_command_args("run", suite_dir, tmp_path)]) == 2
+    assert flag_error.startswith("error: ")
+    assert flag_error == capsys.readouterr().err
+    assert not (tmp_path / "m.kmrg").exists()
+
+
+def test_report_config_reruns_through_config(suite_dir, tmp_path):
+    common = ["--suite", str(suite_dir), "--seeds", "0"]
+    assert main(["run", *common, "--k", "2", "--variant", "k-merge-pp", "--threshold", "0.3",
+                 "--operator", "dare-ties", "--density", "0.7", "--drop-rate", "0.3",
+                 "--op-seed", "5", "--target-rank", "3", "--out", str(tmp_path / "a")]) == 0
+    first = json.loads((tmp_path / "a_seed0.json").read_text())
+    assert first["config"] == PolicyConfig(
+        budget_k=2, variant="k_merge_pp", threshold_s=0.3,
+        operator=MergeOperator("dare_ties", density=0.7, drop_rate=0.3, rng_seed=5),
+        rank_policy=RankPolicy(target_rank=3),
+    ).to_dict()
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(first["config"]))
+    assert main(["run", *common, "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    second = json.loads((tmp_path / "b_seed0.json").read_text())
+    assert second["config"] == first["config"]
+    for report in (first, second):
+        for row in report["rows"]:
+            row.pop("elapsed_us")
+    assert second["rows"] == first["rows"]
 
 
 def test_sweep_prints_table(suite_dir, tmp_path, capsys):
@@ -308,6 +372,14 @@ def test_inspect_store(suite_dir, tmp_path, capsys):
     assert main(["inspect", "--store", str(store)]) == 0
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["budget_k"] == 2
+
+
+def test_inspect_damaged_store(tmp_path, capsys):
+    assert main(["inspect", "--store", str(tmp_path)]) == 1
+    assert "no manifest.json" in capsys.readouterr().err
+    (tmp_path / "manifest.json").write_text("{bad")
+    assert main(["inspect", "--store", str(tmp_path)]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_inspect_geometry(capsys):

@@ -262,11 +262,11 @@ def test_mismatched_key_set_rejected(rng):
 
 
 def test_config_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         PolicyConfig(budget_k=0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         PolicyConfig(budget_k=1, variant="nope")
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         PolicyConfig(budget_k=1, variant="k_merge_pp")
 
 
@@ -429,6 +429,8 @@ DAMAGED_ENTRIES = {
     "digit-string-layer": ("cache_index", lambda e: e.__setitem__("layer", "3"), "layer"),
     "bool-offset": ("cache_index", lambda e: e.__setitem__("offset", True), "offset"),
     "float-task": ("slots", lambda e: e["tasks"].__setitem__(0, 1.0), "task index"),
+    "unknown-proj": ("cache_index", lambda e: e.__setitem__("proj", "gate"), "proj"),
+    "number-proj": ("cache_index", lambda e: e.__setitem__("proj", 3), "proj"),
 }
 
 
@@ -445,7 +447,8 @@ def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
 @pytest.mark.parametrize("field, value", [
     ("timestep", "late"), ("timestep", 2.7), ("timestep", "3"), ("next_slot_key", [2]),
     ("next_slot_key", True), ("ingested", [["one", "t0"]]), ("ingested", [["1", "t0"]]),
-    ("ingested", [7]),
+    ("ingested", [7]), ("ingested", [[1, 7]]),
+    ("ingested", [[1, 7], [2, "task-1"], [3, "task-2"], [4, "task-3"]]),
 ])
 def test_restore_non_integer_manifest_field(tmp_path, rng, field, value):
     _persisted(tmp_path, rng)

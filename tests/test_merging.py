@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import LayerKey, delta_map
-from kmerge.errors import InsufficientInputs, ShapeError
+from kmerge.errors import ConfigError, InsufficientInputs, ShapeError
 from kmerge.lowrank import LowRankDelta
 from kmerge.merging import (
     MergeOperator,
@@ -188,11 +188,11 @@ def test_pairwise_merge_rejects_width_mismatch(rng, merge):
 
 
 def test_operator_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         MergeOperator(kind="unknown")
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         MergeOperator(density=0.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         MergeOperator(drop_rate=1.0)
 
 
