@@ -8,13 +8,16 @@ holds); the running-average update is applied to the exact cache, which
 keeps the fold order-invariant regardless of rank truncation.
 
 Stores written with manifest version 2 hold canonical caches and restore
-as they are; version-1 stores, which held concatenated factors, are
-canonicalised once on restore.
+as they are: a restored engine maps the store's ``running_cache.bin``
+read-only, and its caches are views of the mapping, not copies. Version-1
+stores, which held concatenated factors, are canonicalised once on
+restore, which copies them.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -53,6 +56,10 @@ MERGED = "merged_into"
 
 MANIFEST_VERSION = 2  # 2: running caches are stored in canonical form
 
+# Restore maps the running cache with its page tables filled, so that the
+# first read of a restored cache, or a persist of it, takes no page faults.
+_MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
+
 # Field types of the policy's nested records, which ``PolicyConfig.from_dict``
 # requires of their JSON values; resolved once, as resolving is slow.
 _FIELD_TYPES = {kind: get_type_hints(kind) for kind in (MergeOperator, RankPolicy)}
@@ -73,6 +80,8 @@ class PolicyConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.variant == "k_merge_pp" and self.threshold_s is None:
             raise ConfigError("k_merge_pp requires threshold_s")
+        if self.variant == "k_merge" and self.threshold_s is not None:
+            raise ConfigError("k_merge takes no threshold_s; only k_merge_pp uses one")
 
     def to_dict(self) -> dict:
         """The policy as the JSON object stored in manifests and read by ``--config``."""
@@ -132,6 +141,10 @@ class SlotState:
     and rows of ``a``, zero-padded, by :func:`kmerge.merging.refactor`),
     which is the best approximation at that rank. An ingest replaces a
     slot's state whole and never mutates it.
+
+    The cache's factors may be read-only: those of a restored slot are
+    views of the store's mapped ``running_cache.bin`` until the slot is
+    next merged, which builds new arrays.
     """
 
     adapter: LoraAdapter
@@ -368,6 +381,19 @@ class MergeEngine:
 
     @classmethod
     def restore(cls, directory: str | Path) -> "MergeEngine":
+        """The engine that :meth:`persist` wrote to ``directory``.
+
+        Every manifest field, file name, slot and cache entry is checked
+        first; a damaged store raises :class:`RestoreError`. The running
+        cache file is mapped once, read-only, with its pages populated, and
+        each cache entry's ``b`` and ``a`` are read-only views of it at the
+        entry's offset. The mapping holds one file descriptor and lives
+        until no cache refers to it: until every restored slot has been
+        merged again, or the engine is dropped. ``persist`` replaces the
+        file by renaming a new one over it, so persisting over the store,
+        or deleting it, leaves the mapped contents as they were; the file
+        must not be edited or truncated in place while the engine lives.
+        """
         directory = Path(directory)
         manifest = read_manifest(directory)
         version = json_field(manifest, "version", RestoreError)
@@ -421,57 +447,59 @@ class MergeEngine:
         caches: dict[int, dict[LayerKey, LowRankDelta]] = {slot_key: {} for slot_key in adapters}
         with open(cache_path, "rb") as blob:
             size = os.fstat(blob.fileno()).st_size
-            for entry in json_field(manifest, "cache_index", RestoreError):
-                slot_key, layer, proj, b_shape, a_shape, offset = (
-                    json_field(entry, name, RestoreError)
-                    for name in ("slot_key", "layer", "proj", "b_shape", "a_shape", "offset")
+            # A 0-byte cache file (an engine with no slots) cannot be mapped.
+            mapped = b"" if size == 0 else mmap.mmap(
+                blob.fileno(), size, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ
+            )
+        for entry in json_field(manifest, "cache_index", RestoreError):
+            slot_key, layer, proj, b_shape, a_shape, offset = (
+                json_field(entry, name, RestoreError)
+                for name in ("slot_key", "layer", "proj", "b_shape", "a_shape", "offset")
+            )
+            slot_key = json_value(slot_key, int, RestoreError, "cache entry slot_key")
+            layer = json_value(layer, int, RestoreError, "cache entry layer of slot {}", slot_key)
+            try:
+                key = LayerKey(layer, proj)
+            except (ShapeError, TypeError) as exc:
+                raise RestoreError(f"bad cache entry key for slot {slot_key}: {exc}") from None
+            offset = json_value(
+                offset, int, RestoreError, "cache entry offset of slot {} layer {}", slot_key, key
+            )
+            shapes_ok = all(
+                isinstance(s, list) and len(s) == 2
+                and all(type(d) is int and d >= 0 for d in s)
+                for s in (b_shape, a_shape)
+            )
+            if not shapes_ok or b_shape[1] != a_shape[0] or offset < 0:
+                raise RestoreError(
+                    f"bad cache entry for slot {slot_key} layer {key}: "
+                    f"shapes {b_shape} x {a_shape} at offset {offset}"
                 )
-                slot_key = json_value(slot_key, int, RestoreError, "cache entry slot_key")
-                layer = json_value(layer, int, RestoreError, "cache entry layer of slot {}", slot_key)
-                try:
-                    key = LayerKey(layer, proj)
-                except (ShapeError, TypeError) as exc:
-                    raise RestoreError(f"bad cache entry key for slot {slot_key}: {exc}") from None
-                offset = json_value(
-                    offset, int, RestoreError, "cache entry offset of slot {} layer {}", slot_key, key
+            b_size, a_size = b_shape[0] * b_shape[1], a_shape[0] * a_shape[1]
+            if offset + 8 * (b_size + a_size) > size:
+                raise RestoreError(
+                    f"running cache truncated for slot {slot_key} layer {key}"
                 )
-                shapes_ok = all(
-                    isinstance(s, list) and len(s) == 2
-                    and all(type(d) is int and d >= 0 for d in s)
-                    for s in (b_shape, a_shape)
+            # Each slot's cache holds its adapter's layers, once each, at their shapes.
+            if slot_key not in adapters:
+                raise RestoreError(f"cache entry names slot {slot_key}, which the manifest lacks")
+            fp = adapters[slot_key].layers.get(key)
+            if fp is None:
+                raise RestoreError(
+                    f"cache entry for slot {slot_key} names layer {key}, which its adapter lacks"
                 )
-                if not shapes_ok or b_shape[1] != a_shape[0] or offset < 0:
-                    raise RestoreError(
-                        f"bad cache entry for slot {slot_key} layer {key}: "
-                        f"shapes {b_shape} x {a_shape} at offset {offset}"
-                    )
-                if offset + 8 * (b_shape[0] * b_shape[1] + a_shape[0] * a_shape[1]) > size:
-                    raise RestoreError(
-                        f"running cache truncated for slot {slot_key} layer {key}"
-                    )
-                # Each slot's cache holds its adapter's layers, once each, at their shapes.
-                if slot_key not in adapters:
-                    raise RestoreError(f"cache entry names slot {slot_key}, which the manifest lacks")
-                fp = adapters[slot_key].layers.get(key)
-                if fp is None:
-                    raise RestoreError(
-                        f"cache entry for slot {slot_key} names layer {key}, which its adapter lacks"
-                    )
-                if key in caches[slot_key]:
-                    raise RestoreError(f"two cache entries for slot {slot_key} layer {key}")
-                if b_shape[0] != fp.d_out or a_shape[1] != fp.d_in:
-                    raise RestoreError(
-                        f"cache entry for slot {slot_key} layer {key} is {b_shape[0]} x "
-                        f"{a_shape[1]}, its adapter's layer is {fp.d_out} x {fp.d_in}"
-                    )
-                b = np.empty(tuple(b_shape), dtype="<f8")
-                a = np.empty(tuple(a_shape), dtype="<f8")
-                blob.seek(offset)
-                blob.readinto(b)
-                blob.readinto(a)
-                # Version-1 stores kept concatenated factors; canonicalise them once.
-                low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
-                caches[slot_key][key] = low.compressed()
+            if key in caches[slot_key]:
+                raise RestoreError(f"two cache entries for slot {slot_key} layer {key}")
+            if b_shape[0] != fp.d_out or a_shape[1] != fp.d_in:
+                raise RestoreError(
+                    f"cache entry for slot {slot_key} layer {key} is {b_shape[0]} x "
+                    f"{a_shape[1]}, its adapter's layer is {fp.d_out} x {fp.d_in}"
+                )
+            b = np.frombuffer(mapped, "<f8", b_size, offset).reshape(b_shape)
+            a = np.frombuffer(mapped, "<f8", a_size, offset + 8 * b_size).reshape(a_shape)
+            # Version-1 stores kept concatenated factors; canonicalise them once.
+            low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
+            caches[slot_key][key] = low.compressed()
 
         for slot_key, adapter in adapters.items():
             if len(caches[slot_key]) != len(adapter.layers):

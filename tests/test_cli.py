@@ -159,12 +159,13 @@ def _command_args(command, suite_dir, tmp_path):
         (["run", "--k", "2", "--density", "0"], "operator.density", 0.0),
         (["run", "--k", "2", "--drop-rate", "1"], "operator.drop_rate", 1.0),
         (["run", "--k", "2", "--variant", "k-merge-pp"], "variant", "k_merge_pp"),
+        (["run", "--k", "2", "--threshold", "5.0"], "threshold_s", 5.0),
         (["sweep", "--k", "0"], "budget_k", 0),
         (["merge", "--density", "0"], "operator.density", 0.0),
         (["merge", "--target-rank", "0"], "rank_policy.target_rank", 0),
     ],
     ids=["run-k", "run-target-rank", "run-density", "run-drop-rate", "run-pp-no-threshold",
-         "sweep-k", "merge-density", "merge-target-rank"],
+         "run-plain-threshold", "sweep-k", "merge-density", "merge-target-rank"],
 )
 def test_policy_flag_errors_match_config(suite_dir, tmp_path, capsys, flags, field, value):
     command, *policy_flags = flags

@@ -1,4 +1,8 @@
+import gc
 import json
+import shutil
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +272,8 @@ def test_config_validation():
         PolicyConfig(budget_k=1, variant="nope")
     with pytest.raises(ConfigError):
         PolicyConfig(budget_k=1, variant="k_merge_pp")
+    with pytest.raises(ConfigError, match="k_merge takes no threshold_s"):
+        PolicyConfig(budget_k=1, variant="k_merge", threshold_s=0.5)
 
 
 def test_fuzz_decisions_match_naive_reference(rng):
@@ -628,6 +634,100 @@ def test_persist_is_idempotent(tmp_path, rng):
     first = (tmp_path / "manifest.json").read_bytes()
     engine.persist(tmp_path)
     assert (tmp_path / "manifest.json").read_bytes() == first
+
+
+def _store_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _cache_copies(engine):
+    return {
+        (slot_key, key): (low.b.copy(), low.a.copy())
+        for slot_key, slot in engine.store.slots.items()
+        for key, low in slot.cache.items()
+    }
+
+
+def _assert_caches_equal(engine, copies):
+    assert _cache_copies(engine).keys() == copies.keys()
+    for (slot_key, key), (b, a) in copies.items():
+        low = engine.store.slots[slot_key].cache[key]
+        np.testing.assert_array_equal(low.b, b)
+        np.testing.assert_array_equal(low.a, a)
+
+
+def test_restored_cache_is_read_only(tmp_path, rng):
+    engine = _persisted(tmp_path, rng)
+    back = MergeEngine.restore(tmp_path)
+    _assert_caches_equal(back, _cache_copies(engine))
+    for slot in back.store.slots.values():
+        for low in slot.cache.values():
+            assert not low.b.flags.writeable and not low.a.flags.writeable
+    low = back.store.slots[1].cache[K0]
+    with pytest.raises(ValueError, match="read-only"):
+        low.b[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        low.a *= 2.0
+
+
+def test_restored_engine_outlives_its_store(tmp_path, rng):
+    """The restored caches map the store's cache file; persisting over the
+    store, by the engine itself and then by another, and deleting it leave
+    the restored engine as it was."""
+    stream = _stream(rng, 10)
+    never_persisted = MergeEngine(_config(2))
+    for a in stream[:6]:
+        never_persisted.ingest(a)
+    store = tmp_path / "store"
+    persisted = MergeEngine(_config(2))
+    for a in stream[:6]:
+        persisted.ingest(a)
+    persisted.persist(store)
+    original_bytes = _store_bytes(store)
+    back = MergeEngine.restore(store)
+    before = _cache_copies(back)
+
+    back.persist(store)
+    other = MergeEngine(_config(3))
+    for a in _stream(rng, 5, width=12):
+        other.ingest(a)
+    other.persist(store)
+    shutil.rmtree(store)
+
+    _assert_caches_equal(back, before)
+    back.persist(tmp_path / "again")
+    assert _store_bytes(tmp_path / "again") == original_bytes
+    for a in stream[6:]:
+        expect, got = never_persisted.ingest(a), back.ingest(a)
+        assert (got.action, got.slot_key, got.similarity) == (
+            expect.action, expect.slot_key, expect.similarity
+        )
+    _assert_caches_equal(back, _cache_copies(never_persisted))
+
+
+def test_engine_without_slots_persists_and_restores(tmp_path, rng):
+    engine = MergeEngine(_config(2))
+    engine.persist(tmp_path / "store")
+    assert (tmp_path / "store" / "running_cache.bin").stat().st_size == 0
+    back = MergeEngine.restore(tmp_path / "store")
+    assert back.config == engine.config
+    assert back.store.slots == {} and back.timestep == 0
+    back.persist(tmp_path / "again")
+    assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "store")
+    decision = back.ingest(small_random_adapter("first", rng))
+    assert decision.action == ALLOCATED and decision.slot_key == 1
+
+
+def test_restore_leaves_no_open_file(tmp_path, rng, monkeypatch):
+    _persisted(tmp_path, rng)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        back = MergeEngine.restore(tmp_path)
+        gc.collect()
+    assert unraisable == []
+    assert back.store.occupied == 2
 
 
 def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):
