@@ -86,8 +86,8 @@ class FactorPair:
 class LoraAdapter:
     """A task-tagged collection of per-layer factor pairs.
 
-    ``scale_numerator`` is the LoRA scaling numerator; the update applied
-    for a layer is ``(scale_numerator / rank) * b @ a``.
+    ``scale_numerator`` is the LoRA scaling numerator, finite and nonzero;
+    the update applied for a layer is ``(scale_numerator / rank) * b @ a``.
 
     Adapters are treated as immutable once built: similarity caches each
     adapter's per-layer update norms on it at first use (``layer_norms``),
@@ -106,6 +106,8 @@ class LoraAdapter:
     layer_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.scale_numerator == 0 or not np.isfinite(self.scale_numerator):
+            raise ShapeError(f"scale_numerator must be finite and nonzero: {self.scale_numerator}")
         if self.rank < 1:
             raise ShapeError(f"rank must be >= 1, got {self.rank}")
         if not self.layers:
@@ -273,4 +275,4 @@ def read_adapter(path: str | Path) -> LoraAdapter:
     try:
         return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=layers, **text)
     except ShapeError as exc:
-        raise FormatError(f"header/tensor disagreement: {exc}") from None
+        raise bad_header(f"invalid header: {exc}") from None

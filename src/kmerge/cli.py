@@ -138,8 +138,11 @@ def cmd_merge(args) -> int:
     x = read_adapter(args.inputs[0])
     y = read_adapter(args.inputs[1])
     operator = _operator_from_flags(args)
+    if args.weight is not None and operator.kind != "linear":
+        raise ConfigError(f"--weight applies only to --op linear, not --op {args.operator}")
+    weight = 0.5 if args.weight is None else args.weight
     rank_policy = RankPolicy(max(x.rank, y.rank) if args.target_rank is None else args.target_rank)
-    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x)), 1, y, args.weight)
+    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x)), 1, y, weight)
     result = refactor(cache, rank_policy.target_rank, f"merged-{x.task_id}-{y.task_id}", y.scaling)
     write_adapter(result.adapter, args.out)
     report = {
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="one-shot merge of two adapter files")
     p.add_argument("inputs", nargs=2, metavar="ADAPTER")
     p.add_argument("--op", dest="operator", choices=list(OPERATOR_FLAGS), required=True)
-    p.add_argument("--weight", type=float, default=0.5)
+    p.add_argument("--weight", type=float, help="first input's weight; --op linear only, default 0.5")
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--drop-rate", type=float, default=0.5)
     p.add_argument("--seed", dest="op_seed", type=int, default=0)

@@ -7,11 +7,12 @@ always measured against the stored adapter (what the device actually
 holds); the running-average update is applied to the exact cache, which
 keeps the fold order-invariant regardless of rank truncation.
 
-Stores written with manifest version 2 hold canonical caches and restore
-as they are: a restored engine maps the store's ``running_cache.bin``
-read-only, and its caches are views of the mapping, not copies. Version-1
-stores, which held concatenated factors, are canonicalised once on
-restore, which copies them.
+A store's format is kept in one place: :func:`_cache_layout` places each
+running-cache entry in ``running_cache.bin`` and :meth:`MergeEngine._manifest`
+builds ``manifest.json``. ``persist`` writes them; ``restore`` derives them
+again from the state it reads and accepts no store that differs. Version-2
+caches are canonical and restore as read-only views of the mapped cache
+file; version-1 caches, concatenated factors, are canonicalised once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import mmap
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -35,7 +36,7 @@ from .errors import (
     SlotVacant,
     UnknownTask,
 )
-from .jsonfields import json_field, json_file_name, json_value
+from .jsonfields import json_field, json_value
 from .lowrank import LowRankDelta
 from .merging import (
     MergeOperator,
@@ -85,7 +86,9 @@ class PolicyConfig:
 
     def to_dict(self) -> dict:
         """The policy as the JSON object stored in manifests and read by ``--config``."""
-        return asdict(self)
+        # As ``asdict``, without its deep copy: every restore builds this too.
+        nested = {name: dict(vars(getattr(self, name))) for name in ("operator", "rank_policy")}
+        return {**vars(self), **nested}
 
     @classmethod
     def from_dict(cls, data) -> "PolicyConfig":
@@ -325,199 +328,189 @@ class MergeEngine:
     def persist(self, directory: str | Path) -> None:
         """Write slot adapters, the exact running caches, and a manifest.
 
-        Caches are stored as raw float64 little-endian tensors, in their
-        canonical form, so a restored engine continues from the same exact
-        state. Each tensor is written straight to the cache file.
+        Caches are stored in canonical form as raw float64 little-endian
+        tensors, each written straight to the cache file where
+        :func:`_cache_layout` puts it, so a restored engine continues from
+        the same exact state. The manifest is :meth:`_manifest`.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-
-        cache_index = []
-        slot_entries = []
-        offset = 0
+        slots = self.store.slots
+        for slot_key, slot in slots.items():
+            write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
+        layout, _ = _cache_layout(slots, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
         tmp_cache = directory / "running_cache.bin.tmp"
         with open(tmp_cache, "wb") as out:
-            for slot_key in sorted(self.store.slots):
-                slot = self.store.slots[slot_key]
-                file_name = f"slot_{slot_key}.kmrg"
-                write_adapter(slot.adapter, directory / file_name)
-                slot_entries.append(
-                    {
-                        "slot_key": slot_key,
-                        "file": file_name,
-                        "tasks": list(self.history.entries[slot_key]),
-                        "merge_count": len(self.history.entries[slot_key]),
-                    }
-                )
-                for key in sorted(slot.cache, key=LayerKey.sort_key):
-                    low = slot.cache[key]
-                    cache_index.append(
-                        {
-                            "slot_key": slot_key,
-                            "layer": key.layer,
-                            "proj": key.proj,
-                            "b_shape": list(low.b.shape),
-                            "a_shape": list(low.a.shape),
-                            "offset": offset,
-                        }
-                    )
-                    for factor in (low.b, low.a):
-                        offset += out.write(np.ascontiguousarray(factor, dtype="<f8"))
+            for slot_key, key, *_ in layout:
+                low = slots[slot_key].cache[key]
+                for factor in (low.b, low.a):
+                    out.write(np.ascontiguousarray(factor, dtype="<f8"))
+        tmp_cache.replace(directory / "running_cache.bin")
+        tmp = directory / "manifest.json.tmp"
+        tmp.write_text(json.dumps(self._manifest(layout, version=MANIFEST_VERSION), indent=2))
+        tmp.replace(directory / "manifest.json")
 
-        manifest = {
-            "version": MANIFEST_VERSION,
+    def _manifest(self, layout: list, version: int) -> dict:
+        """This engine's manifest with its caches at ``layout`` (see
+        :func:`_cache_layout`): what ``persist`` writes and ``restore`` requires."""
+        return {
+            "version": version,
             **self.config.to_dict(),
-            "slots": slot_entries,
+            "slots": [
+                {"slot_key": k, "file": f"slot_{k}.kmrg", "tasks": list(t), "merge_count": len(t)}
+                for k, t in sorted(self.history.entries.items())
+            ],
             "running_cache_file": "running_cache.bin",
-            "cache_index": cache_index,
+            "cache_index": [
+                {"slot_key": k, "layer": key.layer, "proj": key.proj,
+                 "b_shape": list(b_shape), "a_shape": list(a_shape), "offset": offset}
+                for k, key, b_shape, a_shape, offset in layout
+            ],
             "next_slot_key": self.history.next_slot_key,
             "timestep": self.timestep,
             "ingested": [[t, self.task_ids[t]] for t in sorted(self.task_ids)],
         }
-        tmp_cache.replace(directory / "running_cache.bin")
-        tmp = directory / "manifest.json.tmp"
-        tmp.write_text(json.dumps(manifest, indent=2))
-        tmp.replace(directory / "manifest.json")
 
     @classmethod
     def restore(cls, directory: str | Path) -> "MergeEngine":
         """The engine that :meth:`persist` wrote to ``directory``.
 
-        Every manifest field, file name, slot and cache entry is checked
-        first; a damaged store raises :class:`RestoreError`. The running
-        cache file is mapped once, read-only, with its pages populated, and
-        each cache entry's ``b`` and ``a`` are read-only views of it at the
-        entry's offset. The mapping holds one file descriptor and lives
-        until no cache refers to it: until every restored slot has been
-        merged again, or the engine is dropped. ``persist`` replaces the
-        file by renaming a new one over it, so persisting over the store,
-        or deleting it, leaves the mapped contents as they were; the file
-        must not be edited or truncated in place while the engine lives.
+        Accepts exactly the stores that ``persist`` writes, at manifest
+        version 1 or 2; any other raises :class:`RestoreError`. It reads the
+        policy, each slot's tasks (slot ``i`` is entry ``i``, in
+        ``slot_<i>.kmrg``), the ingested task ids (arrival ``i`` has index
+        ``i``) and each cache entry's rank. Every other field must equal, in
+        value and JSON type, the one :meth:`_manifest` derives from these.
+
+        The running cache file is mapped once, read-only, with its pages
+        populated; each entry's ``b`` and ``a`` are read-only views of it.
+        The mapping holds one file descriptor until no cache refers to it.
+        ``persist`` renames a new file over the old one, so persisting over
+        the store or deleting it leaves the mapping as it was; the file must
+        not be edited or truncated in place while the engine lives.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
-        version = json_field(manifest, "version", RestoreError)
+        version = json_field(manifest, "version", RestoreError, int)
         if version not in (1, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
         try:
             config = PolicyConfig.from_dict(manifest)
         except ConfigError as exc:
             raise RestoreError(f"manifest policy: {exc}") from None
-        engine = cls(config)
-        engine.history.next_slot_key = json_field(manifest, "next_slot_key", RestoreError, int)
-        engine.timestep = json_field(manifest, "timestep", RestoreError, int)
-        try:
-            ingested = [
-                (
-                    json_value(t, int, RestoreError, "ingested task index"),
-                    json_value(name, str, RestoreError, "ingested task id"),
-                )
-                for t, name in json_field(manifest, "ingested", RestoreError)
+        tasks = [
+            [
+                json_value(t, int, RestoreError, "task index of slot {}", slot_key)
+                for t in json_field(entry, "tasks", RestoreError, list)
             ]
+            for slot_key, entry in enumerate(json_field(manifest, "slots", RestoreError, list), 1)
+        ]
+        ingested = json_field(manifest, "ingested", RestoreError, list)
+        try:
+            task_ids = [json_value(name, str, RestoreError, "ingested task id") for _, name in ingested]
         except (TypeError, ValueError):
             raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
-        engine.task_ids = dict(ingested)
+        ranks = []
+        for i, entry in enumerate(json_field(manifest, "cache_index", RestoreError, list)):
+            shape = entry.get("b_shape") if type(entry) is dict else None
+            if type(shape) is not list or len(shape) != 2 or type(shape[1]) is not int or shape[1] < 0:
+                raise RestoreError(f"cache_index[{i}].b_shape is not [rows, rank]: {shape!r}")
+            ranks.append(shape[1])
 
-        adapters: dict[int, LoraAdapter] = {}
-        for entry in json_field(manifest, "slots", RestoreError):
-            slot_key, file_name, tasks = (
-                json_field(entry, name, RestoreError) for name in ("slot_key", "file", "tasks")
-            )
-            slot_key = json_value(slot_key, int, RestoreError, "slot entry slot_key")
-            if slot_key in adapters:
-                raise RestoreError(f"two slot entries for slot {slot_key}")
-            adapter_path = directory / json_file_name(
-                file_name, RestoreError, "file of slot {}", slot_key
-            )
+        # The parts must describe a state that ingests reach.
+        if [] in tasks:
+            raise RestoreError(f"slots[{tasks.index([])}].tasks is empty")
+        if len(tasks) > config.budget_k:
+            raise RestoreError(f"{len(tasks)} slots exceed budget_k {config.budget_k}")
+        if len(set(task_ids)) != len(task_ids):
+            raise RestoreError("two ingested tasks share a task id")
+        if sorted(t for slot_tasks in tasks for t in slot_tasks) != list(range(1, len(task_ids) + 1)):
+            raise RestoreError("slot task lists do not partition the ingested task indices")
+
+        engine = cls(config)
+        engine.history.entries = dict(enumerate(tasks, 1))
+        engine.history.next_slot_key = len(tasks) + 1
+        engine.timestep = len(task_ids)
+        engine.task_ids = dict(enumerate(task_ids, 1))
+        for slot_key in engine.history.entries:
+            adapter_path = directory / f"slot_{slot_key}.kmrg"
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
-            adapters[slot_key] = read_adapter(adapter_path)
-            engine.history.entries[slot_key] = [
-                json_value(t, int, RestoreError, "task index of slot {}", slot_key)
-                for t in json_value(tasks, list, RestoreError, "tasks of slot {}", slot_key)
-            ]
+            engine.store.slots[slot_key] = SlotState(adapter=read_adapter(adapter_path), cache={})
+        # Entries past the declared ones get rank 0; the comparison rejects them.
+        declared = iter(ranks)
+        layout, cache_bytes = _cache_layout(engine.store.slots, lambda *_: next(declared, 0))
+        derived = engine._manifest(layout, version)
+        # ``from_dict`` alone judges the policy. ``==`` takes ``true`` for 1
+        # and ``2.0`` for 2, which persist never writes.
+        stored = {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
+        if stored != derived or not all(type(n) is int for n in _integers(stored)):
+            raise RestoreError(_difference(stored, derived))
 
-        cache_path = directory / json_file_name(
-            json_field(manifest, "running_cache_file", RestoreError),
-            RestoreError,
-            "running_cache_file",
-        )
+        cache_path = directory / "running_cache.bin"
         if not cache_path.exists():
             raise RestoreError(f"running cache file {cache_path.name} is missing")
-        caches: dict[int, dict[LayerKey, LowRankDelta]] = {slot_key: {} for slot_key in adapters}
         with open(cache_path, "rb") as blob:
             size = os.fstat(blob.fileno()).st_size
+            if size != cache_bytes:
+                raise RestoreError(f"{cache_path.name} is {size} bytes; persist writes {cache_bytes}")
             # A 0-byte cache file (an engine with no slots) cannot be mapped.
             mapped = b"" if size == 0 else mmap.mmap(
                 blob.fileno(), size, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ
             )
-        for entry in json_field(manifest, "cache_index", RestoreError):
-            slot_key, layer, proj, b_shape, a_shape, offset = (
-                json_field(entry, name, RestoreError)
-                for name in ("slot_key", "layer", "proj", "b_shape", "a_shape", "offset")
-            )
-            slot_key = json_value(slot_key, int, RestoreError, "cache entry slot_key")
-            layer = json_value(layer, int, RestoreError, "cache entry layer of slot {}", slot_key)
-            try:
-                key = LayerKey(layer, proj)
-            except (ShapeError, TypeError) as exc:
-                raise RestoreError(f"bad cache entry key for slot {slot_key}: {exc}") from None
-            offset = json_value(
-                offset, int, RestoreError, "cache entry offset of slot {} layer {}", slot_key, key
-            )
-            shapes_ok = all(
-                isinstance(s, list) and len(s) == 2
-                and all(type(d) is int and d >= 0 for d in s)
-                for s in (b_shape, a_shape)
-            )
-            if not shapes_ok or b_shape[1] != a_shape[0] or offset < 0:
-                raise RestoreError(
-                    f"bad cache entry for slot {slot_key} layer {key}: "
-                    f"shapes {b_shape} x {a_shape} at offset {offset}"
-                )
-            b_size, a_size = b_shape[0] * b_shape[1], a_shape[0] * a_shape[1]
-            if offset + 8 * (b_size + a_size) > size:
-                raise RestoreError(
-                    f"running cache truncated for slot {slot_key} layer {key}"
-                )
-            # Each slot's cache holds its adapter's layers, once each, at their shapes.
-            if slot_key not in adapters:
-                raise RestoreError(f"cache entry names slot {slot_key}, which the manifest lacks")
-            fp = adapters[slot_key].layers.get(key)
-            if fp is None:
-                raise RestoreError(
-                    f"cache entry for slot {slot_key} names layer {key}, which its adapter lacks"
-                )
-            if key in caches[slot_key]:
-                raise RestoreError(f"two cache entries for slot {slot_key} layer {key}")
-            if b_shape[0] != fp.d_out or a_shape[1] != fp.d_in:
-                raise RestoreError(
-                    f"cache entry for slot {slot_key} layer {key} is {b_shape[0]} x "
-                    f"{a_shape[1]}, its adapter's layer is {fp.d_out} x {fp.d_in}"
-                )
+        for slot_key, key, b_shape, a_shape, offset in layout:
+            b_size = b_shape[0] * b_shape[1]
             b = np.frombuffer(mapped, "<f8", b_size, offset).reshape(b_shape)
-            a = np.frombuffer(mapped, "<f8", a_size, offset + 8 * b_size).reshape(a_shape)
+            a = np.frombuffer(mapped, "<f8", a_shape[0] * a_shape[1], offset + 8 * b_size)
             # Version-1 stores kept concatenated factors; canonicalise them once.
-            low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
-            caches[slot_key][key] = low.compressed()
-
-        for slot_key, adapter in adapters.items():
-            if len(caches[slot_key]) != len(adapter.layers):
-                raise RestoreError(f"running cache of slot {slot_key} lacks layers of its adapter")
-            engine.store.slots[slot_key] = SlotState(adapter=adapter, cache=caches[slot_key])
-
-        # The parts must describe one state: the next ingest takes index
-        # timestep + 1 and, if it allocates, slot next_slot_key.
-        arrivals = list(range(1, engine.timestep + 1))
-        if len(ingested) != engine.timestep or sorted(t for t, _ in ingested) != arrivals:
-            raise RestoreError(f"ingested task indices are not 1..{engine.timestep} (timestep)")
-        if len(set(engine.task_ids.values())) != len(ingested):
-            raise RestoreError("two ingested tasks share a task id")
-        if sorted(t for tasks in engine.history.entries.values() for t in tasks) != arrivals:
-            raise RestoreError("slot task lists do not partition the ingested task indices")
-        if engine.store.slots and engine.history.next_slot_key <= max(engine.store.slots):
-            raise RestoreError(
-                f"next_slot_key {engine.history.next_slot_key} does not exceed every slot key"
-            )
+            low = LowRankDelta(b=b, a=a.reshape(a_shape), canonical=version == MANIFEST_VERSION)
+            engine.store.slots[slot_key].cache[key] = low.compressed()
         return engine
 
+
+def _cache_layout(slots: dict[int, SlotState], rank_of) -> tuple[list, int]:
+    """The ``(slot_key, key, b_shape, a_shape, offset)`` of each running-cache
+    entry of ``slots`` in ``running_cache.bin``, and the file's length: slots
+    in key order, each slot's layers in sorted order, each layer's ``b`` then
+    ``a`` in float64, back to back from 0. Shapes follow each slot's served
+    adapter; ``rank_of(slot_key, key)`` gives each cache rank, in that order."""
+    layout, offset = [], 0
+    for slot_key in sorted(slots):
+        adapter = slots[slot_key].adapter
+        for key in adapter.sorted_keys():
+            fp = adapter.layers[key]
+            rank = rank_of(slot_key, key)
+            layout.append((slot_key, key, (fp.d_out, rank), (rank, fp.d_in), offset))
+            offset += 8 * rank * (fp.d_out + fp.d_in)
+    return layout, offset
+
+
+def _integers(manifest: dict) -> list:
+    """The values where a manifest that equals a derived one holds integers
+    that restore does not read typed."""
+    return [
+        manifest["next_slot_key"], manifest["timestep"], *(t for t, _ in manifest["ingested"]),
+        *(n for e in manifest["slots"] for n in (e["slot_key"], e["merge_count"])),
+        *(n for e in manifest["cache_index"]
+          for n in (e["slot_key"], e["layer"], e["offset"], *e["b_shape"], *e["a_shape"])),
+    ]
+
+
+def _difference(stored, derived, path: str = "") -> str | None:
+    """A message naming the first field where ``stored`` differs from
+    ``derived`` in value or JSON type; ``None`` if it differs nowhere."""
+    kind = type(derived)
+    if kind not in (dict, list) or type(stored) is not kind:
+        same = type(stored) is kind and stored == derived
+        return None if same else f"{path} is {stored!r}; persist writes {derived!r}"
+    if kind is list:
+        stored, derived = dict(enumerate(stored)), dict(enumerate(derived))
+    for name in {**derived, **stored}:
+        here = f"{path}[{name}]" if kind is list else f"{path}.{name}".lstrip(".")
+        if name not in derived:
+            return f"{here} is {stored[name]!r}; persist writes nothing there"
+        if name not in stored:
+            return f"{here} is missing; persist writes {derived[name]!r}"
+        if found := _difference(stored[name], derived[name], here):
+            return found
+    return None

@@ -11,9 +11,9 @@ class KeyNotFound(KMergeError):
 
 class ShapeError(KMergeError):
     """A tensor, shape or library argument is invalid: dimensions that
-    disagree with the declared rank or widths, a layer key, a truncation
-    rank, a drop rate or a merge weight. Policy values raise
-    :class:`ConfigError`."""
+    disagree with the declared rank or widths, an adapter's scale, a layer
+    key, a truncation rank, a drop rate or a merge weight. Policy values
+    raise :class:`ConfigError`."""
 
 
 class FormatError(KMergeError):

@@ -138,6 +138,9 @@ DAMAGED_HEADERS = {
     "scalar-layers": (lambda h: h.__setitem__("layers", 5), "layers"),
     "text-scale": (lambda h: h.__setitem__("scale_numerator", "abc"), "scale_numerator"),
     "bool-scale": (lambda h: h.__setitem__("scale_numerator", True), "scale_numerator"),
+    "zero-scale": (lambda h: h.__setitem__("scale_numerator", 0.0), "scale_numerator"),
+    "nan-scale": (lambda h: h.__setitem__("scale_numerator", float("nan")), "scale_numerator"),
+    "inf-scale": (lambda h: h.__setitem__("scale_numerator", float("-inf")), "scale_numerator"),
     "fractional-rank": (lambda h: h.__setitem__("rank", 4.9), "rank"),
     "integral-float-rank": (lambda h: h.__setitem__("rank", float(h["rank"])), "rank"),
     "digit-string-rank": (lambda h: h.__setitem__("rank", str(h["rank"])), "rank"),
@@ -197,6 +200,12 @@ def test_rank_disagreement_rejected():
             scale_numerator=8,
             layers={K0: FactorPair(a=np.zeros((2, 3), np.float32), b=np.zeros((3, 2), np.float32))},
         )
+
+
+@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf")])
+def test_scale_numerator_must_be_finite_and_nonzero(scale):
+    with pytest.raises(ShapeError, match="scale_numerator"):
+        make_adapter("t", {K0: (np.ones((2, 3)), np.ones((3, 2)))}, rank=2, scale_numerator=scale)
 
 
 def test_delta_map_covers_all_keys(rng):

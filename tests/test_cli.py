@@ -340,6 +340,17 @@ def test_merge_linear_weight_out_of_range(tmp_path, rng, capsys):
     assert "weight" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op", ["running-average", "ties", "dare", "dare-ties"])
+def test_merge_weight_needs_linear(tmp_path, rng, capsys, op):
+    for name in ("x", "y"):
+        write_adapter(small_random_adapter(name, rng), tmp_path / f"{name}.kmrg")
+    out = tmp_path / "m.kmrg"
+    code = main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                 "--op", op, "--weight", "0.7", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("error: --weight applies only to --op linear")
+
+
 def test_sim_csv(suite_dir, tmp_path, capsys):
     csv = tmp_path / "m.csv"
     assert main(["sim", str(suite_dir), "--csv", str(csv)]) == 0

@@ -3,6 +3,8 @@ import json
 import shutil
 import sys
 import warnings
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -408,21 +410,36 @@ def test_restore_truncated_cache(tmp_path, rng):
     _persisted(tmp_path, rng)
     blob = (tmp_path / "running_cache.bin").read_bytes()
     (tmp_path / "running_cache.bin").write_bytes(blob[:-16])
-    with pytest.raises(RestoreError, match="truncated"):
+    with pytest.raises(RestoreError, match=r"running_cache\.bin is 2032 bytes; persist writes 2048"):
         MergeEngine.restore(tmp_path)
 
 
 DAMAGED_ENTRIES = {
     "no-offset": ("cache_index", lambda e: e.pop("offset"), "offset"),
     "no-b_shape": ("cache_index", lambda e: e.pop("b_shape"), "b_shape"),
-    "negative-b": ("cache_index", lambda e: e.__setitem__("b_shape", [-1, 3]), "bad cache entry"),
-    "negative-a": ("cache_index", lambda e: e.__setitem__("a_shape", [-2, 8]), "bad cache entry"),
-    "flat-b": ("cache_index", lambda e: e.__setitem__("b_shape", [8]), "bad cache entry"),
-    "inner-mismatch": (
-        "cache_index", lambda e: e["a_shape"].__setitem__(0, e["b_shape"][1] + 1), "bad cache entry"
+    "negative-b": (
+        "cache_index", lambda e: e.__setitem__("b_shape", [-1, 3]),
+        r"cache_index\[0\]\.b_shape\[0\] is -1; persist writes 8",
     ),
-    "negative-offset": ("cache_index", lambda e: e.__setitem__("offset", -8), "bad cache entry"),
-    "huge-shape": ("cache_index", lambda e: e["b_shape"].__setitem__(0, 1 << 40), "truncated"),
+    "negative-a": (
+        "cache_index", lambda e: e.__setitem__("a_shape", [-2, 8]),
+        r"cache_index\[0\]\.a_shape\[0\] is -2; persist writes 2",
+    ),
+    "flat-b": (
+        "cache_index", lambda e: e.__setitem__("b_shape", [8]), r"cache_index\[0\]\.b_shape is not"
+    ),
+    "inner-mismatch": (
+        "cache_index", lambda e: e["a_shape"].__setitem__(0, e["b_shape"][1] + 1),
+        r"cache_index\[0\]\.a_shape\[0\] is 3; persist writes 2",
+    ),
+    "negative-offset": (
+        "cache_index", lambda e: e.__setitem__("offset", -8),
+        r"cache_index\[0\]\.offset is -8; persist writes 0",
+    ),
+    "huge-shape": (
+        "cache_index", lambda e: e["b_shape"].__setitem__(0, 1 << 40),
+        r"cache_index\[0\]\.b_shape\[0\] is 1099511627776; persist writes 8",
+    ),
     "no-tasks": ("slots", lambda e: e.pop("tasks"), "tasks"),
     "no-file": ("slots", lambda e: e.pop("file"), "file"),
     "text-layer": ("cache_index", lambda e: e.__setitem__("layer", "x"), "layer"),
@@ -469,6 +486,21 @@ def _duplicate_first_cache_entry(manifest, **changes):
     manifest["cache_index"].append({**manifest["cache_index"][0], **changes})
 
 
+def _empty_second_slot(manifest):
+    """Move slot 2's tasks to slot 1, so that they still partition the stream."""
+    first, second = (entry["tasks"] for entry in manifest["slots"])
+    first.extend(second)
+    second.clear()
+
+
+def _renumber_ingested(manifest):
+    for i, pair in enumerate(manifest["ingested"]):
+        pair[0] = len(manifest["ingested"]) - i
+
+
+EXTRA_ENTRY = r"cache_index\[4\] is \{.*\}; persist writes nothing there"
+
+
 INCONSISTENT_MANIFESTS = {
     "shared-task-id": (
         lambda m: m["ingested"][1].__setitem__(1, m["ingested"][0][1]), "share a task id"
@@ -486,23 +518,38 @@ INCONSISTENT_MANIFESTS = {
     "next-slot-key-occupied": (lambda m: m.__setitem__("next_slot_key", 1), "next_slot_key"),
     "slot-entry-repeated": (
         lambda m: m["slots"].append({**m["slots"][0], "file": m["slots"][1]["file"]}),
-        "two slot entries for slot 1",
+        "3 slots exceed budget_k 2",
     ),
+    "slot-without-tasks": (_empty_second_slot, r"slots\[1\]\.tasks is empty"),
+    "slots-over-budget": (lambda m: m.__setitem__("budget_k", 1), "2 slots exceed budget_k 1"),
     # Each slot's cache must hold exactly its adapter's layers, at their shapes.
-    "cache-layer-missing": (lambda m: m["cache_index"].pop(0), "slot 1 lacks layers"),
-    "cache-layer-extra": (
-        lambda m: _duplicate_first_cache_entry(m, layer=99), "layer 99.key, which its adapter lacks"
+    "cache-layer-missing": (
+        lambda m: m["cache_index"].pop(0), r"cache_index\[0\]\.proj is 'query'; persist writes 'key'"
     ),
+    "cache-layer-extra": (lambda m: _duplicate_first_cache_entry(m, layer=99), EXTRA_ENTRY),
     "cache-b-rows": (
-        lambda m: m["cache_index"][0]["b_shape"].__setitem__(0, 9), "is 9 x 8, its adapter's"
+        lambda m: m["cache_index"][0]["b_shape"].__setitem__(0, 9),
+        r"cache_index\[0\]\.b_shape\[0\] is 9; persist writes 8",
     ),
     "cache-a-columns": (
-        lambda m: m["cache_index"][0]["a_shape"].__setitem__(1, 7), "is 8 x 7, its adapter's"
+        lambda m: m["cache_index"][0]["a_shape"].__setitem__(1, 7),
+        r"cache_index\[0\]\.a_shape\[1\] is 7; persist writes 8",
     ),
-    "cache-unknown-slot": (
-        lambda m: _duplicate_first_cache_entry(m, slot_key=7), "slot 7, which the manifest lacks"
+    "cache-unknown-slot": (lambda m: _duplicate_first_cache_entry(m, slot_key=7), EXTRA_ENTRY),
+    "cache-entry-repeated": (_duplicate_first_cache_entry, EXTRA_ENTRY),
+    # Each cache entry lies where persist puts it, and nowhere else.
+    "cache-entry-aliased": (
+        lambda m: m["cache_index"][1].update(
+            {name: m["cache_index"][0][name] for name in ("offset", "b_shape", "a_shape")}
+        ),
+        r"cache_index\[1\]\.offset is 0; persist writes \d+",
     ),
-    "cache-entry-repeated": (_duplicate_first_cache_entry, "two cache entries for slot 1"),
+    "ingested-renumbered": (_renumber_ingested, r"ingested\[0\]\[0\] is 4; persist writes 1"),
+    "scalar-slots": (lambda m: m.__setitem__("slots", 5), "slots is not a list"),
+    "null-cache-index": (lambda m: m.__setitem__("cache_index", None), "cache_index is not a list"),
+    "unknown-field": (
+        lambda m: m.__setitem__("comment", "x"), "comment is 'x'; persist writes nothing there"
+    ),
 }
 
 
@@ -516,6 +563,65 @@ def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
         MergeEngine.restore(tmp_path)
 
 
+def _gap_before_last_entry(manifest, blob):
+    last = manifest["cache_index"][-1]
+    last["offset"] += 8
+    return blob[: last["offset"] - 8] + bytes(8) + blob[last["offset"] - 8 :]
+
+
+DAMAGED_CACHE_FILES = {
+    "gap-before-last-entry": (
+        _gap_before_last_entry, r"cache_index\[3\]\.offset is 1288; persist writes 1280"
+    ),
+    "bytes-appended": (
+        lambda m, blob: blob + bytes(64), r"running_cache\.bin is 2112 bytes; persist writes 2048"
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, match", DAMAGED_CACHE_FILES.values(), ids=DAMAGED_CACHE_FILES)
+def test_restore_rejects_damaged_cache_file(tmp_path, rng, damage, match):
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    blob = damage(manifest, (tmp_path / "running_cache.bin").read_bytes())
+    (tmp_path / "running_cache.bin").write_bytes(blob)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+def _integer_leaf_paths(node, path=()):
+    if type(node) is int:
+        yield path
+    elif isinstance(node, (dict, list)):
+        for name, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _integer_leaf_paths(value, (*path, name))
+
+
+def test_restore_rejects_every_integer_leaf_changed(tmp_path, rng):
+    """Every integer outside the policy is one that persist derives or
+    restore reads typed, so restore rejects it changed by one, as a float,
+    a boolean, a string or null."""
+    engine = _persisted(tmp_path, rng)
+    assert any(len(tasks) > 1 for tasks in engine.history.entries.values())
+    original = json.loads((tmp_path / "manifest.json").read_text())
+    policy = set(engine.config.to_dict())
+    paths = [path for path in _integer_leaf_paths(original) if path[0] not in policy]
+    accepted = []
+    for *parents, last in paths:
+        value = reduce(getitem, parents, original)[last]
+        for changed in (value + 1, float(value), bool(value), str(value), None):
+            manifest = json.loads(json.dumps(original))
+            reduce(getitem, parents, manifest)[last] = changed
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            try:
+                MergeEngine.restore(tmp_path)
+            except RestoreError:
+                continue
+            accepted.append(((*parents, last), changed))
+    assert len(paths) > 40 and accepted == []
+
+
 @pytest.mark.parametrize("outside", ["parent", "absolute"])
 @pytest.mark.parametrize("field", ["file", "running_cache_file"])
 def test_restore_rejects_file_outside_store(tmp_path, rng, field, outside):
@@ -525,11 +631,12 @@ def test_restore_rejects_file_outside_store(tmp_path, rng, field, outside):
     _persisted(store, rng)
     manifest = json.loads((store / "manifest.json").read_text())
     owner = manifest["slots"][0] if field == "file" else manifest
-    copy = tmp_path / owner[field]
+    store_file = owner[field]
+    copy = tmp_path / store_file
     copy.write_bytes((store / owner[field]).read_bytes())
     owner[field] = f"../{copy.name}" if outside == "parent" else str(copy)
     (store / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(RestoreError, match="not a file name"):
+    with pytest.raises(RestoreError, match=rf"{field} is '.+'; persist writes '{store_file}'"):
         MergeEngine.restore(store)
 
 
