@@ -88,11 +88,6 @@ class LoraAdapter:
 
     ``scale_numerator`` is the LoRA scaling numerator, finite and nonzero;
     the update applied for a layer is ``(scale_numerator / rank) * b @ a``.
-
-    Adapters are treated as immutable once built: similarity caches each
-    adapter's per-layer update norms on it at first use (``layer_norms``),
-    so changing ``layers`` or the scaling afterwards would leave them
-    stale. Build a new adapter instead.
     """
 
     task_id: str
@@ -101,9 +96,6 @@ class LoraAdapter:
     rank: int
     scale_numerator: float
     layers: dict[LayerKey, FactorPair] = field(default_factory=dict)
-    # Frobenius norm of each layer's update, in ``layers`` order; filled by
-    # ``kmerge.similarity`` on first use.
-    layer_norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale_numerator == 0 or not np.isfinite(self.scale_numerator):
@@ -197,18 +189,24 @@ def _header_dict(adapter: LoraAdapter) -> dict:
 
 
 def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
-    """Serialize an adapter to ``path``; round-trips bit-exactly."""
+    """Serialize an adapter to ``path``; round-trips bit-exactly. The file is
+    written beside ``path`` and renamed over it; if that fails, the partial
+    file is removed and ``path`` is left as it was."""
     header = json.dumps(_header_dict(adapter)).encode("utf-8")
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(_HEAD.pack(FORMAT_MAGIC, FORMAT_VERSION, len(header)))
-        fh.write(header)
-        for key in adapter.sorted_keys():
-            fp = adapter.layers[key]
-            fh.write(np.ascontiguousarray(fp.a, dtype="<f4"))
-            fh.write(np.ascontiguousarray(fp.b, dtype="<f4"))
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEAD.pack(FORMAT_MAGIC, FORMAT_VERSION, len(header)))
+            fh.write(header)
+            for key in adapter.sorted_keys():
+                fp = adapter.layers[key]
+                fh.write(np.ascontiguousarray(fp.a, dtype="<f4"))
+                fh.write(np.ascontiguousarray(fp.b, dtype="<f4"))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -263,6 +261,8 @@ def read_adapter(path: str | Path) -> LoraAdapter:
                 key = LayerKey(layer, proj)
             except ShapeError as exc:
                 raise bad_header(f"invalid layer entry: {exc}") from None
+            if key in layers:
+                raise bad_header(f"layer {key} is listed twice")
             a = _read_tensor(fh, (rank, d_in), "A", key)
             b = _read_tensor(fh, (d_out, rank), "B", key)
             try:

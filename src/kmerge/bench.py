@@ -64,10 +64,14 @@ class GeneratorConfig:
             raise ConfigError("n_layers must be >= 1")
         if len(self.layer_spec) != len(PROJECTIONS):
             raise ConfigError(f"layer_spec needs one (d_in, d_out) per projection ({len(PROJECTIONS)})")
+        if min(min(shape) for shape in self.layer_spec) < 1:
+            raise ConfigError(f"layer_spec widths must be >= 1, got {self.layer_spec}")
         if not self.type_strength > self.lang_strength > self.noise_strength > 0:
             raise ConfigError("strengths must satisfy type > lang > noise > 0")
         if self.rank < 3:
             raise ConfigError("rank must be >= 3 to host type, language, and noise components")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def gamma(self) -> int:
@@ -264,6 +268,8 @@ class OrderingSpec:
     def __post_init__(self):
         if self.kind not in ORDERING_KINDS:
             raise ConfigError(f"unknown ordering kind {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def order_stream(tasks: Sequence[TaskSpec], spec: OrderingSpec) -> list[int]:

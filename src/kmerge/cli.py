@@ -1,8 +1,9 @@
 """Command-line front door.
 
-Exit codes: 0 success, 1 runtime/domain error, 2 usage or configuration
-error. Every subcommand is deterministic given its flags and seeds,
-apart from measured wall-clock fields in reports.
+Exit codes: 0 success, 1 runtime/domain error or any OS error (a missing,
+unreadable or unwritable path), 2 usage or configuration error. Every
+subcommand is deterministic given its flags and seeds, apart from
+measured wall-clock fields in reports.
 """
 
 from __future__ import annotations
@@ -105,12 +106,12 @@ def cmd_run(args) -> int:
         base = _policy_from_config_file(args.config)
     else:
         base = _policy_from_flags(args, args.variant.replace("-", "_"), args.threshold)
+    orderings = [OrderingSpec(kind=args.ordering.replace("-", "_"), seed=seed) for seed in args.seeds]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     scores = []
-    for seed in args.seeds:
-        ordering = OrderingSpec(kind=args.ordering.replace("-", "_"), seed=seed)
+    for seed, ordering in zip(args.seeds, orderings):
         store_dir = args.store_dir if seed == args.seeds[-1] else None
         report = run_simulation(adapters, tasks, ordering, base, store_dir=store_dir)
         report.to_json(f"{out}_seed{seed}.json")
@@ -304,10 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KMergeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (KMergeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

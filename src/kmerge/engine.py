@@ -18,6 +18,7 @@ file; version-1 caches, concatenated factors, are canonicalised once.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import time
@@ -79,6 +80,8 @@ class PolicyConfig:
             raise ConfigError("budget_k must be >= 1")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.threshold_s is not None and not math.isfinite(self.threshold_s):
+            raise ConfigError(f"threshold_s must be finite, got {self.threshold_s}")
         if self.variant == "k_merge_pp" and self.threshold_s is None:
             raise ConfigError("k_merge_pp requires threshold_s")
         if self.variant == "k_merge" and self.threshold_s is not None:
@@ -331,7 +334,9 @@ class MergeEngine:
         Caches are stored in canonical form as raw float64 little-endian
         tensors, each written straight to the cache file where
         :func:`_cache_layout` puts it, so a restored engine continues from
-        the same exact state. The manifest is :meth:`_manifest`.
+        the same exact state. The manifest is :meth:`_manifest`. Slot files
+        of an earlier store in ``directory`` that it does not name are
+        deleted once it is in place.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -349,6 +354,12 @@ class MergeEngine:
         tmp = directory / "manifest.json.tmp"
         tmp.write_text(json.dumps(self._manifest(layout, version=MANIFEST_VERSION), indent=2))
         tmp.replace(directory / "manifest.json")
+        # Only now, with the new manifest in place, drop the slot files of a
+        # larger store persisted here before; it no longer names them.
+        names = {f"slot_{slot_key}.kmrg" for slot_key in slots}
+        for path in directory.glob("slot_*.kmrg"):
+            if path.name not in names and path.stem[len("slot_"):].isdigit():
+                path.unlink()
 
     def _manifest(self, layout: list, version: int) -> dict:
         """This engine's manifest with its caches at ``layout`` (see

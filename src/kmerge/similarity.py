@@ -10,10 +10,8 @@ One kernel compares one adapter against many: :func:`similarities`, and
 it. It walks the first adapter's layers in runs of consecutive same-shape
 layers, stacks that adapter's scaled float64 factors once per run and each
 other adapter's once, and gets the per-layer inner products as batched
-Gram products. Per-layer norms are cached on each adapter at first use
-(``LoraAdapter.layer_norms``). The float64 factor copies are not cached:
-each is twice the size of the float32 factors it comes from, for every
-adapter a store or a suite holds.
+Gram products; each layer's norm comes from the same stacks, so every
+adapter is stacked once per run and nothing is cached on it.
 """
 
 from __future__ import annotations
@@ -61,22 +59,6 @@ def _inner(bx: np.ndarray, ax: np.ndarray, by: np.ndarray, ay: np.ndarray) -> np
     return gram.reshape(len(gram), -1).sum(axis=1)
 
 
-def _norms(adapter: LoraAdapter, keys: list[LayerKey]) -> np.ndarray:
-    """Frobenius norms of ``adapter``'s updates at ``keys``, from the
-    per-layer norms cached on it."""
-    order = list(adapter.layers)
-    if adapter.layer_norms is None:
-        squares = []
-        for run in _runs(adapter, order):
-            b, a = _stacked(adapter, run)
-            squares.append(_inner(b, a, b, a))
-        adapter.layer_norms = np.sqrt(np.maximum(0.0, np.concatenate(squares)))
-    if keys == order:
-        return adapter.layer_norms
-    position = {key: i for i, key in enumerate(order)}
-    return adapter.layer_norms[[position[key] for key in keys]]
-
-
 def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) -> np.ndarray:
     """Per-layer cosines, one row per adapter in ``ys`` and one column per key.
 
@@ -86,15 +68,20 @@ def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) ->
     has ``x``'s shape at each key.
     """
     inner = np.empty((len(ys), len(keys)))
+    ny = np.empty_like(inner)
+    nx = np.empty(len(keys))
     start = 0
     for run in _runs(x, keys):
         stop = start + len(run)
         bx, ax = _stacked(x, run)
+        nx[start:stop] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
-            inner[i, start:stop] = _inner(bx, ax, *_stacked(y, run))
+            by, ay = _stacked(y, run)
+            inner[i, start:stop] = _inner(bx, ax, by, ay)
+            ny[i, start:stop] = _inner(by, ay, by, ay)
+            del by, ay  # free this stack before the next adapter's is built
         start = stop
-    nx = _norms(x, keys)
-    ny = np.array([_norms(y, keys) for y in ys])
+    nx, ny = np.sqrt(np.maximum(0.0, nx)), np.sqrt(np.maximum(0.0, ny))
     live = (nx >= DEGENERATE_NORM) & (ny >= DEGENERATE_NORM)
     cos = np.divide(inner, nx * ny, out=np.zeros_like(inner), where=live)
     return np.clip(cos, -1.0, 1.0)

@@ -150,6 +150,9 @@ DAMAGED_HEADERS = {
     "number-task_id": (lambda h: h.__setitem__("task_id", 5), "task_id"),
     "unknown-proj": (_set_layer("proj", "gate"), "projection"),
     "negative-layer": (_set_layer("layer", -1), "layer index"),
+    # Same shapes as the entry it replaces, so the payload still fits.
+    "repeated-layer": (lambda h: h["layers"].__setitem__(1, dict(h["layers"][0])),
+                       r"layer 0\.key is listed twice"),
 }
 
 

@@ -160,12 +160,17 @@ def _command_args(command, suite_dir, tmp_path):
         (["run", "--k", "2", "--drop-rate", "1"], "operator.drop_rate", 1.0),
         (["run", "--k", "2", "--variant", "k-merge-pp"], "variant", "k_merge_pp"),
         (["run", "--k", "2", "--threshold", "5.0"], "threshold_s", 5.0),
+        (["run", "--k", "2", "--variant", "k-merge-pp", "--threshold", "nan"], "threshold_s",
+         float("nan")),
+        (["run", "--k", "2", "--variant", "k-merge-pp", "--threshold=-inf"], "threshold_s",
+         float("-inf")),
         (["sweep", "--k", "0"], "budget_k", 0),
         (["merge", "--density", "0"], "operator.density", 0.0),
         (["merge", "--target-rank", "0"], "rank_policy.target_rank", 0),
     ],
     ids=["run-k", "run-target-rank", "run-density", "run-drop-rate", "run-pp-no-threshold",
-         "run-plain-threshold", "sweep-k", "merge-density", "merge-target-rank"],
+         "run-plain-threshold", "run-nan-threshold", "run-infinite-threshold", "sweep-k",
+         "merge-density", "merge-target-rank"],
 )
 def test_policy_flag_errors_match_config(suite_dir, tmp_path, capsys, flags, field, value):
     command, *policy_flags = flags
@@ -411,8 +416,53 @@ def test_missing_suite_is_runtime_error(tmp_path, capsys):
     assert main(["calibrate", str(tmp_path / "nope")]) == 1
 
 
+def test_suite_path_to_a_file_exits_1(suite_dir, tmp_path, capsys):
+    code = main(["run", "--suite", str(suite_dir / "tasks.json"), "--k", "2",
+                 "--seeds", "0", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_merge_out_to_a_directory_exits_1(tmp_path, rng, capsys):
+    """An ``--out`` the merged file cannot be renamed onto exits 1 and
+    leaves no temporary file behind."""
+    for name in ("x", "y"):
+        write_adapter(small_random_adapter(name, rng), tmp_path / f"{name}.kmrg")
+    out = tmp_path / "taken"
+    out.mkdir()
+    code = main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                 "--op", "linear", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.is_dir() and not list(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "x.kmrg", "y.kmrg"]
+
+
 def test_bad_generator_flags_exit_2(tmp_path):
     assert main(["gen", "--rank", "2", "--out", str(tmp_path / "s")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [
+        (["gen", "--seed", "-1"], "seed must be >= 0"),
+        (["gen", "--width", "-1"], "layer_spec widths must be >= 1"),
+        (["gen", "--width", "0"], "layer_spec widths must be >= 1"),
+        (["run", "--k", "2", "--seeds", "0", "-1"], "seed must be >= 0"),
+        (["sweep", "--k", "2", "--s-values", "0.5", "--seed", "-1"], "seed must be >= 0"),
+    ],
+    ids=["gen-seed", "gen-negative-width", "gen-zero-width", "run-seeds", "sweep-seed"],
+)
+def test_infeasible_seed_or_width_exits_2(suite_dir, tmp_path, capsys, command, problem):
+    """Generator and ordering values that numpy would reject, or that
+    build empty layers, are configuration errors; no output is written."""
+    name, *flags = command
+    target = ["--out", str(tmp_path / "out")]
+    if name != "gen":
+        target = ["--suite", str(suite_dir), *target]
+    assert main([name, *target, *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {problem}, got ")
+    assert list(tmp_path.iterdir()) == [suite_dir]
 
 
 def test_version(capsys):

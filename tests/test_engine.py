@@ -700,6 +700,25 @@ def test_mistyped_policy_field_rejected(tmp_path, rng, path, value):
         MergeEngine.restore(tmp_path)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_threshold_must_be_finite(tmp_path, rng, threshold):
+    """A non-finite threshold is rejected when built, when read back by
+    ``from_dict`` and when a store names one."""
+    with pytest.raises(ConfigError, match="threshold_s must be finite"):
+        _config(2, "k_merge_pp", threshold)
+    engine = MergeEngine(_config(2, "k_merge_pp", 0.5))
+    for a in _stream(rng, 3):
+        engine.ingest(a)
+    engine.persist(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["threshold_s"] = threshold
+    with pytest.raises(ConfigError, match="threshold_s must be finite"):
+        PolicyConfig.from_dict(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match="threshold_s must be finite"):
+        MergeEngine.restore(tmp_path)
+
+
 def test_policy_numbers_may_be_integers():
     data = PolicyConfig(budget_k=2, variant="k_merge_pp", threshold_s=0.25).to_dict()
     data["threshold_s"], data["operator"]["density"], data["operator"]["drop_rate"] = 1, 1, 0
@@ -741,6 +760,36 @@ def test_persist_is_idempotent(tmp_path, rng):
     first = (tmp_path / "manifest.json").read_bytes()
     engine.persist(tmp_path)
     assert (tmp_path / "manifest.json").read_bytes() == first
+
+
+def test_persist_removes_slot_files_it_no_longer_names(tmp_path, rng, monkeypatch):
+    """Persisting a 2-slot engine over a 5-slot store leaves only the files
+    of the 2-slot store, and a persist that fails before its manifest is in
+    place deletes no slot file."""
+    stream = _stream(rng, 5)
+    wide = MergeEngine(_config(5))
+    for a in stream:
+        wide.ingest(a)
+    wide.persist(tmp_path)
+    (tmp_path / "slot_notes.kmrg").write_bytes(b"kept")
+    narrow = MergeEngine(_config(2))
+    for a in stream[:2]:
+        narrow.ingest(a)
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MergeEngine, "_manifest", fail)
+        with pytest.raises(OSError):
+            narrow.persist(tmp_path)
+    assert all((tmp_path / f"slot_{k}.kmrg").exists() for k in range(1, 6))
+
+    narrow.persist(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "running_cache.bin", "slot_1.kmrg", "slot_2.kmrg", "slot_notes.kmrg",
+    ]
+    assert MergeEngine.restore(tmp_path).history.entries == narrow.history.entries
 
 
 def _store_bytes(directory):

@@ -17,7 +17,7 @@ from kmerge.similarity import (
 from kmerge.bench import GeneratorConfig, generate_suite
 
 from conftest import (
-    dense_adapter_similarity, dense_cosine, dense_delta, make_adapter, small_random_adapter,
+    dense_adapter_similarity, dense_cosine, make_adapter, small_random_adapter,
 )
 
 K0 = LayerKey(0, "key")
@@ -260,13 +260,25 @@ def test_similarities_equal_one_layer_at_a_time_exactly(rng):
     assert similarities(x, ys) == one_by_one
 
 
-def test_zero_layer_scores_zero_and_caches_norms(rng):
+def test_zero_layer_scores_zero(rng):
     x, _ = _mixed_pool(rng)
     zero = _mixed_adapter("z", rng, rank=2, zero_layers={2})
     assert layer_similarity(x, zero, MIXED_KEYS[2]) == 0.0
-    assert zero.layer_norms[2] == 0.0
-    expected = [np.linalg.norm(dense_delta(x, key)) for key in x.layers]
-    np.testing.assert_allclose(x.layer_norms, expected, rtol=1e-12)
+
+
+def test_similarity_assigns_no_adapter_attribute(rng):
+    """Scoring caches nothing: every adapter it reads keeps the attributes
+    it had, each bound to the same object."""
+    x, ys = _mixed_pool(rng)
+
+    def attributes():
+        return [{name: id(value) for name, value in vars(a).items()} for a in ys]
+
+    before = attributes()
+    similarities(x, ys)
+    layer_similarity(x, ys[0], MIXED_KEYS[2])
+    most_similar(x, dict(enumerate(ys, 1)))
+    assert attributes() == before
 
 
 def test_similarities_key_set_mismatch(rng):
