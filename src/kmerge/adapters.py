@@ -8,10 +8,12 @@ done in float64.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -188,25 +190,35 @@ def _header_dict(adapter: LoraAdapter) -> dict:
     }
 
 
-def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
-    """Serialize an adapter to ``path``; round-trips bit-exactly. The file is
-    written beside ``path`` and renamed over it; if that fails, the partial
-    file is removed and ``path`` is left as it was."""
-    header = json.dumps(_header_dict(adapter)).encode("utf-8")
+def replace_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Replace ``path`` by a file that ``write`` fills: it is written beside
+    ``path`` and renamed over it; if either step fails, the partial file is
+    removed and ``path`` is left as it was."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEAD.pack(FORMAT_MAGIC, FORMAT_VERSION, len(header)))
-            fh.write(header)
-            for key in adapter.sorted_keys():
-                fp = adapter.layers[key]
-                fh.write(np.ascontiguousarray(fp.a, dtype="<f4"))
-                fh.write(np.ascontiguousarray(fp.b, dtype="<f4"))
+            write(fh)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
+    """Serialize an adapter to ``path`` through :func:`replace_file`;
+    round-trips bit-exactly."""
+    header = json.dumps(_header_dict(adapter)).encode("utf-8")
+
+    def write(fh):
+        fh.write(_HEAD.pack(FORMAT_MAGIC, FORMAT_VERSION, len(header)))
+        fh.write(header)
+        for key in adapter.sorted_keys():
+            fp = adapter.layers[key]
+            fh.write(np.ascontiguousarray(fp.a, dtype="<f4"))
+            fh.write(np.ascontiguousarray(fp.b, dtype="<f4"))
+
+    replace_file(path, write)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -217,12 +229,16 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def _read_tensor(fh, shape: tuple[int, int], name: str, key: LayerKey) -> np.ndarray:
+def _read_tensor(fh, size: int, shape: tuple[int, int], name: str, key: LayerKey) -> np.ndarray:
     """Tensor ``name`` of layer ``key``, read as float32 straight into its
-    own array, with no bytes copy."""
+    own array, with no bytes copy. ``size`` is the file's length: a tensor
+    that would not fit in the rest of the file is rejected before any
+    memory is allocated for it."""
     offset = fh.tell()
     if min(shape) < 0:
         raise FormatError(f"negative dimension in {name} tensor of layer {key}: {shape}", offset)
+    if 4 * shape[0] * shape[1] > size - offset:
+        raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
     out = np.empty(shape, dtype="<f4")
     if fh.readinto(out) != out.nbytes:
         raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
@@ -233,6 +249,7 @@ def read_adapter(path: str | Path) -> LoraAdapter:
     """Parse a ``.kmrg`` file, validating magic, version, header fields and
     payload size."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         head = _read_exact(fh, _HEAD.size, "file header")
         magic, version, header_len = _HEAD.unpack(head)
         if magic != FORMAT_MAGIC:
@@ -263,8 +280,8 @@ def read_adapter(path: str | Path) -> LoraAdapter:
                 raise bad_header(f"invalid layer entry: {exc}") from None
             if key in layers:
                 raise bad_header(f"layer {key} is listed twice")
-            a = _read_tensor(fh, (rank, d_in), "A", key)
-            b = _read_tensor(fh, (d_out, rank), "B", key)
+            a = _read_tensor(fh, size, (rank, d_in), "A", key)
+            b = _read_tensor(fh, size, (d_out, rank), "B", key)
             try:
                 layers[key] = FactorPair(a=a, b=b)
             except ShapeError as exc:

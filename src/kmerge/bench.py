@@ -29,7 +29,6 @@ from .adapters import (
 )
 from .engine import MergeEngine, MergeHistory, PolicyConfig
 from .errors import ConfigError, FormatError
-from .jsonfields import json_field, json_file_name, json_value
 from .merging import RankPolicy
 from .similarity import adapter_similarity, similarities
 
@@ -124,11 +123,9 @@ def generate_suite(config: GeneratorConfig) -> tuple[list[LoraAdapter], list[Tas
         for _ in range(config.beta_langs)
     ]
 
-    adapters, tasks = [], []
-    index = 0
+    adapters = []
     for p in range(config.alpha_types):
         for l in range(config.beta_langs):
-            index += 1
             layers = {}
             for key in keys:
                 d_in, d_out = config.shape_of(key)
@@ -144,10 +141,9 @@ def generate_suite(config: GeneratorConfig) -> tuple[list[LoraAdapter], list[Tas
                 )
                 a = np.vstack([ta, la, na])
                 layers[key] = FactorPair(a=a.astype(np.float32), b=b.astype(np.float32))
-            task_id = f"type{p}-lang{l}"
             adapters.append(
                 LoraAdapter(
-                    task_id=task_id,
+                    task_id=f"type{p}-lang{l}",
                     problem_type=f"type{p}",
                     language=f"lang{l}",
                     rank=config.rank,
@@ -155,15 +151,7 @@ def generate_suite(config: GeneratorConfig) -> tuple[list[LoraAdapter], list[Tas
                     layers=layers,
                 )
             )
-            tasks.append(
-                TaskSpec(
-                    task_index=index,
-                    task_id=task_id,
-                    problem_type=f"type{p}",
-                    language=f"lang{l}",
-                )
-            )
-    return adapters, tasks
+    return adapters, suite_tasks(adapters)
 
 
 def random_adapter(
@@ -196,48 +184,40 @@ def random_adapter(
 
 # -- suite directories -----------------------------------------------------
 
-def save_suite(
-    adapters: Sequence[LoraAdapter], tasks: Sequence[TaskSpec], directory: str | Path
-) -> None:
+def suite_tasks(adapters: Sequence[LoraAdapter]) -> list[TaskSpec]:
+    """The tasks of a suite: task ``i`` (from 1) is its ``i``-th adapter,
+    described by that adapter's own header fields."""
+    return [TaskSpec(i, a.task_id, a.problem_type, a.language) for i, a in enumerate(adapters, 1)]
+
+
+def save_suite(adapters: Sequence[LoraAdapter], directory: str | Path) -> None:
+    """Write ``adapters`` to ``directory`` as ``task_<n>.kmrg``, ``n`` counted
+    from 1 and zero-padded to at least three digits so that name order is
+    suite order, then delete every other ``task_<digits>.kmrg`` there, so
+    that no task of an earlier suite is loaded with this one."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    index = []
-    for adapter, task in zip(adapters, tasks):
-        file_name = f"task_{task.task_index:03d}.kmrg"
-        write_adapter(adapter, directory / file_name)
-        index.append(
-            {
-                "task_index": task.task_index,
-                "task_id": task.task_id,
-                "problem_type": task.problem_type,
-                "language": task.language,
-                "file": file_name,
-            }
-        )
-    (directory / "tasks.json").write_text(json.dumps(index, indent=2))
+    width = max(3, len(str(len(adapters))))
+    names = [f"task_{n:0{width}d}.kmrg" for n in range(1, len(adapters) + 1)]
+    for name, adapter in zip(names, adapters):
+        write_adapter(adapter, directory / name)
+    for path in directory.glob("task_*.kmrg"):
+        if path.name not in names and path.stem[len("task_"):].isdigit():
+            path.unlink()
 
 
 def load_suite(directory: str | Path) -> tuple[list[LoraAdapter], list[TaskSpec]]:
-    """The suite :func:`save_suite` wrote to ``directory``; a damaged
-    ``tasks.json`` raises :class:`FormatError` naming the problem."""
+    """The suite in ``directory``: every ``*.kmrg`` file in name order, task
+    ``i`` being the ``i``-th file (:func:`suite_tasks`). Any other file is
+    ignored. A path that is not a directory, or a directory with no
+    ``.kmrg`` file, raises :class:`FormatError`."""
     directory = Path(directory)
-    try:
-        index = json.loads((directory / "tasks.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"tasks.json is not valid JSON: {exc}") from None
-    adapters, tasks = [], []
-    for entry in json_value(index, list, FormatError, "tasks.json"):
-        file_name = json_file_name(json_field(entry, "file", FormatError), FormatError, "file")
-        adapters.append(read_adapter(directory / file_name))
-        tasks.append(
-            TaskSpec(
-                task_index=json_field(entry, "task_index", FormatError, int),
-                task_id=json_field(entry, "task_id", FormatError, str),
-                problem_type=json_field(entry, "problem_type", FormatError, str),
-                language=json_field(entry, "language", FormatError, str),
-            )
-        )
-    return adapters, tasks
+    if not directory.is_dir():
+        raise FormatError(f"suite {directory} is not a directory")
+    adapters = [read_adapter(path) for path in sorted(directory.glob("*.kmrg"))]
+    if not adapters:
+        raise FormatError(f"suite {directory} holds no .kmrg file")
+    return adapters, suite_tasks(adapters)
 
 
 def calibration_config(seed: int = 97) -> GeneratorConfig:

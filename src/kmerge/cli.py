@@ -79,25 +79,17 @@ def cmd_gen(args) -> int:
         noise_strength=args.noise_strength,
         seed=args.seed,
     )
-    adapters, tasks = generate_suite(config)
-    save_suite(adapters, tasks, args.out)
+    adapters, _ = generate_suite(config)
+    save_suite(adapters, args.out)
     print(f"wrote {len(adapters)} adapters to {args.out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    adapters, _ = _load_any_suite(args.suite)
+    adapters, _ = load_suite(args.suite)
     s = calibrate_threshold(adapters)
     print(f"{s:.6f}")
     return 0
-
-
-def _load_any_suite(directory: str):
-    directory = Path(directory)
-    if (directory / "tasks.json").exists():
-        return load_suite(directory)
-    adapters = [read_adapter(p) for p in sorted(directory.glob("*.kmrg"))]
-    return adapters, None
 
 
 def cmd_run(args) -> int:
@@ -159,7 +151,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    adapters, _ = _load_any_suite(args.suite)
+    adapters, _ = load_suite(args.suite)
     matrix = similarity_matrix(adapters)
     if args.csv:
         matrix.to_csv(args.csv)
@@ -179,6 +171,8 @@ def cmd_route(args) -> int:
 
 def cmd_inspect(args) -> int:
     if args.geometry:
+        if args.rank < 1:
+            raise ConfigError(f"--rank must be >= 1, got {args.rank}")
         modules = GEOMETRY_PRESETS[args.geometry]
         params = lora_param_count(modules, args.rank)
         # header size for a representative merged-adapter metadata block

@@ -28,7 +28,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .adapters import LayerKey, LoraAdapter, check_compatible, read_adapter, write_adapter
+from .adapters import (
+    LayerKey, LoraAdapter, check_compatible, read_adapter, replace_file, write_adapter,
+)
 from .errors import (
     ConfigError,
     DuplicateTask,
@@ -334,9 +336,10 @@ class MergeEngine:
         Caches are stored in canonical form as raw float64 little-endian
         tensors, each written straight to the cache file where
         :func:`_cache_layout` puts it, so a restored engine continues from
-        the same exact state. The manifest is :meth:`_manifest`. Slot files
-        of an earlier store in ``directory`` that it does not name are
-        deleted once it is in place.
+        the same exact state. The manifest is :meth:`_manifest`. Each file
+        is written through :func:`~kmerge.adapters.replace_file`, so a write
+        that fails leaves no temporary file. Slot files of an earlier store
+        in ``directory`` that it does not name are deleted once it is in place.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -344,16 +347,16 @@ class MergeEngine:
         for slot_key, slot in slots.items():
             write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
         layout, _ = _cache_layout(slots, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
-        tmp_cache = directory / "running_cache.bin.tmp"
-        with open(tmp_cache, "wb") as out:
+
+        def write_cache(out):
             for slot_key, key, *_ in layout:
                 low = slots[slot_key].cache[key]
                 for factor in (low.b, low.a):
                     out.write(np.ascontiguousarray(factor, dtype="<f8"))
-        tmp_cache.replace(directory / "running_cache.bin")
-        tmp = directory / "manifest.json.tmp"
-        tmp.write_text(json.dumps(self._manifest(layout, version=MANIFEST_VERSION), indent=2))
-        tmp.replace(directory / "manifest.json")
+
+        replace_file(directory / "running_cache.bin", write_cache)
+        manifest = json.dumps(self._manifest(layout, version=MANIFEST_VERSION), indent=2).encode()
+        replace_file(directory / "manifest.json", lambda out: out.write(manifest))
         # Only now, with the new manifest in place, drop the slot files of a
         # larger store persisted here before; it no longer names them.
         names = {f"slot_{slot_key}.kmrg" for slot_key in slots}

@@ -17,7 +17,8 @@ class ShapeError(KMergeError):
 
 
 class FormatError(KMergeError):
-    """An adapter file is malformed. Carries the byte offset of the problem."""
+    """An adapter file is malformed, or a suite directory holds none.
+    Carries the byte offset of the problem in a file, when there is one."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

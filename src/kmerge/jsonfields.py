@@ -1,5 +1,5 @@
 """Typed readers for the JSON that kmerge reads back: adapter headers,
-store manifests, policy configs and suite indexes.
+store manifests and policy configs.
 
 Each reader raises the error its caller passes, naming the field, and
 converts nothing: a boolean is no integer, ``4.9`` is no rank and
@@ -9,7 +9,6 @@ value than the one written. Messages are built only when raising.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable
 
 Error = Callable[[str], Exception]
@@ -44,11 +43,3 @@ def json_field(node, path: str, error: Error, kind: type | None = None):
             raise error(f"missing field {path!r}") from None
     return value if kind is None else json_value(value, kind, error, path)
 
-
-def json_file_name(value, error: Error, what: str, *args) -> str:
-    """``value`` if it is a single file name; raises ``error`` naming
-    ``what.format(*args)`` otherwise, so that an index cannot name a file
-    outside its directory."""
-    if type(value) is str and value not in ("", "..") and Path(value).name == value:
-        return value
-    raise error(f"{what.format(*args)} is not a file name in the directory: {value!r}")

@@ -153,6 +153,10 @@ DAMAGED_HEADERS = {
     # Same shapes as the entry it replaces, so the payload still fits.
     "repeated-layer": (lambda h: h["layers"].__setitem__(1, dict(h["layers"][0])),
                        r"layer 0\.key is listed twice"),
+    # Declared sizes past the file's end are rejected before any allocation.
+    "huge-d_in": (_set_layer("d_in", 2**45), "truncated payload while reading A tensor"),
+    "huge-d_out": (_set_layer("d_out", 2**62), "truncated payload while reading B tensor"),
+    "huge-rank": (lambda h: h.__setitem__("rank", 2**62), "truncated payload while reading A tensor"),
 }
 
 

@@ -67,6 +67,15 @@ def test_generator_grid_shape():
     assert adapters[0].key_set() == set(SMALL.keys())
 
 
+def test_generator_tasks_follow_the_grid():
+    _, tasks = generate_suite(SMALL)
+    assert tasks == [
+        TaskSpec(3 * p + l + 1, f"type{p}-lang{l}", f"type{p}", f"lang{l}")
+        for p in range(3)
+        for l in range(3)
+    ]
+
+
 def test_generator_deterministic():
     a1, _ = generate_suite(SMALL)
     a2, _ = generate_suite(SMALL)
@@ -125,13 +134,26 @@ def test_generator_tiny_side_components():
 
 def test_suite_save_load_roundtrip(tmp_path):
     adapters, tasks = generate_suite(SMALL)
-    save_suite(adapters, tasks, tmp_path)
+    save_suite(adapters, tmp_path)
     back_adapters, back_tasks = load_suite(tmp_path)
     assert back_tasks == tasks
     for x, y in zip(adapters, back_adapters):
         assert x.task_id == y.task_id
         for key in x.layers:
             np.testing.assert_array_equal(x.layers[key].a, y.layers[key].a)
+
+
+def test_save_suite_pads_names_past_999_tasks(tmp_path, rng):
+    """Past 999 tasks every name gains a digit, so name order stays suite
+    order, and the shorter names of the suite saved before are deleted."""
+    adapters = [small_random_adapter(f"t{n}", rng, n_keys=1, width=2) for n in range(1000)]
+    save_suite(adapters[:12], tmp_path)
+    save_suite(adapters, tmp_path)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"task_{n:04d}.kmrg" for n in range(1, 1001)]
+    back, tasks = load_suite(tmp_path)
+    assert [a.task_id for a in back] == [a.task_id for a in adapters]
+    assert tasks[-1] == TaskSpec(1000, "t999", "t", "l")
 
 
 def test_surrogate_identity(rng):
@@ -362,7 +384,7 @@ def test_qwen_geometry_matches_published_count():
 
 def test_adapter_file_bytes_matches_actual_file(tmp_path):
     adapters, tasks = generate_suite(SMALL)
-    save_suite(adapters[:1], tasks[:1], tmp_path)
+    save_suite(adapters[:1], tmp_path)
     raw = (tmp_path / "task_001.kmrg").read_bytes()
     magic, version, header_len = struct.unpack("<4sHI", raw[:10])
     assert magic == b"KMRG"

@@ -10,7 +10,7 @@ from kmerge.engine import MergeEngine, PolicyConfig
 from kmerge.errors import FormatError
 from kmerge.merging import MergeOperator, RankPolicy
 
-from conftest import small_random_adapter, width_mismatched_pair
+from conftest import rewrite_header, small_random_adapter, width_mismatched_pair
 
 GEN = [
     "gen",
@@ -26,11 +26,66 @@ def suite_dir(tmp_path):
     return out
 
 
+def _suite_names(count):
+    return [f"task_{n:03d}.kmrg" for n in range(1, count + 1)]
+
+
 def test_gen_writes_suite(suite_dir, capsys):
-    assert (suite_dir / "tasks.json").exists()
-    files = sorted(suite_dir.glob("*.kmrg"))
-    assert len(files) == 9
-    assert read_adapter(files[0]).task_id == "type0-lang0"
+    """A suite is its adapter files alone: no index is written beside them."""
+    assert sorted(p.name for p in suite_dir.iterdir()) == _suite_names(9)
+    assert read_adapter(suite_dir / "task_001.kmrg").task_id == "type0-lang0"
+
+
+def test_gen_over_a_larger_suite_leaves_only_its_own_tasks(tmp_path):
+    out = tmp_path / "suite"
+    assert main(["gen", "--layers", "1", "--width", "16", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == _suite_names(40)
+    (out / "notes.txt").write_text("kept")
+    assert main(GEN + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", *_suite_names(9)]
+    assert len(load_suite(out)[0]) == 9
+
+
+def test_run_and_sweep_read_a_bare_directory_of_adapters(suite_dir, tmp_path):
+    """Any directory of ``.kmrg`` files is a suite: task ``i`` is the
+    ``i``-th file in name order, named by its own header."""
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for path in suite_dir.iterdir():
+        adapter = read_adapter(path)
+        # language first, so name order is not the generator's order
+        (bare / f"{adapter.language}.{adapter.problem_type}.kmrg").write_bytes(path.read_bytes())
+    ids = [read_adapter(path).task_id for path in sorted(bare.iterdir())]
+    assert ids[:2] == ["type0-lang0", "type1-lang0"]
+
+    assert main(["run", "--suite", str(bare), "--k", "3", "--target-rank", "3",
+                 "--seeds", "0", "--out", str(tmp_path / "r")]) == 0
+    rows = json.loads((tmp_path / "r_seed0.json").read_text())["rows"]
+    assert sorted((row["task_index"], row["task_id"]) for row in rows) == list(enumerate(ids, 1))
+
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--suite", str(bare), "--k", "4", "--target-rank", "3",
+                 "--s-values", "0.2", "0.5", "--out", str(out)]) == 0
+    adapters, tasks = load_suite(bare)
+    config = PolicyConfig(budget_k=4, variant="k_merge_pp", threshold_s=0.0,
+                          rank_policy=RankPolicy(target_rank=3))
+    assert json.loads(out.read_text()) == threshold_sweep(
+        adapters, tasks, config, [0.2, 0.5], OrderingSpec("random", 0)
+    )
+
+
+def test_suite_ignores_a_tasks_index(suite_dir, tmp_path):
+    """A ``tasks.json`` left by an older suite, even a garbage one, changes
+    nothing: the adapter headers describe the tasks."""
+    def rows(tag):
+        assert main(["run", "--suite", str(suite_dir), "--k", "3", "--target-rank", "3",
+                     "--seeds", "0", "--out", str(tmp_path / tag)]) == 0
+        report = json.loads((tmp_path / f"{tag}_seed0.json").read_text())
+        return [{k: v for k, v in row.items() if k != "elapsed_us"} for row in report["rows"]]
+
+    plain = rows("plain")
+    (suite_dir / "tasks.json").write_text('[{"task_index": "garbage"')
+    assert rows("indexed") == plain
 
 
 def test_gen_deterministic(tmp_path):
@@ -242,29 +297,25 @@ def test_sweep_seed_orders_the_stream(suite_dir, tmp_path):
     assert expected != threshold_sweep(adapters, tasks, config, values, OrderingSpec("random", 0))
 
 
-DAMAGED_SUITES = {
-    "invalid-json": (lambda text: text[:-2], "not valid JSON"),
-    "no-task_id": (lambda text: _edit_first(text, lambda e: e.pop("task_id")), "task_id"),
-    "fractional-task_index": (
-        lambda text: _edit_first(text, lambda e: e.__setitem__("task_index", 1.7)), "task_index"
-    ),
-    "file-outside-suite": (
-        lambda text: _edit_first(text, lambda e: e.__setitem__("file", "../" + e["file"])), "file"
-    ),
+def _unclose_header(path):
+    raw = bytearray(path.read_bytes())
+    header_end = 10 + int.from_bytes(raw[6:10], "little")
+    raw[header_end - 1 : header_end] = b" "
+    path.write_bytes(bytes(raw))
+
+
+DAMAGED_KMRG_SUITES = {
+    "invalid-json": (_unclose_header, "unparseable JSON header"),
+    "no-task_id": (lambda path: rewrite_header(path, lambda h: h.pop("task_id")), "task_id"),
+    "truncated-payload": (lambda path: path.write_bytes(path.read_bytes()[:-1]),
+                          "truncated payload"),
 }
 
 
-def _edit_first(text, change):
-    index = json.loads(text)
-    change(index[0])
-    return json.dumps(index)
-
-
-@pytest.mark.parametrize("damage, problem", DAMAGED_SUITES.values(), ids=DAMAGED_SUITES)
-def test_run_damaged_suite_exits_1(suite_dir, tmp_path, capsys, damage, problem):
-    index = suite_dir / "tasks.json"
-    index.write_text(damage(index.read_text()))
-    (tmp_path / "task_001.kmrg").write_bytes((suite_dir / "task_001.kmrg").read_bytes())
+@pytest.mark.parametrize("damage, problem", DAMAGED_KMRG_SUITES.values(), ids=DAMAGED_KMRG_SUITES)
+def test_run_damaged_kmrg_suite_exits_1(suite_dir, tmp_path, capsys, damage, problem):
+    """One damaged adapter file fails the whole suite with its reason."""
+    damage(suite_dir / "task_004.kmrg")
     with pytest.raises(FormatError, match=problem):
         load_suite(suite_dir)
     code = main(["run", "--suite", str(suite_dir), "--k", "2", "--seeds", "0",
@@ -406,6 +457,14 @@ def test_inspect_geometry(capsys):
     assert abs(params - 22.5e6) / 22.5e6 < 0.02
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_inspect_geometry_rank_below_1_exits_2(capsys, rank):
+    assert main(["inspect", "--geometry", "llama-3.2-1b", "--rank", rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --rank must be >= 1, got {rank}\n"
+    assert captured.out == ""
+
+
 def test_inspect_requires_target():
     with pytest.raises(SystemExit) as err:
         main(["inspect"])
@@ -417,10 +476,28 @@ def test_missing_suite_is_runtime_error(tmp_path, capsys):
 
 
 def test_suite_path_to_a_file_exits_1(suite_dir, tmp_path, capsys):
-    code = main(["run", "--suite", str(suite_dir / "tasks.json"), "--k", "2",
+    path = suite_dir / "task_001.kmrg"
+    code = main(["run", "--suite", str(path), "--k", "2",
                  "--seeds", "0", "--out", str(tmp_path / "r")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: suite {path} is not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sim", "run", "sweep"])
+@pytest.mark.parametrize("suite, problem", [("nope", "is not a directory"),
+                                            ("empty", "holds no .kmrg file")])
+def test_missing_or_empty_suite_exits_1(tmp_path, capsys, command, suite, problem):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "tasks.json").write_text("[]")
+    path = str(tmp_path / suite)
+    argv = {
+        "calibrate": ["calibrate", path],
+        "sim": ["sim", path],
+        "run": ["run", "--suite", path, "--k", "2", "--out", str(tmp_path / "r")],
+        "sweep": ["sweep", "--suite", path, "--k", "2", "--s-values", "0.2"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: suite {tmp_path / suite} {problem}\n"
 
 
 def test_merge_out_to_a_directory_exits_1(tmp_path, rng, capsys):

@@ -733,6 +733,27 @@ def test_restore_slot_header_missing_field(tmp_path, rng):
         MergeEngine.restore(tmp_path)
 
 
+def test_restore_slot_header_declaring_a_huge_tensor(tmp_path, rng):
+    """A slot file that declares more payload than it holds is rejected
+    before restore allocates the declared tensor."""
+    _persisted(tmp_path, rng)
+    rewrite_header(tmp_path / "slot_1.kmrg", lambda h: h["layers"][0].__setitem__("d_in", 2**45))
+    with pytest.raises(FormatError, match="truncated payload"):
+        MergeEngine.restore(tmp_path)
+
+
+@pytest.mark.parametrize("target", ["slot_2.kmrg", "running_cache.bin", "manifest.json"])
+def test_failed_persist_leaves_no_temporary_file(tmp_path, rng, target):
+    engine = MergeEngine(_config(2))
+    for a in _stream(rng, 4):
+        engine.ingest(a)
+    (tmp_path / target).mkdir()
+    with pytest.raises(OSError):
+        engine.persist(tmp_path)
+    assert (tmp_path / target).is_dir()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
     """Messages naming a layer are built only when raising, so a valid
     store persists and restores without formatting any layer key."""
