@@ -6,8 +6,6 @@ from .adapters import (
     LoraAdapter,
     PROJECTIONS,
     delta_map,
-    flatten,
-    materialize_delta,
     read_adapter,
     write_adapter,
 )
@@ -33,7 +31,6 @@ from .merging import (
 from .similarity import (
     adapter_similarity,
     calibrate_threshold,
-    layer_similarity,
     most_similar,
     similarities,
     similarity_matrix,

@@ -1,5 +1,6 @@
-"""Adapter data model: per-layer low-rank factors, dense-update
-materialization, flattening, and the on-disk ``.kmrg`` format.
+"""Adapter data model: per-layer low-rank factors, the one compatibility
+rule for a pair of adapters, dense-update materialization, and the on-disk
+``.kmrg`` format.
 
 Stored tensors are float32; all arithmetic on materialized updates is
 done in float64.
@@ -13,11 +14,11 @@ import struct
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Collection
 
 import numpy as np
 
-from .errors import FormatError, IncompatibleAdapters, KeyNotFound, ShapeError
+from .errors import FormatError, IncompatibleAdapters, ShapeError
 from .jsonfields import json_field
 
 PROJECTIONS = ("key", "query", "value", "output")
@@ -119,15 +120,12 @@ class LoraAdapter:
     def sorted_keys(self) -> list[LayerKey]:
         return sorted(self.layers, key=LayerKey.sort_key)
 
-    def key_set(self) -> frozenset[LayerKey]:
-        return frozenset(self.layers)
-
 
 def check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
     """Check that ``x`` and ``y`` can meet in a similarity or a merge: they
     adapt the same layers (else :class:`IncompatibleAdapters`) at the same
     ``(d_out, d_in)`` (else :class:`ShapeError`). Ranks may differ."""
-    if x.key_set() != y.key_set():
+    if x.layers.keys() != y.layers.keys():
         raise IncompatibleAdapters(
             f"adapters {x.task_id!r} and {y.task_id!r} have different layer key-sets"
         )
@@ -140,26 +138,12 @@ def check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
             )
 
 
-def materialize_delta(adapter: LoraAdapter, key: LayerKey) -> np.ndarray:
-    """Dense update for one layer: ``scaling * b @ a`` in float64."""
-    try:
-        fp = adapter.layers[key]
-    except KeyError:
-        raise KeyNotFound(f"adapter {adapter.task_id!r} has no layer {key}") from None
-    return adapter.scaling * (fp.b.astype(np.float64) @ fp.a.astype(np.float64))
-
-
 def delta_map(adapter: LoraAdapter) -> dict[LayerKey, np.ndarray]:
-    """Materialize every layer's dense update."""
-    return {key: materialize_delta(adapter, key) for key in adapter.layers}
-
-
-def flatten(delta: np.ndarray) -> np.ndarray:
-    """Row-major vectorization of a dense update matrix."""
-    delta = np.asarray(delta)
-    if not np.isfinite(delta).all():
-        raise ShapeError("cannot flatten a non-finite matrix")
-    return delta.reshape(-1)
+    """Every layer's dense update, ``scaling * b @ a`` in float64."""
+    return {
+        key: adapter.scaling * (fp.b.astype(np.float64) @ fp.a.astype(np.float64))
+        for key, fp in adapter.layers.items()
+    }
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +189,13 @@ def replace_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
         raise
 
 
+def delete_stale(directory: Path, prefix: str, keep: Collection[str]) -> None:
+    """Delete each ``<prefix>_<digits>.kmrg`` in ``directory`` not named in ``keep``."""
+    for path in directory.glob(f"{prefix}_*.kmrg"):
+        if path.name not in keep and path.stem[len(prefix) + 1:].isdigit():
+            path.unlink()
+
+
 def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
     """Serialize an adapter to ``path`` through :func:`replace_file`;
     round-trips bit-exactly."""
@@ -239,7 +230,10 @@ def _read_tensor(fh, size: int, shape: tuple[int, int], name: str, key: LayerKey
         raise FormatError(f"negative dimension in {name} tensor of layer {key}: {shape}", offset)
     if 4 * shape[0] * shape[1] > size - offset:
         raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
-    out = np.empty(shape, dtype="<f4")
+    try:
+        out = np.empty(shape, dtype="<f4")
+    except ValueError:  # numpy's size limit, reachable when the other dimension is 0
+        raise FormatError(f"{name} tensor of layer {key} is too large: shape {shape}", offset) from None
     if fh.readinto(out) != out.nbytes:
         raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
     return out

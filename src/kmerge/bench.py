@@ -24,6 +24,7 @@ from .adapters import (
     FactorPair,
     LayerKey,
     LoraAdapter,
+    delete_stale,
     read_adapter,
     write_adapter,
 )
@@ -201,9 +202,7 @@ def save_suite(adapters: Sequence[LoraAdapter], directory: str | Path) -> None:
     names = [f"task_{n:0{width}d}.kmrg" for n in range(1, len(adapters) + 1)]
     for name, adapter in zip(names, adapters):
         write_adapter(adapter, directory / name)
-    for path in directory.glob("task_*.kmrg"):
-        if path.name not in names and path.stem[len("task_"):].isdigit():
-            path.unlink()
+    delete_stale(directory, "task", names)
 
 
 def load_suite(directory: str | Path) -> tuple[list[LoraAdapter], list[TaskSpec]]:

@@ -29,7 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .adapters import (
-    LayerKey, LoraAdapter, check_compatible, read_adapter, replace_file, write_adapter,
+    LayerKey, LoraAdapter, check_compatible, delete_stale, read_adapter, replace_file, write_adapter,
 )
 from .errors import (
     ConfigError,
@@ -339,7 +339,7 @@ class MergeEngine:
         the same exact state. The manifest is :meth:`_manifest`. Each file
         is written through :func:`~kmerge.adapters.replace_file`, so a write
         that fails leaves no temporary file. Slot files of an earlier store
-        in ``directory`` that it does not name are deleted once it is in place.
+        that the new manifest does not name are deleted only once it is in place.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -357,12 +357,7 @@ class MergeEngine:
         replace_file(directory / "running_cache.bin", write_cache)
         manifest = json.dumps(self._manifest(layout, version=MANIFEST_VERSION), indent=2).encode()
         replace_file(directory / "manifest.json", lambda out: out.write(manifest))
-        # Only now, with the new manifest in place, drop the slot files of a
-        # larger store persisted here before; it no longer names them.
-        names = {f"slot_{slot_key}.kmrg" for slot_key in slots}
-        for path in directory.glob("slot_*.kmrg"):
-            if path.name not in names and path.stem[len("slot_"):].isdigit():
-                path.unlink()
+        delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in slots})
 
     def _manifest(self, layout: list, version: int) -> dict:
         """This engine's manifest with its caches at ``layout`` (see

@@ -5,10 +5,6 @@ class KMergeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class KeyNotFound(KMergeError):
-    """A requested (layer, projection) key is absent from an adapter."""
-
-
 class ShapeError(KMergeError):
     """A tensor, shape or library argument is invalid: dimensions that
     disagree with the declared rank or widths, an adapter's scale, a layer
@@ -36,12 +32,10 @@ class EmptyStore(KMergeError):
     """An operation requiring at least one occupied slot found none."""
 
 
-class InsufficientData(KMergeError):
-    """Threshold calibration needs at least two held-out adapters."""
-
-
 class InsufficientInputs(KMergeError):
-    """A multi-input merge operator received fewer than two inputs."""
+    """A call that compares or merges several inputs received fewer than
+    two: a multi-input merge operator, a similarity matrix or a threshold
+    calibration."""
 
 
 class DuplicateTask(KMergeError):

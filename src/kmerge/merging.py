@@ -107,9 +107,11 @@ def ties_merge(deltas: Sequence[DeltaMap], density: float = 0.5) -> MergedDelta:
         raise IncompatibleAdapters("delta sets have different layer key-sets")
     layers = {}
     for key in deltas[0]:
-        shape = deltas[0][key].shape
+        shapes = [np.shape(d[key]) for d in deltas]
+        if len(set(shapes)) > 1:
+            raise ShapeError(f"layer {key} shapes disagree across delta sets: {shapes}")
         stack = np.stack([np.asarray(d[key], dtype=np.float64).reshape(-1) for d in deltas])
-        layers[key] = _ties_layer(stack, density).reshape(shape)
+        layers[key] = _ties_layer(stack, density).reshape(shapes[0])
     return MergedDelta(layers=layers)
 
 

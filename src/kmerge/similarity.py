@@ -5,13 +5,15 @@ updates of the two adapters. It is evaluated through the r x r Gram
 matrices of the low-rank factors, which is algebraically identical to
 flattening the dense products and never materializes them.
 
-One kernel compares one adapter against many: :func:`similarities`, and
-:func:`layer_similarity` for a single layer; the other functions here call
-it. It walks the first adapter's layers in runs of consecutive same-shape
-layers, stacks that adapter's scaled float64 factors once per run and each
-other adapter's once, and gets the per-layer inner products as batched
-Gram products; each layer's norm comes from the same stacks, so every
-adapter is stacked once per run and nothing is cached on it.
+One kernel compares one adapter against many: :func:`similarities`; the
+other functions here call it. It checks each pair through
+:func:`kmerge.adapters.check_compatible`, then walks the first adapter's
+layers in runs of consecutive same-shape layers, stacks that adapter's
+scaled float64 factors once per run and each other adapter's once, and
+gets the per-layer inner products as batched Gram products; each layer's
+norm comes from the same stacks, so every adapter is stacked once per run
+and nothing is cached on it. The cosine of one layer is the score of two
+one-layer adapters.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .adapters import LayerKey, LoraAdapter, check_compatible
-from .errors import EmptyStore, IncompatibleAdapters, InsufficientData, KeyNotFound, ShapeError
+from .errors import EmptyStore, InsufficientInputs
 
 DEGENERATE_NORM = 1e-12
 
@@ -98,20 +100,6 @@ def similarities(x: LoraAdapter, others: Sequence[LoraAdapter]) -> list[float]:
     return [1.0 if y is x else float(np.mean(next(rows))) for y in others]
 
 
-def layer_similarity(x: LoraAdapter, y: LoraAdapter, key: LayerKey) -> float:
-    """Cosine of the two flattened dense updates for one layer; only that
-    layer must be present in both, at one shape."""
-    for adapter in (x, y):
-        if key not in adapter.layers:
-            raise KeyNotFound(f"adapter {adapter.task_id!r} has no layer {key}")
-    fx, fy = x.layers[key], y.layers[key]
-    if (fx.d_out, fx.d_in) != (fy.d_out, fy.d_in):
-        raise ShapeError(
-            f"layer {key} shapes disagree: {(fx.d_out, fx.d_in)} vs {(fy.d_out, fy.d_in)}"
-        )
-    return float(_cosines(x, [y], [key])[0, 0])
-
-
 def adapter_similarity(x: LoraAdapter, y: LoraAdapter) -> float:
     """Mean of the per-layer cosines over all layer keys."""
     return similarities(x, [y])[0]
@@ -149,7 +137,7 @@ class SimilarityMatrix:
 def similarity_matrix(adapters: Sequence[LoraAdapter]) -> SimilarityMatrix:
     """All pairwise scores; symmetric with unit diagonal."""
     if len(adapters) < 2:
-        raise IncompatibleAdapters("similarity matrix needs at least 2 adapters")
+        raise InsufficientInputs("similarity matrix needs at least 2 adapters")
     n = len(adapters)
     values = np.ones((n, n))
     for i in range(n):
@@ -170,5 +158,5 @@ def calibrate_threshold(held_out: Sequence[LoraAdapter]) -> float:
     Even pair counts average the two middle values.
     """
     if len(held_out) < 2:
-        raise InsufficientData("threshold calibration needs at least 2 adapters")
+        raise InsufficientInputs("threshold calibration needs at least 2 adapters")
     return float(np.median(pairwise_similarities(held_out)))

@@ -64,7 +64,7 @@ def test_generator_grid_shape():
         for key, fp in adapter.layers.items():
             assert fp.a.shape == (3, 16)
             assert fp.b.shape == (16, 3)
-    assert adapters[0].key_set() == set(SMALL.keys())
+    assert set(adapters[0].layers) == set(SMALL.keys())
 
 
 def test_generator_tasks_follow_the_grid():

@@ -355,7 +355,7 @@ def test_merge_running_average_matches_engine(tmp_path, rng):
         engine.ingest(y)
         served, merged = engine.load_for_inference(1), read_adapter(out)
         assert (merged.rank, merged.scale_numerator) == (served.rank, served.scale_numerator)
-        assert merged.key_set() == served.key_set()
+        assert set(merged.layers) == set(served.layers)
         for key, fp in served.layers.items():
             np.testing.assert_array_equal(merged.layers[key].a, fp.a)
             np.testing.assert_array_equal(merged.layers[key].b, fp.b)
@@ -498,6 +498,14 @@ def test_missing_or_empty_suite_exits_1(tmp_path, capsys, command, suite, proble
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: suite {tmp_path / suite} {problem}\n"
+
+
+@pytest.mark.parametrize("command, what", [("sim", "similarity matrix"),
+                                           ("calibrate", "threshold calibration")])
+def test_one_file_suite_exits_1(tmp_path, rng, capsys, command, what):
+    write_adapter(small_random_adapter("only", rng), tmp_path / "task_001.kmrg")
+    assert main([command, str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {what} needs at least 2 adapters\n"
 
 
 def test_merge_out_to_a_directory_exits_1(tmp_path, rng, capsys):

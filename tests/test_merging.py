@@ -119,6 +119,12 @@ def test_ties_needs_two_inputs():
         ties_merge([{K0: np.ones((1, 1))}], density=1.0)
 
 
+@pytest.mark.parametrize("shapes", [((1, 3), (1, 4)), ((2, 3), (3, 2))], ids=["wider", "transposed"])
+def test_ties_rejects_shapes_that_disagree(shapes):
+    with pytest.raises(ShapeError, match=r"layer 0\.key shapes disagree"):
+        ties_merge([{K0: np.ones(shape)} for shape in shapes], density=1.0)
+
+
 def test_dare_zero_drop_is_identity(rng):
     delta = {K0: rng.standard_normal((3, 4))}
     out = dare_preprocess(delta, 0.0, seed=7)

@@ -1,14 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kmerge.adapters import PROJECTIONS, LayerKey
-from kmerge.errors import (
-    EmptyStore, IncompatibleAdapters, InsufficientData, KeyNotFound, ShapeError,
-)
+from kmerge.errors import EmptyStore, IncompatibleAdapters, InsufficientInputs, ShapeError
 from kmerge.similarity import (
     adapter_similarity,
     calibrate_threshold,
-    layer_similarity,
     most_similar,
     pairwise_similarities,
     similarities,
@@ -22,6 +21,12 @@ from conftest import (
 
 K0 = LayerKey(0, "key")
 K1 = LayerKey(0, "query")
+
+
+def layer_similarity(x, y, key):
+    """Cosine of one layer: the score of one-layer copies of ``x`` and ``y``."""
+    x1, y1 = (replace(a, layers={key: a.layers[key]}) for a in (x, y))
+    return adapter_similarity(x1, y1)
 
 
 def test_self_similarity_is_one(rng):
@@ -191,8 +196,13 @@ def test_calibrate_sort_oracle(rng):
 
 
 def test_calibrate_insufficient(rng):
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InsufficientInputs):
         calibrate_threshold([small_random_adapter("x", rng)])
+
+
+def test_similarity_matrix_insufficient(rng):
+    with pytest.raises(InsufficientInputs, match="at least 2 adapters"):
+        similarity_matrix([small_random_adapter("x", rng)])
 
 
 def test_matrix_csv_roundtrip(tmp_path, rng):
@@ -276,7 +286,6 @@ def test_similarity_assigns_no_adapter_attribute(rng):
 
     before = attributes()
     similarities(x, ys)
-    layer_similarity(x, ys[0], MIXED_KEYS[2])
     most_similar(x, dict(enumerate(ys, 1)))
     assert attributes() == before
 
@@ -286,8 +295,6 @@ def test_similarities_key_set_mismatch(rng):
     short = make_adapter("short", {k: (fp.a, fp.b) for k, fp in list(x.layers.items())[:3]}, 3, 3.0)
     with pytest.raises(IncompatibleAdapters):
         similarities(x, ys + [short])
-    with pytest.raises(KeyNotFound):
-        layer_similarity(x, short, MIXED_KEYS[5])
 
 
 def test_similarities_shape_mismatch(rng):
