@@ -69,19 +69,24 @@ def linear_merge(x: LoraAdapter, y: LoraAdapter, weight: float = 0.5) -> MergedD
 
 
 def _trim(flat: np.ndarray, density: float) -> np.ndarray:
-    """Zero all but the top ceil(density * n) entries by magnitude.
+    """Zero all but the top k = ceil(density * n) entries by magnitude.
 
-    Ties at the cutoff keep the earlier flattened index (stable sort).
+    The cutoff, the k-th largest magnitude, is found by selection
+    (``np.partition``, O(n)), not by sorting. Every entry above it is
+    kept; ties at the cutoff keep the earliest flattened indices until k
+    are kept, which is the set a stable sort by decreasing magnitude
+    keeps.
     """
     n = flat.size
     k = math.ceil(density * n)
     if k >= n:
         return flat.copy()
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:k]
-    out[keep] = flat[keep]
-    return out
+    magnitude = np.abs(flat)
+    cutoff = np.partition(magnitude, n - k)[n - k]
+    keep = magnitude > cutoff
+    short = k - np.count_nonzero(keep)
+    keep[np.flatnonzero(magnitude == cutoff)[:short]] = True
+    return np.where(keep, flat, 0.0)
 
 
 def _ties_layer(stack: np.ndarray, density: float) -> np.ndarray:
@@ -99,7 +104,10 @@ def ties_merge(deltas: Sequence[DeltaMap], density: float = 0.5) -> MergedDelta:
     """Trim, elect per-entry sign, then average sign-matching inputs.
 
     Entries where no trimmed input matches the elected sign become 0.
+    ``density`` must be finite and in (0, 1].
     """
+    if not 0.0 < density <= 1.0:
+        raise ShapeError("density must be in (0, 1]")
     if len(deltas) < 2:
         raise InsufficientInputs("ties merge needs at least 2 delta sets")
     keys = set(deltas[0])

@@ -106,6 +106,31 @@ def test_ties_matches_naive_oracle(rng):
         np.testing.assert_allclose(merged.dense()[K0].reshape(-1), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_ties_cutoff_ties_match_naive_oracle(m):
+    # Integer values in -3..3 give many equal magnitudes, so the cutoff
+    # almost always falls inside a run of ties.
+    rng = np.random.default_rng(1600 + m)
+    n = 24
+    for density in (1 / n, 0.3, 0.5, 0.77, 1 - 1 / n, 1.0):
+        for _ in range(20):
+            vecs = [rng.integers(-3, 4, n).astype(np.float64) for _ in range(m)]
+            merged = ties_merge([{K0: v.reshape(4, 6)} for v in vecs], density=density)
+            assert np.array_equal(merged.dense()[K0].reshape(-1), naive_ties(vecs, density))
+
+
+def test_ties_equal_magnitudes_keep_the_earliest_indices():
+    v = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+    merged = ties_merge([{K0: v.reshape(2, 4)}, {K0: v.reshape(2, 4)}], density=0.5)
+    assert np.array_equal(merged.dense()[K0].reshape(-1), np.concatenate([v[:4], np.zeros(4)]))
+
+
+@pytest.mark.parametrize("density", [0.0, -0.5, float("nan"), 1.5, float("inf")])
+def test_ties_rejects_density_outside_unit_interval(density):
+    with pytest.raises(ShapeError, match=r"density must be in \(0, 1\]"):
+        ties_merge([{K0: np.ones((2, 2))}, {K0: np.ones((2, 2))}], density=density)
+
+
 def test_ties_density_one_agreeing_is_mean(rng):
     vecs = [np.abs(rng.standard_normal(8)) for _ in range(3)]
     merged = ties_merge([{K0: v.reshape(2, 4)} for v in vecs], density=1.0)
