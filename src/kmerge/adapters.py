@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -28,24 +29,37 @@ FORMAT_MAGIC = b"KMRG"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True, order=False)
-class LayerKey:
-    """Identifies one adapted projection matrix inside the model."""
+class LayerKey(namedtuple("LayerKey", ["layer", "proj"])):
+    """Identifies one adapted projection matrix inside the model.
 
-    layer: int
-    proj: str
+    A tuple, so it hashes and compares for equality in C: a key equals the
+    plain tuple ``(layer, proj)``. Ordering is by ``sort_key``, projections
+    in ``PROJECTIONS`` order.
+    """
 
-    def __post_init__(self):
-        if self.layer < 0:
-            raise ShapeError(f"layer index must be >= 0, got {self.layer}")
-        if self.proj not in _PROJ_ORDER:
-            raise ShapeError(f"unknown projection {self.proj!r}; expected one of {PROJECTIONS}")
+    __slots__ = ()
+
+    def __new__(cls, layer: int, proj: str) -> "LayerKey":
+        if layer < 0:
+            raise ShapeError(f"layer index must be >= 0, got {layer}")
+        if proj not in _PROJ_ORDER:
+            raise ShapeError(f"unknown projection {proj!r}; expected one of {PROJECTIONS}")
+        return super().__new__(cls, layer, proj)
 
     def sort_key(self) -> tuple[int, int]:
         return (self.layer, _PROJ_ORDER[self.proj])
 
     def __lt__(self, other: "LayerKey") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "LayerKey") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "LayerKey") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "LayerKey") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __str__(self) -> str:
         return f"{self.layer}.{self.proj}"

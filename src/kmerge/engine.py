@@ -40,7 +40,7 @@ from .errors import (
     UnknownTask,
 )
 from .jsonfields import json_field, json_value
-from .lowrank import LowRankDelta
+from .lowrank import LowRankDelta, fold_layers
 from .merging import (
     MergeOperator,
     RankPolicy,
@@ -180,9 +180,10 @@ def merged_cache(
     The running average folds ``incoming`` into the slot's cache with
     weights ``count/(count+1)`` and ``1/(count+1)``; ``linear`` folds it into
     the served adapter's cache with ``weight`` and ``1 - weight``, both by
-    projection (``LowRankDelta.fold``). TIES and DARE vote and drop per
-    entry, so they merge the served adapter with ``incoming`` in dense space
-    and store the canonical form of the output.
+    projection, all layers in one :func:`kmerge.lowrank.fold_layers` call.
+    TIES and DARE vote and drop per entry, so they merge the served adapter
+    with ``incoming`` in dense space and store the canonical form of the
+    output.
     """
     check_compatible(slot.adapter, incoming)
     if operator.kind == "running_average":
@@ -199,10 +200,9 @@ def merged_cache(
         else:
             merged = dare_ties_merge(slot.adapter, incoming, operator)
         return {key: LowRankDelta.from_dense(d) for key, d in merged.dense().items()}
-    return {
-        key: base[key].fold(alpha, beta, LowRankDelta.from_factors(fp, incoming.scaling))
-        for key, fp in incoming.layers.items()
-    }
+    keys = list(incoming.layers)
+    caches, layers = [base[key] for key in keys], [incoming.layers[key] for key in keys]
+    return dict(zip(keys, fold_layers(alpha, beta, caches, layers, incoming.scaling)))
 
 
 @dataclass

@@ -9,13 +9,35 @@ Canonical form is a balanced thin SVD: ``b = U sqrt(S)`` and
 ``a = sqrt(S) V^T`` with orthonormal ``U`` and ``V``, ``S`` descending and
 singular values at or below ``REL_TOL * s_0`` dropped. Because the form is
 balanced, ``S`` is the squared column norms of ``b``. ``from_dense``,
-``compressed`` and ``fold`` return canonical deltas and mark them so;
-``compressed`` on a canonical delta is free, and is the only place that
-QR-factorises a whole factor. Slot caches are kept in this form: ``fold``
-adds an update to one by projecting it onto the current basis (Brand,
-"Fast low-rank modifications of the thin singular value decomposition",
-2006), so only the incoming factors' d x r residuals are factorised, and
-the best rank-r approximation (``svd_truncate``) is a slice of it.
+``compressed`` and ``fold_layers`` return canonical deltas and mark them
+so; ``compressed`` on a canonical delta is free, and is the only place
+that QR-factorises a whole factor. Slot caches are kept in this form:
+``fold_layers`` adds an update to one by projecting it onto the current
+basis (Brand, "Fast low-rank modifications of the thin singular value
+decomposition", 2006), so only the incoming factors' d x r residuals are
+factorised, and the best rank-r approximation (``svd_truncate``) is a
+slice of it.
+
+``fold_layers`` folds all projections of a merge in one call. At the
+paper's geometry (width 64, rank 4) a projection's fold is a few dozen
+numpy calls on tiny matrices, so per-call overhead, not arithmetic, sets
+its cost. Layers whose cache and incoming factors have equal shapes are
+therefore stacked, and each step (the Gram-Schmidt passes, the residual
+SVDs, the core SVD, the rotate-back) runs as one stacked numpy call per
+batch. A batch holds as many layers as fit ``FOLD_BATCH_BYTES`` of working
+set, ``8 (d_out + d_in) (R + r)`` bytes per layer for cache rank ``R`` and
+incoming rank ``r``, and at least one. Larger stacks leave the cache and
+were slower at width 2048, where one layer alone exceeds the budget and
+each batch is the one-layer fold. Layers of a batch that keep different
+numbers of residual or core directions finish in sub-batches of equal
+counts. ``LowRankDelta.fold`` is the one-layer call.
+
+Stacked numpy ``matmul`` and ``svd`` give every slice the bits of the same
+call on that matrix alone, provided each slice has that matrix's memory
+layout: BLAS rounds differently for a transposed operand. The batch
+keeps the one-layer layouts (``u = b / root`` C-ordered, ``v = a.T /
+root`` F-ordered, stored as its C-ordered transpose), so a layer's result
+does not depend on which layers share its batch.
 """
 
 from __future__ import annotations
@@ -29,33 +51,15 @@ from .adapters import FactorPair
 
 REL_TOL = 1e-14  # canonical form drops singular values at or below REL_TOL * s_0
 NOISE_TOL = 1e-13  # fold drops residual directions at or below NOISE_TOL * |incoming factor|
+# Working-set budget of one batched fold pass, sized to stay in a core's L2 cache:
+# 8 (d_out + d_in) (R + r) bytes per layer, for cache rank R and incoming rank r.
+FOLD_BATCH_BYTES = 1 << 20
 
 
-def _kept(s: np.ndarray) -> int:
-    """How many of the descending singular values ``s`` canonical form keeps."""
-    return int(np.count_nonzero(s > s[0] * REL_TOL)) if s.size and s[0] > 0 else 0
-
-
-def _split(basis: np.ndarray, block: np.ndarray):
-    """Split ``block`` (d x r) over the orthonormal columns of ``basis``.
-
-    Returns ``(coords, q, k)`` with ``block = basis coords + q k`` and ``q``
-    orthonormal and orthogonal to ``basis``. Classical Gram-Schmidt with
-    one re-orthogonalisation pass, then a thin SVD of the d x r residual
-    (rank-revealing, and as fast as a QR there). Residual directions at
-    rounding level, as when ``block`` lies in span(basis) or ``basis``
-    spans the whole space, are dropped: they are noise, not orthogonal to
-    ``basis``. A kept direction with singular value ``sigma`` is orthogonal
-    to ``basis`` to about ``eps * |block| / sigma``.
-    """
-    coords = basis.T @ block
-    resid = block - basis @ coords
-    again = basis.T @ resid
-    coords += again
-    resid -= basis @ again
-    q, sig, zt = np.linalg.svd(resid, full_matrices=False)
-    n = int(np.count_nonzero(sig > NOISE_TOL * np.linalg.norm(block)))
-    return coords, q[:, :n], sig[:n, None] * zt[:n]
+def _kept(s: np.ndarray):
+    """How many of the descending singular values ``s`` canonical form keeps,
+    per row of a stack."""
+    return np.count_nonzero(s > s[..., :1] * REL_TOL, axis=-1)
 
 
 @dataclass
@@ -82,7 +86,7 @@ class LowRankDelta:
     @classmethod
     def from_dense(cls, delta: np.ndarray) -> "LowRankDelta":
         u, s, vt = np.linalg.svd(np.asarray(delta, dtype=np.float64), full_matrices=False)
-        r = _kept(s)
+        r = int(_kept(s))
         root = np.sqrt(s[:r])
         return cls(b=u[:, :r] * root, a=root[:, None] * vt[:r], canonical=True)
 
@@ -112,41 +116,15 @@ class LowRankDelta:
         qb, rb = np.linalg.qr(self.b)
         qa, ra = np.linalg.qr(self.a.T)
         u, s, vt = np.linalg.svd(rb @ ra.T)
-        r = _kept(s)
+        r = int(_kept(s))
         root = np.sqrt(s[:r])
         return LowRankDelta(
             b=(qb @ u[:, :r]) * root, a=root[:, None] * (vt[:r] @ qa.T), canonical=True
         )
 
     def fold(self, alpha: float, beta: float, other: "LowRankDelta") -> "LowRankDelta":
-        """Canonical ``alpha * self + beta * other``, exact to working precision.
-
-        ``other``'s factors are projected onto this delta's singular bases
-        and only their d x r residuals are factorised (see ``_split``). The
-        SVD of the small core ``alpha S (+) beta [P; K_b][Q; K_a]^T`` is then
-        rotated back into the extended bases. ``self`` is canonicalised
-        first if it is not canonical already.
-        """
-        base = self.compressed()
-        s = base.singular_values()
-        root = np.sqrt(s)
-        u, v = base.b / root, base.a.T / root
-        coords_b, qb, kb = _split(u, other.b)
-        coords_a, qa, ka = _split(v, other.a.T)
-        core = beta * (np.vstack([coords_b, kb]) @ np.vstack([coords_a, ka]).T)
-        r = s.size
-        core[np.arange(r), np.arange(r)] += alpha * s
-        w, sig, zt = np.linalg.svd(core, full_matrices=False)
-        k = _kept(sig)
-        # The new singular vectors, scaled by sqrt(sig), as coefficients on
-        # the extended bases [u, qb] and [v, qa].
-        left = w[:, :k] * np.sqrt(sig[:k])
-        right = zt[:k] * np.sqrt(sig[:k])[:, None]
-        return LowRankDelta(
-            b=u @ left[:r] + qb @ left[r:],
-            a=right[:, :r] @ v.T + right[:, r:] @ qa.T,
-            canonical=True,
-        )
+        """Canonical ``alpha * self + beta * other``; :func:`fold_layers` for one layer."""
+        return fold_layers(alpha, beta, [self], [other])[0]
 
     def svd_truncate(self, rank: int) -> tuple["LowRankDelta", np.ndarray]:
         """Best rank-``rank`` approximation and all singular values.
@@ -161,3 +139,136 @@ class LowRankDelta:
         b[:, :r] = low.b[:, :r]
         a[:r] = low.a[:r]
         return LowRankDelta(b=b, a=a), low.singular_values()
+
+
+def fold_layers(
+    alpha: float,
+    beta: float,
+    caches: Sequence[LowRankDelta],
+    incoming: Sequence[FactorPair | LowRankDelta],
+    scaling: float = 1.0,
+) -> list[LowRankDelta]:
+    """Canonical ``alpha * cache + beta * scaling * other`` for each pair of
+    ``caches`` and ``incoming``, exact to working precision.
+
+    Each incoming factor pair is projected onto its cache's singular bases
+    and only its d x r residuals are factorised (see :func:`_split`). The
+    SVD of the small core ``alpha S (+) beta [P; K_b][Q; K_a]^T`` is then
+    rotated back into the extended bases. Caches are canonicalised first.
+    Layers of one geometry are folded together in batches of stacked numpy
+    calls (module docstring); every result is bit-identical to folding its
+    layer alone.
+    """
+    caches = [cache.compressed() for cache in caches]
+    groups = _positions(
+        (cache.b.shape, cache.a.shape, other.b.shape, other.a.shape)
+        for cache, other in zip(caches, incoming, strict=True)
+    )
+    folded = [None] * len(caches)
+    for ((d_out, r), (_, d_in), (_, rank), _), members in groups.items():
+        size = max(1, FOLD_BATCH_BYTES // (8 * (d_out + d_in) * (r + rank)))
+        for start in range(0, len(members), size):
+            batch = members[start : start + size]
+            results = _fold_batch(
+                alpha, beta, [caches[i] for i in batch], [incoming[i] for i in batch], scaling
+            )
+            for i, low in zip(batch, results):
+                folded[i] = low
+    return folded
+
+
+def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
+    """:func:`fold_layers` for one batch of layers whose factors have equal
+    shapes. ``u``, ``vt`` (``v`` transposed), ``in_b`` and ``in_a`` are
+    C-ordered stacks, so each slice has the layout the one-layer fold gave
+    its matrix: ``u = b / root`` C-ordered and ``v = a.T / root`` F-ordered."""
+    n = len(caches)
+    u, vt = np.empty((n, *caches[0].b.shape)), np.empty((n, *caches[0].a.shape))
+    in_b, in_a = np.empty((n, *incoming[0].b.shape)), np.empty((n, *incoming[0].a.shape))
+    s = np.empty((n, u.shape[2]))
+    for j, (cache, other) in enumerate(zip(caches, incoming)):
+        # The singular values, the squared column norms of b.
+        np.einsum("ij,ij->j", cache.b, cache.b, out=s[j])
+        root = np.sqrt(s[j])
+        np.divide(cache.b, root, out=u[j])
+        np.divide(cache.a, root[:, None], out=vt[j])
+        in_b[j], in_a[j] = other.b, other.a
+    in_b *= scaling  # as from_factors: convert, then scale
+    coords_b, q_b, sig_b, z_b, kept_b = _split(u, in_b, _norms(in_b))
+    v, block_a = vt.transpose(0, 2, 1), in_a.transpose(0, 2, 1)
+    coords_a, q_a, sig_a, z_a, kept_a = _split(v, block_a, _norms(in_a))
+    r = s.shape[1]
+    diag = np.arange(r)
+    results = [None] * n
+    # Layers keep different numbers of residual and core directions, so the
+    # core and the rotate-back run once per sub-batch of equal counts.
+    for (nb, na), group in _positions(zip(kept_b.tolist(), kept_a.tolist())).items():
+        g = _view(group, n)
+        left = np.concatenate([coords_b[g], sig_b[g][:, :nb, None] * z_b[g][:, :nb]], axis=1)
+        right = np.concatenate([coords_a[g], sig_a[g][:, :na, None] * z_a[g][:, :na]], axis=1)
+        core = left @ right.transpose(0, 2, 1)
+        core *= beta
+        core[:, diag, diag] += alpha * s[g]
+        w, sig, zt = np.linalg.svd(core, full_matrices=False)
+        for k, sub in _positions(_kept(sig).tolist()).items():
+            at = group[sub]
+            in_group, in_batch = _view(sub, len(group)), _view(at, n)
+            root_k = np.sqrt(sig[in_group][:, :k])
+            # The new singular vectors, scaled by sqrt(sig), as coefficients
+            # on the extended bases [u, q_b] and [v, q_a].
+            left = w[in_group][:, :, :k] * root_k[:, None, :]
+            right = zt[in_group][:, :k] * root_k[:, :, None]
+            b = u[in_batch] @ left[:, :r] + q_b[in_batch][:, :, :nb] @ left[:, r:]
+            q_a_t = q_a[in_batch][:, :, :na].transpose(0, 2, 1)
+            a = right[:, :, :r] @ vt[in_batch] + right[:, :, r:] @ q_a_t
+            for j, low_b, low_a in zip(at, b, a):
+                results[j] = LowRankDelta(b=low_b, a=low_a, canonical=True)
+    return results
+
+
+def _positions(values) -> dict:
+    """The positions of each distinct value in ``values``, ascending."""
+    positions: dict = {}
+    for i, value in enumerate(values):
+        positions.setdefault(value, []).append(i)
+    return {value: np.array(where) for value, where in positions.items()}
+
+
+def _view(index: np.ndarray, n: int):
+    """``index`` into a stack of ``n``; ``slice(None)``, a view rather than a
+    copy, when it selects every slice."""
+    return slice(None) if len(index) == n else index
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Each slice's Frobenius norm as ``np.linalg.norm`` computes it: the
+    square root of the dot product of its entries in memory order."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _split(basis: np.ndarray, block: np.ndarray, norm: np.ndarray):
+    """Split each ``block`` (d x r) of a stack over the orthonormal columns of
+    its ``basis``; ``norm`` holds each block's Frobenius norm.
+
+    Returns ``(coords, q, sig, z, kept)`` with, per layer, ``block = basis
+    coords + q[:, :kept] (sig[:kept, None] * z[:kept])`` and those columns
+    of ``q`` orthonormal and orthogonal to ``basis``. Classical
+    Gram-Schmidt with one re-orthogonalisation pass, then a thin SVD of the
+    d x r residual (rank-revealing, and as fast as a QR there). Residual
+    directions at or below ``NOISE_TOL * norm``, as when ``block`` lies in
+    span(basis) or ``basis`` spans the whole space, are not kept: they are
+    noise, not orthogonal to ``basis``. A kept direction with singular
+    value ``sigma`` is orthogonal to ``basis`` to about
+    ``eps * |block| / sigma``.
+    """
+    basis_t = basis.transpose(0, 2, 1)
+    coords = basis_t @ block
+    resid = basis @ coords
+    np.subtract(block, resid, out=resid)
+    again = basis_t @ resid
+    coords += again
+    resid -= basis @ again
+    q, sig, z = np.linalg.svd(resid, full_matrices=False)
+    kept = np.count_nonzero(sig > NOISE_TOL * norm[:, None], axis=1)
+    return coords, q, sig, z, kept

@@ -104,7 +104,7 @@ def ties_merge(deltas: Sequence[DeltaMap], density: float = 0.5) -> MergedDelta:
     """Trim, elect per-entry sign, then average sign-matching inputs.
 
     Entries where no trimmed input matches the elected sign become 0.
-    ``density`` must be finite and in (0, 1].
+    ``density`` must be finite and in (0, 1], and every delta finite.
     """
     if not 0.0 < density <= 1.0:
         raise ShapeError("density must be in (0, 1]")
@@ -119,6 +119,8 @@ def ties_merge(deltas: Sequence[DeltaMap], density: float = 0.5) -> MergedDelta:
         if len(set(shapes)) > 1:
             raise ShapeError(f"layer {key} shapes disagree across delta sets: {shapes}")
         stack = np.stack([np.asarray(d[key], dtype=np.float64).reshape(-1) for d in deltas])
+        if not np.isfinite(stack).all():
+            raise ShapeError(f"layer {key} has non-finite entries")
         layers[key] = _ties_layer(stack, density).reshape(shapes[0])
     return MergedDelta(layers=layers)
 

@@ -19,6 +19,26 @@ from conftest import (
 K0 = LayerKey(0, "key")
 
 
+def test_layer_key_is_a_validated_tuple_ordered_by_projection():
+    keys = [LayerKey(1, "key"), LayerKey(0, "output"), LayerKey(0, "key"), LayerKey(0, "value")]
+    assert sorted(keys) == [LayerKey(0, "key"), LayerKey(0, "value"), LayerKey(0, "output"), LayerKey(1, "key")]
+    for x in keys:
+        for y in keys:
+            # Every comparison follows sort_key, not the tuple's string order.
+            assert (x < y, x <= y, x > y, x >= y) == (
+                x.sort_key() < y.sort_key(), x.sort_key() <= y.sort_key(),
+                x.sort_key() > y.sort_key(), x.sort_key() >= y.sort_key(),
+            )
+    key = LayerKey(layer=2, proj="query")
+    assert (key.layer, key.proj, str(key)) == (2, "query", "2.query")
+    assert repr(key) == "LayerKey(layer=2, proj='query')"
+    assert key == (2, "query") and hash(key) == hash((2, "query"))
+    with pytest.raises(ShapeError, match="layer index must be >= 0, got -1"):
+        LayerKey(-1, "key")
+    with pytest.raises(ShapeError, match="unknown projection 'gate'"):
+        LayerKey(0, "gate")
+
+
 def test_materialize_hand_expansion():
     adapter = make_adapter("t", {K0: ([[0, 1]], [[1], [0]])}, rank=1, scale_numerator=1)
     np.testing.assert_array_equal(delta_map(adapter)[K0], [[0, 1], [0, 0]])

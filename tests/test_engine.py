@@ -9,7 +9,7 @@ from operator import getitem
 import numpy as np
 import pytest
 
-from kmerge.adapters import LayerKey
+from kmerge.adapters import PROJECTIONS, LayerKey
 from kmerge.engine import (
     ALLOCATED,
     MERGED,
@@ -31,12 +31,14 @@ from kmerge.errors import (
     UnknownTask,
 )
 import kmerge.engine
+import kmerge.lowrank
 from kmerge.lowrank import LowRankDelta
 from kmerge.merging import MergeOperator, RankPolicy, linear_merge
 
 from conftest import (
     NaiveState,
     dense_delta_map,
+    make_adapter,
     naive_policy_step,
     rewrite_header,
     small_random_adapter,
@@ -158,6 +160,60 @@ def test_linear_cache_matches_dense_oracle(rng, weight):
         assert low.canonical
         assert low.rank_bound == LowRankDelta.from_dense(dense[key]).rank_bound
         assert _relative_error(low.materialize(), dense[key]) <= 1e-12
+
+
+def _mixed_geometry_slot(rng):
+    """A slot and an incoming rank-2 adapter whose layers mix shapes (6x6,
+    5x9, 9x4) and cache ranks: empty caches, saturated ones (cache rank plus
+    2 above the width), and, on every fifth key, a slot whose cache and
+    served adapter contain the incoming layer, whose residuals are then
+    dropped as noise."""
+    shapes = {"key": (6, 6), "query": (5, 9), "value": (9, 4), "output": (6, 6)}
+    keys = [LayerKey(layer, proj) for layer in range(16) for proj in PROJECTIONS]
+
+    def factors(key):
+        d_out, d_in = shapes[key.proj]
+        return rng.standard_normal((2, d_in)), rng.standard_normal((d_out, 2))
+
+    arrays = {key: factors(key) for key in keys}
+    incoming = make_adapter("in", arrays, 2, 3.0)
+    spanned = set(keys[4::5])
+    served = make_adapter("served", {k: arrays[k] if k in spanned else factors(k) for k in keys}, 2, 2.0)
+    cache = {}
+    for key in keys:
+        d_out, d_in = shapes[key.proj]
+        rank = (0, 1, 2, min(d_out, d_in))[key.layer % 4]
+        low = LowRankDelta(b=rng.standard_normal((d_out, rank)), a=rng.standard_normal((rank, d_in)))
+        if key in spanned:
+            low = LowRankDelta.combine([low, LowRankDelta.from_factors(incoming.layers[key], 1.0)], [1.0, 0.7])
+        cache[key] = low.compressed()
+    return SlotState(adapter=served, cache=cache), incoming
+
+
+@pytest.mark.parametrize("budget", [kmerge.lowrank.FOLD_BATCH_BYTES, 1, 1000])
+@pytest.mark.parametrize("kind", ["running_average", "linear"])
+def test_batched_fold_is_bit_identical_to_one_layer_folds(rng, monkeypatch, kind, budget):
+    """A merge folds every layer of one geometry in stacked calls, in
+    batches of at most ``FOLD_BATCH_BYTES`` of working set (1: one layer a
+    batch; 1000: one to five); each layer's factors equal, bit for bit,
+    those of folding that layer alone."""
+    monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
+    slot, incoming = _mixed_geometry_slot(rng)
+    count = 3
+    merged = merged_cache(MergeOperator(kind=kind), slot, count, incoming, weight=0.3)
+    if kind == "running_average":
+        base, alpha, beta = slot.cache, count / (count + 1), 1.0 / (count + 1)
+    else:
+        base, alpha, beta = slot_cache(slot.adapter), 0.3, 0.7
+    ranks = set()
+    for key, fp in incoming.layers.items():
+        alone = base[key].fold(alpha, beta, LowRankDelta.from_factors(fp, incoming.scaling))
+        assert merged[key].canonical
+        assert np.array_equal(merged[key].b, alone.b) and np.array_equal(merged[key].a, alone.a)
+        ranks.add((fp.b.shape, base[key].rank_bound, alone.rank_bound))
+    # Layers of one geometry keep different numbers of directions, so the
+    # fold's sub-batches are exercised.
+    assert len({(shape, r) for shape, r, _ in ranks}) < len(ranks)
 
 
 def test_linear_engine_follows_dense_recurrence(rng):

@@ -131,6 +131,17 @@ def test_ties_rejects_density_outside_unit_interval(density):
         ties_merge([{K0: np.ones((2, 2))}, {K0: np.ones((2, 2))}], density=density)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("which", [0, 1])
+def test_ties_rejects_non_finite_deltas(bad, which):
+    # A NaN or infinite entry is no magnitude: the trim and the sign vote
+    # would silently give an arbitrary output.
+    deltas = [{K0: np.array([[1.0, 2.0]])}, {K0: np.array([[1.0, 2.0]])}]
+    deltas[which][K0][0, 0] = bad
+    with pytest.raises(ShapeError, match=r"layer 0\.key has non-finite entries"):
+        ties_merge(deltas, density=0.5)
+
+
 def test_ties_density_one_agreeing_is_mean(rng):
     vecs = [np.abs(rng.standard_normal(8)) for _ in range(3)]
     merged = ties_merge([{K0: v.reshape(2, 4)} for v in vecs], density=1.0)
