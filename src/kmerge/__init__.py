@@ -15,7 +15,6 @@ from .engine import (
     MergeEngine,
     MergeHistory,
     PolicyConfig,
-    route,
 )
 from .merging import (
     MergedDelta,

@@ -395,7 +395,7 @@ def run_simulation(
         decision = engine.ingest(adapter)
         originals[decision.task_index] = adapter
         tasks_by_arrival[decision.task_index] = task
-        members = engine.history.entries[decision.slot_key]
+        members = engine.store.slots[decision.slot_key].tasks
         _, rescored = aggregate_score(engine, [(t, originals[t]) for t in members])
         ratios.update(zip(members, rescored))
         score = float(np.mean(list(ratios.values())))

@@ -61,8 +61,8 @@ def _policy_from_flags(args, variant: str, threshold_s: float | None) -> PolicyC
 
 def _policy_from_config_file(path: str) -> PolicyConfig:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return PolicyConfig.from_dict(data)
 
@@ -98,6 +98,8 @@ def cmd_run(args) -> int:
         base = _policy_from_config_file(args.config)
     else:
         base = _policy_from_flags(args, args.variant.replace("-", "_"), args.threshold)
+    if len(set(args.seeds)) != len(args.seeds):
+        raise ConfigError(f"--seeds repeats a seed: {args.seeds}")
     orderings = [OrderingSpec(kind=args.ordering.replace("-", "_"), seed=seed) for seed in args.seeds]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -135,7 +137,7 @@ def cmd_merge(args) -> int:
         raise ConfigError(f"--weight applies only to --op linear, not --op {args.operator}")
     weight = 0.5 if args.weight is None else args.weight
     rank_policy = RankPolicy(max(x.rank, y.rank) if args.target_rank is None else args.target_rank)
-    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x)), 1, y, weight)
+    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x), tasks=(1,)), y, weight)
     result = refactor(cache, rank_policy.target_rank, f"merged-{x.task_id}-{y.task_id}", y.scaling)
     write_adapter(result.adapter, args.out)
     report = {

@@ -1,11 +1,14 @@
 """Online continual-merging state machine.
 
 Maintains at most ``budget_k`` storage slots. Each slot holds the
-servable rank-controlled adapter plus an exact float64 running delta
-cache in canonical thin-SVD form (see :class:`SlotState`). Similarity is
-always measured against the stored adapter (what the device actually
-holds); the running-average update is applied to the exact cache, which
-keeps the fold order-invariant regardless of rank truncation.
+servable rank-controlled adapter, an exact float64 running delta cache in
+canonical thin-SVD form and its members' arrival indices (see
+:class:`SlotState`). Similarity is always measured against the stored
+adapter (what the device actually holds); the running-average update is
+applied to the exact cache, which keeps the fold order-invariant
+regardless of rank truncation. The engine holds only its policy, its
+slots and each arrival's task id; the next slot key, the arrival index
+and :attr:`MergeEngine.history` are derived from them.
 
 A store's format is kept in one place: :func:`_cache_layout` places each
 running-cache entry in ``running_cache.bin`` and :meth:`MergeEngine._manifest`
@@ -137,7 +140,7 @@ class IngestDecision:
 
 @dataclass(frozen=True)
 class SlotState:
-    """One slot: the served adapter and the exact running cache.
+    """One slot: the served adapter, the exact running cache and its members.
 
     ``cache`` holds, per layer, a canonical :class:`LowRankDelta` (a
     balanced thin SVD with descending singular values): under the running
@@ -147,8 +150,9 @@ class SlotState:
     slot with one member, that member; after a merge it is the
     rank-``target_rank`` slice of the cache (its leading columns of ``b``
     and rows of ``a``, zero-padded, by :func:`kmerge.merging.refactor`),
-    which is the best approximation at that rank. An ingest replaces a
-    slot's state whole and never mutates it.
+    which is the best approximation at that rank. ``tasks``, the members'
+    arrival indices in arrival order, is the only record of membership. An
+    ingest replaces a slot's state whole and never mutates it.
 
     The cache's factors may be read-only: those of a restored slot are
     views of the store's mapped ``running_cache.bin`` until the slot is
@@ -157,6 +161,7 @@ class SlotState:
 
     adapter: LoraAdapter
     cache: dict[LayerKey, LowRankDelta]
+    tasks: tuple[int, ...]
 
 
 def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
@@ -170,16 +175,15 @@ def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
 def merged_cache(
     operator: MergeOperator,
     slot: SlotState,
-    count: int,
     incoming: LoraAdapter,
     weight: float = 0.5,
 ) -> dict[LayerKey, LowRankDelta]:
-    """The running cache of ``slot``, which has ``count`` members, after
-    merging ``incoming`` into it; ``slot`` is left unchanged.
+    """The running cache of ``slot`` after merging ``incoming`` into it;
+    ``slot`` is left unchanged.
 
     The running average folds ``incoming`` into the slot's cache with
-    weights ``count/(count+1)`` and ``1/(count+1)``; ``linear`` folds it into
-    the served adapter's cache with ``weight`` and ``1 - weight``, both by
+    weights ``n/(n+1)`` and ``1/(n+1)``, ``n = len(slot.tasks)``; ``linear``
+    folds it into the served adapter's cache with ``weight`` and ``1 - weight``, both by
     projection, all layers in one :func:`kmerge.lowrank.fold_layers` call.
     TIES and DARE vote and drop per entry, so they merge the served adapter
     with ``incoming`` in dense space and store the canonical form of the
@@ -187,6 +191,7 @@ def merged_cache(
     """
     check_compatible(slot.adapter, incoming)
     if operator.kind == "running_average":
+        count = len(slot.tasks)
         base, alpha, beta = slot.cache, count / (count + 1), 1.0 / (count + 1)
     elif operator.kind == "linear":
         if not 0.0 <= weight <= 1.0:
@@ -219,28 +224,25 @@ class AdapterStore:
 
 @dataclass
 class MergeHistory:
+    """Slot key -> members' arrival indices; a view, so mutating it changes nothing."""
+
     entries: dict[int, list[int]] = field(default_factory=dict)
-    next_slot_key: int = 1
+
+    @property
+    def next_slot_key(self) -> int:  # no slot is ever freed
+        return len(self.entries) + 1
 
 
 def read_manifest(directory: str | Path) -> dict:
     """The parsed ``manifest.json`` of a store directory; raises
-    :class:`RestoreError` when it is missing or not valid JSON."""
+    :class:`RestoreError` when it is missing or not valid UTF-8 JSON."""
     manifest_path = Path(directory) / "manifest.json"
     if not manifest_path.exists():
         raise RestoreError(f"no manifest.json in {directory}")
     try:
-        return json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RestoreError(f"manifest.json is not valid JSON: {exc}") from None
-
-
-def route(history: MergeHistory, task_index: int) -> int:
-    """Slot whose history set contains ``task_index``."""
-    for slot_key, tasks in history.entries.items():
-        if task_index in tasks:
-            return slot_key
-    raise UnknownTask(f"task index {task_index} was never ingested")
 
 
 class MergeEngine:
@@ -249,14 +251,21 @@ class MergeEngine:
     def __init__(self, config: PolicyConfig):
         self.config = config
         self.store = AdapterStore()
-        self.history = MergeHistory()
-        self.timestep = 0
         self.task_ids: dict[int, str] = {}
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def history(self) -> MergeHistory:
+        """Each slot's members, as a fresh view; mutating it changes nothing."""
+        return MergeHistory({key: list(slot.tasks) for key, slot in self.store.slots.items()})
+
     def route(self, task_index: int) -> int:
-        return route(self.history, task_index)
+        """Slot whose members include arrival ``task_index``."""
+        for slot_key, slot in self.store.slots.items():
+            if task_index in slot.tasks:
+                return slot_key
+        raise UnknownTask(f"task index {task_index} was never ingested")
 
     def route_task_id(self, task_id: str) -> int:
         for index, known in self.task_ids.items():
@@ -270,16 +279,13 @@ class MergeEngine:
             raise SlotVacant(f"slot {slot_key} is vacant")
         return slot.adapter
 
-    def merge_count(self, slot_key: int) -> int:
-        return len(self.history.entries[slot_key])
-
     # -- ingest -----------------------------------------------------------
 
     def ingest(self, incoming: LoraAdapter) -> IngestDecision:
         start = time.perf_counter()
         if incoming.task_id in self.task_ids.values():
             raise DuplicateTask(f"task {incoming.task_id!r} already ingested")
-        t = self.timestep + 1
+        t = len(self.task_ids) + 1
 
         best_key, best_score = None, None
         if self.store.slots:
@@ -295,20 +301,14 @@ class MergeEngine:
 
         if do_merge:
             slot_key, action, similarity = best_key, MERGED, best_score
-            slot = self._merged_slot(slot_key, incoming)
-            tasks = self.history.entries[slot_key] + [t]
+            slot = self._merged_slot(slot_key, incoming, t)
         else:
-            slot_key, action, similarity = self.history.next_slot_key, ALLOCATED, None
-            slot = SlotState(adapter=incoming, cache=slot_cache(incoming))
-            tasks = [t]
+            slot_key, action, similarity = occupied + 1, ALLOCATED, None
+            slot = SlotState(adapter=incoming, cache=slot_cache(incoming), tasks=(t,))
 
         # Everything above may raise and changes no engine state; the commit
         # below cannot raise, so an ingest is all-or-nothing.
         self.store.slots[slot_key] = slot
-        self.history.entries[slot_key] = tasks
-        if action == ALLOCATED:
-            self.history.next_slot_key += 1
-        self.timestep = t
         self.task_ids[t] = incoming.task_id
         return IngestDecision(
             task_index=t,
@@ -319,14 +319,14 @@ class MergeEngine:
             elapsed=time.perf_counter() - start,
         )
 
-    def _merged_slot(self, slot_key: int, incoming: LoraAdapter) -> SlotState:
-        """The slot after merging ``incoming`` into it, built without changing it."""
+    def _merged_slot(self, slot_key: int, incoming: LoraAdapter, t: int) -> SlotState:
+        """The slot after merging ``incoming`` (arrival ``t``), built without changing it."""
         slot = self.store.slots[slot_key]
-        cache = merged_cache(self.config.operator, slot, self.merge_count(slot_key), incoming)
+        cache = merged_cache(self.config.operator, slot, incoming)
         served = refactor(
             cache, self.config.rank_policy.target_rank, f"slot-{slot_key}", incoming.scaling
         )
-        return SlotState(adapter=served.adapter, cache=cache)
+        return SlotState(adapter=served.adapter, cache=cache, tasks=slot.tasks + (t,))
 
     # -- persistence ------------------------------------------------------
 
@@ -375,8 +375,8 @@ class MergeEngine:
                  "b_shape": list(b_shape), "a_shape": list(a_shape), "offset": offset}
                 for k, key, b_shape, a_shape, offset in layout
             ],
-            "next_slot_key": self.history.next_slot_key,
-            "timestep": self.timestep,
+            "next_slot_key": self.store.occupied + 1,
+            "timestep": len(self.task_ids),
             "ingested": [[t, self.task_ids[t]] for t in sorted(self.task_ids)],
         }
 
@@ -437,15 +437,13 @@ class MergeEngine:
             raise RestoreError("slot task lists do not partition the ingested task indices")
 
         engine = cls(config)
-        engine.history.entries = dict(enumerate(tasks, 1))
-        engine.history.next_slot_key = len(tasks) + 1
-        engine.timestep = len(task_ids)
         engine.task_ids = dict(enumerate(task_ids, 1))
-        for slot_key in engine.history.entries:
+        for slot_key, slot_tasks in enumerate(tasks, 1):
             adapter_path = directory / f"slot_{slot_key}.kmrg"
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
-            engine.store.slots[slot_key] = SlotState(adapter=read_adapter(adapter_path), cache={})
+            # The cache is filled in once the manifest is accepted.
+            engine.store.slots[slot_key] = SlotState(read_adapter(adapter_path), {}, tuple(slot_tasks))
         # Entries past the declared ones get rank 0; the comparison rejects them.
         declared = iter(ranks)
         layout, cache_bytes = _cache_layout(engine.store.slots, lambda *_: next(declared, 0))

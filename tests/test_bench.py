@@ -270,7 +270,7 @@ def test_simulation_persists_store(tmp_path):
     adapters, tasks = generate_suite(SMALL)
     run_simulation(adapters, tasks, OrderingSpec("random", 0), _policy(3), store_dir=tmp_path)
     restored = MergeEngine.restore(tmp_path)
-    assert restored.timestep == SMALL.gamma
+    assert len(restored.task_ids) == SMALL.gamma
     assert restored.store.occupied == 3
 
 

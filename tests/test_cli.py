@@ -124,12 +124,22 @@ def test_run_deterministic_scores(suite_dir, tmp_path):
     assert score("x") == score("y")
 
 
+def test_run_rejects_repeated_seed(suite_dir, tmp_path, capsys):
+    """A repeated seed would write its reports twice and count its score
+    twice in the mean; it exits 2 before any report is written."""
+    code = main(["run", "--suite", str(suite_dir), "--k", "3", "--seeds", "0", "1", "0",
+                 "--out", str(tmp_path / "r"), "--store-dir", str(tmp_path / "store")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --seeds repeats a seed: [0, 1, 0]\n"
+    assert not list(tmp_path.glob("r_seed*")) and not (tmp_path / "store").exists()
+
+
 def test_run_store_dir_restores(suite_dir, tmp_path):
     store = tmp_path / "store"
     main(["run", "--suite", str(suite_dir), "--k", "3", "--target-rank", "3",
           "--seeds", "0", "--out", str(tmp_path / "r"), "--store-dir", str(store)])
     engine = MergeEngine.restore(store)
-    assert engine.timestep == 9
+    assert len(engine.task_ids) == 9
 
 
 def test_run_config_file(suite_dir, tmp_path):
@@ -172,18 +182,19 @@ def test_run_needs_k_or_config(suite_dir, tmp_path, capsys):
         (json.dumps({"budget_k": 2, "variant": "k_merge", "threshold_s": None,
                      "rank_policy": {"mode": "svd_truncate", "target_rank": 3}}), "operator"),
         ('{"budget_k": 2,', "not valid JSON"),
+        (b'{"\xff\xfebudget_k": 2}', "not valid JSON"),
         (json.dumps({**PolicyConfig(budget_k=2).to_dict(),
                      "rank_policy": {"mode": "factor_average", "target_rank": 3}}), "rank_policy.mode"),
         (json.dumps({**PolicyConfig(budget_k=2).to_dict(), "budget_k": True}), "budget_k"),
         (json.dumps({**PolicyConfig(budget_k=2).to_dict(),
                      "rank_policy": {"target_rank": 3.5}}), "rank_policy.target_rank"),
     ],
-    ids=["missing-operator", "invalid-json", "unknown-rank-mode", "bool-budget_k",
+    ids=["missing-operator", "invalid-json", "not-utf8", "unknown-rank-mode", "bool-budget_k",
          "fractional-target_rank"],
 )
 def test_run_config_errors_exit_2(suite_dir, tmp_path, capsys, text, problem):
     path = tmp_path / "policy.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["run", "--suite", str(suite_dir), "--k", "2",
                  "--config", str(path), "--seeds", "0", "--out", str(tmp_path / "r")])
     assert code == 2
@@ -448,6 +459,10 @@ def test_inspect_damaged_store(tmp_path, capsys):
     (tmp_path / "manifest.json").write_text("{bad")
     assert main(["inspect", "--store", str(tmp_path)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+    (tmp_path / "manifest.json").write_bytes(b'{"\xff\xfeversion": 2}')
+    for command in (["inspect", "--store", str(tmp_path)], ["route", "--store", str(tmp_path), "--task", "1"]):
+        assert main(command) == 1
+        assert "manifest.json is not valid JSON" in capsys.readouterr().err
 
 
 def test_inspect_geometry(capsys):

@@ -17,7 +17,6 @@ from kmerge.engine import (
     PolicyConfig,
     SlotState,
     merged_cache,
-    route,
     slot_cache,
 )
 from kmerge.errors import (
@@ -153,7 +152,7 @@ def test_linear_cache_matches_dense_oracle(rng, weight):
     x = small_random_adapter("x", rng, rank=3, n_keys=4, scale_numerator=6.0)
     y = small_random_adapter("y", rng, rank=3, n_keys=4, scale_numerator=24.0)
     linear = MergeOperator(kind="linear")
-    cache = merged_cache(linear, SlotState(adapter=x, cache=slot_cache(x)), 1, y, weight)
+    cache = merged_cache(linear, SlotState(adapter=x, cache=slot_cache(x), tasks=(1,)), y, weight)
     dense = linear_merge(x, y, weight=weight).dense()
     assert cache.keys() == dense.keys()
     for key, low in cache.items():
@@ -187,7 +186,7 @@ def _mixed_geometry_slot(rng):
         if key in spanned:
             low = LowRankDelta.combine([low, LowRankDelta.from_factors(incoming.layers[key], 1.0)], [1.0, 0.7])
         cache[key] = low.compressed()
-    return SlotState(adapter=served, cache=cache), incoming
+    return SlotState(adapter=served, cache=cache, tasks=(1, 2)), incoming
 
 
 @pytest.mark.parametrize("budget", [kmerge.lowrank.FOLD_BATCH_BYTES, 1, 1000])
@@ -199,8 +198,8 @@ def test_batched_fold_is_bit_identical_to_one_layer_folds(rng, monkeypatch, kind
     those of folding that layer alone."""
     monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
     slot, incoming = _mixed_geometry_slot(rng)
-    count = 3
-    merged = merged_cache(MergeOperator(kind=kind), slot, count, incoming, weight=0.3)
+    count = len(slot.tasks)
+    merged = merged_cache(MergeOperator(kind=kind), slot, incoming, weight=0.3)
     if kind == "running_average":
         base, alpha, beta = slot.cache, count / (count + 1), 1.0 / (count + 1)
     else:
@@ -229,13 +228,13 @@ def test_linear_engine_follows_dense_recurrence(rng):
         for key, low in engine.store.slots[1].cache.items():
             ref = 0.5 * served[key] + 0.5 * fresh[key]
             assert _relative_error(low.materialize(), ref) <= 1e-12
-    assert engine.merge_count(1) == 4
+    assert engine.store.slots[1].tasks == (1, 2, 3, 4)
 
 
 def test_linear_weight_out_of_range(rng):
     x, y = _stream(rng, 2)
     with pytest.raises(ShapeError, match="weight"):
-        merged_cache(MergeOperator(kind="linear"), SlotState(x, slot_cache(x)), 1, y, weight=1.5)
+        merged_cache(MergeOperator(kind="linear"), SlotState(x, slot_cache(x), (1,)), y, weight=1.5)
 
 
 def test_stored_adapter_respects_target_rank(rng):
@@ -265,7 +264,6 @@ def test_route_matches_history_scan(rng):
         expected = [k for k, tasks in engine.history.entries.items() if t in tasks]
         assert len(expected) == 1
         assert engine.route(t) == expected[0]
-        assert route(engine.history, t) == expected[0]
 
 
 def test_route_unknown_task(rng):
@@ -300,7 +298,7 @@ def test_restored_engine_routes_and_rejects_like_original(tmp_path, rng):
             other.ingest(stream[3])
         with pytest.raises(UnknownTask):
             other.route_task_id("never-seen")
-    assert back.timestep == engine.timestep == len(stream)
+    assert len(back.task_ids) == len(engine.task_ids) == len(stream)
 
 
 def test_load_vacant_slot(rng):
@@ -363,8 +361,11 @@ def test_persist_restore_roundtrip(tmp_path, rng):
     back = MergeEngine.restore(tmp_path)
 
     assert back.config == engine.config
-    assert back.timestep == engine.timestep
+    assert set(vars(engine)) == set(vars(back)) == {"config", "store", "task_ids"}
     assert back.task_ids == engine.task_ids
+    assert [(k, s.tasks) for k, s in back.store.slots.items()] == [
+        (k, s.tasks) for k, s in engine.store.slots.items()
+    ]
     assert back.history.entries == engine.history.entries
     assert back.history.next_slot_key == engine.history.next_slot_key
     for key in engine.store.slots:
@@ -425,8 +426,13 @@ def test_restore_missing_manifest(tmp_path):
 
 def test_restore_bad_json(tmp_path, rng):
     _persisted(tmp_path, rng)
-    (tmp_path / "manifest.json").write_text("{not json")
+    path = tmp_path / "manifest.json"
+    manifest = path.read_bytes()
+    path.write_text("{not json")
     with pytest.raises(RestoreError, match="JSON"):
+        MergeEngine.restore(tmp_path)
+    path.write_bytes(manifest.replace(b'"version"', b'"\xff\xfeversion"'))
+    with pytest.raises(RestoreError, match="manifest.json is not valid JSON: 'utf-8' codec"):
         MergeEngine.restore(tmp_path)
 
 
@@ -827,9 +833,9 @@ def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
 @pytest.mark.parametrize("kind", ["running_average", "linear", "ties", "dare", "dare_ties"])
 def test_merged_cache_rejects_width_mismatch(rng, kind):
     wide, thin = width_mismatched_pair(rng)
-    slot = SlotState(adapter=wide, cache=slot_cache(wide))
+    slot = SlotState(adapter=wide, cache=slot_cache(wide), tasks=(1,))
     with pytest.raises(ShapeError, match="layer 0.key"):
-        merged_cache(MergeOperator(kind=kind), slot, 1, thin)
+        merged_cache(MergeOperator(kind=kind), slot, thin)
 
 
 def test_persist_is_idempotent(tmp_path, rng):
@@ -944,7 +950,7 @@ def test_engine_without_slots_persists_and_restores(tmp_path, rng):
     assert (tmp_path / "store" / "running_cache.bin").stat().st_size == 0
     back = MergeEngine.restore(tmp_path / "store")
     assert back.config == engine.config
-    assert back.store.slots == {} and back.timestep == 0
+    assert back.store.slots == {} and back.task_ids == {}
     back.persist(tmp_path / "again")
     assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "store")
     decision = back.ingest(small_random_adapter("first", rng))
@@ -965,13 +971,13 @@ def test_restore_leaves_no_open_file(tmp_path, rng, monkeypatch):
 
 def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):
     """A merge that fails after the fold (here in ``refactor``) must leave
-    cache, adapter, history, timestep and task ids as they were."""
+    cache, adapter, history, arrival count and task ids as they were."""
     engine = MergeEngine(_config(1))
     engine.ingest(small_random_adapter("first", rng))
     slot = engine.store.slots[1]
     before = {key: (low.b.copy(), low.a.copy()) for key, low in slot.cache.items()}
     entries = {key: list(tasks) for key, tasks in engine.history.entries.items()}
-    next_slot_key, timestep, task_ids = engine.history.next_slot_key, engine.timestep, dict(engine.task_ids)
+    next_slot_key, timestep, task_ids = engine.history.next_slot_key, len(engine.task_ids), dict(engine.task_ids)
 
     folded = []
 
@@ -991,7 +997,7 @@ def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):
         np.testing.assert_array_equal(slot.cache[key].a, a)
     assert engine.history.entries == entries
     assert engine.history.next_slot_key == next_slot_key
-    assert engine.timestep == timestep
+    assert len(engine.task_ids) == timestep
     assert engine.task_ids == task_ids
 
 
