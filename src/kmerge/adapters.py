@@ -166,6 +166,11 @@ def delta_map(adapter: LoraAdapter) -> dict[LayerKey, np.ndarray]:
 # magic "KMRG" | version u16 | header_len u32 | UTF-8 JSON header |
 # per header layer entry, in (layer, proj) order: A then B, float32
 # row-major, little-endian, no padding.
+#
+# A file is parsed from one buffer (``parse_adapter``): each factor is a
+# float32 view of it at its offset. A tensor's offset need not be a multiple
+# of 4, as the header's length is free; every computation copies factors
+# into float64 arrays first, so alignment never changes a result.
 # --------------------------------------------------------------------------
 
 _HEAD = struct.Struct("<4sHI")
@@ -226,78 +231,83 @@ def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
     replace_file(path, write)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    offset = fh.tell()
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated payload while reading {what}", offset)
-    return data
-
-
-def _read_tensor(fh, size: int, shape: tuple[int, int], name: str, key: LayerKey) -> np.ndarray:
-    """Tensor ``name`` of layer ``key``, read as float32 straight into its
-    own array, with no bytes copy. ``size`` is the file's length: a tensor
-    that would not fit in the rest of the file is rejected before any
-    memory is allocated for it."""
-    offset = fh.tell()
+def _tensor(buffer, offset: int, shape: tuple[int, int], name: str, key: LayerKey) -> np.ndarray:
+    """Tensor ``name`` of layer ``key``: a float32 view of ``buffer`` at
+    ``offset``, with no copy. A tensor that would not fit in the rest of
+    ``buffer`` is rejected before any array is made for it."""
     if min(shape) < 0:
         raise FormatError(f"negative dimension in {name} tensor of layer {key}: {shape}", offset)
-    if 4 * shape[0] * shape[1] > size - offset:
+    count = shape[0] * shape[1]
+    if 4 * count > len(buffer) - offset:
         raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
     try:
-        out = np.empty(shape, dtype="<f4")
+        return np.frombuffer(buffer, "<f4", count, offset).reshape(shape)
     except ValueError:  # numpy's size limit, reachable when the other dimension is 0
         raise FormatError(f"{name} tensor of layer {key} is too large: shape {shape}", offset) from None
-    if fh.readinto(out) != out.nbytes:
-        raise FormatError(f"truncated payload while reading {name} tensor of layer {key}", offset)
-    return out
 
 
-def read_adapter(path: str | Path) -> LoraAdapter:
-    """Parse a ``.kmrg`` file, validating magic, version, header fields and
-    payload size."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = _read_exact(fh, _HEAD.size, "file header")
-        magic, version, header_len = _HEAD.unpack(head)
-        if magic != FORMAT_MAGIC:
-            raise FormatError(f"bad magic bytes {magic!r}", 0)
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {version}", 4)
-        raw = _read_exact(fh, header_len, "JSON header")
+def parse_adapter(buffer) -> LoraAdapter:
+    """Parse the ``.kmrg`` bytes in ``buffer`` (``bytes``, ``bytearray`` or
+    ``mmap``), validating magic, version, header fields and payload size.
+    Every factor is a float32 view of ``buffer``, so the adapter keeps it
+    alive; a read-only buffer gives read-only factors."""
+    if len(buffer) < _HEAD.size:
+        raise FormatError("truncated payload while reading file header", 0)
+    magic, version, header_len = _HEAD.unpack_from(buffer)
+    if magic != FORMAT_MAGIC:
+        raise FormatError(f"bad magic bytes {magic!r}", 0)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {version}", 4)
+    # Checked before slicing, so a damaged length cannot allocate anything.
+    offset = _HEAD.size + header_len
+    if offset > len(buffer):
+        raise FormatError("truncated payload while reading JSON header", _HEAD.size)
+    try:
+        header = json.loads(buffer[_HEAD.size:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unparseable JSON header: {exc}", _HEAD.size) from None
+    bad_header = partial(FormatError, offset=_HEAD.size)
+    text = {
+        name: json_field(header, name, bad_header, str)
+        for name in ("task_id", "problem_type", "language")
+    }
+    rank = json_field(header, "rank", bad_header, int)
+    scale_numerator = float(json_field(header, "scale_numerator", bad_header, float))
+    layers: dict[LayerKey, FactorPair] = {}
+    for entry in json_field(header, "layers", bad_header, list):
+        layer = json_field(entry, "layer", bad_header, int)
+        proj = json_field(entry, "proj", bad_header, str)
+        d_in = json_field(entry, "d_in", bad_header, int)
+        d_out = json_field(entry, "d_out", bad_header, int)
         try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"unparseable JSON header: {exc}", _HEAD.size) from None
-        bad_header = partial(FormatError, offset=_HEAD.size)
-        text = {
-            name: json_field(header, name, bad_header, str)
-            for name in ("task_id", "problem_type", "language")
-        }
-        rank = json_field(header, "rank", bad_header, int)
-        scale_numerator = float(json_field(header, "scale_numerator", bad_header, float))
-        layers: dict[LayerKey, FactorPair] = {}
-        for entry in json_field(header, "layers", bad_header, list):
-            layer = json_field(entry, "layer", bad_header, int)
-            proj = json_field(entry, "proj", bad_header, str)
-            d_in = json_field(entry, "d_in", bad_header, int)
-            d_out = json_field(entry, "d_out", bad_header, int)
-            try:
-                key = LayerKey(layer, proj)
-            except ShapeError as exc:
-                raise bad_header(f"invalid layer entry: {exc}") from None
-            if key in layers:
-                raise bad_header(f"layer {key} is listed twice")
-            a = _read_tensor(fh, size, (rank, d_in), "A", key)
-            b = _read_tensor(fh, size, (d_out, rank), "B", key)
-            try:
-                layers[key] = FactorPair(a=a, b=b)
-            except ShapeError as exc:
-                raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after declared payload", fh.tell() - 1)
+            key = LayerKey(layer, proj)
+        except ShapeError as exc:
+            raise bad_header(f"invalid layer entry: {exc}") from None
+        if key in layers:
+            raise bad_header(f"layer {key} is listed twice")
+        a = _tensor(buffer, offset, (rank, d_in), "A", key)
+        offset += a.nbytes
+        b = _tensor(buffer, offset, (d_out, rank), "B", key)
+        offset += b.nbytes
+        try:
+            layers[key] = FactorPair(a=a, b=b)
+        except ShapeError as exc:
+            raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
+    if offset < len(buffer):
+        raise FormatError("trailing bytes after declared payload", offset)
     try:
         return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=layers, **text)
     except ShapeError as exc:
         raise bad_header(f"invalid header: {exc}") from None
+
+
+def read_adapter(path: str | Path) -> LoraAdapter:
+    """Read the ``.kmrg`` file at ``path`` into one buffer and parse it with
+    :func:`parse_adapter`; every factor is a view of that buffer."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buffer = bytearray(size)
+        read = fh.readinto(buffer)
+    if read != size:
+        raise FormatError(f"read {read} of the file's {size} bytes; it changed while being read")
+    return parse_adapter(buffer)

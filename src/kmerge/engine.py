@@ -15,7 +15,11 @@ running-cache entry in ``running_cache.bin`` and :meth:`MergeEngine._manifest`
 builds ``manifest.json``. ``persist`` writes them; ``restore`` derives them
 again from the state it reads and accepts no store that differs. Version-2
 caches are canonical and restore as read-only views of the mapped cache
-file; version-1 caches, concatenated factors, are canonicalised once.
+file; version-1 caches, concatenated factors, are canonicalised once. Each
+restored slot adapter is a read-only view of its mapped ``slot_<key>.kmrg``
+until the slot is next merged, so a restored engine with ``K`` slots holds
+``K + 1`` mappings and one file descriptor for each. ``persist`` renames new
+files over old ones, which leaves every mapping valid.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .adapters import (
-    LayerKey, LoraAdapter, check_compatible, delete_stale, read_adapter, replace_file, write_adapter,
+    LayerKey, LoraAdapter, check_compatible, delete_stale, parse_adapter, replace_file, write_adapter,
+    read_adapter,  # unused here; perfbench/tracing.py wraps kmerge.engine.read_adapter by name
 )
 from .errors import (
     ConfigError,
@@ -63,8 +68,9 @@ MERGED = "merged_into"
 
 MANIFEST_VERSION = 2  # 2: running caches are stored in canonical form
 
-# Restore maps the running cache with its page tables filled, so that the
-# first read of a restored cache, or a persist of it, takes no page faults.
+# Restore maps the running cache and the slot adapters with their page tables
+# filled, so that the first read of a restored slot, or a persist of it, takes
+# no page faults.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
 
 # Field types of the policy's nested records, which ``PolicyConfig.from_dict``
@@ -154,9 +160,10 @@ class SlotState:
     arrival indices in arrival order, is the only record of membership. An
     ingest replaces a slot's state whole and never mutates it.
 
-    The cache's factors may be read-only: those of a restored slot are
-    views of the store's mapped ``running_cache.bin`` until the slot is
-    next merged, which builds new arrays.
+    The factors may be read-only: those of a restored slot are views of
+    the store's mapped ``running_cache.bin`` (the cache) and its mapped
+    ``slot_<key>.kmrg`` (the adapter) until the slot is next merged, which
+    builds new arrays.
     """
 
     adapter: LoraAdapter
@@ -391,12 +398,14 @@ class MergeEngine:
         ``i``) and each cache entry's rank. Every other field must equal, in
         value and JSON type, the one :meth:`_manifest` derives from these.
 
-        The running cache file is mapped once, read-only, with its pages
-        populated; each entry's ``b`` and ``a`` are read-only views of it.
-        The mapping holds one file descriptor until no cache refers to it.
+        The running cache file and each slot's adapter file are mapped once,
+        read-only, with their pages populated: each cache entry's ``b`` and
+        ``a``, and each slot adapter's factors, are read-only views of them,
+        until the slot is next merged. That is ``K + 1`` mappings for ``K``
+        slots, each holding one file descriptor until nothing refers to it.
         ``persist`` renames a new file over the old one, so persisting over
-        the store or deleting it leaves the mapping as it was; the file must
-        not be edited or truncated in place while the engine lives.
+        the store or deleting it leaves every mapping as it was; the files
+        must not be edited or truncated in place while the engine lives.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
@@ -442,8 +451,10 @@ class MergeEngine:
             adapter_path = directory / f"slot_{slot_key}.kmrg"
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
+            with open(adapter_path, "rb") as fh:
+                adapter = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
             # The cache is filled in once the manifest is accepted.
-            engine.store.slots[slot_key] = SlotState(read_adapter(adapter_path), {}, tuple(slot_tasks))
+            engine.store.slots[slot_key] = SlotState(adapter, {}, tuple(slot_tasks))
         # Entries past the declared ones get rank 0; the comparison rejects them.
         declared = iter(ranks)
         layout, cache_bytes = _cache_layout(engine.store.slots, lambda *_: next(declared, 0))
@@ -461,10 +472,7 @@ class MergeEngine:
             size = os.fstat(blob.fileno()).st_size
             if size != cache_bytes:
                 raise RestoreError(f"{cache_path.name} is {size} bytes; persist writes {cache_bytes}")
-            # A 0-byte cache file (an engine with no slots) cannot be mapped.
-            mapped = b"" if size == 0 else mmap.mmap(
-                blob.fileno(), size, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ
-            )
+            mapped = _mapped(blob, size)
         for slot_key, key, b_shape, a_shape, offset in layout:
             b_size = b_shape[0] * b_shape[1]
             b = np.frombuffer(mapped, "<f8", b_size, offset).reshape(b_shape)
@@ -473,6 +481,15 @@ class MergeEngine:
             low = LowRankDelta(b=b, a=a.reshape(a_shape), canonical=version == MANIFEST_VERSION)
             engine.store.slots[slot_key].cache[key] = low.compressed()
         return engine
+
+
+def _mapped(fh, size: int):
+    """The ``size`` bytes of the open file ``fh``, mapped read-only with their
+    page tables filled; ``b""`` for an empty file, which cannot be mapped. The
+    mapping holds its own file descriptor, so ``fh`` may be closed."""
+    if size == 0:
+        return b""
+    return mmap.mmap(fh.fileno(), size, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ)
 
 
 def _cache_layout(slots: dict[int, SlotState], rank_of) -> tuple[list, int]:

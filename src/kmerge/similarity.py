@@ -8,12 +8,17 @@ flattening the dense products and never materializes them.
 One kernel compares one adapter against many: :func:`similarities`; the
 other functions here call it. It checks each pair through
 :func:`kmerge.adapters.check_compatible`, then walks the first adapter's
-layers in runs of consecutive same-shape layers, stacks that adapter's
-scaled float64 factors once per run and each other adapter's once, and
+layers in batches of consecutive same-shape layers, stacks that adapter's
+scaled float64 factors once per batch and each other adapter's once, and
 gets the per-layer inner products as batched Gram products; each layer's
-norm comes from the same stacks, so every adapter is stacked once per run
-and nothing is cached on it. The cosine of one layer is the score of two
-one-layer adapters.
+norm comes from the same stacks, so every adapter is stacked once per batch
+and nothing is cached on it. A batch holds at most the fold's working-set
+budget, ``kmerge.lowrank.FOLD_BATCH_BYTES``, and at least one layer: one
+layer at width 2048 and rank 32, where a whole run would build a fresh
+32 MiB stack per factor and adapter, and the whole run at smaller widths.
+Stacked products give each layer the bits of that layer alone, so the
+batching never changes a score. The cosine of one layer is the score of
+two one-layer adapters.
 """
 
 from __future__ import annotations
@@ -25,20 +30,26 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import lowrank
 from .adapters import LayerKey, LoraAdapter, check_compatible
 from .errors import EmptyStore, InsufficientInputs
 
 DEGENERATE_NORM = 1e-12
 
 
-def _runs(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> Iterator[list[LayerKey]]:
+def _batches(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> Iterator[list[LayerKey]]:
     """``keys`` in order, split into runs of consecutive layers of one shape
-    in ``adapter``."""
+    in ``adapter``, and each run into batches whose stacked float64 factors,
+    ``8 (d_out + d_in) r`` bytes a layer, fit the fold's budget
+    ``lowrank.FOLD_BATCH_BYTES``; at least one layer a batch."""
     def shape(key: LayerKey) -> tuple[int, int]:
         return adapter.layers[key].d_out, adapter.layers[key].d_in
 
-    for _, run in groupby(keys, key=shape):
-        yield list(run)
+    for (d_out, d_in), run in groupby(keys, key=shape):
+        run = list(run)
+        size = max(1, lowrank.FOLD_BATCH_BYTES // (8 * (d_out + d_in) * adapter.rank))
+        for start in range(0, len(run), size):
+            yield run[start : start + size]
 
 
 def _stacked(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> tuple[np.ndarray, np.ndarray]:
@@ -73,12 +84,12 @@ def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) ->
     ny = np.empty_like(inner)
     nx = np.empty(len(keys))
     start = 0
-    for run in _runs(x, keys):
-        stop = start + len(run)
-        bx, ax = _stacked(x, run)
+    for batch in _batches(x, keys):
+        stop = start + len(batch)
+        bx, ax = _stacked(x, batch)
         nx[start:stop] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
-            by, ay = _stacked(y, run)
+            by, ay = _stacked(y, batch)
             inner[i, start:stop] = _inner(bx, ax, by, ay)
             ny[i, start:stop] = _inner(by, ay, by, ay)
             del by, ay  # free this stack before the next adapter's is built

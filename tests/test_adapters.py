@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,22 @@ def test_damaged_header_field_rejected(tmp_path, rng, damage, match):
     rewrite_header(path, damage)
     with pytest.raises(FormatError, match=match):
         read_adapter(path)
+
+
+def test_huge_header_length_rejected_before_allocating(tmp_path):
+    """A 16-byte file whose header claims 0x7FFFFFF0 bytes raises before
+    anything of the claimed size is allocated."""
+    path = tmp_path / "a.kmrg"
+    path.write_bytes(struct.pack("<4sHI", b"KMRG", 1, 0x7FFFFFF0) + b"{}    ")
+    assert path.stat().st_size == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"truncated payload while reading JSON header \(at byte offset 10\)"):
+            read_adapter(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_integer_scale_numerator_reads_as_float(tmp_path, rng):

@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import shutil
+import struct
 import sys
 import warnings
 from functools import reduce
@@ -879,40 +881,61 @@ def _store_bytes(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-def _cache_copies(engine):
+def _factors(engine):
+    """Every slot's cache entries and served adapter factors, keyed by slot,
+    part and layer."""
     return {
-        (slot_key, key): (low.b.copy(), low.a.copy())
+        (slot_key, part, key): (pair.b, pair.a)
         for slot_key, slot in engine.store.slots.items()
-        for key, low in slot.cache.items()
+        for part, pairs in (("cache", slot.cache), ("adapter", slot.adapter.layers))
+        for key, pair in pairs.items()
     }
 
 
-def _assert_caches_equal(engine, copies):
-    assert _cache_copies(engine).keys() == copies.keys()
-    for (slot_key, key), (b, a) in copies.items():
-        low = engine.store.slots[slot_key].cache[key]
-        np.testing.assert_array_equal(low.b, b)
-        np.testing.assert_array_equal(low.a, a)
+def _slot_copies(engine):
+    return {name: (b.copy(), a.copy()) for name, (b, a) in _factors(engine).items()}
+
+
+def _assert_slots_equal(engine, copies):
+    factors = _factors(engine)
+    assert factors.keys() == copies.keys()
+    for name, (b, a) in copies.items():
+        np.testing.assert_array_equal(factors[name][0], b)
+        np.testing.assert_array_equal(factors[name][1], a)
 
 
 def test_restored_cache_is_read_only(tmp_path, rng):
+    """Restored caches and served adapters are read-only views of the
+    mapped store files."""
     engine = _persisted(tmp_path, rng)
     back = MergeEngine.restore(tmp_path)
-    _assert_caches_equal(back, _cache_copies(engine))
-    for slot in back.store.slots.values():
-        for low in slot.cache.values():
-            assert not low.b.flags.writeable and not low.a.flags.writeable
+    _assert_slots_equal(back, _slot_copies(engine))
+    for b, a in _factors(back).values():
+        assert not b.flags.writeable and not a.flags.writeable
     low = back.store.slots[1].cache[K0]
     with pytest.raises(ValueError, match="read-only"):
         low.b[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         low.a *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        back.load_for_inference(2).layers[K0].a[0, 0] = 1.0
 
 
-def test_restored_engine_outlives_its_store(tmp_path, rng):
-    """The restored caches map the store's cache file; persisting over the
-    store, by the engine itself and then by another, and deleting it leave
-    the restored engine as it was."""
+def _misalign_payload(path, misalign):
+    """Pad the JSON header of the ``.kmrg`` file at ``path`` with spaces so
+    that its payload starts at an offset ``misalign`` past a multiple of 4."""
+    raw = path.read_bytes()
+    magic, version, header_len = struct.unpack("<4sHI", raw[:10])
+    pad = (misalign - 10 - header_len) % 4
+    header = raw[10 : 10 + header_len] + b" " * pad
+    path.write_bytes(struct.pack("<4sHI", magic, version, len(header)) + header + raw[10 + header_len :])
+
+
+def _check_restored_engine_outlives_its_store(tmp_path, rng, misalign=None):
+    """Restore a store, with its slot payloads moved to start ``misalign``
+    bytes past a multiple of 4 if given, persist over it twice and delete
+    it; the restored engine must keep its factors and continue as an engine
+    never persisted."""
     stream = _stream(rng, 10)
     never_persisted = MergeEngine(_config(2))
     for a in stream[:6]:
@@ -923,8 +946,15 @@ def test_restored_engine_outlives_its_store(tmp_path, rng):
         persisted.ingest(a)
     persisted.persist(store)
     original_bytes = _store_bytes(store)
+    if misalign is not None:
+        for slot_key in persisted.store.slots:
+            _misalign_payload(store / f"slot_{slot_key}.kmrg", misalign)
     back = MergeEngine.restore(store)
-    before = _cache_copies(back)
+    if misalign is not None:
+        for slot in back.store.slots.values():
+            for fp in slot.adapter.layers.values():
+                assert not fp.a.flags.aligned and not fp.b.flags.aligned
+    before = _slot_copies(back)
 
     back.persist(store)
     other = MergeEngine(_config(3))
@@ -933,7 +963,7 @@ def test_restored_engine_outlives_its_store(tmp_path, rng):
     other.persist(store)
     shutil.rmtree(store)
 
-    _assert_caches_equal(back, before)
+    _assert_slots_equal(back, before)
     back.persist(tmp_path / "again")
     assert _store_bytes(tmp_path / "again") == original_bytes
     for a in stream[6:]:
@@ -941,7 +971,22 @@ def test_restored_engine_outlives_its_store(tmp_path, rng):
         assert (got.action, got.slot_key, got.similarity) == (
             expect.action, expect.slot_key, expect.similarity
         )
-    _assert_caches_equal(back, _cache_copies(never_persisted))
+    _assert_slots_equal(back, _slot_copies(never_persisted))
+
+
+def test_restored_engine_outlives_its_store(tmp_path, rng):
+    """The restored caches and adapters map the store's files; persisting
+    over the store, by the engine itself and then by another, and deleting
+    it leave the restored engine as it was."""
+    _check_restored_engine_outlives_its_store(tmp_path, rng)
+
+
+@pytest.mark.parametrize("misalign", [1, 2, 3])
+def test_unaligned_slot_payload_restores_bit_identically(tmp_path, rng, misalign):
+    """A slot file whose payload starts ``misalign`` bytes past a multiple
+    of 4 (its header length is free) restores unaligned views, and the
+    engine continues bit for bit."""
+    _check_restored_engine_outlives_its_store(tmp_path, rng, misalign)
 
 
 def test_engine_without_slots_persists_and_restores(tmp_path, rng):
@@ -957,16 +1002,30 @@ def test_engine_without_slots_persists_and_restores(tmp_path, rng):
     assert decision.action == ALLOCATED and decision.slot_key == 1
 
 
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 def test_restore_leaves_no_open_file(tmp_path, rng, monkeypatch):
+    """Restore closes every file it opens. The ``K + 1`` mappings (the cache
+    file and each slot file) hold one descriptor each, released with the
+    engine, and neither warns."""
     _persisted(tmp_path, rng)
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    opened = _open_descriptors()
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         back = MergeEngine.restore(tmp_path)
         gc.collect()
+        assert back.store.occupied == 2
+        if opened is not None:
+            assert _open_descriptors() == opened + back.store.occupied + 1
+        del back
+        gc.collect()
     assert unraisable == []
-    assert back.store.occupied == 2
+    assert _open_descriptors() == opened
 
 
 def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):

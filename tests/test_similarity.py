@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import kmerge.lowrank
 from kmerge.adapters import PROJECTIONS, LayerKey
 from kmerge.errors import EmptyStore, IncompatibleAdapters, InsufficientInputs, ShapeError
 from kmerge.similarity import (
@@ -222,11 +223,14 @@ def test_matrix_csv_roundtrip(tmp_path, rng):
 # seven layers make five runs.
 MIXED_SHAPES = [(8, 8), (8, 8), (12, 4), (8, 8), (12, 4), (12, 4), (6, 10)]
 MIXED_KEYS = [LayerKey(i // len(PROJECTIONS), PROJECTIONS[i % len(PROJECTIONS)]) for i in range(7)]
+# Runs of 5, 1, 7 and 3 same-shape layers.
+LONG_RUN_SHAPES = [(8, 8)] * 5 + [(12, 4)] + [(6, 10)] * 7 + [(8, 8)] * 3
 
 
 def _mixed_adapter(task_id, rng, rank, shapes=MIXED_SHAPES, zero_layers=()):
     layers = {}
-    for i, (key, (d_out, d_in)) in enumerate(zip(MIXED_KEYS, shapes)):
+    keys = [LayerKey(i // len(PROJECTIONS), PROJECTIONS[i % len(PROJECTIONS)]) for i in range(len(shapes))]
+    for i, (key, (d_out, d_in)) in enumerate(zip(keys, shapes)):
         b = rng.standard_normal((d_out, rank))
         layers[key] = (rng.standard_normal((rank, d_in)), 0.0 * b if i in zero_layers else b)
     return make_adapter(task_id, layers, rank, scale_numerator=float(rng.uniform(1, 16)))
@@ -268,6 +272,21 @@ def test_similarities_equal_one_layer_at_a_time_exactly(rng):
         for y in ys
     ]
     assert similarities(x, ys) == one_by_one
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_batched_similarity_is_bit_identical(rng, monkeypatch, budget):
+    """Each run of same-shape layers is stacked in batches of at most
+    ``FOLD_BATCH_BYTES`` (1: one layer a batch; 1000: two layers at rank 3,
+    so every longer run splits); the scores equal the default run's, where
+    each run is one batch, bit for bit."""
+    x = _mixed_adapter("x", rng, rank=3, shapes=LONG_RUN_SHAPES)
+    ys = [_mixed_adapter(f"y{r}", rng, rank=r, shapes=LONG_RUN_SHAPES) for r in (1, 3, 5)]
+    ys.append(_mixed_adapter("zero-layer", rng, rank=2, shapes=LONG_RUN_SHAPES, zero_layers={7}))
+    ys.insert(1, x)
+    default = np.array(similarities(x, ys))
+    monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
+    assert np.array_equal(np.array(similarities(x, ys)), default)
 
 
 def test_zero_layer_scores_zero(rng):
