@@ -303,11 +303,15 @@ def parse_adapter(buffer) -> LoraAdapter:
 
 def read_adapter(path: str | Path) -> LoraAdapter:
     """Read the ``.kmrg`` file at ``path`` into one buffer and parse it with
-    :func:`parse_adapter`; every factor is a view of that buffer."""
+    :func:`parse_adapter`; every factor is a view of that buffer. A
+    :class:`FormatError` names ``path``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         buffer = bytearray(size)
         read = fh.readinto(buffer)
     if read != size:
-        raise FormatError(f"read {read} of the file's {size} bytes; it changed while being read")
-    return parse_adapter(buffer)
+        raise FormatError(f"{path}: read {read} of the file's {size} bytes; it changed while being read")
+    try:
+        return parse_adapter(buffer)
+    except FormatError as exc:
+        raise exc.in_file(path) from None

@@ -42,6 +42,7 @@ from .adapters import (
 from .errors import (
     ConfigError,
     DuplicateTask,
+    FormatError,
     RestoreError,
     ShapeError,
     SlotVacant,
@@ -392,7 +393,9 @@ class MergeEngine:
         """The engine that :meth:`persist` wrote to ``directory``.
 
         Accepts exactly the stores that ``persist`` writes, at manifest
-        version 1 or 2; any other raises :class:`RestoreError`. It reads the
+        version 1 or 2; any other raises :class:`RestoreError`, or the
+        :class:`~kmerge.errors.FormatError` of a damaged slot file, which
+        names that file. It reads the
         policy, each slot's tasks (slot ``i`` is entry ``i``, in
         ``slot_<i>.kmrg``), the ingested task ids (arrival ``i`` has index
         ``i``) and each cache entry's rank. Every other field must equal, in
@@ -452,7 +455,10 @@ class MergeEngine:
             if not adapter_path.exists():
                 raise RestoreError(f"adapter file for slot {slot_key} is missing")
             with open(adapter_path, "rb") as fh:
-                adapter = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
+                try:
+                    adapter = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
+                except FormatError as exc:
+                    raise exc.in_file(adapter_path) from None
             # The cache is filled in once the manifest is accepted.
             engine.store.slots[slot_key] = SlotState(adapter, {}, tuple(slot_tasks))
         # Entries past the declared ones get rank 0; the comparison rejects them.

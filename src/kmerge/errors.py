@@ -17,10 +17,15 @@ class FormatError(KMergeError):
     Carries the byte offset of the problem in a file, when there is one."""
 
     def __init__(self, message: str, offset: int | None = None):
+        self.reason = message
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+    def in_file(self, path) -> "FormatError":
+        """This error with the file at ``path`` named in front of its message."""
+        return FormatError(f"{path}: {self.reason}", self.offset)
 
 
 class IncompatibleAdapters(KMergeError):

@@ -15,8 +15,9 @@ that QR-factorises a whole factor. Slot caches are kept in this form:
 ``fold_layers`` adds an update to one by projecting it onto the current
 basis (Brand, "Fast low-rank modifications of the thin singular value
 decomposition", 2006), so only the incoming factors' d x r residuals are
-factorised, and the best rank-r approximation (``svd_truncate``) is a
-slice of it.
+factorised, and the best rank-r approximation is a slice of it, which
+``kmerge.merging.refactor`` serves (``svd_truncate`` is that slice for one
+delta).
 
 ``fold_layers`` folds all projections of a merge in one call. At the
 paper's geometry (width 64, rank 4) a projection's fold is a few dozen
@@ -30,7 +31,11 @@ incoming rank ``r``, and at least one. Larger stacks leave the cache and
 were slower at width 2048, where one layer alone exceeds the budget and
 each batch is the one-layer fold. Layers of a batch that keep different
 numbers of residual or core directions finish in sub-batches of equal
-counts. ``LowRankDelta.fold`` is the one-layer call.
+counts. ``LowRankDelta.fold`` is the one-layer call. :func:`batches` is
+this grouping and budget for every stacked pass over layers: the fold,
+``kmerge.merging.refactor`` and ``kmerge.similarity``. A batch of one
+layer reads that layer's factors in place (:func:`stacked`), so at width
+2048 batching adds no copy.
 
 Stacked numpy ``matmul`` and ``svd`` give every slice the bits of the same
 call on that matrix alone, provided each slice has that matrix's memory
@@ -43,7 +48,7 @@ does not depend on which layers share its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -160,21 +165,31 @@ def fold_layers(
     layer alone.
     """
     caches = [cache.compressed() for cache in caches]
-    groups = _positions(
-        (cache.b.shape, cache.a.shape, other.b.shape, other.a.shape)
-        for cache, other in zip(caches, incoming, strict=True)
-    )
     folded = [None] * len(caches)
-    for ((d_out, r), (_, d_in), (_, rank), _), members in groups.items():
-        size = max(1, FOLD_BATCH_BYTES // (8 * (d_out + d_in) * (r + rank)))
-        for start in range(0, len(members), size):
-            batch = members[start : start + size]
-            results = _fold_batch(
-                alpha, beta, [caches[i] for i in batch], [incoming[i] for i in batch], scaling
-            )
-            for i, low in zip(batch, results):
-                folded[i] = low
+    shapes = [
+        (cache.b.shape[0], cache.a.shape[1], cache.rank_bound, other.b.shape[1])
+        for cache, other in zip(caches, incoming, strict=True)
+    ]
+    for batch in batches(shapes):
+        results = _fold_batch(
+            alpha, beta, [caches[i] for i in batch], [incoming[i] for i in batch], scaling
+        )
+        for i, low in zip(batch, results):
+            folded[i] = low
     return folded
+
+
+def batches(shapes: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """The positions of ``shapes``, grouped by equal value, each group cut
+    into batches of at most ``FOLD_BATCH_BYTES`` of working set and at least
+    one position. A value ``(d_out, d_in, r_1, r_2, ...)`` describes a layer
+    whose stacked float64 factors of ranks ``r_1, r_2, ...`` hold
+    ``8 (d_out + d_in) (r_1 + r_2 + ...)`` bytes. Groups come in order of
+    their first position, and positions ascend within each."""
+    for (d_out, d_in, *ranks), members in _positions(shapes).items():
+        size = max(1, FOLD_BATCH_BYTES // (8 * (d_out + d_in) * sum(ranks)))
+        for start in range(0, len(members), size):
+            yield members[start : start + size]
 
 
 def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
@@ -183,16 +198,13 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
     C-ordered stacks, so each slice has the layout the one-layer fold gave
     its matrix: ``u = b / root`` C-ordered and ``v = a.T / root`` F-ordered."""
     n = len(caches)
-    u, vt = np.empty((n, *caches[0].b.shape)), np.empty((n, *caches[0].a.shape))
-    in_b, in_a = np.empty((n, *incoming[0].b.shape)), np.empty((n, *incoming[0].a.shape))
-    s = np.empty((n, u.shape[2]))
-    for j, (cache, other) in enumerate(zip(caches, incoming)):
-        # The singular values, the squared column norms of b.
-        np.einsum("ij,ij->j", cache.b, cache.b, out=s[j])
-        root = np.sqrt(s[j])
-        np.divide(cache.b, root, out=u[j])
-        np.divide(cache.a, root[:, None], out=vt[j])
-        in_b[j], in_a[j] = other.b, other.a
+    cache_b, cache_a = stacked([c.b for c in caches]), stacked([c.a for c in caches])
+    # The singular values, the squared column norms of b.
+    s = np.einsum("nij,nij->nj", cache_b, cache_b)
+    root = np.sqrt(s)
+    u, vt = cache_b / root[:, None, :], cache_a / root[:, :, None]
+    in_b = np.array([other.b for other in incoming], dtype=np.float64)
+    in_a = np.array([other.a for other in incoming], dtype=np.float64)
     in_b *= scaling  # as from_factors: convert, then scale
     coords_b, q_b, sig_b, z_b, kept_b = _split(u, in_b, _norms(in_b))
     v, block_a = vt.transpose(0, 2, 1), in_a.transpose(0, 2, 1)
@@ -224,6 +236,14 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
             for j, low_b, low_a in zip(at, b, a):
                 results[j] = LowRankDelta(b=low_b, a=low_a, canonical=True)
     return results
+
+
+def stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``arrays``, of one shape, stacked on a new first axis; a view of the
+    one array when there is only one, so a batch of one layer (one at width
+    2048) reads it in place. ``np.array`` stacks a list in one C call, where
+    ``np.stack`` pays a Python step per array."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _positions(values) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, check_compatible, delta_map
 from .errors import ConfigError, IncompatibleAdapters, InsufficientInputs, ShapeError
-from .lowrank import LowRankDelta
+from .lowrank import LowRankDelta, batches, stacked
 
 DeltaMap = dict[LayerKey, np.ndarray]
 
@@ -193,30 +193,47 @@ def refactor(
     ones). The adapter has applied scaling ``scaling``. Also reports,
     per layer, the relative Frobenius truncation residual (0 for a zero
     layer).
+
+    Layers of one shape and cache rank ``R`` are served in stacked numpy
+    calls, in the batches of :func:`kmerge.lowrank.batches` at
+    ``8 (d_out + d_in) (R + target_rank)`` bytes a layer: one layer at
+    width 2048, whose factors are then read in place. Each layer's factors
+    and residual have the bits of serving that layer alone.
     """
     if target_rank < 1:
         raise ShapeError("target_rank must be >= 1")
     r = target_rank
     scale_numerator = scaling * r
-    layers: dict[LayerKey, FactorPair] = {}
-    residuals: dict[LayerKey, float] = {}
-    for key, low in cache.items():
-        truncated, singvals = low.svd_truncate(r)
-        total = float(np.sum(singvals**2))
-        tail = float(np.sum(singvals[r:] ** 2))
-        residuals[key] = math.sqrt(max(0.0, tail) / total) if total > 0 else 0.0
-        layers[key] = FactorPair(
-            a=(truncated.a).astype(np.float32),
-            # The served adapter's own scaling, which may differ from
-            # ``scaling`` in the last bit.
-            b=(truncated.b / (scale_numerator / r)).astype(np.float32),
-        )
+    # The served adapter's own scaling, which may differ from ``scaling``
+    # in the last bit.
+    served_scaling = scale_numerator / r
+    lows = [low.compressed() for low in cache.values()]
+    pairs = [None] * len(lows)
+    residuals = np.empty(len(lows))
+    for batch in batches([(low.b.shape[0], low.a.shape[1], low.rank_bound, r) for low in lows]):
+        group = [lows[i] for i in batch]
+        b, a = stacked([low.b for low in group]), stacked([low.a for low in group])
+        n, d_out, rank = b.shape
+        kept = min(r, rank)
+        # The singular values, the squared column norms of b.
+        s = np.einsum("nij,nij->nj", b, b)
+        total, tail = np.sum(s**2, axis=1), np.sum(s[:, r:] ** 2, axis=1)
+        residuals[batch] = np.sqrt(np.divide(tail, total, out=np.zeros(n), where=total > 0))
+        # Zero-padded to rank r, divided in float64, then cast: the padding
+        # of b is 0 / served_scaling, -0.0 for a negative scaling.
+        served_b = np.empty((n, d_out, r), np.float32)
+        np.divide(b[:, :, :kept], served_scaling, out=served_b[:, :, :kept], casting="unsafe")
+        served_b[:, :, kept:] = np.divide(0.0, served_scaling)
+        served_a = np.zeros((n, r, a.shape[2]), np.float32)
+        served_a[:, :kept] = a[:, :kept]
+        for i, fb, fa in zip(batch, served_b, served_a):
+            pairs[i] = FactorPair(a=fa, b=fb)
     adapter = LoraAdapter(
         task_id=task_id,
         problem_type="merged",
         language="merged",
         rank=r,
         scale_numerator=scale_numerator,
-        layers=layers,
+        layers=dict(zip(cache, pairs)),
     )
-    return RefactorResult(adapter=adapter, residuals=residuals)
+    return RefactorResult(adapter=adapter, residuals=dict(zip(cache, residuals.tolist())))

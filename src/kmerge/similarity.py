@@ -8,14 +8,15 @@ flattening the dense products and never materializes them.
 One kernel compares one adapter against many: :func:`similarities`; the
 other functions here call it. It checks each pair through
 :func:`kmerge.adapters.check_compatible`, then walks the first adapter's
-layers in batches of consecutive same-shape layers, stacks that adapter's
-scaled float64 factors once per batch and each other adapter's once, and
-gets the per-layer inner products as batched Gram products; each layer's
-norm comes from the same stacks, so every adapter is stacked once per batch
-and nothing is cached on it. A batch holds at most the fold's working-set
-budget, ``kmerge.lowrank.FOLD_BATCH_BYTES``, and at least one layer: one
-layer at width 2048 and rank 32, where a whole run would build a fresh
-32 MiB stack per factor and adapter, and the whole run at smaller widths.
+layers in batches of same-shape layers, stacks that adapter's scaled
+float64 factors once per batch and each other adapter's once, and gets the
+per-layer inner products as batched Gram products; each layer's norm comes
+from the same stacks, so every adapter is stacked once per batch and
+nothing is cached on it. Batches come from :func:`kmerge.lowrank.batches`,
+the fold's rule: at most ``FOLD_BATCH_BYTES`` of working set and at least
+one layer. That is one layer at width 2048 and rank 32, where stacking
+every layer would build a fresh 32 MiB stack per factor and adapter, and
+all layers of a shape at smaller widths.
 Stacked products give each layer the bits of that layer alone, so the
 batching never changes a score. The cosine of one layer is the score of
 two one-layer adapters.
@@ -24,9 +25,8 @@ two one-layer adapters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,30 +37,12 @@ from .errors import EmptyStore, InsufficientInputs
 DEGENERATE_NORM = 1e-12
 
 
-def _batches(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> Iterator[list[LayerKey]]:
-    """``keys`` in order, split into runs of consecutive layers of one shape
-    in ``adapter``, and each run into batches whose stacked float64 factors,
-    ``8 (d_out + d_in) r`` bytes a layer, fit the fold's budget
-    ``lowrank.FOLD_BATCH_BYTES``; at least one layer a batch."""
-    def shape(key: LayerKey) -> tuple[int, int]:
-        return adapter.layers[key].d_out, adapter.layers[key].d_in
-
-    for (d_out, d_in), run in groupby(keys, key=shape):
-        run = list(run)
-        size = max(1, lowrank.FOLD_BATCH_BYTES // (8 * (d_out + d_in) * adapter.rank))
-        for start in range(0, len(run), size):
-            yield run[start : start + size]
-
-
 def _stacked(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> tuple[np.ndarray, np.ndarray]:
     """The scaled float64 factors of same-shape layers ``keys``, stacked:
     ``b`` is (n, d_out, r) and ``a`` is (n, r, d_in)."""
-    first = adapter.layers[keys[0]]
-    b = np.empty((len(keys), first.d_out, first.rank))
-    a = np.empty((len(keys), first.rank, first.d_in))
-    for i, key in enumerate(keys):
-        fp = adapter.layers[key]
-        b[i], a[i] = fp.b, fp.a
+    layers = [adapter.layers[key] for key in keys]
+    b = np.array([fp.b for fp in layers], dtype=np.float64)
+    a = np.array([fp.a for fp in layers], dtype=np.float64)
     b *= adapter.scaling
     return b, a
 
@@ -83,17 +65,16 @@ def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) ->
     inner = np.empty((len(ys), len(keys)))
     ny = np.empty_like(inner)
     nx = np.empty(len(keys))
-    start = 0
-    for batch in _batches(x, keys):
-        stop = start + len(batch)
-        bx, ax = _stacked(x, batch)
-        nx[start:stop] = _inner(bx, ax, bx, ax)
+    shapes = [(x.layers[key].d_out, x.layers[key].d_in, x.rank) for key in keys]
+    for batch in lowrank.batches(shapes):
+        batch_keys = [keys[i] for i in batch]
+        bx, ax = _stacked(x, batch_keys)
+        nx[batch] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
-            by, ay = _stacked(y, batch)
-            inner[i, start:stop] = _inner(bx, ax, by, ay)
-            ny[i, start:stop] = _inner(by, ay, by, ay)
+            by, ay = _stacked(y, batch_keys)
+            inner[i, batch] = _inner(bx, ax, by, ay)
+            ny[i, batch] = _inner(by, ay, by, ay)
             del by, ay  # free this stack before the next adapter's is built
-        start = stop
     nx, ny = np.sqrt(np.maximum(0.0, nx)), np.sqrt(np.maximum(0.0, ny))
     live = (nx >= DEGENERATE_NORM) & (ny >= DEGENERATE_NORM)
     cos = np.divide(inner, nx * ny, out=np.zeros_like(inner), where=live)

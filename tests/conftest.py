@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter
+from kmerge.engine import SlotState
+from kmerge.lowrank import LowRankDelta
+from kmerge.merging import RefactorResult
 
 
 def make_adapter(task_id, layer_arrays, rank, scale_numerator, problem_type="t", language="l"):
@@ -69,6 +72,34 @@ def rewrite_header(path, change):
     change(header)
     encoded = json.dumps(header).encode()
     path.write_bytes(struct.pack("<4sHI", magic, version, len(encoded)) + encoded + raw[10 + header_len :])
+
+
+def mixed_geometry_slot(rng):
+    """A slot and an incoming rank-2 adapter whose layers mix shapes (6x6,
+    5x9, 9x4) and cache ranks: empty caches, saturated ones (cache rank plus
+    2 above the width), and, on every fifth key, a slot whose cache and
+    served adapter contain the incoming layer, whose residuals are then
+    dropped as noise."""
+    shapes = {"key": (6, 6), "query": (5, 9), "value": (9, 4), "output": (6, 6)}
+    keys = [LayerKey(layer, proj) for layer in range(16) for proj in PROJECTIONS]
+
+    def factors(key):
+        d_out, d_in = shapes[key.proj]
+        return rng.standard_normal((2, d_in)), rng.standard_normal((d_out, 2))
+
+    arrays = {key: factors(key) for key in keys}
+    incoming = make_adapter("in", arrays, 2, 3.0)
+    spanned = set(keys[4::5])
+    served = make_adapter("served", {k: arrays[k] if k in spanned else factors(k) for k in keys}, 2, 2.0)
+    cache = {}
+    for key in keys:
+        d_out, d_in = shapes[key.proj]
+        rank = (0, 1, 2, min(d_out, d_in))[key.layer % 4]
+        low = LowRankDelta(b=rng.standard_normal((d_out, rank)), a=rng.standard_normal((rank, d_in)))
+        if key in spanned:
+            low = LowRankDelta.combine([low, LowRankDelta.from_factors(incoming.layers[key], 1.0)], [1.0, 0.7])
+        cache[key] = low.compressed()
+    return SlotState(adapter=served, cache=cache, tasks=(1, 2)), incoming
 
 
 # -- dense oracles ---------------------------------------------------------
@@ -127,6 +158,26 @@ def naive_ties(vectors, density):
         matching = [t[i] for t in trimmed if np.sign(t[i]) == elected]
         out[i] = sum(matching) / len(matching) if matching else 0.0
     return out
+
+
+def naive_refactor(cache, target_rank, task_id, scaling):
+    """``refactor`` one layer at a time, the oracle of its stacked calls:
+    each layer's ``svd_truncate`` slice, divided by the served scaling and
+    cast to float32, and its residual from the full spectrum."""
+    r = target_rank
+    scale_numerator = scaling * r
+    layers, residuals = {}, {}
+    for key, low in cache.items():
+        truncated, singvals = low.svd_truncate(r)
+        total = float(np.sum(singvals**2))
+        tail = float(np.sum(singvals[r:] ** 2))
+        residuals[key] = math.sqrt(max(0.0, tail) / total) if total > 0 else 0.0
+        layers[key] = FactorPair(
+            a=truncated.a.astype(np.float32),
+            b=(truncated.b / (scale_numerator / r)).astype(np.float32),
+        )
+    adapter = LoraAdapter(task_id, "merged", "merged", r, scale_numerator, layers)
+    return RefactorResult(adapter=adapter, residuals=residuals)
 
 
 # -- naive policy reference ------------------------------------------------

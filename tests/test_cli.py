@@ -325,10 +325,14 @@ DAMAGED_KMRG_SUITES = {
 
 @pytest.mark.parametrize("damage, problem", DAMAGED_KMRG_SUITES.values(), ids=DAMAGED_KMRG_SUITES)
 def test_run_damaged_kmrg_suite_exits_1(suite_dir, tmp_path, capsys, damage, problem):
-    """One damaged adapter file fails the whole suite with its reason."""
-    damage(suite_dir / "task_004.kmrg")
-    with pytest.raises(FormatError, match=problem):
+    """One damaged adapter file fails the whole suite with its reason, behind
+    the file's path, and its byte offset."""
+    path = suite_dir / "task_004.kmrg"
+    damage(path)
+    with pytest.raises(FormatError, match=problem) as caught:
         load_suite(suite_dir)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert caught.value.offset is not None
     code = main(["run", "--suite", str(suite_dir), "--k", "2", "--seeds", "0",
                  "--out", str(tmp_path / "r")])
     assert code == 1

@@ -11,7 +11,7 @@ from operator import getitem
 import numpy as np
 import pytest
 
-from kmerge.adapters import PROJECTIONS, LayerKey
+from kmerge.adapters import PROJECTIONS, LayerKey, parse_adapter
 from kmerge.engine import (
     ALLOCATED,
     MERGED,
@@ -40,6 +40,7 @@ from conftest import (
     NaiveState,
     dense_delta_map,
     make_adapter,
+    mixed_geometry_slot,
     naive_policy_step,
     rewrite_header,
     small_random_adapter,
@@ -163,34 +164,6 @@ def test_linear_cache_matches_dense_oracle(rng, weight):
         assert _relative_error(low.materialize(), dense[key]) <= 1e-12
 
 
-def _mixed_geometry_slot(rng):
-    """A slot and an incoming rank-2 adapter whose layers mix shapes (6x6,
-    5x9, 9x4) and cache ranks: empty caches, saturated ones (cache rank plus
-    2 above the width), and, on every fifth key, a slot whose cache and
-    served adapter contain the incoming layer, whose residuals are then
-    dropped as noise."""
-    shapes = {"key": (6, 6), "query": (5, 9), "value": (9, 4), "output": (6, 6)}
-    keys = [LayerKey(layer, proj) for layer in range(16) for proj in PROJECTIONS]
-
-    def factors(key):
-        d_out, d_in = shapes[key.proj]
-        return rng.standard_normal((2, d_in)), rng.standard_normal((d_out, 2))
-
-    arrays = {key: factors(key) for key in keys}
-    incoming = make_adapter("in", arrays, 2, 3.0)
-    spanned = set(keys[4::5])
-    served = make_adapter("served", {k: arrays[k] if k in spanned else factors(k) for k in keys}, 2, 2.0)
-    cache = {}
-    for key in keys:
-        d_out, d_in = shapes[key.proj]
-        rank = (0, 1, 2, min(d_out, d_in))[key.layer % 4]
-        low = LowRankDelta(b=rng.standard_normal((d_out, rank)), a=rng.standard_normal((rank, d_in)))
-        if key in spanned:
-            low = LowRankDelta.combine([low, LowRankDelta.from_factors(incoming.layers[key], 1.0)], [1.0, 0.7])
-        cache[key] = low.compressed()
-    return SlotState(adapter=served, cache=cache, tasks=(1, 2)), incoming
-
-
 @pytest.mark.parametrize("budget", [kmerge.lowrank.FOLD_BATCH_BYTES, 1, 1000])
 @pytest.mark.parametrize("kind", ["running_average", "linear"])
 def test_batched_fold_is_bit_identical_to_one_layer_folds(rng, monkeypatch, kind, budget):
@@ -199,7 +172,7 @@ def test_batched_fold_is_bit_identical_to_one_layer_folds(rng, monkeypatch, kind
     batch; 1000: one to five); each layer's factors equal, bit for bit,
     those of folding that layer alone."""
     monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
-    slot, incoming = _mixed_geometry_slot(rng)
+    slot, incoming = mixed_geometry_slot(rng)
     count = len(slot.tasks)
     merged = merged_cache(MergeOperator(kind=kind), slot, incoming, weight=0.3)
     if kind == "running_average":
@@ -804,6 +777,20 @@ def test_restore_slot_header_declaring_a_huge_tensor(tmp_path, rng):
     rewrite_header(tmp_path / "slot_1.kmrg", lambda h: h["layers"][0].__setitem__("d_in", 2**45))
     with pytest.raises(FormatError, match="truncated payload"):
         MergeEngine.restore(tmp_path)
+
+
+def test_restore_truncated_slot_file_is_named(tmp_path, rng):
+    """A slot file that lost its last 3 bytes fails restore with the parse
+    error of those bytes, its text and offset kept, behind the file's path."""
+    _persisted(tmp_path, rng)
+    path = tmp_path / "slot_2.kmrg"
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(FormatError) as unnamed:
+        parse_adapter(path.read_bytes())
+    with pytest.raises(FormatError, match="truncated payload while reading B tensor") as named:
+        MergeEngine.restore(tmp_path)
+    assert str(named.value) == f"{path}: {unnamed.value}"
+    assert named.value.offset == unnamed.value.offset is not None
 
 
 @pytest.mark.parametrize("target", ["slot_2.kmrg", "running_cache.bin", "manifest.json"])

@@ -8,11 +8,13 @@ widths where the cache rank plus the incoming rank exceeds the width
 acceptance criteria 1, 2 and 11).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from kmerge.adapters import LayerKey
-from kmerge.lowrank import LowRankDelta
+from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey
+from kmerge.lowrank import FOLD_BATCH_BYTES, LowRankDelta, fold_layers
 from kmerge.merging import refactor
 
 K0 = LayerKey(0, "key")
@@ -114,3 +116,37 @@ def test_fold_of_zero_members_is_empty():
     served, singular = cache.svd_truncate(2)
     assert served.b.shape == (6, 2) and not served.b.any()
     assert singular.size == 0
+
+
+def _peak_above_start(call):
+    """``call()`` and the peak of memory traced during it, above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_fold_and_refactor_work_in_bounded_batches():
+    """A fold and a refactor of 64 width-512 layers (a 12 MiB cache) stack
+    at most ``FOLD_BATCH_BYTES`` of layers at a time, so neither allocates
+    more than a few budgets beyond what it returns; stacking every layer at
+    once would take 6 MiB more for the refactor and 12 MiB more for the fold."""
+    rng = np.random.default_rng(5)
+    width, rank, n = 512, 24, 64
+    keys = [LayerKey(i // len(PROJECTIONS), PROJECTIONS[i % len(PROJECTIONS)]) for i in range(n)]
+    cache = {
+        key: LowRankDelta(b=rng.standard_normal((width, rank)), a=rng.standard_normal((rank, width))).compressed()
+        for key in keys
+    }
+    incoming = [FactorPair(a=rng.standard_normal((4, width)), b=rng.standard_normal((width, 4))) for _ in keys]
+
+    folded, peak = _peak_above_start(lambda: fold_layers(0.5, 0.5, list(cache.values()), incoming))
+    assert peak <= sum(low.b.nbytes + low.a.nbytes for low in folded) + 4 * FOLD_BATCH_BYTES
+    served, peak = _peak_above_start(lambda: refactor(cache, 4, "m", 1.0))
+    layers = served.adapter.layers.values()
+    assert peak <= sum(fp.b.nbytes + fp.a.nbytes for fp in layers) + 4 * FOLD_BATCH_BYTES
+

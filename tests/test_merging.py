@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kmerge.lowrank
 from kmerge.adapters import LayerKey, delta_map
 from kmerge.errors import ConfigError, InsufficientInputs, ShapeError
 from kmerge.lowrank import LowRankDelta
@@ -14,7 +15,14 @@ from kmerge.merging import (
     ties_merge,
 )
 
-from conftest import dense_delta_map, naive_ties, small_random_adapter, width_mismatched_pair
+from conftest import (
+    dense_delta_map,
+    mixed_geometry_slot,
+    naive_refactor,
+    naive_ties,
+    small_random_adapter,
+    width_mismatched_pair,
+)
 
 K0 = LayerKey(0, "key")
 
@@ -296,4 +304,28 @@ def test_refactor_lowrank_input_agrees_with_dense(rng):
     np.testing.assert_allclose(
         dense_delta_map(r_dense.adapter)[K0], dense_delta_map(r_low.adapter)[K0], atol=1e-5
     )
+
+
+@pytest.mark.parametrize("target_rank", [2, 5])
+@pytest.mark.parametrize("scaling", [1.5, -0.75])
+@pytest.mark.parametrize("budget", [kmerge.lowrank.FOLD_BATCH_BYTES, 1, 1000])
+def test_batched_refactor_is_bit_identical(rng, monkeypatch, budget, scaling, target_rank):
+    """``refactor`` serves each batch of same-shape, same-rank layers in
+    stacked calls (budget 1: one layer a batch; 1000: a few); every served
+    factor has the bits of serving its layer alone, the ``-0.0`` padding of
+    a negative scaling included, and every residual is equal."""
+    monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
+    slot, _ = mixed_geometry_slot(rng)
+    result = refactor(slot.cache, target_rank, "m", scaling)
+    oracle = naive_refactor(slot.cache, target_rank, "m", scaling)
+    assert list(result.adapter.layers) == list(oracle.adapter.layers)
+    assert result.adapter.scale_numerator == oracle.adapter.scale_numerator
+    for key, want in oracle.adapter.layers.items():
+        got = result.adapter.layers[key]
+        assert np.array_equal(got.a.view(np.uint32), want.a.view(np.uint32))
+        assert np.array_equal(got.b.view(np.uint32), want.b.view(np.uint32))
+    assert list(result.residuals) == list(oracle.residuals)
+    assert result.residuals == oracle.residuals
+    padding = np.concatenate([fp.b[fp.b == 0] for fp in result.adapter.layers.values()])
+    assert padding.size and np.signbit(padding).all() == (scaling < 0)
 
