@@ -15,10 +15,12 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection
+from types import MappingProxyType
+from typing import BinaryIO, Callable, Collection, Mapping
 
 import numpy as np
 
+from . import lowrank
 from .errors import FormatError, IncompatibleAdapters, ShapeError
 from .jsonfields import json_field
 
@@ -67,7 +69,12 @@ class LayerKey(namedtuple("LayerKey", ["layer", "proj"])):
 
 @dataclass(frozen=True)
 class FactorPair:
-    """Low-rank factors for one layer: ``a`` is r x d_in, ``b`` is d_out x r."""
+    """Low-rank factors for one layer: ``a`` is r x d_in, ``b`` is d_out x r.
+
+    The constructor converts both to float32 and checks them. Pairs built
+    from arrays that hold many factors, a stack (:func:`factor_pairs`) or a
+    ``.kmrg`` payload (:func:`parse_adapter`), get the same checks once per
+    array instead of once per pair."""
 
     a: np.ndarray
     b: np.ndarray
@@ -99,12 +106,42 @@ class FactorPair:
         return self.b.shape[0]
 
 
-@dataclass
+def _checked_pair(a: np.ndarray, b: np.ndarray) -> FactorPair:
+    """The pair of float32 2-D factors ``a`` and ``b``, of one inner
+    dimension, whose finiteness the caller has checked in an array that
+    holds them; :class:`FactorPair` without repeating that check."""
+    pair = object.__new__(FactorPair)
+    object.__setattr__(pair, "a", a)
+    object.__setattr__(pair, "b", b)
+    return pair
+
+
+def factor_pairs(a: np.ndarray, b: np.ndarray) -> list[FactorPair]:
+    """One :class:`FactorPair` per slice of the float32 stacks ``a`` (n x r x
+    d_in) and ``b`` (n x d_out x r), each a view of its slices. Checked as
+    the constructor checks one pair, once per stack: a non-finite entry
+    anywhere raises its :class:`ShapeError`."""
+    if a.dtype != np.float32 or b.dtype != np.float32 or a.ndim != 3 or b.ndim != 3:
+        raise ShapeError("factor stacks must be 3-dimensional float32 arrays")
+    if len(a) != len(b) or a.shape[1] != b.shape[2]:
+        raise ShapeError(f"factor stacks disagree: a is {a.shape}, b is {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ShapeError("factor matrices must be finite")
+    return [_checked_pair(fa, fb) for fa, fb in zip(a, b)]
+
+
+@dataclass(frozen=True)
 class LoraAdapter:
     """A task-tagged collection of per-layer factor pairs.
 
     ``scale_numerator`` is the LoRA scaling numerator, finite and nonzero;
     the update applied for a layer is ``(scale_numerator / rank) * b @ a``.
+
+    An adapter is immutable: ``layers`` is a read-only mapping over a copy of
+    the one passed in. ``geometry``, computed once at construction, maps
+    each key, in ``layers`` order, to its ``(d_out, d_in)``; two adapters can
+    meet when their geometries are equal (:func:`check_compatible`), and
+    every stacked pass over an adapter's layers takes its shapes from it.
     """
 
     task_id: str
@@ -112,7 +149,8 @@ class LoraAdapter:
     language: str
     rank: int
     scale_numerator: float
-    layers: dict[LayerKey, FactorPair] = field(default_factory=dict)
+    layers: Mapping[LayerKey, FactorPair] = field(default_factory=dict)
+    geometry: Mapping[LayerKey, tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale_numerator == 0 or not np.isfinite(self.scale_numerator):
@@ -121,11 +159,15 @@ class LoraAdapter:
             raise ShapeError(f"rank must be >= 1, got {self.rank}")
         if not self.layers:
             raise ShapeError("adapter must have at least one layer")
-        for key, fp in self.layers.items():
-            if fp.rank != self.rank:
-                raise ShapeError(
-                    f"layer {key} has rank {fp.rank}, adapter declares {self.rank}"
-                )
+        layers = dict(self.layers)
+        geometry = {}
+        for key, fp in layers.items():
+            rank, d_in = fp.a.shape
+            if rank != self.rank:
+                raise ShapeError(f"layer {key} has rank {rank}, adapter declares {self.rank}")
+            geometry[key] = (fp.b.shape[0], d_in)
+        object.__setattr__(self, "layers", MappingProxyType(layers))
+        object.__setattr__(self, "geometry", MappingProxyType(geometry))
 
     @property
     def scaling(self) -> float:
@@ -138,17 +180,20 @@ class LoraAdapter:
 def check_compatible(x: LoraAdapter, y: LoraAdapter) -> None:
     """Check that ``x`` and ``y`` can meet in a similarity or a merge: they
     adapt the same layers (else :class:`IncompatibleAdapters`) at the same
-    ``(d_out, d_in)`` (else :class:`ShapeError`). Ranks may differ."""
+    ``(d_out, d_in)`` (else :class:`ShapeError`, naming the first such layer
+    in ``x``'s order). Ranks may differ. One comparison of the two
+    geometries decides; the layers are walked only to name a difference."""
+    if x.geometry == y.geometry:
+        return
     if x.layers.keys() != y.layers.keys():
         raise IncompatibleAdapters(
             f"adapters {x.task_id!r} and {y.task_id!r} have different layer key-sets"
         )
-    for key, fx in x.layers.items():
-        fy = y.layers[key]
-        if (fx.d_out, fx.d_in) != (fy.d_out, fy.d_in):
+    for key, shape in x.geometry.items():
+        if shape != y.geometry[key]:
             raise ShapeError(
-                f"layer {key} shapes disagree: {(fx.d_out, fx.d_in)} in {x.task_id!r} "
-                f"vs {(fy.d_out, fy.d_in)} in {y.task_id!r}"
+                f"layer {key} shapes disagree: {shape} in {x.task_id!r} "
+                f"vs {y.geometry[key]} in {y.task_id!r}"
             )
 
 
@@ -170,7 +215,9 @@ def delta_map(adapter: LoraAdapter) -> dict[LayerKey, np.ndarray]:
 # A file is parsed from one buffer (``parse_adapter``): each factor is a
 # float32 view of it at its offset. A tensor's offset need not be a multiple
 # of 4, as the header's length is free; every computation copies factors
-# into float64 arrays first, so alignment never changes a result.
+# into float64 arrays first, so alignment never changes a result. The
+# payload is checked finite in chunks of at most
+# ``kmerge.lowrank.FOLD_BATCH_BYTES``, not once per tensor.
 # --------------------------------------------------------------------------
 
 _HEAD = struct.Struct("<4sHI")
@@ -179,10 +226,8 @@ _HEAD = struct.Struct("<4sHI")
 def _header_dict(adapter: LoraAdapter) -> dict:
     layers = []
     for key in adapter.sorted_keys():
-        fp = adapter.layers[key]
-        layers.append(
-            {"layer": key.layer, "proj": key.proj, "d_in": fp.d_in, "d_out": fp.d_out}
-        )
+        d_out, d_in = adapter.geometry[key]
+        layers.append({"layer": key.layer, "proj": key.proj, "d_in": d_in, "d_out": d_out})
     return {
         "task_id": adapter.task_id,
         "problem_type": adapter.problem_type,
@@ -273,7 +318,8 @@ def parse_adapter(buffer) -> LoraAdapter:
     }
     rank = json_field(header, "rank", bad_header, int)
     scale_numerator = float(json_field(header, "scale_numerator", bad_header, float))
-    layers: dict[LayerKey, FactorPair] = {}
+    payload = offset
+    layers: dict[LayerKey, tuple[np.ndarray, np.ndarray]] = {}
     for entry in json_field(header, "layers", bad_header, list):
         layer = json_field(entry, "layer", bad_header, int)
         proj = json_field(entry, "proj", bad_header, str)
@@ -289,16 +335,33 @@ def parse_adapter(buffer) -> LoraAdapter:
         offset += a.nbytes
         b = _tensor(buffer, offset, (d_out, rank), "B", key)
         offset += b.nbytes
-        try:
-            layers[key] = FactorPair(a=a, b=b)
-        except ShapeError as exc:
-            raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
+        layers[key] = a, b
+    if not _finite(buffer, payload, offset):
+        # Only a damaged file walks its layers, to name the first bad one.
+        for key, (a, b) in layers.items():
+            try:
+                FactorPair(a=a, b=b)
+            except ShapeError as exc:
+                raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
     if offset < len(buffer):
         raise FormatError("trailing bytes after declared payload", offset)
+    pairs = {key: _checked_pair(a, b) for key, (a, b) in layers.items()}
     try:
-        return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=layers, **text)
+        return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=pairs, **text)
     except ShapeError as exc:
         raise bad_header(f"invalid header: {exc}") from None
+
+
+def _finite(buffer, start: int, end: int) -> bool:
+    """Whether the float32 values in ``buffer[start:end]`` are all finite,
+    checked a chunk of at most ``FOLD_BATCH_BYTES`` at a time, so the check
+    allocates at most that much at any width."""
+    step = max(1, lowrank.FOLD_BATCH_BYTES // 4)
+    count = (end - start) // 4
+    return all(
+        np.isfinite(np.frombuffer(buffer, "<f4", min(step, count - first), start + 4 * first)).all()
+        for first in range(0, count, step)
+    )
 
 
 def read_adapter(path: str | Path) -> LoraAdapter:

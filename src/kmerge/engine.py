@@ -49,7 +49,7 @@ from .errors import (
     UnknownTask,
 )
 from .jsonfields import json_field, json_value
-from .lowrank import LowRankDelta, fold_layers
+from .lowrank import LowRankDelta, batches, canonical_batch, fold_layers, scaled_stacks
 from .merging import (
     MergeOperator,
     RankPolicy,
@@ -173,11 +173,19 @@ class SlotState:
 
 
 def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
-    """The running cache of a slot whose only member is ``adapter``."""
-    return {
-        key: LowRankDelta.from_factors(fp, adapter.scaling).compressed()
-        for key, fp in adapter.layers.items()
-    }
+    """The running cache of a slot whose only member is ``adapter``: each
+    layer's float64 delta ``adapter.scaling * b @ a`` in canonical form,
+    computed in the stacked calls of :func:`kmerge.lowrank.canonical_batch`,
+    one per batch of :func:`kmerge.lowrank.batches` over the adapter's
+    geometry, with the bits of one layer at a time."""
+    keys = list(adapter.layers)
+    cache = [None] * len(keys)
+    shapes = [(d_out, d_in, adapter.rank) for d_out, d_in in adapter.geometry.values()]
+    for batch in batches(shapes):
+        b, a = scaled_stacks(adapter, [keys[i] for i in batch])
+        for i, low in zip(batch, canonical_batch(b, a)):
+            cache[i] = low
+    return dict(zip(keys, cache))
 
 
 def merged_cache(
@@ -363,7 +371,8 @@ class MergeEngine:
                     out.write(np.ascontiguousarray(factor, dtype="<f8"))
 
         replace_file(directory / "running_cache.bin", write_cache)
-        manifest = json.dumps(self._manifest(layout, version=MANIFEST_VERSION), indent=2).encode()
+        # Compact, as only without ``indent`` does CPython encode in C.
+        manifest = json.dumps(self._manifest(layout, version=MANIFEST_VERSION)).encode()
         replace_file(directory / "manifest.json", lambda out: out.write(manifest))
         delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in slots})
 
@@ -503,15 +512,16 @@ def _cache_layout(slots: dict[int, SlotState], rank_of) -> tuple[list, int]:
     entry of ``slots`` in ``running_cache.bin``, and the file's length: slots
     in key order, each slot's layers in sorted order, each layer's ``b`` then
     ``a`` in float64, back to back from 0. Shapes follow each slot's served
-    adapter; ``rank_of(slot_key, key)`` gives each cache rank, in that order."""
+    adapter's geometry; ``rank_of(slot_key, key)`` gives each cache rank, in
+    that order."""
     layout, offset = [], 0
     for slot_key in sorted(slots):
         adapter = slots[slot_key].adapter
         for key in adapter.sorted_keys():
-            fp = adapter.layers[key]
+            d_out, d_in = adapter.geometry[key]
             rank = rank_of(slot_key, key)
-            layout.append((slot_key, key, (fp.d_out, rank), (rank, fp.d_in), offset))
-            offset += 8 * rank * (fp.d_out + fp.d_in)
+            layout.append((slot_key, key, (d_out, rank), (rank, d_in), offset))
+            offset += 8 * rank * (d_out + d_in)
     return layout, offset
 
 

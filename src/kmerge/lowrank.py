@@ -9,15 +9,17 @@ Canonical form is a balanced thin SVD: ``b = U sqrt(S)`` and
 ``a = sqrt(S) V^T`` with orthonormal ``U`` and ``V``, ``S`` descending and
 singular values at or below ``REL_TOL * s_0`` dropped. Because the form is
 balanced, ``S`` is the squared column norms of ``b``. ``from_dense``,
-``compressed`` and ``fold_layers`` return canonical deltas and mark them
-so; ``compressed`` on a canonical delta is free, and is the only place
-that QR-factorises a whole factor. Slot caches are kept in this form:
-``fold_layers`` adds an update to one by projecting it onto the current
-basis (Brand, "Fast low-rank modifications of the thin singular value
-decomposition", 2006), so only the incoming factors' d x r residuals are
-factorised, and the best rank-r approximation is a slice of it, which
-``kmerge.merging.refactor`` serves (``svd_truncate`` is that slice for one
-delta).
+``compressed``, ``canonical_batch`` and ``fold_layers`` return canonical
+deltas and mark them so; ``compressed`` on a canonical delta is free.
+``canonical_batch``, which canonicalises a stack of deltas (a new slot's
+cache, ``kmerge.engine.slot_cache``) and is ``compressed`` for one, is the
+only place that QR-factorises a whole factor. Slot caches are kept in
+this form: ``fold_layers`` adds an update to one by projecting it onto
+the current basis (Brand, "Fast low-rank modifications of the thin
+singular value decomposition", 2006), so only the incoming factors' d x r
+residuals are factorised, and the best rank-r approximation is a slice of
+it, which ``kmerge.merging.refactor`` serves (``svd_truncate`` is that
+slice for one delta).
 
 ``fold_layers`` folds all projections of a merge in one call. At the
 paper's geometry (width 64, rank 4) a projection's fold is a few dozen
@@ -33,9 +35,9 @@ each batch is the one-layer fold. Layers of a batch that keep different
 numbers of residual or core directions finish in sub-batches of equal
 counts. ``LowRankDelta.fold`` is the one-layer call. :func:`batches` is
 this grouping and budget for every stacked pass over layers: the fold,
-``kmerge.merging.refactor`` and ``kmerge.similarity``. A batch of one
-layer reads that layer's factors in place (:func:`stacked`), so at width
-2048 batching adds no copy.
+``kmerge.merging.refactor``, ``kmerge.similarity`` and a new slot's
+cache. A batch of one layer reads that layer's factors in place
+(:func:`stacked`), so at width 2048 batching adds no copy.
 
 Stacked numpy ``matmul`` and ``svd`` give every slice the bits of the same
 call on that matrix alone, provided each slice has that matrix's memory
@@ -48,11 +50,12 @@ does not depend on which layers share its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .adapters import FactorPair
+if TYPE_CHECKING:  # kmerge.adapters imports this module
+    from .adapters import FactorPair, LayerKey, LoraAdapter
 
 REL_TOL = 1e-14  # canonical form drops singular values at or below REL_TOL * s_0
 NOISE_TOL = 1e-13  # fold drops residual directions at or below NOISE_TOL * |incoming factor|
@@ -82,13 +85,6 @@ class LowRankDelta:
         return self.b.shape[1]
 
     @classmethod
-    def from_factors(cls, fp: FactorPair, scaling: float) -> "LowRankDelta":
-        return cls(
-            b=fp.b.astype(np.float64) * scaling,
-            a=fp.a.astype(np.float64),
-        )
-
-    @classmethod
     def from_dense(cls, delta: np.ndarray) -> "LowRankDelta":
         u, s, vt = np.linalg.svd(np.asarray(delta, dtype=np.float64), full_matrices=False)
         r = int(_kept(s))
@@ -113,19 +109,13 @@ class LowRankDelta:
         return np.einsum("ij,ij->j", b, b)
 
     def compressed(self) -> "LowRankDelta":
-        """Canonical form of this delta; ``self`` when it already is canonical."""
+        """Canonical form of this delta; ``self`` when it already is
+        canonical; :func:`canonical_batch` for one layer."""
         if self.canonical:
             return self
         if self.rank_bound == 0:
             return LowRankDelta(b=self.b, a=self.a, canonical=True)
-        qb, rb = np.linalg.qr(self.b)
-        qa, ra = np.linalg.qr(self.a.T)
-        u, s, vt = np.linalg.svd(rb @ ra.T)
-        r = int(_kept(s))
-        root = np.sqrt(s[:r])
-        return LowRankDelta(
-            b=(qb @ u[:, :r]) * root, a=root[:, None] * (vt[:r] @ qa.T), canonical=True
-        )
+        return canonical_batch(self.b[None], self.a[None])[0]
 
     def fold(self, alpha: float, beta: float, other: "LowRankDelta") -> "LowRankDelta":
         """Canonical ``alpha * self + beta * other``; :func:`fold_layers` for one layer."""
@@ -179,15 +169,50 @@ def fold_layers(
     return folded
 
 
+def canonical_batch(b: np.ndarray, a: np.ndarray) -> list["LowRankDelta"]:
+    """The canonical form of each delta of a stack: ``b`` is (n, d_out, R)
+    and ``a`` is (n, R, d_in), ``R >= 1``. The factors are QR-factorised and
+    the core ``r_b r_a^T`` is SVD-factorised in stacked calls, with the
+    layouts of one delta alone (``a`` transposed), so each result has the
+    bits of canonicalising its delta alone. Deltas that keep different
+    numbers of singular values finish in sub-batches of equal counts."""
+    n = len(b)
+    qb, rb = np.linalg.qr(b)
+    qa, ra = np.linalg.qr(a.transpose(0, 2, 1))
+    u, s, vt = np.linalg.svd(rb @ ra.transpose(0, 2, 1))
+    results = [None] * n
+    for k, group in _positions(_kept(s).tolist()).items():
+        g = _view(group, n)
+        root = np.sqrt(s[g][:, :k])
+        low_b = (qb[g] @ u[g][:, :, :k]) * root[:, None, :]
+        low_a = root[:, :, None] * (vt[g][:, :k] @ qa[g].transpose(0, 2, 1))
+        for i, fb, fa in zip(group, low_b, low_a):
+            results[i] = LowRankDelta(b=fb, a=fa, canonical=True)
+    return results
+
+
+def scaled_stacks(adapter: "LoraAdapter", keys: Sequence["LayerKey"]) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 factors of ``adapter``'s same-shape layers ``keys``,
+    stacked: ``b`` (n, d_out, r), converted and then scaled by
+    ``adapter.scaling``, and ``a`` (n, r, d_in). Each slice is the delta
+    ``scaling * b @ a`` of its layer in float64."""
+    layers = [adapter.layers[key] for key in keys]
+    b = np.array([fp.b for fp in layers], dtype=np.float64)
+    a = np.array([fp.a for fp in layers], dtype=np.float64)
+    b *= adapter.scaling
+    return b, a
+
+
 def batches(shapes: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
     """The positions of ``shapes``, grouped by equal value, each group cut
     into batches of at most ``FOLD_BATCH_BYTES`` of working set and at least
     one position. A value ``(d_out, d_in, r_1, r_2, ...)`` describes a layer
     whose stacked float64 factors of ranks ``r_1, r_2, ...`` hold
-    ``8 (d_out + d_in) (r_1 + r_2 + ...)`` bytes. Groups come in order of
-    their first position, and positions ascend within each."""
+    ``8 (d_out + d_in) (r_1 + r_2 + ...)`` bytes, counted as at least 1
+    (a 0 x 0 layer holds none). Groups come in order of their first
+    position, and positions ascend within each."""
     for (d_out, d_in, *ranks), members in _positions(shapes).items():
-        size = max(1, FOLD_BATCH_BYTES // (8 * (d_out + d_in) * sum(ranks)))
+        size = max(1, FOLD_BATCH_BYTES // max(1, 8 * (d_out + d_in) * sum(ranks)))
         for start in range(0, len(members), size):
             yield members[start : start + size]
 
@@ -205,7 +230,7 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
     u, vt = cache_b / root[:, None, :], cache_a / root[:, :, None]
     in_b = np.array([other.b for other in incoming], dtype=np.float64)
     in_a = np.array([other.a for other in incoming], dtype=np.float64)
-    in_b *= scaling  # as from_factors: convert, then scale
+    in_b *= scaling  # as scaled_stacks: convert, then scale
     coords_b, q_b, sig_b, z_b, kept_b = _split(u, in_b, _norms(in_b))
     v, block_a = vt.transpose(0, 2, 1), in_a.transpose(0, 2, 1)
     coords_a, q_a, sig_a, z_a, kept_a = _split(v, block_a, _norms(in_a))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, check_compatible, delta_map
+from .adapters import PROJECTIONS, LayerKey, LoraAdapter, check_compatible, delta_map, factor_pairs
 from .errors import ConfigError, IncompatibleAdapters, InsufficientInputs, ShapeError
 from .lowrank import LowRankDelta, batches, stacked
 
@@ -198,7 +198,9 @@ def refactor(
     calls, in the batches of :func:`kmerge.lowrank.batches` at
     ``8 (d_out + d_in) (R + target_rank)`` bytes a layer: one layer at
     width 2048, whose factors are then read in place. Each layer's factors
-    and residual have the bits of serving that layer alone.
+    and residual have the bits of serving that layer alone. The served
+    float32 stacks are checked finite once per batch
+    (:func:`kmerge.adapters.factor_pairs`), not once per layer.
     """
     if target_rank < 1:
         raise ShapeError("target_rank must be >= 1")
@@ -226,8 +228,8 @@ def refactor(
         served_b[:, :, kept:] = np.divide(0.0, served_scaling)
         served_a = np.zeros((n, r, a.shape[2]), np.float32)
         served_a[:, :kept] = a[:, :kept]
-        for i, fb, fa in zip(batch, served_b, served_a):
-            pairs[i] = FactorPair(a=fa, b=fb)
+        for i, pair in zip(batch, factor_pairs(served_a, served_b)):
+            pairs[i] = pair
     adapter = LoraAdapter(
         task_id=task_id,
         problem_type="merged",

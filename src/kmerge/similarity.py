@@ -8,8 +8,9 @@ flattening the dense products and never materializes them.
 One kernel compares one adapter against many: :func:`similarities`; the
 other functions here call it. It checks each pair through
 :func:`kmerge.adapters.check_compatible`, then walks the first adapter's
-layers in batches of same-shape layers, stacks that adapter's scaled
-float64 factors once per batch and each other adapter's once, and gets the
+layers in batches of same-shape layers (shapes from its geometry), stacks
+that adapter's scaled float64 factors once per batch and each other
+adapter's once (:func:`kmerge.lowrank.scaled_stacks`), and gets the
 per-layer inner products as batched Gram products; each layer's norm comes
 from the same stacks, so every adapter is stacked once per batch and
 nothing is cached on it. Batches come from :func:`kmerge.lowrank.batches`,
@@ -31,20 +32,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import lowrank
-from .adapters import LayerKey, LoraAdapter, check_compatible
+from .adapters import LoraAdapter, check_compatible
 from .errors import EmptyStore, InsufficientInputs
 
 DEGENERATE_NORM = 1e-12
-
-
-def _stacked(adapter: LoraAdapter, keys: Sequence[LayerKey]) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled float64 factors of same-shape layers ``keys``, stacked:
-    ``b`` is (n, d_out, r) and ``a`` is (n, r, d_in)."""
-    layers = [adapter.layers[key] for key in keys]
-    b = np.array([fp.b for fp in layers], dtype=np.float64)
-    a = np.array([fp.a for fp in layers], dtype=np.float64)
-    b *= adapter.scaling
-    return b, a
 
 
 def _inner(bx: np.ndarray, ax: np.ndarray, by: np.ndarray, ay: np.ndarray) -> np.ndarray:
@@ -54,24 +45,26 @@ def _inner(bx: np.ndarray, ax: np.ndarray, by: np.ndarray, ay: np.ndarray) -> np
     return gram.reshape(len(gram), -1).sum(axis=1)
 
 
-def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter], keys: list[LayerKey]) -> np.ndarray:
-    """Per-layer cosines, one row per adapter in ``ys`` and one column per key.
+def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter]) -> np.ndarray:
+    """Per-layer cosines, one row per adapter in ``ys`` and one column per
+    key of ``x``, in order.
 
     Near-zero-norm updates contribute 0 by convention: a zero adapter
     carries no direction and 0 keeps averages and argmax well-defined.
     Ranks may differ; the callers have checked that every adapter in ``ys``
-    has ``x``'s shape at each key.
+    has ``x``'s geometry, from which the batches' shapes come.
     """
+    keys = list(x.geometry)
     inner = np.empty((len(ys), len(keys)))
     ny = np.empty_like(inner)
     nx = np.empty(len(keys))
-    shapes = [(x.layers[key].d_out, x.layers[key].d_in, x.rank) for key in keys]
+    shapes = [(d_out, d_in, x.rank) for d_out, d_in in x.geometry.values()]
     for batch in lowrank.batches(shapes):
         batch_keys = [keys[i] for i in batch]
-        bx, ax = _stacked(x, batch_keys)
+        bx, ax = lowrank.scaled_stacks(x, batch_keys)
         nx[batch] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
-            by, ay = _stacked(y, batch_keys)
+            by, ay = lowrank.scaled_stacks(y, batch_keys)
             inner[i, batch] = _inner(bx, ax, by, ay)
             ny[i, batch] = _inner(by, ay, by, ay)
             del by, ay  # free this stack before the next adapter's is built
@@ -88,7 +81,7 @@ def similarities(x: LoraAdapter, others: Sequence[LoraAdapter]) -> list[float]:
     rest = [y for y in others if y is not x]
     for y in rest:
         check_compatible(x, y)
-    rows = iter(_cosines(x, rest, list(x.layers)) if rest else ())
+    rows = iter(_cosines(x, rest) if rest else ())
     return [1.0 if y is x else float(np.mean(next(rows))) for y in others]
 
 

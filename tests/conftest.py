@@ -52,6 +52,13 @@ def small_random_adapter(task_id, rng, rank=2, n_keys=2, width=8, scale_numerato
     return make_adapter(task_id, layers, rank, scale_numerator)
 
 
+def factor_delta(fp, scaling):
+    """The float64 delta ``scaling * fp.b @ fp.a`` of one layer, unfactorised:
+    ``b`` converted and then scaled, as ``kmerge.lowrank.scaled_stacks``
+    stacks it."""
+    return LowRankDelta(b=fp.b.astype(np.float64) * scaling, a=fp.a.astype(np.float64))
+
+
 def width_mismatched_pair(rng):
     """An adapter whose one layer is 8 x 8, and one with the same key and
     rank whose layer is 1 x 8."""
@@ -72,6 +79,21 @@ def rewrite_header(path, change):
     change(header)
     encoded = json.dumps(header).encode()
     path.write_bytes(struct.pack("<4sHI", magic, version, len(encoded)) + encoded + raw[10 + header_len :])
+
+
+def poison_tensor(path, index, tensor, value):
+    """Set the first entry of tensor ``tensor`` ("A" or "B") of the
+    ``index``-th layer of the ``.kmrg`` file at ``path`` to ``value``."""
+    raw = bytearray(path.read_bytes())
+    header_len = struct.unpack_from("<I", raw, 6)[0]
+    header = json.loads(raw[10 : 10 + header_len])
+    offset, rank = 10 + header_len, header["rank"]
+    for entry in header["layers"][:index]:
+        offset += 4 * rank * (entry["d_in"] + entry["d_out"])
+    if tensor == "B":
+        offset += 4 * rank * header["layers"][index]["d_in"]
+    struct.pack_into("<f", raw, offset, value)
+    path.write_bytes(bytes(raw))
 
 
 def mixed_geometry_slot(rng):
@@ -97,7 +119,7 @@ def mixed_geometry_slot(rng):
         rank = (0, 1, 2, min(d_out, d_in))[key.layer % 4]
         low = LowRankDelta(b=rng.standard_normal((d_out, rank)), a=rng.standard_normal((rank, d_in)))
         if key in spanned:
-            low = LowRankDelta.combine([low, LowRankDelta.from_factors(incoming.layers[key], 1.0)], [1.0, 0.7])
+            low = LowRankDelta.combine([low, factor_delta(incoming.layers[key], 1.0)], [1.0, 0.7])
         cache[key] = low.compressed()
     return SlotState(adapter=served, cache=cache, tasks=(1, 2)), incoming
 
@@ -178,6 +200,22 @@ def naive_refactor(cache, target_rank, task_id, scaling):
         )
     adapter = LoraAdapter(task_id, "merged", "merged", r, scale_numerator, layers)
     return RefactorResult(adapter=adapter, residuals=residuals)
+
+
+def naive_slot_cache(adapter):
+    """``slot_cache`` one layer at a time, the oracle of its stacked calls:
+    each layer's ``factor_delta`` brought to canonical form by two QRs and
+    an SVD of its own."""
+    cache = {}
+    for key, fp in adapter.layers.items():
+        low = factor_delta(fp, adapter.scaling)
+        qb, rb = np.linalg.qr(low.b)
+        qa, ra = np.linalg.qr(low.a.T)
+        u, s, vt = np.linalg.svd(rb @ ra.T)
+        r = int(np.count_nonzero(s > s[:1] * 1e-14))
+        root = np.sqrt(s[:r])
+        cache[key] = LowRankDelta(b=(qb @ u[:, :r]) * root, a=root[:, None] * (vt[:r] @ qa.T), canonical=True)
+    return cache
 
 
 # -- naive policy reference ------------------------------------------------

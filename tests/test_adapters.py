@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import (
+    PROJECTIONS,
     FactorPair,
     LayerKey,
     LoraAdapter,
     check_compatible,
     delta_map,
+    parse_adapter,
     read_adapter,
     write_adapter,
 )
 from kmerge.errors import FormatError, IncompatibleAdapters, ShapeError
+from kmerge.lowrank import FOLD_BATCH_BYTES
 
 from conftest import (
-    make_adapter, naive_matmul, rewrite_header, small_random_adapter, width_mismatched_pair,
+    make_adapter, naive_matmul, poison_tensor, rewrite_header, small_random_adapter, width_mismatched_pair,
 )
 
 K0 = LayerKey(0, "key")
@@ -76,8 +79,10 @@ def test_factor_pair_shape_mismatch():
 
 
 def test_factor_pair_rejects_nan():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="factor matrices must be finite"):
         FactorPair(a=np.full((1, 2), np.nan, np.float32), b=np.zeros((2, 1), np.float32))
+    with pytest.raises(ShapeError, match="factor matrices must be finite"):
+        FactorPair(a=np.zeros((1, 2), np.float32), b=np.full((2, 1), np.inf, np.float32))
 
 
 def test_roundtrip_bit_exact(tmp_path, rng):
@@ -198,12 +203,110 @@ def test_huge_header_length_rejected_before_allocating(tmp_path):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("tensor", ["A", "B"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_non_finite_tensor_names_its_layer(tmp_path, rng, index, tensor, value):
+    """The payload is checked finite once per chunk, and a bad chunk's
+    layers are walked to name the first bad layer; the message names the
+    file. Here the first bad layer is ``index`` and the last layer is bad
+    too."""
+    adapter = small_random_adapter("x", rng, rank=3, n_keys=5, width=7)
+    path = tmp_path / "a.kmrg"
+    write_adapter(adapter, path)
+    poison_tensor(path, 4, "A", np.nan)
+    poison_tensor(path, index, tensor, value)
+    key = adapter.sorted_keys()[index]
+    with pytest.raises(FormatError) as exc:
+        read_adapter(path)
+    assert str(exc.value) == f"{path}: invalid tensors for layer {key}: factor matrices must be finite"
+
+
+def test_payload_check_allocates_a_bounded_chunk(tmp_path):
+    """The finite check of a width-2048 rank-32 file of 32 layers (16 MiB of
+    factors) allocates at most ``FOLD_BATCH_BYTES`` at a time, where one
+    check of the whole payload would allocate a 4 MiB mask."""
+    a, b = np.zeros((32, 2048), np.float32), np.zeros((2048, 32), np.float32)
+    layers = {LayerKey(i // 4, PROJECTIONS[i % 4]): (a, b) for i in range(32)}
+    path = tmp_path / "wide.kmrg"
+    write_adapter(make_adapter("wide", layers, 32, 32.0), path)
+    buffer = path.read_bytes()
+    tracemalloc.start()
+    try:
+        adapter = parse_adapter(buffer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(adapter.layers) == 32
+    assert peak < 2 * FOLD_BATCH_BYTES
+
+
 def test_integer_scale_numerator_reads_as_float(tmp_path, rng):
     path = tmp_path / "a.kmrg"
     write_adapter(small_random_adapter("x", rng, scale_numerator=4.0), path)
     rewrite_header(path, lambda h: h.__setitem__("scale_numerator", 4))
     back = read_adapter(path).scale_numerator
     assert type(back) is float and back == 4.0
+
+
+def _shaped(name, shapes, rank=2):
+    """An adapter of rank ``rank`` with layer ``key`` of shape ``(d_out,
+    d_in)`` for each item of ``shapes``, in that order."""
+    layers = {key: (np.ones((rank, d_in)), np.ones((d_out, rank))) for key, (d_out, d_in) in shapes}
+    return make_adapter(name, layers, rank, 2.0)
+
+
+K1, K2 = LayerKey(0, "value"), LayerKey(1, "key")
+
+
+def test_check_compatible_keeps_its_errors_and_messages():
+    """The errors and messages of the per-layer walk: a key-set mismatch is
+    :class:`IncompatibleAdapters`; a shape mismatch is :class:`ShapeError`
+    naming the first differing layer in the first adapter's order."""
+    x = _shaped("x", [(K2, (4, 4)), (K1, (3, 5)), (K0, (6, 6))])
+    other_keys = _shaped("y", [(K2, (4, 4)), (LayerKey(0, "query"), (3, 5)), (K0, (6, 6))])
+    with pytest.raises(IncompatibleAdapters) as keys:
+        check_compatible(x, other_keys)
+    assert str(keys.value) == "adapters 'x' and 'y' have different layer key-sets"
+    with pytest.raises(IncompatibleAdapters):
+        check_compatible(x, _shaped("y", [(K2, (4, 4)), (K1, (3, 5))]))
+    two_differ = _shaped("y", [(K0, (6, 7)), (K2, (4, 4)), (K1, (5, 3))])
+    with pytest.raises(ShapeError) as shapes:
+        check_compatible(x, two_differ)
+    assert str(shapes.value) == "layer 0.value shapes disagree: (3, 5) in 'x' vs (5, 3) in 'y'"
+    with pytest.raises(ShapeError) as reverse:
+        check_compatible(two_differ, x)
+    assert str(reverse.value) == "layer 0.key shapes disagree: (6, 7) in 'y' vs (6, 6) in 'x'"
+
+
+def test_geometry_ignores_rank_and_key_order():
+    x = _shaped("x", [(K2, (4, 4)), (K1, (3, 5)), (K0, (6, 6))])
+    reordered = _shaped("reordered", [(K0, (6, 6)), (K2, (4, 4)), (K1, (3, 5))], rank=3)
+    assert x.geometry == reordered.geometry
+    assert dict(x.geometry) == {K2: (4, 4), K1: (3, 5), K0: (6, 6)}
+    assert list(x.geometry) == list(x.layers) == [K2, K1, K0]
+    check_compatible(x, reordered)
+    check_compatible(reordered, x)
+
+
+def test_adapter_is_immutable():
+    """``layers`` and ``geometry`` are read-only, and neither follows the
+    dict the adapter was built from, so the geometry cannot go stale."""
+    layers = {K0: FactorPair(a=np.ones((2, 3)), b=np.ones((4, 2)))}
+    adapter = LoraAdapter("t", "p", "l", 2, 2.0, layers)
+    wide = FactorPair(a=np.ones((2, 5)), b=np.ones((4, 2)))
+    with pytest.raises(TypeError):
+        adapter.layers[K0] = wide
+    with pytest.raises(TypeError):
+        adapter.layers[K1] = wide
+    with pytest.raises(TypeError):
+        adapter.geometry[K0] = (4, 5)
+    with pytest.raises(AttributeError):
+        adapter.layers = {K0: wide}
+    with pytest.raises(AttributeError):
+        adapter.geometry = {K0: (4, 5)}
+    layers[K0] = wide
+    assert adapter.layers[K0] is not wide and dict(adapter.geometry) == {K0: (4, 3)}
 
 
 def test_check_compatible_names_layer_and_both_shapes(rng):

@@ -39,9 +39,12 @@ from kmerge.merging import MergeOperator, RankPolicy, linear_merge
 from conftest import (
     NaiveState,
     dense_delta_map,
+    factor_delta,
     make_adapter,
     mixed_geometry_slot,
     naive_policy_step,
+    naive_slot_cache,
+    poison_tensor,
     rewrite_header,
     small_random_adapter,
     width_mismatched_pair,
@@ -181,13 +184,67 @@ def test_batched_fold_is_bit_identical_to_one_layer_folds(rng, monkeypatch, kind
         base, alpha, beta = slot_cache(slot.adapter), 0.3, 0.7
     ranks = set()
     for key, fp in incoming.layers.items():
-        alone = base[key].fold(alpha, beta, LowRankDelta.from_factors(fp, incoming.scaling))
+        alone = base[key].fold(alpha, beta, factor_delta(fp, incoming.scaling))
         assert merged[key].canonical
         assert np.array_equal(merged[key].b, alone.b) and np.array_equal(merged[key].a, alone.a)
         ranks.add((fp.b.shape, base[key].rank_bound, alone.rank_bound))
     # Layers of one geometry keep different numbers of directions, so the
     # fold's sub-batches are exercised.
     assert len({(shape, r) for shape, r, _ in ranks}) < len(ranks)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint32)
+
+
+@pytest.mark.parametrize("budget", [kmerge.lowrank.FOLD_BATCH_BYTES, 1, 1000])
+def test_stacked_slot_cache_is_bit_identical(rng, monkeypatch, budget):
+    """A new slot's cache is built in stacked QR and SVD calls, in batches
+    of at most ``FOLD_BATCH_BYTES`` (1: one layer a batch; 1000: one to
+    five); each layer's factors equal, bit for bit, those of canonicalising
+    that layer alone (``naive_slot_cache``). Every third layer of one
+    adapter has rank 1, so layers of a batch keep different ranks; another
+    has zero-width layers."""
+    monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
+    slot, incoming = mixed_geometry_slot(rng)
+    deficient = {
+        key: (fp.a, np.repeat(fp.b[:, :1], 2, axis=1) if i % 3 == 0 else fp.b)
+        for i, (key, fp) in enumerate(incoming.layers.items())
+    }
+    zero_width = {
+        K0: (np.zeros((2, 0)), np.zeros((0, 2))),
+        LayerKey(0, "query"): (rng.standard_normal((2, 3)), np.zeros((0, 2))),
+        LayerKey(0, "value"): (rng.standard_normal((2, 3)), rng.standard_normal((4, 2))),
+    }
+    adapters = [
+        slot.adapter,
+        incoming,
+        make_adapter("deficient", deficient, 2, -1.5),
+        make_adapter("zero", zero_width, 2, 2.0),
+    ]
+    for adapter in adapters:
+        cache, oracle = slot_cache(adapter), naive_slot_cache(adapter)
+        assert list(cache) == list(oracle)
+        for key, low in cache.items():
+            assert low.canonical and low.b.shape == oracle[key].b.shape and low.a.shape == oracle[key].a.shape
+            assert np.array_equal(_bits(low.b), _bits(oracle[key].b))
+            assert np.array_equal(_bits(low.a), _bits(oracle[key].a))
+    assert {low.rank_bound for low in slot_cache(adapters[2]).values()} == {1, 2}
+
+
+def test_zero_width_layers_merge(rng):
+    """An adapter with a 0 x 0 layer, which round-trips through ``.kmrg``,
+    also allocates, scores and merges: a batch of layers with no working
+    set still holds one layer."""
+    engine = MergeEngine(_config(1))
+    for i in range(3):
+        layers = {
+            K0: (np.zeros((2, 0)), np.zeros((0, 2))),
+            LayerKey(0, "query"): (rng.standard_normal((2, 3)), rng.standard_normal((3, 2))),
+        }
+        engine.ingest(make_adapter(f"z{i}", layers, 2, 2.0))
+    assert engine.store.slots[1].tasks == (1, 2, 3)
+    assert engine.load_for_inference(1).geometry[K0] == (0, 0)
 
 
 def test_linear_engine_follows_dense_recurrence(rng):
@@ -793,6 +850,18 @@ def test_restore_truncated_slot_file_is_named(tmp_path, rng):
     assert named.value.offset == unnamed.value.offset is not None
 
 
+@pytest.mark.parametrize("tensor", ["A", "B"])
+def test_restore_non_finite_slot_tensor_is_named(tmp_path, rng, tensor):
+    """A NaN in a slot file fails restore with the parse error naming the
+    file and the layer holding it."""
+    _persisted(tmp_path, rng)
+    path = tmp_path / "slot_2.kmrg"
+    poison_tensor(path, 1, tensor, np.nan)
+    with pytest.raises(FormatError) as exc:
+        MergeEngine.restore(tmp_path)
+    assert str(exc.value) == f"{path}: invalid tensors for layer 0.query: factor matrices must be finite"
+
+
 @pytest.mark.parametrize("target", ["slot_2.kmrg", "running_cache.bin", "manifest.json"])
 def test_failed_persist_leaves_no_temporary_file(tmp_path, rng, target):
     engine = MergeEngine(_config(2))
@@ -974,6 +1043,32 @@ def test_unaligned_slot_payload_restores_bit_identically(tmp_path, rng, misalign
     of 4 (its header length is free) restores unaligned views, and the
     engine continues bit for bit."""
     _check_restored_engine_outlives_its_store(tmp_path, rng, misalign)
+
+
+def test_indented_manifest_restores_and_continues_identically(tmp_path, rng):
+    """``persist`` writes the manifest compact; a store whose manifest is
+    indented, as older stores' are, restores, persists again to the same
+    bytes as the compact store and continues as an engine never persisted."""
+    stream = _stream(rng, 10)
+    never_persisted, persisted = MergeEngine(_config(2)), MergeEngine(_config(2))
+    for a in stream[:6]:
+        never_persisted.ingest(a)
+        persisted.ingest(a)
+    store = tmp_path / "store"
+    persisted.persist(store)
+    compact = _store_bytes(store)
+    assert b"\n" not in compact["manifest.json"]
+    manifest = json.loads(compact["manifest.json"])
+    (store / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    back = MergeEngine.restore(store)
+    back.persist(tmp_path / "again")
+    assert _store_bytes(tmp_path / "again") == compact
+    for a in stream[6:]:
+        expect, got = never_persisted.ingest(a), back.ingest(a)
+        assert (got.action, got.slot_key, got.similarity) == (
+            expect.action, expect.slot_key, expect.similarity
+        )
+    _assert_slots_equal(back, _slot_copies(never_persisted))
 
 
 def test_engine_without_slots_persists_and_restores(tmp_path, rng):

@@ -17,6 +17,7 @@ from kmerge.merging import (
 
 from conftest import (
     dense_delta_map,
+    factor_delta,
     mixed_geometry_slot,
     naive_refactor,
     naive_ties,
@@ -282,6 +283,16 @@ def test_refactor_rejects_rank_below_one():
         refactor({K0: LowRankDelta.from_dense(np.eye(3))}, 0, "m", 1.0)
 
 
+def test_refactor_rejects_factors_beyond_float32():
+    """The served float32 factors are checked finite once per batch: a
+    layer whose slice overflows float32 fails the whole refactor with the
+    error of ``FactorPair``, even when other layers of its batch are fine."""
+    fine = LowRankDelta.from_dense(np.eye(3))
+    huge = LowRankDelta.from_dense(np.diag([1e80, 1.0, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(ShapeError, match="factor matrices must be finite"):
+        refactor({K0: fine, LayerKey(0, "query"): huge, LayerKey(0, "value"): fine}, 2, "m", 1.0)
+
+
 def test_refactor_beats_random_rank_r(rng):
     delta = rng.standard_normal((8, 8))
     result = refactor({K0: LowRankDelta.from_dense(delta)}, 3, "m", 1.0)
@@ -297,7 +308,7 @@ def test_refactor_beats_random_rank_r(rng):
 def test_refactor_lowrank_input_agrees_with_dense(rng):
     x = small_random_adapter("x", rng, rank=3, n_keys=1, width=10)
     dense = dense_delta_map(x)[K0]
-    low = LowRankDelta.from_factors(x.layers[K0], x.scaling)
+    low = factor_delta(x.layers[K0], x.scaling)
     r_dense = refactor({K0: LowRankDelta.from_dense(dense)}, 2, "a", 1.0)
     r_low = refactor({K0: low}, 2, "b", 1.0)
     assert r_dense.residuals[K0] == pytest.approx(r_low.residuals[K0], abs=1e-9)
