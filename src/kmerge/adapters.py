@@ -93,18 +93,6 @@ class FactorPair:
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ShapeError("factor matrices must be finite")
 
-    @property
-    def rank(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.b.shape[0]
-
 
 def _checked_pair(a: np.ndarray, b: np.ndarray) -> FactorPair:
     """The pair of float32 2-D factors ``a`` and ``b``, of one inner

@@ -1,6 +1,5 @@
 """Synthetic adapter suites, surrogate scoring, stream orderings, the
-simulation harness, clustering consistency, timing, and storage
-accounting.
+simulation harness, clustering consistency, and storage accounting.
 
 The surrogate task metric is the clamped cosine between a candidate
 adapter and the task's own single-task adapter. A task served by its
@@ -30,7 +29,6 @@ from .adapters import (
 )
 from .engine import MergeEngine, MergeHistory, PolicyConfig
 from .errors import ConfigError, FormatError
-from .merging import RankPolicy
 from .similarity import adapter_similarity, similarities
 
 ORDERING_KINDS = ("random", "problem_types", "worst")
@@ -153,34 +151,6 @@ def generate_suite(config: GeneratorConfig) -> tuple[list[LoraAdapter], list[Tas
                 )
             )
     return adapters, suite_tasks(adapters)
-
-
-def random_adapter(
-    task_id: str,
-    rng: np.random.Generator,
-    rank: int = 4,
-    n_layers: int = 2,
-    width: int = 8,
-    scale_numerator: float | None = None,
-) -> LoraAdapter:
-    """Unstructured random adapter, used for fuzzing and timing."""
-    if scale_numerator is None:
-        scale_numerator = 4.0 * rank
-    layers = {}
-    for layer in range(n_layers):
-        for proj in PROJECTIONS:
-            layers[LayerKey(layer, proj)] = FactorPair(
-                a=rng.standard_normal((rank, width)).astype(np.float32),
-                b=rng.standard_normal((width, rank)).astype(np.float32),
-            )
-    return LoraAdapter(
-        task_id=task_id,
-        problem_type="random",
-        language="random",
-        rank=rank,
-        scale_numerator=scale_numerator,
-        layers=layers,
-    )
 
 
 # -- suite directories -----------------------------------------------------
@@ -306,18 +276,14 @@ def aggregate_score(
     return float(np.mean(ratios)), ratios
 
 
-def _modal_matches(clusters: Sequence[Sequence[TaskSpec]]) -> int:
-    """Number of tasks whose problem type is the modal one of their cluster."""
-    return sum(max(Counter(t.problem_type for t in members).values()) for members in clusters)
-
-
 def clustering_consistency(
     history: MergeHistory, tasks_by_arrival: dict[int, TaskSpec]
 ) -> float:
     """Fraction of tasks matching their cluster's modal problem type."""
     clusters = [[tasks_by_arrival[t] for t in members] for members in history.entries.values()]
     total = sum(map(len, clusters))
-    return _modal_matches(clusters) / total if total else 0.0
+    matches = sum(max(Counter(t.problem_type for t in members).values()) for members in clusters)
+    return matches / total if total else 0.0
 
 
 # -- simulation harness ----------------------------------------------------
@@ -447,62 +413,6 @@ def threshold_sweep(
             }
         )
     return table
-
-
-def random_assignment_consistency(
-    tasks: Sequence[TaskSpec], ordering: OrderingSpec, budget_k: int, seed: int
-) -> float:
-    """Control: the similarity rule replaced by a uniform random slot
-    choice once the budget is exhausted. Pure partition arithmetic."""
-    rng = np.random.default_rng(seed)
-    order = order_stream(tasks, ordering)
-    clusters: list[list[TaskSpec]] = []
-    for position in order:
-        if len(clusters) < budget_k:
-            clusters.append([tasks[position]])
-        else:
-            clusters[int(rng.integers(len(clusters)))].append(tasks[position])
-    return _modal_matches(clusters) / len(tasks)
-
-
-# -- integration timing ----------------------------------------------------
-
-def integration_timing(
-    slot_counts: Sequence[int],
-    rank: int = 32,
-    n_layers: int = 16,
-    width: int = 2048,
-    repeats: int = 3,
-    seed: int = 0,
-) -> dict[int, float]:
-    """Median per-ingest merge time with a given number of occupied slots.
-
-    Builds a store of ``m`` unstructured adapters and times forced
-    merges. Values are hardware-dependent and reported, not asserted.
-    """
-    timings: dict[int, float] = {}
-    for m in slot_counts:
-        rng = np.random.default_rng(seed)
-        engine = MergeEngine(
-            PolicyConfig(
-                budget_k=m,
-                variant="k_merge",
-                rank_policy=RankPolicy(target_rank=rank),
-            )
-        )
-        for i in range(m):
-            engine.ingest(
-                random_adapter(f"fill-{i}", rng, rank=rank, n_layers=n_layers, width=width)
-            )
-        samples = []
-        for i in range(repeats):
-            decision = engine.ingest(
-                random_adapter(f"probe-{i}", rng, rank=rank, n_layers=n_layers, width=width)
-            )
-            samples.append(decision.elapsed)
-        timings[m] = float(np.median(samples))
-        del engine
-    return timings
 
 
 # -- storage accounting ----------------------------------------------------

@@ -282,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("inspect", help="pretty-print a store manifest or a geometry's storage cost")
-    p.add_argument("--store")
-    p.add_argument("--geometry", choices=sorted(GEOMETRY_PRESETS))
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--store")
+    target.add_argument("--geometry", choices=sorted(GEOMETRY_PRESETS))
     p.add_argument("--rank", type=int, default=32)
     p.set_defaults(func=cmd_inspect)
     return parser
@@ -292,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "inspect" and not (args.store or args.geometry):
-        parser.error("inspect needs --store or --geometry")
     if args.command == "run" and args.k is None and not args.config:
         parser.error("--k is required unless --config is given")
     try:

@@ -182,7 +182,7 @@ def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
     cache = [None] * len(keys)
     shapes = [(d_out, d_in, adapter.rank) for d_out, d_in in adapter.geometry.values()]
     for batch in batches(shapes):
-        b, a = scaled_stacks(adapter, [keys[i] for i in batch])
+        b, a = scaled_stacks([adapter.layers[keys[i]] for i in batch], adapter.scaling)
         for i, low in zip(batch, canonical_batch(b, a)):
             cache[i] = low
     return dict(zip(keys, cache))
@@ -243,10 +243,6 @@ class MergeHistory:
     """Slot key -> members' arrival indices; a view, so mutating it changes nothing."""
 
     entries: dict[int, list[int]] = field(default_factory=dict)
-
-    @property
-    def next_slot_key(self) -> int:  # no slot is ever freed
-        return len(self.entries) + 1
 
 
 def read_manifest(directory: str | Path) -> dict:

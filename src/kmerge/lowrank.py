@@ -33,11 +33,11 @@ incoming rank ``r``, and at least one. Larger stacks leave the cache and
 were slower at width 2048, where one layer alone exceeds the budget and
 each batch is the one-layer fold. Layers of a batch that keep different
 numbers of residual or core directions finish in sub-batches of equal
-counts. ``LowRankDelta.fold`` is the one-layer call. :func:`batches` is
-this grouping and budget for every stacked pass over layers: the fold,
-``kmerge.merging.refactor``, ``kmerge.similarity`` and a new slot's
-cache. A batch of one layer reads that layer's factors in place
-(:func:`stacked`), so at width 2048 batching adds no copy.
+counts. :func:`batches` is this grouping and budget for every stacked
+pass over layers: the fold, ``kmerge.merging.refactor``,
+``kmerge.similarity`` and a new slot's cache. A batch of one layer reads
+that layer's factors in place (:func:`stacked`), so at width 2048
+batching adds no copy.
 
 Stacked numpy ``matmul`` and ``svd`` give every slice the bits of the same
 call on that matrix alone, provided each slice has that matrix's memory
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 if TYPE_CHECKING:  # kmerge.adapters imports this module
-    from .adapters import FactorPair, LayerKey, LoraAdapter
+    from .adapters import FactorPair
 
 REL_TOL = 1e-14  # canonical form drops singular values at or below REL_TOL * s_0
 NOISE_TOL = 1e-13  # fold drops residual directions at or below NOISE_TOL * |incoming factor|
@@ -116,10 +116,6 @@ class LowRankDelta:
         if self.rank_bound == 0:
             return LowRankDelta(b=self.b, a=self.a, canonical=True)
         return canonical_batch(self.b[None], self.a[None])[0]
-
-    def fold(self, alpha: float, beta: float, other: "LowRankDelta") -> "LowRankDelta":
-        """Canonical ``alpha * self + beta * other``; :func:`fold_layers` for one layer."""
-        return fold_layers(alpha, beta, [self], [other])[0]
 
     def svd_truncate(self, rank: int) -> tuple["LowRankDelta", np.ndarray]:
         """Best rank-``rank`` approximation and all singular values.
@@ -191,15 +187,16 @@ def canonical_batch(b: np.ndarray, a: np.ndarray) -> list["LowRankDelta"]:
     return results
 
 
-def scaled_stacks(adapter: "LoraAdapter", keys: Sequence["LayerKey"]) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 factors of ``adapter``'s same-shape layers ``keys``,
-    stacked: ``b`` (n, d_out, r), converted and then scaled by
-    ``adapter.scaling``, and ``a`` (n, r, d_in). Each slice is the delta
-    ``scaling * b @ a`` of its layer in float64."""
-    layers = [adapter.layers[key] for key in keys]
-    b = np.array([fp.b for fp in layers], dtype=np.float64)
-    a = np.array([fp.a for fp in layers], dtype=np.float64)
-    b *= adapter.scaling
+def scaled_stacks(
+    pairs: Sequence[FactorPair | LowRankDelta], scaling: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 factors of same-shape ``pairs``, stacked: ``b`` (n, d_out,
+    r), converted and then scaled by ``scaling``, and ``a`` (n, r, d_in).
+    Each slice is the delta ``scaling * b @ a`` of its pair in float64. The
+    one conversion rule of similarity, a new slot's cache and the fold."""
+    b = np.array([fp.b for fp in pairs], dtype=np.float64)
+    a = np.array([fp.a for fp in pairs], dtype=np.float64)
+    b *= scaling
     return b, a
 
 
@@ -228,9 +225,7 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
     s = np.einsum("nij,nij->nj", cache_b, cache_b)
     root = np.sqrt(s)
     u, vt = cache_b / root[:, None, :], cache_a / root[:, :, None]
-    in_b = np.array([other.b for other in incoming], dtype=np.float64)
-    in_a = np.array([other.a for other in incoming], dtype=np.float64)
-    in_b *= scaling  # as scaled_stacks: convert, then scale
+    in_b, in_a = scaled_stacks(incoming, scaling)
     coords_b, q_b, sig_b, z_b, kept_b = _split(u, in_b, _norms(in_b))
     v, block_a = vt.transpose(0, 2, 1), in_a.transpose(0, 2, 1)
     coords_a, q_a, sig_a, z_a, kept_a = _split(v, block_a, _norms(in_a))

@@ -61,10 +61,10 @@ def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter]) -> np.ndarray:
     shapes = [(d_out, d_in, x.rank) for d_out, d_in in x.geometry.values()]
     for batch in lowrank.batches(shapes):
         batch_keys = [keys[i] for i in batch]
-        bx, ax = lowrank.scaled_stacks(x, batch_keys)
+        bx, ax = lowrank.scaled_stacks([x.layers[k] for k in batch_keys], x.scaling)
         nx[batch] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
-            by, ay = lowrank.scaled_stacks(y, batch_keys)
+            by, ay = lowrank.scaled_stacks([y.layers[k] for k in batch_keys], y.scaling)
             inner[i, batch] = _inner(bx, ax, by, ay)
             ny[i, batch] = _inner(by, ay, by, ay)
             del by, ay  # free this stack before the next adapter's is built
@@ -130,18 +130,13 @@ def similarity_matrix(adapters: Sequence[LoraAdapter]) -> SimilarityMatrix:
     return SimilarityMatrix([a.task_id for a in adapters], values)
 
 
-def pairwise_similarities(adapters: Sequence[LoraAdapter]) -> np.ndarray:
-    """Upper-triangle pairwise scores as a flat array."""
-    return np.array(
-        [s for i in range(len(adapters)) for s in similarities(adapters[i], adapters[i + 1:])]
-    )
-
-
 def calibrate_threshold(held_out: Sequence[LoraAdapter]) -> float:
-    """Median of all pairwise similarities over a held-out adapter set.
+    """Median of all pairwise similarities over a held-out adapter set: the
+    upper triangle of :func:`similarity_matrix`.
 
     Even pair counts average the two middle values.
     """
     if len(held_out) < 2:
         raise InsufficientInputs("threshold calibration needs at least 2 adapters")
-    return float(np.median(pairwise_similarities(held_out)))
+    values = similarity_matrix(held_out).values
+    return float(np.median(values[np.triu_indices(len(held_out), 1)]))

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter
-from kmerge.engine import SlotState
+from kmerge.bench import clustering_consistency, order_stream
+from kmerge.engine import MergeHistory, SlotState
 from kmerge.lowrank import LowRankDelta
 from kmerge.merging import RefactorResult
+from kmerge.similarity import adapter_similarity
 
 
 def make_adapter(task_id, layer_arrays, rank, scale_numerator, problem_type="t", language="l"):
@@ -149,6 +151,12 @@ def dense_adapter_similarity(x, y):
     return float(np.mean([dense_cosine(x, y, key) for key in x.layers]))
 
 
+def similarity_pairs(adapters):
+    """``adapter_similarity`` of every pair, one pair a call, in the order of
+    the upper triangle of the similarity matrix."""
+    return [adapter_similarity(x, y) for i, x in enumerate(adapters) for y in adapters[i + 1:]]
+
+
 def naive_matmul(b, a):
     """Triple-loop product, independent of numpy matmul."""
     d_out, r = b.shape
@@ -216,6 +224,18 @@ def naive_slot_cache(adapter):
         root = np.sqrt(s[:r])
         cache[key] = LowRankDelta(b=(qb @ u[:, :r]) * root, a=root[:, None] * (vt[:r] @ qa.T), canonical=True)
     return cache
+
+
+def random_control_consistency(tasks, ordering, budget_k, seed):
+    """Control: the similarity rule replaced by a uniform random slot choice
+    once the budget is exhausted, scored by ``clustering_consistency``."""
+    rng = np.random.default_rng(seed)
+    entries, by_arrival = {}, {}
+    for t, position in enumerate(order_stream(tasks, ordering), 1):
+        slot = len(entries) + 1 if len(entries) < budget_k else int(rng.integers(len(entries))) + 1
+        entries.setdefault(slot, []).append(t)
+        by_arrival[t] = tasks[position]
+    return clustering_consistency(MergeHistory(entries), by_arrival)
 
 
 # -- naive policy reference ------------------------------------------------

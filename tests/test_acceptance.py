@@ -21,16 +21,14 @@ from kmerge.bench import (
     aggregate_score,
     calibration_config,
     generate_suite,
-    integration_timing,
     lora_param_count,
-    random_assignment_consistency,
     run_simulation,
     surrogate_metric,
 )
 from kmerge.cli import main as cli_main
 from kmerge.engine import MergeEngine, PolicyConfig
 from kmerge.merging import MergeOperator, RankPolicy, dare_preprocess, ties_merge
-from kmerge.similarity import calibrate_threshold, pairwise_similarities
+from kmerge.similarity import calibrate_threshold
 from kmerge.adapters import LayerKey, write_adapter
 
 from conftest import (
@@ -39,6 +37,8 @@ from conftest import (
     make_adapter,
     naive_policy_step,
     naive_ties,
+    random_control_consistency,
+    similarity_pairs,
     small_random_adapter,
 )
 
@@ -163,7 +163,7 @@ def test_criterion_03_policy_conformance():
             seen = sorted(t for ts in engine.history.entries.values() for t in ts)
             assert seen == list(range(1, i + 2))
             naive.adapters = dict(engine.store.adapters_by_slot())
-            naive.next_key = engine.history.next_slot_key
+            naive.next_key = engine.store.occupied + 1
     return "1000 streams, K in [1,8]"
 
 
@@ -189,7 +189,7 @@ def test_criterion_05_median_rule():
     for trial in range(200):
         n = int(rng.integers(2, 21))
         suite = [small_random_adapter(f"c5-{trial}-{i}", rng, n_keys=1, width=6) for i in range(n)]
-        pairs = sorted(pairwise_similarities(suite))
+        pairs = sorted(similarity_pairs(suite))
         m = len(pairs)
         if m % 2:
             assert calibrate_threshold(suite) == pairs[m // 2]
@@ -240,7 +240,7 @@ def test_criterion_07_cluster_recovery():
         report = run_simulation(adapters, tasks, OrderingSpec("random", seed), config)
         assert report.consistency == 1.0
     controls = [
-        random_assignment_consistency(tasks, OrderingSpec("random", seed), 5, seed)
+        random_control_consistency(tasks, OrderingSpec("random", seed), 5, seed)
         for seed in range(10)
     ]
     assert np.mean(controls) < 0.6
@@ -317,7 +317,20 @@ def test_criterion_09_score_protocol(tmp_path):
 
 @criterion(10, "per-ingest time grows at most linearly in occupied slots at production shapes")
 def test_criterion_10_timing():
-    timings = integration_timing([2, 8], rank=32, n_layers=16, width=2048, repeats=3)
+    """Median time of three forced merges into a store of ``m`` unstructured
+    adapters (16 layers, width 2048, rank 32), each ``m`` from seed 0."""
+    timings = {}
+    for m in (2, 8):
+        rng = np.random.default_rng(0)
+        engine = MergeEngine(PolicyConfig(budget_k=m, rank_policy=RankPolicy(target_rank=32)))
+
+        def adapter(name):
+            return small_random_adapter(name, rng, rank=32, n_keys=4 * 16, width=2048, scale_numerator=4.0 * 32)
+
+        for i in range(m):
+            engine.ingest(adapter(f"fill-{i}"))
+        timings[m] = float(np.median([engine.ingest(adapter(f"probe-{i}")).elapsed for i in range(3)]))
+        del engine
     assert timings[8] <= 6.0 * timings[2]
     return f"t(2)={timings[2]:.3f}s, t(8)={timings[8]:.3f}s"
 

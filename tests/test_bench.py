@@ -20,7 +20,6 @@ from kmerge.bench import (
     load_suite,
     lora_param_count,
     order_stream,
-    random_assignment_consistency,
     run_simulation,
     save_suite,
     surrogate_metric,
@@ -31,7 +30,7 @@ from kmerge.errors import ConfigError
 from kmerge.merging import RankPolicy
 from kmerge.similarity import adapter_similarity, calibrate_threshold
 
-from conftest import make_adapter, small_random_adapter
+from conftest import make_adapter, random_control_consistency, small_random_adapter
 
 SMALL = GeneratorConfig(
     alpha_types=3,
@@ -326,11 +325,11 @@ def test_clustering_consistency_empty():
 def test_random_assignment_is_weaker():
     _, tasks = generate_suite(GeneratorConfig(seed=5))
     values = [
-        random_assignment_consistency(tasks, OrderingSpec("random", 1), 5, seed)
+        random_control_consistency(tasks, OrderingSpec("random", 1), 5, seed)
         for seed in range(10)
     ]
     assert np.mean(values) < 0.6
-    assert values[0] == random_assignment_consistency(tasks, OrderingSpec("random", 1), 5, 0)
+    assert values[0] == random_control_consistency(tasks, OrderingSpec("random", 1), 5, 0)
 
 
 def test_order_stream_random_is_permutation():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,9 +489,10 @@ def test_inspect_geometry_rank_below_1_exits_2(capsys, rank):
 
 
 def test_inspect_requires_target():
-    with pytest.raises(SystemExit) as err:
-        main(["inspect"])
-    assert err.value.code == 2
+    for targets in ([], ["--store", "s", "--geometry", "llama-3.2-1b"]):
+        with pytest.raises(SystemExit) as err:
+            main(["inspect", *targets])
+        assert err.value.code == 2
 
 
 def test_missing_suite_is_runtime_error(tmp_path, capsys):
@@ -574,3 +579,13 @@ def test_version(capsys):
         main(["--version"])
     assert err.value.code == 0
     assert "kmerge 0.1.0" in capsys.readouterr().out
+
+
+def test_console_entry_point_runs():
+    """``python -m kmerge.cli`` runs ``entrypoint``, the console script."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "kmerge.cli", "--version"]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("kmerge 0.1.0 ")

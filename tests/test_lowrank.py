@@ -92,7 +92,7 @@ def test_fold_matches_dense_oracle():
         cache = stream[0].compressed()
         dense = [stream[0].materialize()]
         for n, incoming in enumerate(stream[1:], start=1):
-            cache = cache.fold(n / (n + 1), 1.0 / (n + 1), incoming)
+            cache = fold_layers(n / (n + 1), 1.0 / (n + 1), [cache], [incoming])[0]
             dense.append(incoming.materialize())
             assert cache.canonical
             _check_canonical(cache)
@@ -111,7 +111,7 @@ def test_compressed_is_canonical_and_idempotent():
 
 def test_fold_of_zero_members_is_empty():
     zero = LowRankDelta(b=np.zeros((6, 2)), a=np.zeros((2, 6)))
-    cache = zero.compressed().fold(0.5, 0.5, zero)
+    cache = fold_layers(0.5, 0.5, [zero.compressed()], [zero])[0]
     assert cache.rank_bound == 0
     served, singular = cache.svd_truncate(2)
     assert served.b.shape == (6, 2) and not served.b.any()

@@ -10,14 +10,13 @@ from kmerge.similarity import (
     adapter_similarity,
     calibrate_threshold,
     most_similar,
-    pairwise_similarities,
     similarities,
     similarity_matrix,
 )
 from kmerge.bench import GeneratorConfig, generate_suite
 
 from conftest import (
-    dense_adapter_similarity, dense_cosine, make_adapter, small_random_adapter,
+    dense_adapter_similarity, dense_cosine, make_adapter, similarity_pairs, small_random_adapter,
 )
 
 K0 = LayerKey(0, "key")
@@ -175,7 +174,7 @@ def test_calibrate_odd_median():
     # is cumbersome; instead verify against the sort oracle directly
     rng = np.random.default_rng(5)
     ads = [small_random_adapter(f"a{i}", rng) for i in range(3)]
-    pairs = sorted(pairwise_similarities(ads))
+    pairs = sorted(similarity_pairs(ads))
     assert calibrate_threshold(ads) == pytest.approx(pairs[1], abs=1e-15)
 
 
@@ -188,7 +187,7 @@ def test_calibrate_single_pair(rng):
 def test_calibrate_sort_oracle(rng):
     for n in (4, 5, 9, 10):
         ads = [small_random_adapter(f"n{n}-{i}", rng) for i in range(n)]
-        pairs = sorted(pairwise_similarities(ads))
+        pairs = sorted(similarity_pairs(ads))
         if len(pairs) % 2:
             expected = pairs[len(pairs) // 2]
         else:
