@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 runtime/domain error or any OS error (a missing,
-unreadable or unwritable path), 2 usage or configuration error. Every
+unreadable or unwritable path), 2 usage or configuration error, 141 (128 +
+SIGPIPE) when the reader of standard output closes it early. Every
 subcommand is deterministic given its flags and seeds, apart from
 measured wall-clock fields in reports.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -173,17 +175,18 @@ def cmd_route(args) -> int:
 
 def cmd_inspect(args) -> int:
     if args.geometry:
-        if args.rank < 1:
-            raise ConfigError(f"--rank must be >= 1, got {args.rank}")
+        rank = 32 if args.rank is None else args.rank
+        if rank < 1:
+            raise ConfigError(f"--rank must be >= 1, got {rank}")
         modules = GEOMETRY_PRESETS[args.geometry]
-        params = lora_param_count(modules, args.rank)
+        params = lora_param_count(modules, rank)
         # header size for a representative merged-adapter metadata block
         header = json.dumps(
             {
                 "task_id": "slot-1",
                 "problem_type": "merged",
                 "language": "merged",
-                "rank": args.rank,
+                "rank": rank,
                 "scale_numerator": 128.0,
                 "layers": [
                     {"layer": i, "proj": "query", "d_in": d_in, "d_out": d_out}
@@ -194,7 +197,7 @@ def cmd_inspect(args) -> int:
         size = adapter_file_bytes(len(header), params)
         print(f"geometry: {args.geometry}")
         print(f"adapted modules: {len(modules)}")
-        print(f"parameters per adapter (rank {args.rank}): {params}")
+        print(f"parameters per adapter (rank {rank}): {params}")
         print(f"file bytes per adapter: {size}")
         return 0
     print(json.dumps(read_manifest(args.store), indent=2))
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--store")
     target.add_argument("--geometry", choices=sorted(GEOMETRY_PRESETS))
-    p.add_argument("--rank", type=int, default=32)
+    p.add_argument("--rank", type=int, help="adapter rank for --geometry, default 32")
     p.set_defaults(func=cmd_inspect)
     return parser
 
@@ -295,11 +298,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.k is None and not args.config:
         parser.error("--k is required unless --config is given")
+    if args.command == "inspect" and args.store and args.rank is not None:
+        parser.error("--rank applies only to --geometry")
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`kmerge inspect --store S | head -1`).
+        # Point stdout at devnull so the flush at interpreter exit writes
+        # nothing, and exit as a process ended by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (KMergeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,31 +17,34 @@ only place that QR-factorises a whole factor. Slot caches are kept in
 this form: ``fold_layers`` adds an update to one by projecting it onto
 the current basis (Brand, "Fast low-rank modifications of the thin
 singular value decomposition", 2006), so only the incoming factors' d x r
-residuals are factorised, and the best rank-r approximation is a slice of
-it, which ``kmerge.merging.refactor`` serves (``svd_truncate`` is that
-slice for one delta).
+residuals are factorised. Each residual is factorised through its small QR
+factor ``R``: the SVD of ``R`` gives the residual's singular values and
+right vectors, and its Householder ``Q`` is never formed (:func:`_split`).
+The best rank-r approximation is a slice of the cache, which
+``kmerge.merging.refactor`` serves (``svd_truncate`` is that slice for one
+delta).
 
 ``fold_layers`` folds all projections of a merge in one call. At the
 paper's geometry (width 64, rank 4) a projection's fold is a few dozen
 numpy calls on tiny matrices, so per-call overhead, not arithmetic, sets
 its cost. Layers whose cache and incoming factors have equal shapes are
 therefore stacked, and each step (the Gram-Schmidt passes, the residual
-SVDs, the core SVD, the rotate-back) runs as one stacked numpy call per
-batch. A batch holds as many layers as fit ``FOLD_BATCH_BYTES`` of working
-set, ``8 (d_out + d_in) (R + r)`` bytes per layer for cache rank ``R`` and
-incoming rank ``r``, and at least one. Larger stacks leave the cache and
-were slower at width 2048, where one layer alone exceeds the budget and
-each batch is the one-layer fold. Layers of a batch that keep different
-numbers of residual or core directions finish in sub-batches of equal
-counts. :func:`batches` is this grouping and budget for every stacked
-pass over layers: the fold, ``kmerge.merging.refactor``,
-``kmerge.similarity`` and a new slot's cache. A batch of one layer reads
-that layer's factors in place (:func:`stacked`), so at width 2048
-batching adds no copy.
+QRs and their R-SVDs, the core SVD, the rotate-back) runs as one stacked
+numpy call per batch. A batch holds as many layers as fit
+``FOLD_BATCH_BYTES`` of working set, ``8 (d_out + d_in) (R + r)`` bytes
+per layer for cache rank ``R`` and incoming rank ``r``, and at least one.
+Larger stacks leave the cache and were slower at width 2048, where one
+layer alone exceeds the budget and each batch is the one-layer fold.
+Layers of a batch that keep different numbers of residual or core
+directions finish in sub-batches of equal counts. :func:`batches` is this
+grouping and budget for every stacked pass over layers: the fold,
+``kmerge.merging.refactor``, ``kmerge.similarity`` and a new slot's cache.
+A batch of one layer reads that layer's factors in place
+(:func:`stacked`), so at width 2048 batching adds no copy.
 
-Stacked numpy ``matmul`` and ``svd`` give every slice the bits of the same
-call on that matrix alone, provided each slice has that matrix's memory
-layout: BLAS rounds differently for a transposed operand. The batch
+Stacked numpy ``matmul``, ``qr`` and ``svd`` give every slice the bits of
+the same call on that matrix alone, provided each slice has that matrix's
+memory layout: BLAS rounds differently for a transposed operand. The batch
 keeps the one-layer layouts (``u = b / root`` C-ordered, ``v = a.T /
 root`` F-ordered, stored as its C-ordered transpose), so a layer's result
 does not depend on which layers share its batch.
@@ -218,7 +221,9 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
     """:func:`fold_layers` for one batch of layers whose factors have equal
     shapes. ``u``, ``vt`` (``v`` transposed), ``in_b`` and ``in_a`` are
     C-ordered stacks, so each slice has the layout the one-layer fold gave
-    its matrix: ``u = b / root`` C-ordered and ``v = a.T / root`` F-ordered."""
+    its matrix: ``u = b / root`` C-ordered and ``v = a.T / root`` F-ordered.
+    The rotate-back reaches each side's residual directions ``q`` through
+    the residual itself (:func:`_split`), so no d x r ``q`` is formed."""
     n = len(caches)
     cache_b, cache_a = stacked([c.b for c in caches]), stacked([c.a for c in caches])
     # The singular values, the squared column norms of b.
@@ -226,9 +231,9 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
     root = np.sqrt(s)
     u, vt = cache_b / root[:, None, :], cache_a / root[:, :, None]
     in_b, in_a = scaled_stacks(incoming, scaling)
-    coords_b, q_b, sig_b, z_b, kept_b = _split(u, in_b, _norms(in_b))
+    coords_b, resid_b, sig_b, z_b, kept_b = _split(u, in_b, _norms(in_b))
     v, block_a = vt.transpose(0, 2, 1), in_a.transpose(0, 2, 1)
-    coords_a, q_a, sig_a, z_a, kept_a = _split(v, block_a, _norms(in_a))
+    coords_a, resid_a, sig_a, z_a, kept_a = _split(v, block_a, _norms(in_a))
     r = s.shape[1]
     diag = np.arange(r)
     results = [None] * n
@@ -247,12 +252,16 @@ def _fold_batch(alpha, beta, caches, incoming, scaling) -> list[LowRankDelta]:
             in_group, in_batch = _view(sub, len(group)), _view(at, n)
             root_k = np.sqrt(sig[in_group][:, :k])
             # The new singular vectors, scaled by sqrt(sig), as coefficients
-            # on the extended bases [u, q_b] and [v, q_a].
+            # on the extended bases [u, q_b] and [v, q_a]. As q_b = resid_b
+            # z_b^T / sig_b (q_a likewise), the coefficients on q_b pass
+            # through z_b^T / sig_b and then multiply the residual.
             left = w[in_group][:, :, :k] * root_k[:, None, :]
             right = zt[in_group][:, :k] * root_k[:, :, None]
-            b = u[in_batch] @ left[:, :r] + q_b[in_batch][:, :, :nb] @ left[:, r:]
-            q_a_t = q_a[in_batch][:, :, :na].transpose(0, 2, 1)
-            a = right[:, :, :r] @ vt[in_batch] + right[:, :, r:] @ q_a_t
+            z_b_t = z_b[in_batch][:, :nb].transpose(0, 2, 1)
+            on_b = z_b_t @ (left[:, r:] / sig_b[in_batch][:, :nb, None])
+            b = u[in_batch] @ left[:, :r] + resid_b[in_batch] @ on_b
+            on_a = (right[:, :, r:] / sig_a[in_batch][:, None, :na]) @ z_a[in_batch][:, :na]
+            a = right[:, :, :r] @ vt[in_batch] + on_a @ resid_a[in_batch].transpose(0, 2, 1)
             for j, low_b, low_a in zip(at, b, a):
                 results[j] = LowRankDelta(b=low_b, a=low_a, canonical=True)
     return results
@@ -291,16 +300,21 @@ def _split(basis: np.ndarray, block: np.ndarray, norm: np.ndarray):
     """Split each ``block`` (d x r) of a stack over the orthonormal columns of
     its ``basis``; ``norm`` holds each block's Frobenius norm.
 
-    Returns ``(coords, q, sig, z, kept)`` with, per layer, ``block = basis
-    coords + q[:, :kept] (sig[:kept, None] * z[:kept])`` and those columns
-    of ``q`` orthonormal and orthogonal to ``basis``. Classical
-    Gram-Schmidt with one re-orthogonalisation pass, then a thin SVD of the
-    d x r residual (rank-revealing, and as fast as a QR there). Residual
-    directions at or below ``NOISE_TOL * norm``, as when ``block`` lies in
-    span(basis) or ``basis`` spans the whole space, are not kept: they are
-    noise, not orthogonal to ``basis``. A kept direction with singular
-    value ``sigma`` is orthogonal to ``basis`` to about
-    ``eps * |block| / sigma``.
+    Returns ``(coords, resid, sig, z, kept)`` with, per layer, ``block =
+    basis coords + resid`` and ``resid = q (sig[:, None] * z)``, a thin SVD
+    of the residual whose first ``kept`` directions are kept. Classical
+    Gram-Schmidt with one re-orthogonalisation pass, then ``sig`` and ``z``
+    from an SVD of the residual's ``min(d, r) x r`` QR factor ``R`` (Chan's
+    R-SVD), which reveals rank as an SVD of the residual does; for ``d >=
+    11 r / 6`` it is the QR and R-SVD that LAPACK's ``gesdd`` runs on the
+    residual, so ``sig`` and ``z`` are the same. ``q`` is never formed: the
+    fold reaches the kept directions as ``q[:, :kept] = resid z[:kept]^T /
+    sig[:kept]``. Residual directions at or below ``NOISE_TOL * norm``, as
+    when ``block`` lies in span(basis) or ``basis`` spans the whole space,
+    are not kept: they are noise, not orthogonal to ``basis``. A kept
+    direction with singular value ``sigma`` is orthogonal to ``basis``, and
+    orthonormal with the other kept directions, to about ``eps * |block| /
+    sigma``.
     """
     basis_t = basis.transpose(0, 2, 1)
     coords = basis_t @ block
@@ -309,6 +323,6 @@ def _split(basis: np.ndarray, block: np.ndarray, norm: np.ndarray):
     again = basis_t @ resid
     coords += again
     resid -= basis @ again
-    q, sig, z = np.linalg.svd(resid, full_matrices=False)
+    _, sig, z = np.linalg.svd(np.linalg.qr(resid, mode="r"), full_matrices=False)
     kept = np.count_nonzero(sig > NOISE_TOL * norm[:, None], axis=1)
-    return coords, q, sig, z, kept
+    return coords, resid, sig, z, kept

@@ -18,7 +18,7 @@ import pytest
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter
 from kmerge.bench import clustering_consistency, order_stream
 from kmerge.engine import MergeHistory, SlotState
-from kmerge.lowrank import LowRankDelta
+from kmerge.lowrank import NOISE_TOL, LowRankDelta
 from kmerge.merging import RefactorResult
 from kmerge.similarity import adapter_similarity
 
@@ -224,6 +224,22 @@ def naive_slot_cache(adapter):
         root = np.sqrt(s[:r])
         cache[key] = LowRankDelta(b=(qb @ u[:, :r]) * root, a=root[:, None] * (vt[:r] @ qa.T), canonical=True)
     return cache
+
+
+def naive_split(basis, block, norm):
+    """The fold's residual split with the residual's own thin SVD (LAPACK
+    ``gesdd``), the oracle of ``kmerge.lowrank._split``: ``(coords, q, sig,
+    z, kept)`` with ``block = basis coords + q[:, :kept] (sig[:kept, None]
+    * z[:kept])`` per layer of the stacks, ``q`` formed."""
+    basis_t = basis.transpose(0, 2, 1)
+    coords = basis_t @ block
+    resid = block - basis @ coords
+    again = basis_t @ resid
+    coords += again
+    resid -= basis @ again
+    q, sig, z = np.linalg.svd(resid, full_matrices=False)
+    kept = np.count_nonzero(sig > NOISE_TOL * norm[:, None], axis=1)
+    return coords, q, sig, z, kept
 
 
 def random_control_consistency(tasks, ordering, budget_k, seed):

@@ -7,11 +7,9 @@ Each test covers one numbered criterion and reports a single
 
 import functools
 import itertools
-import json
 import time
 
 import numpy as np
-import pytest
 
 from kmerge.bench import (
     LLAMA_3_2_1B_MODULES,
@@ -27,7 +25,7 @@ from kmerge.bench import (
 )
 from kmerge.cli import main as cli_main
 from kmerge.engine import MergeEngine, PolicyConfig
-from kmerge.merging import MergeOperator, RankPolicy, dare_preprocess, ties_merge
+from kmerge.merging import RankPolicy, dare_preprocess, ties_merge
 from kmerge.similarity import calibrate_threshold
 from kmerge.adapters import LayerKey, write_adapter
 

@@ -474,10 +474,11 @@ def test_inspect_damaged_store(tmp_path, capsys):
 
 
 def test_inspect_geometry(capsys):
-    assert main(["inspect", "--geometry", "llama-3.2-1b", "--rank", "32"]) == 0
-    out = capsys.readouterr().out
-    params = int(out.split("parameters per adapter (rank 32): ")[1].split("\n")[0])
-    assert abs(params - 22.5e6) / 22.5e6 < 0.02
+    for rank in (["--rank", "32"], []):  # rank 32 is the default
+        assert main(["inspect", "--geometry", "llama-3.2-1b", *rank]) == 0
+        out = capsys.readouterr().out
+        params = int(out.split("parameters per adapter (rank 32): ")[1].split("\n")[0])
+        assert abs(params - 22.5e6) / 22.5e6 < 0.02
 
 
 @pytest.mark.parametrize("rank", ["0", "-1"])
@@ -486,6 +487,35 @@ def test_inspect_geometry_rank_below_1_exits_2(capsys, rank):
     captured = capsys.readouterr()
     assert captured.err == f"error: --rank must be >= 1, got {rank}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("rank", ["32", "-5"])
+def test_inspect_store_refuses_rank(tmp_path, rank):
+    """``--rank`` sizes a ``--geometry``; beside ``--store`` it would be
+    ignored, so it is a usage error whatever its value."""
+    with pytest.raises(SystemExit) as err:
+        main(["inspect", "--store", str(tmp_path), "--rank", rank])
+    assert err.value.code == 2
+
+
+def test_closed_stdout_exits_141(tmp_path, rng):
+    """A reader that closes the pipe after one line (``kmerge inspect
+    --store S | head -1``) ends the command as SIGPIPE would: exit 141 and
+    nothing on stderr. The manifest of 5 slots of 512 layers, printed
+    indented, is several times a pipe's 64 KiB buffer, so the write fails."""
+    engine = MergeEngine(PolicyConfig(budget_k=5, rank_policy=RankPolicy(target_rank=1)))
+    for i in range(5):
+        engine.ingest(small_random_adapter(f"t{i}", rng, rank=1, n_keys=512, width=2))
+    engine.persist(tmp_path / "store")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    command = [sys.executable, "-m", "kmerge.cli", "inspect", "--store", str(tmp_path / "store")]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert err == b""
 
 
 def test_inspect_requires_target():

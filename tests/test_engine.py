@@ -11,7 +11,7 @@ from operator import getitem
 import numpy as np
 import pytest
 
-from kmerge.adapters import PROJECTIONS, LayerKey, parse_adapter
+from kmerge.adapters import LayerKey, parse_adapter
 from kmerge.engine import (
     ALLOCATED,
     MERGED,

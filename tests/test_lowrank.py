@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey
-from kmerge.lowrank import FOLD_BATCH_BYTES, LowRankDelta, fold_layers
+from kmerge.lowrank import FOLD_BATCH_BYTES, LowRankDelta, _split, fold_layers
 from kmerge.merging import refactor
+
+from conftest import naive_split
 
 K0 = LayerKey(0, "key")
 
@@ -99,6 +101,32 @@ def test_fold_matches_dense_oracle():
             _check_against_dense(cache, np.mean(dense, axis=0), target_rank=2)
 
 
+def test_fold_to_depth_8_at_production_width():
+    """Eight rank-32 members folded into one slot on a 2048 x 2048 and a
+    2048 x 512 projection, in one ``fold_layers`` call per merge as the
+    engine folds them. Members share a factor, are 1e8 times smaller or
+    are zero, so residuals are kept in full, in part and not at all. Both
+    caches are canonical after every merge; the 2048 x 512 cache matches
+    the dense mean after every merge and the 2048 x 2048 cache at depth 8:
+    one dense SVD at 2048 x 2048 takes 2-3 s on a 2-vCPU host."""
+    rng = np.random.default_rng(9)
+    shapes = [(2048, 2048), (2048, 512)]
+    kinds = ["fresh", "shared_b", "shared_a", "tiny", "fresh", "zero", "shared_b", "fresh"]
+    protos = [(rng.standard_normal((d_out, 32)), rng.standard_normal((32, d_in))) for d_out, d_in in shapes]
+    members = [[_member(rng, kind, shape, 32, proto) for shape, proto in zip(shapes, protos)] for kind in kinds]
+    caches = [low.compressed() for low in members[0]]
+    sums = [low.materialize() for low in members[0]]
+    for n, incoming in enumerate(members[1:], start=1):
+        caches = fold_layers(n / (n + 1), 1.0 / (n + 1), caches, incoming)
+        for total, low in zip(sums, incoming):
+            total += low.materialize()
+        for cache in caches:
+            assert cache.canonical
+            _check_canonical(cache)
+        _check_against_dense(caches[1], sums[1] / (n + 1), target_rank=32)
+    _check_against_dense(caches[0], sums[0] / len(members), target_rank=32)
+
+
 def test_compressed_is_canonical_and_idempotent():
     rng = np.random.default_rng(8)
     for stream in _streams(seed=8, count=40):
@@ -150,3 +178,48 @@ def test_fold_and_refactor_work_in_bounded_batches():
     layers = served.adapter.layers.values()
     assert peak <= sum(fp.b.nbytes + fp.a.nbytes for fp in layers) + 4 * FOLD_BATCH_BYTES
 
+
+def _split_cases(rng):
+    """``(basis, block, kept)`` stacks for ``_split``: tall blocks at
+    production and paper geometry, whose residuals keep every direction, a
+    block whose residual has rank 8, one inside span(basis) and a zero
+    block."""
+    def orthonormal(n, d, rank):
+        return np.linalg.qr(rng.standard_normal((n, d, rank)))[0]
+
+    for n, d, r, rank in [(1, 2048, 32, 32), (1, 512, 32, 64), (16, 64, 4, 8)]:
+        yield orthonormal(n, d, rank), rng.standard_normal((n, d, r)), r
+    basis = orthonormal(1, 512, 64)
+    inside = basis @ rng.standard_normal((1, 64, 32))
+    yield basis, inside + rng.standard_normal((1, 512, 8)) @ rng.standard_normal((1, 8, 32)), 8
+    yield basis, inside, 0
+    yield basis, np.zeros((1, 512, 32)), 0
+
+
+def test_split_keeps_what_the_residual_svd_keeps(rng):
+    """``_split`` takes each residual's spectrum from the SVD of its QR
+    factor ``R``; it keeps exactly the directions that the residual's own
+    thin SVD (``naive_split``) keeps, with the same singular values to
+    rounding."""
+    for basis, block, expected in _split_cases(rng):
+        norm = np.linalg.norm(block, axis=(1, 2))
+        _, _, sig, _, kept = _split(basis, block, norm)
+        _, _, oracle_sig, _, oracle_kept = naive_split(basis, block, norm)
+        assert np.array_equal(kept, oracle_kept)
+        assert np.all(kept == expected)
+        assert np.all(np.abs(sig - oracle_sig) <= 1e-14 * oracle_sig[:, :1])
+
+
+def test_split_directions_are_orthonormal(rng):
+    """The kept residual directions ``q = resid z[:k]^T / sig[:k]``, which
+    the fold never forms, are orthonormal and orthogonal to the basis to
+    1e-12 when every kept singular value is at least 1e-3 of the block's
+    norm."""
+    for basis, block, _ in _split_cases(rng):
+        norm = np.linalg.norm(block, axis=(1, 2))
+        _, resid, sig, z, kept = _split(basis, block, norm)
+        for i, k in enumerate(kept):
+            assert np.all(sig[i, :k] >= 1e-3 * norm[i])
+            q = resid[i] @ z[i, :k].T / sig[i, :k]
+            assert np.abs(q.T @ q - np.eye(k)).max(initial=0.0) <= 1e-12
+            assert np.abs(basis[i].T @ q).max(initial=0.0) <= 1e-12
