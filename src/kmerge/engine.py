@@ -12,14 +12,15 @@ and :attr:`MergeEngine.history` are derived from them.
 
 A store's format is kept in one place: :func:`_cache_layout` places each
 running-cache entry in ``running_cache.bin`` and :meth:`MergeEngine._manifest`
-builds ``manifest.json``. ``persist`` writes them; ``restore`` derives them
-again from the state it reads and accepts no store that differs. Version-2
-caches are canonical and restore as read-only views of the mapped cache
-file; version-1 caches, concatenated factors, are canonicalised once. Each
-restored slot adapter is a read-only view of its mapped ``slot_<key>.kmrg``
-until the slot is next merged, so a restored engine with ``K`` slots holds
-``K + 1`` mappings and one file descriptor for each. ``persist`` renames new
-files over old ones, which leaves every mapping valid.
+builds ``manifest.json``. ``persist`` writes them, each file in one vectored
+write; ``restore`` derives them again from the state it reads and accepts no
+store that differs. Version-2 caches are canonical and restore as read-only
+slices of one view of the mapped cache file; version-1 caches, concatenated
+factors, are canonicalised once. Each restored slot adapter is a read-only
+view of its mapped ``slot_<key>.kmrg`` until the slot is next merged, so a
+restored engine with ``K`` slots holds ``K + 1`` mappings and one file
+descriptor for each. ``persist`` renames new files over old ones, which
+leaves every mapping valid.
 """
 
 from __future__ import annotations
@@ -248,11 +249,10 @@ class MergeHistory:
 def read_manifest(directory: str | Path) -> dict:
     """The parsed ``manifest.json`` of a store directory; raises
     :class:`RestoreError` when it is missing or not valid UTF-8 JSON."""
-    manifest_path = Path(directory) / "manifest.json"
-    if not manifest_path.exists():
-        raise RestoreError(f"no manifest.json in {directory}")
     try:
-        return json.loads(manifest_path.read_text(encoding="utf-8"))
+        return json.loads((Path(directory) / "manifest.json").read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise RestoreError(f"no manifest.json in {directory}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RestoreError(f"manifest.json is not valid JSON: {exc}") from None
 
@@ -346,12 +346,14 @@ class MergeEngine:
         """Write slot adapters, the exact running caches, and a manifest.
 
         Caches are stored in canonical form as raw float64 little-endian
-        tensors, each written straight to the cache file where
-        :func:`_cache_layout` puts it, so a restored engine continues from
-        the same exact state. The manifest is :meth:`_manifest`. Each file
-        is written through :func:`~kmerge.adapters.replace_file`, so a write
-        that fails leaves no temporary file. Slot files of an earlier store
-        that the new manifest does not name are deleted only once it is in place.
+        tensors, back to back where :func:`_cache_layout` puts them, so a
+        restored engine continues from the same exact state. The manifest is
+        :meth:`_manifest`. Each file (every slot adapter, through
+        :func:`~kmerge.adapters.write_adapter`; the cache; the manifest) is
+        one vectored write of its buffers, uncopied, through
+        :func:`~kmerge.adapters.replace_file`, so a write that fails leaves
+        no temporary file. Slot files of an earlier store that the new
+        manifest does not name are deleted only once it is in place.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -359,17 +361,12 @@ class MergeEngine:
         for slot_key, slot in slots.items():
             write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
         layout, _ = _cache_layout(slots, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
-
-        def write_cache(out):
-            for slot_key, key, *_ in layout:
-                low = slots[slot_key].cache[key]
-                for factor in (low.b, low.a):
-                    out.write(np.ascontiguousarray(factor, dtype="<f8"))
-
-        replace_file(directory / "running_cache.bin", write_cache)
+        caches = (slots[slot_key].cache[key] for slot_key, key, *_ in layout)
+        factors = [np.ascontiguousarray(f, dtype="<f8") for low in caches for f in (low.b, low.a)]
+        replace_file(directory / "running_cache.bin", factors)
         # Compact, as only without ``indent`` does CPython encode in C.
         manifest = json.dumps(self._manifest(layout, version=MANIFEST_VERSION)).encode()
-        replace_file(directory / "manifest.json", lambda out: out.write(manifest))
+        replace_file(directory / "manifest.json", [manifest])
         delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in slots})
 
     def _manifest(self, layout: list, version: int) -> dict:
@@ -406,14 +403,18 @@ class MergeEngine:
         ``i``) and each cache entry's rank. Every other field must equal, in
         value and JSON type, the one :meth:`_manifest` derives from these.
 
-        The running cache file and each slot's adapter file are mapped once,
-        read-only, with their pages populated: each cache entry's ``b`` and
-        ``a``, and each slot adapter's factors, are read-only views of them,
-        until the slot is next merged. That is ``K + 1`` mappings for ``K``
-        slots, each holding one file descriptor until nothing refers to it.
-        ``persist`` renames a new file over the old one, so persisting over
-        the store or deleting it leaves every mapping as it was; the files
-        must not be edited or truncated in place while the engine lives.
+        Each file is opened with no ``exists()`` probe before it; a missing
+        one raises :class:`RestoreError`. The running cache file and each
+        slot's adapter file are mapped once, read-only, with their pages
+        populated, and viewed once: the cache as one float64 array, each
+        slot file's payload as one float32 array. Each cache entry's ``b``
+        and ``a``, and each slot adapter's factors, are read-only slices of
+        those views, until the slot is next merged. That is ``K + 1``
+        mappings for ``K`` slots, each holding one file descriptor until
+        nothing refers to it. ``persist`` renames a new file over the old
+        one, so persisting over the store or deleting it leaves every mapping
+        as it was; the files must not be edited or truncated in place while
+        the engine lives.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
@@ -457,9 +458,7 @@ class MergeEngine:
         engine.task_ids = dict(enumerate(task_ids, 1))
         for slot_key, slot_tasks in enumerate(tasks, 1):
             adapter_path = directory / f"slot_{slot_key}.kmrg"
-            if not adapter_path.exists():
-                raise RestoreError(f"adapter file for slot {slot_key} is missing")
-            with open(adapter_path, "rb") as fh:
+            with _opened(adapter_path, f"adapter file for slot {slot_key} is missing") as fh:
                 try:
                     adapter = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
                 except FormatError as exc:
@@ -477,21 +476,29 @@ class MergeEngine:
             raise RestoreError(_difference(stored, derived))
 
         cache_path = directory / "running_cache.bin"
-        if not cache_path.exists():
-            raise RestoreError(f"running cache file {cache_path.name} is missing")
-        with open(cache_path, "rb") as blob:
+        with _opened(cache_path, f"running cache file {cache_path.name} is missing") as blob:
             size = os.fstat(blob.fileno()).st_size
             if size != cache_bytes:
                 raise RestoreError(f"{cache_path.name} is {size} bytes; persist writes {cache_bytes}")
-            mapped = _mapped(blob, size)
+            whole = np.frombuffer(_mapped(blob, size), "<f8")
         for slot_key, key, b_shape, a_shape, offset in layout:
-            b_size = b_shape[0] * b_shape[1]
-            b = np.frombuffer(mapped, "<f8", b_size, offset).reshape(b_shape)
-            a = np.frombuffer(mapped, "<f8", a_shape[0] * a_shape[1], offset + 8 * b_size)
+            first = offset // 8
+            middle = first + b_shape[0] * b_shape[1]
+            b = whole[first:middle].reshape(b_shape)
+            a = whole[middle:middle + a_shape[0] * a_shape[1]].reshape(a_shape)
             # Version-1 stores kept concatenated factors; canonicalise them once.
-            low = LowRankDelta(b=b, a=a.reshape(a_shape), canonical=version == MANIFEST_VERSION)
+            low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
             engine.store.slots[slot_key].cache[key] = low.compressed()
         return engine
+
+
+def _opened(path: Path, missing: str):
+    """``path`` opened for reading, with no ``exists()`` probe before it;
+    :class:`RestoreError` ``missing`` when there is no such file."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise RestoreError(missing) from None
 
 
 def _mapped(fh, size: int):

@@ -1,3 +1,5 @@
+import math
+import os
 import struct
 import tracemalloc
 
@@ -15,12 +17,18 @@ from kmerge.adapters import (
     read_adapter,
     write_adapter,
 )
+import kmerge.adapters
+from kmerge.bench import GeneratorConfig, generate_suite
 from kmerge.errors import FormatError, IncompatibleAdapters, ShapeError
 from kmerge.lowrank import FOLD_BATCH_BYTES
 
 from conftest import (
-    make_adapter, naive_matmul, poison_tensor, rewrite_header, small_random_adapter, width_mismatched_pair,
+    RecordedWrites, assert_same_adapter, make_adapter, naive_matmul, per_entry_parse_adapter,
+    per_tensor_write_adapter, poison_tensor, rewrite_header, small_random_adapter, width_mismatched_pair,
+    zero_width_adapter,
 )
+
+IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 K0 = LayerKey(0, "key")
 
@@ -141,6 +149,11 @@ def _set_layer(name, value):
     return lambda h: h["layers"][0].__setitem__(name, value)
 
 
+def _repeated_after_truncated(h):
+    h["layers"][1]["d_in"] = 2**45
+    h["layers"].append(dict(h["layers"][0]))
+
+
 def _huge_rank_zero_widths(h):
     h["rank"] = 2**62
     for entry in h["layers"]:
@@ -175,16 +188,99 @@ DAMAGED_HEADERS = {
     # Zero widths pass the size check; numpy cannot allocate that many rows.
     "huge-rank-zero-widths": (_huge_rank_zero_widths,
                               r"A tensor of layer 0\.key is too large: shape \(4611686018427387904, 0\)"),
+    # JSON ``true`` is no integer, in the first entry or the last.
+    "true-layer": (_set_layer("layer", True), "layer"),
+    "true-last-d_in": (lambda h: h["layers"][-1].__setitem__("d_in", True), "d_in"),
+    # The first fault in entry order is named, not the duplicate after it.
+    "repeated-layer-after-truncated": (_repeated_after_truncated,
+                                       r"truncated payload while reading A tensor of layer 0\.query"),
 }
 
 
 @pytest.mark.parametrize("damage, match", DAMAGED_HEADERS.values(), ids=DAMAGED_HEADERS)
 def test_damaged_header_field_rejected(tmp_path, rng, damage, match):
+    """Each damaged header raises the error the per-entry parser raises,
+    message and offset alike."""
     path = tmp_path / "a.kmrg"
     write_adapter(small_random_adapter("x", rng), path)
     rewrite_header(path, damage)
-    with pytest.raises(FormatError, match=match):
+    with pytest.raises(FormatError, match=match) as exc:
         read_adapter(path)
+    with pytest.raises(FormatError) as want:
+        per_entry_parse_adapter(path.read_bytes())
+    assert (str(exc.value), exc.value.offset) == (str(want.value.in_file(path)), want.value.offset)
+
+
+def _parse_case(name, rng, path):
+    """The bytes of a valid ``.kmrg`` file of kind ``name``, written at ``path``."""
+    if name == "default-grid":
+        write_adapter(generate_suite(GeneratorConfig())[0][0], path)
+    elif name == "zero-width":
+        write_adapter(zero_width_adapter("zero-width", rng), path)
+    else:
+        # Pad the header so that the payload starts 1 byte past a multiple of 4.
+        write_adapter(small_random_adapter("x", rng, rank=3, n_keys=5, width=7), path)
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<I", raw, 6)[0]
+        pad = (1 - 10 - header_len) % 4
+        head = struct.pack("<4sHI", b"KMRG", 1, header_len + pad)
+        path.write_bytes(head + raw[10 : 10 + header_len] + b" " * pad + raw[10 + header_len :])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["default-grid", "zero-width", "unaligned"])
+def test_parse_matches_per_entry_parser(tmp_path, rng, monkeypatch, case):
+    """``parse_adapter`` returns the per-entry parser's adapter, from a
+    read-only buffer and a writeable one, through its one-pass table check
+    and single payload view: the entry walk never runs on a valid file."""
+    raw = _parse_case(case, rng, tmp_path / "a.kmrg")
+
+    def walk(*args):
+        raise AssertionError("a valid header was walked entry by entry")
+
+    monkeypatch.setattr(kmerge.adapters, "_walked_layers", walk)
+    for buffer in (raw, bytearray(raw)):
+        assert_same_adapter(parse_adapter(buffer), per_entry_parse_adapter(buffer))
+
+
+def _writer_case(name, rng):
+    if name == "zero-width":
+        return zero_width_adapter("zero-width", rng)
+    if name == "non-contiguous":
+        a = rng.standard_normal((3, 10)).astype(np.float32)[:, ::2]
+        b = np.asfortranarray(rng.standard_normal((6, 3)).astype(np.float32))
+        adapter = make_adapter("strided", {K0: (a, b)}, 3, 3.0)
+        assert not (adapter.layers[K0].a.flags.c_contiguous or adapter.layers[K0].b.flags.c_contiguous)
+        return adapter
+    # More buffers than one call takes: two header parts and two tensors a layer.
+    keys = [LayerKey(i // len(PROJECTIONS), PROJECTIONS[i % len(PROJECTIONS)]) for i in range(IOV_MAX // 2 + 1)]
+    layers = {key: (rng.standard_normal((1, 2)), rng.standard_normal((3, 1))) for key in keys}
+    return make_adapter("many", layers, 1, 1.0)
+
+
+@pytest.mark.parametrize("limit", [None, 7], ids=["whole-writes", "7-byte-writes"])
+@pytest.mark.parametrize("case", ["zero-width", "non-contiguous", "over-iov-max"])
+def test_vectored_write_matches_per_tensor_writer(tmp_path, rng, monkeypatch, case, limit):
+    """``write_adapter`` writes the per-tensor writer's bytes, whether
+    ``os.writev`` takes every byte or at most 7 a call. Every byte goes
+    through ``os.writev``, no call takes more than IOV_MAX buffers, and when
+    each call takes every byte a file of ``n`` non-empty buffers takes
+    ``ceil(n / IOV_MAX)`` calls."""
+    adapter = _writer_case(case, rng)
+    per_tensor_write_adapter(adapter, tmp_path / "want.kmrg")
+    writes = RecordedWrites(os.writev, limit)
+    monkeypatch.setattr(os, "writev", writes)
+    write_adapter(adapter, tmp_path / "got.kmrg")
+    want = (tmp_path / "want.kmrg").read_bytes()
+    assert (tmp_path / "got.kmrg").read_bytes() == want
+    calls = writes.per_file(tmp_path / "got.kmrg")
+    assert sum(written for _, written in calls) == len(want)
+    assert max(count for count, _ in calls) <= IOV_MAX
+    if limit is None:
+        tensors = sum(t.size > 0 for fp in adapter.layers.values() for t in (fp.a, fp.b))
+        assert len(calls) == math.ceil((2 + tensors) / IOV_MAX)
+    if case == "over-iov-max":
+        assert len(calls) > 1
 
 
 def test_huge_header_length_rejected_before_allocating(tmp_path):

@@ -1,5 +1,7 @@
+import errno
 import gc
 import json
+import math
 import os
 import shutil
 import struct
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import LayerKey, parse_adapter
+from kmerge.bench import GeneratorConfig, generate_suite
 from kmerge.engine import (
     ALLOCATED,
     MERGED,
@@ -38,16 +41,19 @@ from kmerge.merging import MergeOperator, RankPolicy, linear_merge
 
 from conftest import (
     NaiveState,
+    RecordedWrites,
     dense_delta_map,
     factor_delta,
     make_adapter,
     mixed_geometry_slot,
     naive_policy_step,
     naive_slot_cache,
+    per_tensor_persist,
     poison_tensor,
     rewrite_header,
     small_random_adapter,
     width_mismatched_pair,
+    zero_width_adapter,
 )
 
 K0 = LayerKey(0, "key")
@@ -863,15 +869,35 @@ def test_restore_non_finite_slot_tensor_is_named(tmp_path, rng, tensor):
 
 
 @pytest.mark.parametrize("target", ["slot_2.kmrg", "running_cache.bin", "manifest.json"])
-def test_failed_persist_leaves_no_temporary_file(tmp_path, rng, target):
+def test_failed_persist_leaves_no_temporary_file(tmp_path, rng, monkeypatch, target):
+    """A persist that fails on ``target``, whether a directory is in the way
+    of its rename or its vectored write raises after writing part of it,
+    leaves no temporary file."""
     engine = MergeEngine(_config(2))
     for a in _stream(rng, 4):
         engine.ingest(a)
-    (tmp_path / target).mkdir()
+    blocked = tmp_path / "blocked"
+    (blocked / target).mkdir(parents=True)
     with pytest.raises(OSError):
-        engine.persist(tmp_path)
-    assert (tmp_path / target).is_dir()
-    assert not list(tmp_path.glob("*.tmp"))
+        engine.persist(blocked)
+    assert (blocked / target).is_dir()
+    assert not list(blocked.glob("*.tmp"))
+
+    full = tmp_path / "full"
+    writev = os.writev
+
+    def disk_full(fd, buffers):
+        tmp = full / f"{target}.tmp"
+        if tmp.exists() and os.fstat(fd).st_ino == tmp.stat().st_ino:
+            writev(fd, [memoryview(buffers[0])[:3]])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return writev(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", disk_full)
+    with pytest.raises(OSError, match="No space left on device"):
+        engine.persist(full)
+    assert not (full / target).exists()
+    assert not list(full.glob("*.tmp"))
 
 
 def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
@@ -935,6 +961,78 @@ def test_persist_removes_slot_files_it_no_longer_names(tmp_path, rng, monkeypatc
 
 def _store_bytes(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _default_grid_engine():
+    """A K=5 engine after the 40 adapters of the default generator grid."""
+    engine = MergeEngine(PolicyConfig(budget_k=5))
+    for adapter in generate_suite(GeneratorConfig())[0]:
+        engine.ingest(adapter)
+    return engine
+
+
+def _mixed_geometry_engine(rng):
+    """A K=2 engine after 5 rank-1 adapters with zero-width layers."""
+    engine = MergeEngine(_config(2, rank=1))
+    for i in range(5):
+        engine.ingest(zero_width_adapter(f"mixed-{i}", rng))
+    return engine
+
+
+def _version1_engine(tmp_path, rng):
+    """The engine restored from a store rewritten with version-1 caches."""
+    stream = _stream(rng, 8, n_keys=2, width=6)
+    engine = MergeEngine(_config(2))
+    for a in stream:
+        engine.ingest(a)
+    engine.persist(tmp_path / "v1")
+    _write_version1_caches(tmp_path / "v1", engine, stream)
+    return MergeEngine.restore(tmp_path / "v1")
+
+
+@pytest.mark.parametrize("store, limit", [
+    ("default-grid", None), ("mixed-geometry", None), ("mixed-geometry", 7), ("version-1", None), ("version-1", 7),
+])
+def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, limit):
+    """``persist`` writes the bytes of a store written one tensor at a time,
+    also when ``os.writev`` takes at most 7 bytes a call, and every byte of
+    every file goes through ``os.writev``."""
+    if store == "default-grid":
+        engine = _default_grid_engine()
+    elif store == "mixed-geometry":
+        engine = _mixed_geometry_engine(rng)
+    else:
+        engine = _version1_engine(tmp_path, rng)
+    per_tensor_persist(engine, tmp_path / "want")
+    writes = RecordedWrites(os.writev, limit)
+    monkeypatch.setattr(os, "writev", writes)
+    engine.persist(tmp_path / "got")
+    want = _store_bytes(tmp_path / "want")
+    assert _store_bytes(tmp_path / "got") == want
+    for name, data in want.items():
+        assert sum(written for _, written in writes.per_file(tmp_path / "got" / name)) == len(data)
+
+
+def test_persist_writes_each_file_in_vectored_calls(tmp_path, monkeypatch):
+    """A K=5 default-grid store: each file takes ``ceil(buffers / IOV_MAX)``
+    ``os.writev`` calls, one here, and they carry all of its bytes: a slot
+    file's two header parts and 32 tensors, the cache's 160 factors and the
+    manifest."""
+    engine = _default_grid_engine()
+    writes = RecordedWrites(os.writev)
+    monkeypatch.setattr(os, "writev", writes)
+    engine.persist(tmp_path)
+    iov_max = os.sysconf("SC_IOV_MAX")
+    buffers = {f"slot_{k}.kmrg": 2 + 2 * 16 for k in range(1, 6)}
+    buffers.update({"running_cache.bin": 2 * 5 * 16, "manifest.json": 1})
+    assert sorted(buffers) == sorted(p.name for p in tmp_path.iterdir())
+    for name, count in buffers.items():
+        path = tmp_path / name
+        calls = writes.per_file(path)
+        assert len(calls) == math.ceil(count / iov_max)
+        assert sum(n for n, _ in calls) == count
+        assert sum(written for _, written in calls) == path.stat().st_size
+    assert len(writes.calls) == len(buffers)
 
 
 def _factors(engine):
