@@ -206,23 +206,20 @@ def delta_map(adapter: LoraAdapter) -> dict[LayerKey, np.ndarray]:
 # and ``restore`` maps it with 2 MiB page-table entries (``FilePmdMapped`` in
 # smaps): populating a 32 MiB mapping of it took 0.08 ms, against 0.85 ms for
 # the file written one 256 KiB tensor per ``write`` (kernel 6.18, ext4).
+# Those 2 MiB folios come from free 2 MiB blocks. In a virtual machine whose
+# host takes such blocks back (virtio-balloon free page reporting), the host
+# must back them again, so a persist soon after a large free, such as the
+# first after an ingest, writes more slowly than one tensor per call would.
 #
-# A file is parsed from one buffer (``parse_adapter``): the header's layer
-# table is checked in one pass, and each factor is a slice of one float32
-# view of the payload. A tensor's offset need not be a multiple of 4, as the
-# header's length is free; every computation copies factors into float64
-# arrays first, so alignment never changes a result. The payload is checked
-# finite in chunks of at most ``kmerge.lowrank.FOLD_BATCH_BYTES``, not once
-# per tensor.
+# A file is parsed from one buffer (``parse_adapter``): each factor is a
+# float32 view of it at its offset. A tensor's offset need not be a multiple
+# of 4, as the header's length is free; every computation copies factors
+# into float64 arrays first, so alignment never changes a result. The
+# payload is checked finite in chunks of at most
+# ``kmerge.lowrank.FOLD_BATCH_BYTES``, not once per tensor.
 # --------------------------------------------------------------------------
 
 _HEAD = struct.Struct("<4sHI")
-
-# The most buffers one ``os.writev`` call takes (1024 on Linux).
-_IOV_MAX = os.sysconf("SC_IOV_MAX")
-
-# numpy's bound on an array's size in bytes, counting each zero dimension as 1.
-_INTP_MAX = np.iinfo(np.intp).max
 
 
 def _header_dict(adapter: LoraAdapter) -> dict:
@@ -260,10 +257,13 @@ def _write_all(fd: int, buffers: Iterable) -> None:
     """Write ``buffers`` to the file descriptor ``fd`` back to back, in
     ``os.writev`` calls of at most IOV_MAX buffers each and without copying
     any; a short write resumes where it stopped. POSIX only."""
+    iov_max = os.sysconf("SC_IOV_MAX")
+    if iov_max < 1:
+        raise OSError(f"SC_IOV_MAX is {iov_max}; os.writev calls cannot be sized")
     views = [view.cast("B") for view in map(memoryview, buffers) if view.nbytes]
     first = 0
     while first < len(views):
-        written = os.writev(fd, views[first:first + _IOV_MAX])
+        written = os.writev(fd, views[first:first + iov_max])
         while written and written >= views[first].nbytes:
             written -= views[first].nbytes
             first += 1
@@ -332,65 +332,9 @@ def parse_adapter(buffer) -> LoraAdapter:
     }
     rank = json_field(header, "rank", bad_header, int)
     scale_numerator = float(json_field(header, "scale_numerator", bad_header, float))
-    entries = json_field(header, "layers", bad_header, list)
-    # Only a damaged header walks its entries, to name the first bad one.
-    layers, end = (
-        _sliced_layers(buffer, entries, rank, offset)
-        or _walked_layers(buffer, entries, rank, offset, bad_header)
-    )
-    if not _finite(buffer, offset, end):
-        # Only a damaged payload walks its layers, to name the first bad one.
-        for key, (a, b) in layers.items():
-            try:
-                FactorPair(a=a, b=b)
-            except ShapeError as exc:
-                raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
-    if end < len(buffer):
-        raise FormatError("trailing bytes after declared payload", end)
-    pairs = {key: _checked_pair(a, b) for key, (a, b) in layers.items()}
-    try:
-        return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=pairs, **text)
-    except ShapeError as exc:
-        raise bad_header(f"invalid header: {exc}") from None
-
-
-def _sliced_layers(buffer, entries: list, rank: int, start: int) -> tuple[dict, int] | None:
-    """Each header layer entry's key and ``(a, b)``, slices of one float32
-    view of ``buffer`` from ``start``, and the offset where they end, checked
-    in one pass: ``None`` unless every entry holds integer ``layer``,
-    ``d_in`` and ``d_out`` and a string ``proj`` that make a valid key
-    listed once, and every tensor has a shape numpy can represent (its size
-    in bytes, each zero dimension counted as 1, fits in ``intp``) and fits,
-    back to back, in ``buffer``. It accepts exactly what
-    :func:`_walked_layers` accepts."""
-    payload = np.frombuffer(buffer, "<f4", (len(buffer) - start) // 4, start)
-    layers, first = {}, 0
-    for entry in entries:
-        try:
-            layer, proj, d_in, d_out = entry["layer"], entry["proj"], entry["d_in"], entry["d_out"]
-        except (KeyError, TypeError):
-            return None
-        if not (type(layer) is type(d_in) is type(d_out) is int and type(proj) is str
-                and layer >= 0 and proj in _PROJ_ORDER and min(rank, d_in, d_out) >= 0
-                and 4 * max(rank, 1) * max(d_in, d_out, 1) <= _INTP_MAX):
-            return None
-        key = LayerKey(layer, proj)
-        middle = first + rank * d_in
-        last = middle + d_out * rank
-        if key in layers or last > len(payload):
-            return None
-        layers[key] = payload[first:middle].reshape(rank, d_in), payload[middle:last].reshape(d_out, rank)
-        first = last
-    return layers, start + 4 * first
-
-
-def _walked_layers(buffer, entries: list, rank: int, start: int, bad_header) -> tuple[dict, int]:
-    """What :func:`_sliced_layers` returns, entry by entry, each tensor its
-    own view of ``buffer``: each entry's fields are read, its key and its
-    tensors checked in turn, so the first fault raises its
-    :class:`FormatError`."""
-    layers, offset = {}, start
-    for entry in entries:
+    payload = offset
+    layers: dict[LayerKey, tuple[np.ndarray, np.ndarray]] = {}
+    for entry in json_field(header, "layers", bad_header, list):
         layer = json_field(entry, "layer", bad_header, int)
         proj = json_field(entry, "proj", bad_header, str)
         d_in = json_field(entry, "d_in", bad_header, int)
@@ -406,7 +350,20 @@ def _walked_layers(buffer, entries: list, rank: int, start: int, bad_header) -> 
         b = _tensor(buffer, offset, (d_out, rank), "B", key)
         offset += b.nbytes
         layers[key] = a, b
-    return layers, offset
+    if not _finite(buffer, payload, offset):
+        # Only a damaged file walks its layers, to name the first bad one.
+        for key, (a, b) in layers.items():
+            try:
+                FactorPair(a=a, b=b)
+            except ShapeError as exc:
+                raise FormatError(f"invalid tensors for layer {key}: {exc}") from None
+    if offset < len(buffer):
+        raise FormatError("trailing bytes after declared payload", offset)
+    pairs = {key: _checked_pair(a, b) for key, (a, b) in layers.items()}
+    try:
+        return LoraAdapter(rank=rank, scale_numerator=scale_numerator, layers=pairs, **text)
+    except ShapeError as exc:
+        raise bad_header(f"invalid header: {exc}") from None
 
 
 def _finite(buffer, start: int, end: int) -> bool:

@@ -406,10 +406,10 @@ class MergeEngine:
         Each file is opened with no ``exists()`` probe before it; a missing
         one raises :class:`RestoreError`. The running cache file and each
         slot's adapter file are mapped once, read-only, with their pages
-        populated, and viewed once: the cache as one float64 array, each
-        slot file's payload as one float32 array. Each cache entry's ``b``
-        and ``a``, and each slot adapter's factors, are read-only slices of
-        those views, until the slot is next merged. That is ``K + 1``
+        populated: the cache is viewed once, as one float64 array, and each
+        cache entry's ``b`` and ``a`` are read-only slices of that view;
+        each slot adapter's factors are read-only views of its file's
+        mapping. Both last until the slot is next merged. That is ``K + 1``
         mappings for ``K`` slots, each holding one file descriptor until
         nothing refers to it. ``persist`` renames a new file over the old
         one, so persisting over the store or deleting it leaves every mapping

@@ -17,14 +17,13 @@ from kmerge.adapters import (
     read_adapter,
     write_adapter,
 )
-import kmerge.adapters
 from kmerge.bench import GeneratorConfig, generate_suite
 from kmerge.errors import FormatError, IncompatibleAdapters, ShapeError
 from kmerge.lowrank import FOLD_BATCH_BYTES
 
 from conftest import (
-    RecordedWrites, assert_same_adapter, make_adapter, naive_matmul, per_entry_parse_adapter,
-    per_tensor_write_adapter, poison_tensor, rewrite_header, small_random_adapter, width_mismatched_pair,
+    RecordedWrites, assert_same_adapter, make_adapter, naive_matmul, per_tensor_write_adapter,
+    poison_tensor, rewrite_header, small_random_adapter, width_mismatched_pair,
     zero_width_adapter,
 )
 
@@ -199,48 +198,44 @@ DAMAGED_HEADERS = {
 
 @pytest.mark.parametrize("damage, match", DAMAGED_HEADERS.values(), ids=DAMAGED_HEADERS)
 def test_damaged_header_field_rejected(tmp_path, rng, damage, match):
-    """Each damaged header raises the error the per-entry parser raises,
-    message and offset alike."""
     path = tmp_path / "a.kmrg"
     write_adapter(small_random_adapter("x", rng), path)
     rewrite_header(path, damage)
-    with pytest.raises(FormatError, match=match) as exc:
+    with pytest.raises(FormatError, match=match):
         read_adapter(path)
-    with pytest.raises(FormatError) as want:
-        per_entry_parse_adapter(path.read_bytes())
-    assert (str(exc.value), exc.value.offset) == (str(want.value.in_file(path)), want.value.offset)
 
 
 def _parse_case(name, rng, path):
-    """The bytes of a valid ``.kmrg`` file of kind ``name``, written at ``path``."""
+    """A valid adapter of kind ``name`` and the bytes of its ``.kmrg`` file,
+    written at ``path``."""
     if name == "default-grid":
-        write_adapter(generate_suite(GeneratorConfig())[0][0], path)
+        adapter = generate_suite(GeneratorConfig())[0][0]
     elif name == "zero-width":
-        write_adapter(zero_width_adapter("zero-width", rng), path)
+        adapter = zero_width_adapter("zero-width", rng)
     else:
+        adapter = small_random_adapter("x", rng, rank=3, n_keys=5, width=7)
+    write_adapter(adapter, path)
+    raw = path.read_bytes()
+    if name == "unaligned":
         # Pad the header so that the payload starts 1 byte past a multiple of 4.
-        write_adapter(small_random_adapter("x", rng, rank=3, n_keys=5, width=7), path)
-        raw = path.read_bytes()
         header_len = struct.unpack_from("<I", raw, 6)[0]
         pad = (1 - 10 - header_len) % 4
         head = struct.pack("<4sHI", b"KMRG", 1, header_len + pad)
-        path.write_bytes(head + raw[10 : 10 + header_len] + b" " * pad + raw[10 + header_len :])
-    return path.read_bytes()
+        raw = head + raw[10 : 10 + header_len] + b" " * pad + raw[10 + header_len :]
+    return adapter, raw
 
 
 @pytest.mark.parametrize("case", ["default-grid", "zero-width", "unaligned"])
-def test_parse_matches_per_entry_parser(tmp_path, rng, monkeypatch, case):
-    """``parse_adapter`` returns the per-entry parser's adapter, from a
-    read-only buffer and a writeable one, through its one-pass table check
-    and single payload view: the entry walk never runs on a valid file."""
-    raw = _parse_case(case, rng, tmp_path / "a.kmrg")
-
-    def walk(*args):
-        raise AssertionError("a valid header was walked entry by entry")
-
-    monkeypatch.setattr(kmerge.adapters, "_walked_layers", walk)
+def test_parse_round_trips(tmp_path, rng, case):
+    """``parse_adapter`` gives back the written adapter from a read-only
+    buffer and from a writeable one, whatever the payload's alignment; each
+    factor is a view of the buffer, writeable only when the buffer is."""
+    adapter, raw = _parse_case(case, rng, tmp_path / "a.kmrg")
     for buffer in (raw, bytearray(raw)):
-        assert_same_adapter(parse_adapter(buffer), per_entry_parse_adapter(buffer))
+        back = parse_adapter(buffer)
+        assert_same_adapter(back, adapter)
+        writeable = {f.flags.writeable for fp in back.layers.values() for f in (fp.a, fp.b)}
+        assert writeable == {isinstance(buffer, bytearray)}
 
 
 def _writer_case(name, rng):
@@ -281,6 +276,19 @@ def test_vectored_write_matches_per_tensor_writer(tmp_path, rng, monkeypatch, ca
         assert len(calls) == math.ceil((2 + tensors) / IOV_MAX)
     if case == "over-iov-max":
         assert len(calls) > 1
+
+
+@pytest.mark.parametrize("iov_max", [0, -1])
+def test_write_refuses_a_non_positive_iov_max(tmp_path, rng, monkeypatch, iov_max):
+    """Where ``sysconf`` reports no IOV_MAX (-1) or 0, the writer raises
+    ``OSError`` before any ``os.writev`` call, and leaves neither the file
+    nor a temporary one."""
+    monkeypatch.setattr(os, "sysconf", lambda name: iov_max)
+    writes = RecordedWrites(os.writev)
+    monkeypatch.setattr(os, "writev", writes)
+    with pytest.raises(OSError, match="SC_IOV_MAX"):
+        write_adapter(small_random_adapter("x", rng), tmp_path / "a.kmrg")
+    assert writes.calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_huge_header_length_rejected_before_allocating(tmp_path):
