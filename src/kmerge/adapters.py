@@ -220,21 +220,16 @@ def delta_map(adapter: LoraAdapter) -> dict[LayerKey, np.ndarray]:
 # --------------------------------------------------------------------------
 
 _HEAD = struct.Struct("<4sHI")
+_HEADER_FIELDS = ("task_id", "problem_type", "language", "rank", "scale_numerator")
 
 
-def _header_dict(adapter: LoraAdapter) -> dict:
-    layers = []
-    for key in adapter.sorted_keys():
-        d_out, d_in = adapter.geometry[key]
-        layers.append({"layer": key.layer, "proj": key.proj, "d_in": d_in, "d_out": d_out})
-    return {
-        "task_id": adapter.task_id,
-        "problem_type": adapter.problem_type,
-        "language": adapter.language,
-        "rank": adapter.rank,
-        "scale_numerator": adapter.scale_numerator,
-        "layers": layers,
-    }
+def _header_dict(fields: Mapping, geometry: Mapping[LayerKey, tuple[int, int]]) -> dict:
+    """The JSON header of a ``.kmrg`` file: the ``_HEADER_FIELDS`` of
+    ``fields``, then one entry per layer of ``geometry`` (each key's
+    ``(d_out, d_in)``) in sorted order."""
+    layers = [{"layer": key.layer, "proj": key.proj, "d_in": geometry[key][1], "d_out": geometry[key][0]}
+              for key in sorted(geometry, key=LayerKey.sort_key)]
+    return {**{name: fields[name] for name in _HEADER_FIELDS}, "layers": layers}
 
 
 def replace_file(path: str | Path, buffers: Iterable) -> None:
@@ -281,7 +276,7 @@ def delete_stale(directory: Path, prefix: str, keep: Collection[str]) -> None:
 def write_adapter(adapter: LoraAdapter, path: str | Path) -> None:
     """Serialize an adapter to ``path`` through :func:`replace_file`, the
     header and every tensor in one vectored write; round-trips bit-exactly."""
-    header = json.dumps(_header_dict(adapter)).encode("utf-8")
+    header = json.dumps(_header_dict(vars(adapter), adapter.geometry)).encode("utf-8")
     tensors = [
         np.ascontiguousarray(factor, dtype="<f4")
         for key in adapter.sorted_keys()

@@ -23,6 +23,7 @@ from .adapters import (
     FactorPair,
     LayerKey,
     LoraAdapter,
+    _HEAD,
     delete_stale,
     read_adapter,
     write_adapter,
@@ -425,7 +426,7 @@ def lora_param_count(modules: Sequence[tuple[int, int]], rank: int) -> int:
 def adapter_file_bytes(header_len: int, param_count: int) -> int:
     """Exact file size per the binary format: 10-byte head, JSON header,
     then 4 bytes per stored parameter."""
-    return 10 + header_len + 4 * param_count
+    return _HEAD.size + header_len + 4 * param_count
 
 
 def _repeat_layers(per_layer: Sequence[tuple[int, int]], n_layers: int) -> list[tuple[int, int]]:

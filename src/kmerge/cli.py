@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adapters import FORMAT_VERSION, read_adapter, write_adapter
+from .adapters import FORMAT_VERSION, LayerKey, _header_dict, read_adapter, write_adapter
 from .bench import (
     GEOMETRY_PRESETS,
     GeneratorConfig,
@@ -137,6 +137,8 @@ def cmd_merge(args) -> int:
     operator = _operator_from_flags(args)
     if args.weight is not None and operator.kind != "linear":
         raise ConfigError(f"--weight applies only to --op linear, not --op {args.operator}")
+    if args.weight is not None and not 0.0 <= args.weight <= 1.0:
+        raise ConfigError(f"--weight must be in [0, 1], got {args.weight}")
     weight = 0.5 if args.weight is None else args.weight
     rank_policy = RankPolicy(max(x.rank, y.rank) if args.target_rank is None else args.target_rank)
     cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x), tasks=(1,)), y, weight)
@@ -180,20 +182,11 @@ def cmd_inspect(args) -> int:
             raise ConfigError(f"--rank must be >= 1, got {rank}")
         modules = GEOMETRY_PRESETS[args.geometry]
         params = lora_param_count(modules, rank)
-        # header size for a representative merged-adapter metadata block
-        header = json.dumps(
-            {
-                "task_id": "slot-1",
-                "problem_type": "merged",
-                "language": "merged",
-                "rank": rank,
-                "scale_numerator": 128.0,
-                "layers": [
-                    {"layer": i, "proj": "query", "d_in": d_in, "d_out": d_out}
-                    for i, (d_in, d_out) in enumerate(modules)
-                ],
-            }
-        ).encode()
+        # The header of a merged slot adapter of this geometry.
+        fields = {"task_id": "slot-1", "problem_type": "merged", "language": "merged",
+                  "rank": rank, "scale_numerator": 128.0}
+        geometry = {LayerKey(i, "query"): (d_out, d_in) for i, (d_in, d_out) in enumerate(modules)}
+        header = json.dumps(_header_dict(fields, geometry)).encode()
         size = adapter_file_bytes(len(header), params)
         print(f"geometry: {args.geometry}")
         print(f"adapted modules: {len(modules)}")

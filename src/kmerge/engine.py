@@ -10,17 +10,17 @@ regardless of rank truncation. The engine holds only its policy, its
 slots and each arrival's task id; the next slot key, the arrival index
 and :attr:`MergeEngine.history` are derived from them.
 
-A store's format is kept in one place: :func:`_cache_layout` places each
-running-cache entry in ``running_cache.bin`` and :meth:`MergeEngine._manifest`
+A store's format lives in two pure functions of the state persist holds and
+restore reads: :func:`_cache_layout` places each cache entry of
+``running_cache.bin`` from the slots' served geometries and :func:`_manifest`
 builds ``manifest.json``. ``persist`` writes them, each file in one vectored
-write; ``restore`` derives them again from the state it reads and accepts no
-store that differs. Version-2 caches are canonical and restore as read-only
-slices of one view of the mapped cache file; version-1 caches, concatenated
-factors, are canonicalised once. Each restored slot adapter is a read-only
-view of its mapped ``slot_<key>.kmrg`` until the slot is next merged, so a
-restored engine with ``K`` slots holds ``K + 1`` mappings and one file
-descriptor for each. ``persist`` renames new files over old ones, which
-leaves every mapping valid.
+write; ``restore`` derives them again and accepts no store that differs
+before it builds each slot once, with its finished cache. Version-2 caches
+are canonical read-only slices of one view of the mapped cache file;
+version-1 caches are canonicalised once. Each restored slot adapter is a
+read-only view of its mapped ``slot_<key>.kmrg`` until the slot is next
+merged: ``K + 1`` mappings for ``K`` slots, one file descriptor each, which
+``persist`` leaves valid, as it renames new files over old ones.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
@@ -159,8 +159,8 @@ class SlotState:
     rank-``target_rank`` slice of the cache (its leading columns of ``b``
     and rows of ``a``, zero-padded, by :func:`kmerge.merging.refactor`),
     which is the best approximation at that rank. ``tasks``, the members'
-    arrival indices in arrival order, is the only record of membership. An
-    ingest replaces a slot's state whole and never mutates it.
+    arrival indices in arrival order, is the only record of membership. A
+    slot is built whole, with its cache, and replaced whole, never mutated.
 
     The factors may be read-only: those of a restored slot are views of
     the store's mapped ``running_cache.bin`` (the cache) and its mapped
@@ -348,7 +348,7 @@ class MergeEngine:
         Caches are stored in canonical form as raw float64 little-endian
         tensors, back to back where :func:`_cache_layout` puts them, so a
         restored engine continues from the same exact state. The manifest is
-        :meth:`_manifest`. Each file (every slot adapter, through
+        :func:`_manifest`. Each file (every slot adapter, through
         :func:`~kmerge.adapters.write_adapter`; the cache; the manifest) is
         one vectored write of its buffers, uncopied, through
         :func:`~kmerge.adapters.replace_file`, so a write that fails leaves
@@ -360,35 +360,16 @@ class MergeEngine:
         slots = self.store.slots
         for slot_key, slot in slots.items():
             write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
-        layout, _ = _cache_layout(slots, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
+        geometries = {slot_key: slot.adapter.geometry for slot_key, slot in slots.items()}
+        layout, _ = _cache_layout(geometries, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
         caches = (slots[slot_key].cache[key] for slot_key, key, *_ in layout)
         factors = [np.ascontiguousarray(f, dtype="<f8") for low in caches for f in (low.b, low.a)]
         replace_file(directory / "running_cache.bin", factors)
+        tasks = {slot_key: slot.tasks for slot_key, slot in slots.items()}
         # Compact, as only without ``indent`` does CPython encode in C.
-        manifest = json.dumps(self._manifest(layout, version=MANIFEST_VERSION)).encode()
-        replace_file(directory / "manifest.json", [manifest])
+        manifest = json.dumps(_manifest(self.config, tasks, self.task_ids, layout, MANIFEST_VERSION))
+        replace_file(directory / "manifest.json", [manifest.encode()])
         delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in slots})
-
-    def _manifest(self, layout: list, version: int) -> dict:
-        """This engine's manifest with its caches at ``layout`` (see
-        :func:`_cache_layout`): what ``persist`` writes and ``restore`` requires."""
-        return {
-            "version": version,
-            **self.config.to_dict(),
-            "slots": [
-                {"slot_key": k, "file": f"slot_{k}.kmrg", "tasks": list(t), "merge_count": len(t)}
-                for k, t in sorted(self.history.entries.items())
-            ],
-            "running_cache_file": "running_cache.bin",
-            "cache_index": [
-                {"slot_key": k, "layer": key.layer, "proj": key.proj,
-                 "b_shape": list(b_shape), "a_shape": list(a_shape), "offset": offset}
-                for k, key, b_shape, a_shape, offset in layout
-            ],
-            "next_slot_key": self.store.occupied + 1,
-            "timestep": len(self.task_ids),
-            "ingested": [[t, self.task_ids[t]] for t in sorted(self.task_ids)],
-        }
 
     @classmethod
     def restore(cls, directory: str | Path) -> "MergeEngine":
@@ -397,11 +378,11 @@ class MergeEngine:
         Accepts exactly the stores that ``persist`` writes, at manifest
         version 1 or 2; any other raises :class:`RestoreError`, or the
         :class:`~kmerge.errors.FormatError` of a damaged slot file, which
-        names that file. It reads the
-        policy, each slot's tasks (slot ``i`` is entry ``i``, in
-        ``slot_<i>.kmrg``), the ingested task ids (arrival ``i`` has index
-        ``i``) and each cache entry's rank. Every other field must equal, in
-        value and JSON type, the one :meth:`_manifest` derives from these.
+        names that file. It parses the policy, each slot's tasks (slot ``i``
+        is entry ``i``, in ``slot_<i>.kmrg``), the ingested task ids (arrival
+        ``i`` has index ``i``) and each cache entry's rank, then the slot
+        files; derives the layout and manifest and requires every other field
+        to equal them in value and JSON type; then builds each slot once.
 
         Each file is opened with no ``exists()`` probe before it; a missing
         one raises :class:`RestoreError`. The running cache file and each
@@ -454,21 +435,20 @@ class MergeEngine:
         if sorted(t for slot_tasks in tasks for t in slot_tasks) != list(range(1, len(task_ids) + 1)):
             raise RestoreError("slot task lists do not partition the ingested task indices")
 
-        engine = cls(config)
-        engine.task_ids = dict(enumerate(task_ids, 1))
-        for slot_key, slot_tasks in enumerate(tasks, 1):
+        adapters = {}
+        for slot_key in range(1, len(tasks) + 1):
             adapter_path = directory / f"slot_{slot_key}.kmrg"
             with _opened(adapter_path, f"adapter file for slot {slot_key} is missing") as fh:
                 try:
-                    adapter = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
+                    adapters[slot_key] = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
                 except FormatError as exc:
                     raise exc.in_file(adapter_path) from None
-            # The cache is filled in once the manifest is accepted.
-            engine.store.slots[slot_key] = SlotState(adapter, {}, tuple(slot_tasks))
         # Entries past the declared ones get rank 0; the comparison rejects them.
         declared = iter(ranks)
-        layout, cache_bytes = _cache_layout(engine.store.slots, lambda *_: next(declared, 0))
-        derived = engine._manifest(layout, version)
+        geometries = {slot_key: adapter.geometry for slot_key, adapter in adapters.items()}
+        layout, cache_bytes = _cache_layout(geometries, lambda *_: next(declared, 0))
+        tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(task_ids, 1))
+        derived = _manifest(config, tasks, task_ids, layout, version)
         # ``from_dict`` alone judges the policy. ``==`` takes ``true`` for 1
         # and ``2.0`` for 2, which persist never writes.
         stored = {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
@@ -481,14 +461,21 @@ class MergeEngine:
             if size != cache_bytes:
                 raise RestoreError(f"{cache_path.name} is {size} bytes; persist writes {cache_bytes}")
             whole = np.frombuffer(_mapped(blob, size), "<f8")
-        for slot_key, key, b_shape, a_shape, offset in layout:
+        caches = {slot_key: {} for slot_key in adapters}
+        for i, (slot_key, key, b_shape, a_shape, offset) in enumerate(layout):
             first = offset // 8
             middle = first + b_shape[0] * b_shape[1]
-            b = whole[first:middle].reshape(b_shape)
-            a = whole[middle:middle + a_shape[0] * a_shape[1]].reshape(a_shape)
+            try:
+                b = whole[first:middle].reshape(b_shape)
+                a = whole[middle:middle + a_shape[0] * a_shape[1]].reshape(a_shape)
+            except ValueError:  # numpy's size limit, reachable when the other dimension is 0
+                shapes = f"b_shape {list(b_shape)}, a_shape {list(a_shape)}"
+                raise RestoreError(f"cache_index[{i}] is too large: {shapes}") from None
             # Version-1 stores kept concatenated factors; canonicalise them once.
-            low = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION)
-            engine.store.slots[slot_key].cache[key] = low.compressed()
+            caches[slot_key][key] = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION).compressed()
+        engine = cls(config)
+        engine.store.slots = {k: SlotState(adapters[k], caches[k], tasks[k]) for k in adapters}
+        engine.task_ids = task_ids
         return engine
 
 
@@ -510,22 +497,45 @@ def _mapped(fh, size: int):
     return mmap.mmap(fh.fileno(), size, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ)
 
 
-def _cache_layout(slots: dict[int, SlotState], rank_of) -> tuple[list, int]:
+def _cache_layout(geometries: dict[int, Mapping[LayerKey, tuple[int, int]]], rank_of) -> tuple[list, int]:
     """The ``(slot_key, key, b_shape, a_shape, offset)`` of each running-cache
-    entry of ``slots`` in ``running_cache.bin``, and the file's length: slots
-    in key order, each slot's layers in sorted order, each layer's ``b`` then
-    ``a`` in float64, back to back from 0. Shapes follow each slot's served
-    adapter's geometry; ``rank_of(slot_key, key)`` gives each cache rank, in
-    that order."""
+    entry in ``running_cache.bin``, and the file's length, for slots whose
+    served adapters have ``geometries`` (slot key -> each layer's ``(d_out,
+    d_in)``): slots in key order, each slot's layers in sorted order, each
+    layer's ``b`` then ``a`` in float64, back to back from 0.
+    ``rank_of(slot_key, key)`` gives each cache rank, in that order."""
     layout, offset = [], 0
-    for slot_key in sorted(slots):
-        adapter = slots[slot_key].adapter
-        for key in adapter.sorted_keys():
-            d_out, d_in = adapter.geometry[key]
+    for slot_key, geometry in sorted(geometries.items()):
+        for key in sorted(geometry, key=LayerKey.sort_key):
+            d_out, d_in = geometry[key]
             rank = rank_of(slot_key, key)
             layout.append((slot_key, key, (d_out, rank), (rank, d_in), offset))
             offset += 8 * rank * (d_out + d_in)
     return layout, offset
+
+
+def _manifest(config: PolicyConfig, tasks: dict, task_ids: dict, layout: list, version: int) -> dict:
+    """The manifest of a store with policy ``config``, each slot's members
+    ``tasks`` (slot key -> arrival indices), each arrival's task id
+    ``task_ids`` and its caches at ``layout`` (see :func:`_cache_layout`):
+    what ``persist`` writes and ``restore`` requires."""
+    return {
+        "version": version,
+        **config.to_dict(),
+        "slots": [
+            {"slot_key": k, "file": f"slot_{k}.kmrg", "tasks": list(t), "merge_count": len(t)}
+            for k, t in sorted(tasks.items())
+        ],
+        "running_cache_file": "running_cache.bin",
+        "cache_index": [
+            {"slot_key": k, "layer": key.layer, "proj": key.proj,
+             "b_shape": list(b_shape), "a_shape": list(a_shape), "offset": offset}
+            for k, key, b_shape, a_shape, offset in layout
+        ],
+        "next_slot_key": len(tasks) + 1,
+        "timestep": len(task_ids),
+        "ingested": [[t, task_ids[t]] for t in sorted(task_ids)],
+    }
 
 
 def _integers(manifest: dict) -> list:

@@ -18,7 +18,7 @@ import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, _header_dict
 from kmerge.bench import clustering_consistency, order_stream
-from kmerge.engine import MANIFEST_VERSION, MergeHistory, SlotState, _cache_layout
+from kmerge.engine import MANIFEST_VERSION, MergeHistory, SlotState, _cache_layout, _manifest
 from kmerge.lowrank import NOISE_TOL, LowRankDelta
 from kmerge.merging import RefactorResult
 from kmerge.similarity import adapter_similarity
@@ -145,7 +145,7 @@ def per_tensor_write_adapter(adapter, path):
     """Write ``adapter`` as a ``.kmrg`` file one buffered ``write`` per
     header part and per tensor, the oracle of ``write_adapter``'s one
     vectored write."""
-    header = json.dumps(_header_dict(adapter)).encode("utf-8")
+    header = json.dumps(_header_dict(vars(adapter), adapter.geometry)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sHI", b"KMRG", 1, len(header)))
         fh.write(header)
@@ -164,12 +164,14 @@ def per_tensor_persist(engine, directory):
     slots = engine.store.slots
     for slot_key, slot in slots.items():
         per_tensor_write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
-    layout, _ = _cache_layout(slots, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
+    geometries = {slot_key: slot.adapter.geometry for slot_key, slot in slots.items()}
+    layout, _ = _cache_layout(geometries, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
     with open(directory / "running_cache.bin", "wb") as fh:
         for slot_key, key, *_ in layout:
             for factor in (slots[slot_key].cache[key].b, slots[slot_key].cache[key].a):
                 fh.write(np.ascontiguousarray(factor, dtype="<f8"))
-    manifest = engine._manifest(layout, version=MANIFEST_VERSION)
+    tasks = {slot_key: slot.tasks for slot_key, slot in slots.items()}
+    manifest = _manifest(engine.config, tasks, engine.task_ids, layout, MANIFEST_VERSION)
     (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
 
 

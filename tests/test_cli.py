@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kmerge.adapters import read_adapter, write_adapter
-from kmerge.bench import OrderingSpec, load_suite, threshold_sweep
+from kmerge.adapters import FactorPair, LayerKey, LoraAdapter, read_adapter, write_adapter
+from kmerge.bench import GEOMETRY_PRESETS, OrderingSpec, load_suite, lora_param_count, threshold_sweep
 from kmerge.cli import main
 from kmerge.engine import MergeEngine, PolicyConfig
 from kmerge.errors import FormatError
@@ -409,10 +409,11 @@ def test_merge_linear_weight_out_of_range(tmp_path, rng, capsys):
     for name in ("x", "y"):
         write_adapter(small_random_adapter(name, rng), tmp_path / f"{name}.kmrg")
     out = tmp_path / "m.kmrg"
-    code = main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
-                 "--op", "linear", "--weight", "1.5", "--out", str(out)])
-    assert code != 0 and not out.exists()
-    assert "weight" in capsys.readouterr().err
+    for weight in ("1.5", "2", "-0.1", "nan"):
+        code = main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"),
+                     "--op", "linear", "--weight", weight, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: --weight must be in [0, 1], got {float(weight)}\n"
 
 
 @pytest.mark.parametrize("op", ["running-average", "ties", "dare", "dare-ties"])
@@ -479,6 +480,30 @@ def test_inspect_geometry(capsys):
         out = capsys.readouterr().out
         params = int(out.split("parameters per adapter (rank 32): ")[1].split("\n")[0])
         assert abs(params - 22.5e6) / 22.5e6 < 0.02
+
+
+def test_inspect_geometry_counts_a_merged_slot_file(tmp_path, capsys):
+    """The file size printed for a geometry is that of the file
+    ``write_adapter`` writes for slot 1 of that geometry after a merge,
+    whose header ``_header_dict`` builds; the header spelled out below is
+    the oracle of both."""
+    modules = GEOMETRY_PRESETS["llama-3.2-1b"]
+    layers = {LayerKey(i, "query"): FactorPair(a=np.zeros((2, d_in)), b=np.zeros((d_out, 2)))
+              for i, (d_in, d_out) in enumerate(modules)}
+    write_adapter(LoraAdapter("slot-1", "merged", "merged", 2, 128.0, layers), tmp_path / "slot_1.kmrg")
+    header = {
+        "task_id": "slot-1", "problem_type": "merged", "language": "merged", "rank": 2,
+        "scale_numerator": 128.0,
+        "layers": [{"layer": i, "proj": "query", "d_in": d_in, "d_out": d_out}
+                   for i, (d_in, d_out) in enumerate(modules)],
+    }
+    size = (tmp_path / "slot_1.kmrg").stat().st_size
+    assert size == 10 + len(json.dumps(header).encode()) + 4 * lora_param_count(modules, 2)
+    assert main(["inspect", "--geometry", "llama-3.2-1b", "--rank", "2"]) == 0
+    assert capsys.readouterr().out == (
+        f"geometry: llama-3.2-1b\nadapted modules: {len(modules)}\n"
+        f"parameters per adapter (rank 2): {lora_param_count(modules, 2)}\nfile bytes per adapter: {size}\n"
+    )
 
 
 @pytest.mark.parametrize("rank", ["0", "-1"])

@@ -598,6 +598,13 @@ def _renumber_ingested(manifest):
         pair[0] = len(manifest["ingested"]) - i
 
 
+def _huge_zero_width_rank(manifest):
+    """Give the 0 x 0 layer of a ``zero_width_adapter`` slot (entry 2) rank 2**62."""
+    entry = manifest["cache_index"][2]
+    assert entry["b_shape"][0] == entry["a_shape"][1] == 0
+    entry["b_shape"][1] = entry["a_shape"][0] = 2**62
+
+
 EXTRA_ENTRY = r"cache_index\[4\] is \{.*\}; persist writes nothing there"
 
 
@@ -650,12 +657,23 @@ INCONSISTENT_MANIFESTS = {
     "unknown-field": (
         lambda m: m.__setitem__("comment", "x"), "comment is 'x'; persist writes nothing there"
     ),
+    # A rank past numpy's size limit on a 0 x 0 layer holds 0 bytes, so only
+    # viewing the cache can reject it.
+    "huge-rank-zero-widths": (
+        _huge_zero_width_rank,
+        r"cache_index\[2\] is too large: b_shape \[0, 4611686018427387904\], a_shape \[4611686018427387904, 0\]",
+    ),
 }
 
 
 @pytest.mark.parametrize("damage, match", INCONSISTENT_MANIFESTS.values(), ids=INCONSISTENT_MANIFESTS)
 def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
-    _persisted(tmp_path, rng)
+    if damage is _huge_zero_width_rank:
+        engine = MergeEngine(_config(2, rank=1))
+        engine.ingest(zero_width_adapter("zero-widths", rng))
+        engine.persist(tmp_path)
+    else:
+        _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     damage(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -914,6 +932,25 @@ def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
     assert restored.history.entries == engine.history.entries
 
 
+def test_restore_builds_each_slot_once_with_its_cache(tmp_path, rng, monkeypatch):
+    """``restore`` builds every ``SlotState`` once, holding a cache entry
+    for each layer of its adapter when it is built, and builds nothing else."""
+    engine = _persisted(tmp_path, rng)
+    built = []
+
+    def recording(*args, **kwargs):
+        slot = SlotState(*args, **kwargs)
+        built.append((slot, set(slot.cache)))
+        return slot
+
+    monkeypatch.setattr(kmerge.engine, "SlotState", recording)
+    restored = MergeEngine.restore(tmp_path)
+    assert len(restored.store.slots) == len(engine.store.slots)
+    assert [id(slot) for slot, _ in built] == [id(slot) for slot in restored.store.slots.values()]
+    for slot, keys in built:
+        assert keys == set(slot.adapter.layers)
+
+
 @pytest.mark.parametrize("kind", ["running_average", "linear", "ties", "dare", "dare_ties"])
 def test_merged_cache_rejects_width_mismatch(rng, kind):
     wide, thin = width_mismatched_pair(rng)
@@ -947,7 +984,7 @@ def test_persist_removes_slot_files_it_no_longer_names(tmp_path, rng, monkeypatc
         raise OSError("disk full")
 
     with monkeypatch.context() as patch:
-        patch.setattr(MergeEngine, "_manifest", fail)
+        patch.setattr(kmerge.engine, "_manifest", fail)
         with pytest.raises(OSError):
             narrow.persist(tmp_path)
     assert all((tmp_path / f"slot_{k}.kmrg").exists() for k in range(1, 6))
