@@ -193,7 +193,17 @@ def cmd_inspect(args) -> int:
         print(f"parameters per adapter (rank {rank}): {params}")
         print(f"file bytes per adapter: {size}")
         return 0
-    print(json.dumps(read_manifest(args.store), indent=2))
+    if args.json:
+        print(json.dumps(read_manifest(args.store), indent=2))
+        return 0
+    # Reads no slot's adapter, so no merged slot's is derived for the table.
+    engine = MergeEngine.restore(args.store)
+    print(f"{'slot':>4}  {'members':>7}  {'served from':<11}  {'cache rank':>10}  {'cache bytes':>11}")
+    for slot_key, slot in engine.store.slots.items():
+        rank = max(low.rank_bound for low in slot.cache.values())
+        size = sum(low.b.nbytes + low.a.nbytes for low in slot.cache.values())
+        source = "file" if slot.derivation is None else "derived"
+        print(f"{slot_key:>4}  {len(slot.tasks):>7}  {source:<11}  {rank:>10}  {size:>11}")
     return 0
 
 
@@ -277,11 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", type=int, required=True)
     p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("inspect", help="pretty-print a store manifest or a geometry's storage cost")
+    p = sub.add_parser("inspect", help="a store's slots, or a geometry's storage cost")
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--store")
+    target.add_argument("--store", help="print one line per slot: members, where its adapter is served "
+                        "from (its file, or derived from its cache), largest cache rank and cache bytes")
     target.add_argument("--geometry", choices=sorted(GEOMETRY_PRESETS))
     p.add_argument("--rank", type=int, help="adapter rank for --geometry, default 32")
+    p.add_argument("--json", action="store_true", help="with --store, print the raw manifest instead")
     p.set_defaults(func=cmd_inspect)
     return parser
 
@@ -293,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--k is required unless --config is given")
     if args.command == "inspect" and args.store and args.rank is not None:
         parser.error("--rank applies only to --geometry")
+    if args.command == "inspect" and args.geometry and args.json:
+        parser.error("--json applies only to --store")
     try:
         return args.func(args)
     except ConfigError as exc:

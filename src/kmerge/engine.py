@@ -12,15 +12,21 @@ and :attr:`MergeEngine.history` are derived from them.
 
 A store's format lives in two pure functions of the state persist holds and
 restore reads: :func:`_cache_layout` places each cache entry of
-``running_cache.bin`` from the slots' served geometries and :func:`_manifest`
+``running_cache.bin`` from the slots' geometries and :func:`_manifest`
 builds ``manifest.json``. ``persist`` writes them, each file in one vectored
 write; ``restore`` derives them again and accepts no store that differs
-before it builds each slot once, with its finished cache. Version-2 caches
-are canonical read-only slices of one view of the mapped cache file;
-version-1 caches are canonicalised once. Each restored slot adapter is a
-read-only view of its mapped ``slot_<key>.kmrg`` until the slot is next
-merged: ``K + 1`` mappings for ``K`` slots, one file descriptor each, which
-``persist`` leaves valid, as it renames new files over old ones.
+before it builds each slot once, with its finished cache. A merged slot's
+adapter is the leading slice of its cache, so a version-3 store keeps it
+once, as the cache and the scaling it is served at; only a file-held slot
+(see :class:`SlotState`) keeps a ``slot_<key>.kmrg`` file. Version-2 and 3
+caches are canonical read-only slices of one view of the mapped cache
+file; version-1 caches are canonicalised once. Each restored file-held
+adapter is a read-only view of its mapped file until the slot is next
+merged: one mapping for each file-held slot plus one for the cache, one
+file descriptor each, which ``persist`` leaves valid, as it renames new
+files over old ones. A restored merged slot maps nothing of its own; the
+first read of its adapter pays one :func:`~kmerge.merging.refactor` of its
+cache (about 40 ms a slot at width 2048).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import Mapping, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -68,11 +74,13 @@ VARIANTS = ("k_merge", "k_merge_pp")
 ALLOCATED = "allocated_new_slot"
 MERGED = "merged_into"
 
-MANIFEST_VERSION = 2  # 2: running caches are stored in canonical form
+# 2: running caches are stored in canonical form; 3: a merged slot keeps no
+# adapter file, only the scaling its adapter is derived at.
+MANIFEST_VERSION = 3
 
-# Restore maps the running cache and the slot adapters with their page tables
-# filled, so that the first read of a restored slot, or a persist of it, takes
-# no page faults.
+# Restore maps the running cache and the file-held slot adapters with their
+# page tables filled, so that the first read of a restored slot, or a persist
+# of it, takes no page faults.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
 
 # Field types of the policy's nested records, which ``PolicyConfig.from_dict``
@@ -146,7 +154,14 @@ class IngestDecision:
     elapsed: float
 
 
-@dataclass(frozen=True)
+class Derivation(NamedTuple):
+    """How a merged slot serves: its adapter is ``refactor(cache, *derivation)``."""
+
+    target_rank: int
+    task_id: str
+    scaling: float
+
+
 class SlotState:
     """One slot: the served adapter, the exact running cache and its members.
 
@@ -162,15 +177,39 @@ class SlotState:
     arrival indices in arrival order, is the only record of membership. A
     slot is built whole, with its cache, and replaced whole, never mutated.
 
+    ``derivation`` says which of two kinds a slot is. ``None``: the slot is
+    held by its adapter, which a store keeps in a file; it has one member,
+    or was restored from a version-1 or 2 store and not merged since, so its
+    adapter is not known to be the slice of its cache. A
+    :class:`Derivation`: the slot is merged and its adapter is
+    ``refactor(cache, *derivation)``, which a store keeps as the
+    derivation's scaling alone. A merged slot is built with its adapter
+    when it is merged; one restored from a store is built without it, and
+    the first read of ``adapter`` derives it, once: every later read
+    returns the same object.
+
     The factors may be read-only: those of a restored slot are views of
-    the store's mapped ``running_cache.bin`` (the cache) and its mapped
-    ``slot_<key>.kmrg`` (the adapter) until the slot is next merged, which
-    builds new arrays.
+    the store's mapped ``running_cache.bin`` (the cache) and, for a
+    file-held slot, its mapped ``slot_<key>.kmrg`` (the adapter) until the
+    slot is next merged, which builds new arrays.
     """
 
-    adapter: LoraAdapter
-    cache: dict[LayerKey, LowRankDelta]
-    tasks: tuple[int, ...]
+    __slots__ = ("cache", "tasks", "derivation", "_adapter")
+
+    def __init__(
+        self,
+        adapter: LoraAdapter | None,
+        cache: dict[LayerKey, LowRankDelta],
+        tasks: tuple[int, ...],
+        derivation: Derivation | None = None,
+    ):
+        self._adapter, self.cache, self.tasks, self.derivation = adapter, cache, tasks, derivation
+
+    @property
+    def adapter(self) -> LoraAdapter:
+        if self._adapter is None:
+            self._adapter = refactor(self.cache, *self.derivation).adapter
+        return self._adapter
 
 
 def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
@@ -335,22 +374,27 @@ class MergeEngine:
         """The slot after merging ``incoming`` (arrival ``t``), built without changing it."""
         slot = self.store.slots[slot_key]
         cache = merged_cache(self.config.operator, slot, incoming)
-        served = refactor(
-            cache, self.config.rank_policy.target_rank, f"slot-{slot_key}", incoming.scaling
-        )
-        return SlotState(adapter=served.adapter, cache=cache, tasks=slot.tasks + (t,))
+        derivation = Derivation(self.config.rank_policy.target_rank, f"slot-{slot_key}", incoming.scaling)
+        # Served here, not at first read, so that ``refactor``'s checks reject
+        # a merge before the ingest commits.
+        served = refactor(cache, *derivation)
+        return SlotState(served.adapter, cache, slot.tasks + (t,), derivation)
 
     # -- persistence ------------------------------------------------------
 
     def persist(self, directory: str | Path) -> None:
-        """Write slot adapters, the exact running caches, and a manifest.
+        """Write the file-held slots' adapters, the exact running caches, and
+        a manifest.
 
         Caches are stored in canonical form as raw float64 little-endian
         tensors, back to back where :func:`_cache_layout` puts them, so a
         restored engine continues from the same exact state. The manifest is
-        :func:`_manifest`. Each file (every slot adapter, through
-        :func:`~kmerge.adapters.write_adapter`; the cache; the manifest) is
-        one vectored write of its buffers, uncopied, through
+        :func:`_manifest`: it names each file-held slot's ``slot_<key>.kmrg``
+        and gives each merged slot the scaling its adapter is derived at.
+        Every geometry comes from the caches, so persist never builds a
+        merged slot's adapter. Each file (every file-held slot adapter,
+        through :func:`~kmerge.adapters.write_adapter`; the cache; the
+        manifest) is one vectored write of its buffers, uncopied, through
         :func:`~kmerge.adapters.replace_file`, so a write that fails leaves
         no temporary file. Slot files of an earlier store that the new
         manifest does not name are deleted only once it is in place.
@@ -358,72 +402,94 @@ class MergeEngine:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         slots = self.store.slots
-        for slot_key, slot in slots.items():
-            write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
-        geometries = {slot_key: slot.adapter.geometry for slot_key, slot in slots.items()}
+        held = [slot_key for slot_key, slot in slots.items() if slot.derivation is None]
+        for slot_key in held:
+            write_adapter(slots[slot_key].adapter, directory / f"slot_{slot_key}.kmrg")
+        # From the caches, so that no merged slot's adapter is built here.
+        geometries = {
+            slot_key: {key: (low.b.shape[0], low.a.shape[1]) for key, low in slot.cache.items()}
+            for slot_key, slot in slots.items()
+        }
         layout, _ = _cache_layout(geometries, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
         caches = (slots[slot_key].cache[key] for slot_key, key, *_ in layout)
         factors = [np.ascontiguousarray(f, dtype="<f8") for low in caches for f in (low.b, low.a)]
         replace_file(directory / "running_cache.bin", factors)
-        tasks = {slot_key: slot.tasks for slot_key, slot in slots.items()}
+        entries = {
+            slot_key: (slot.tasks, None if slot.derivation is None else slot.derivation.scaling)
+            for slot_key, slot in slots.items()
+        }
         # Compact, as only without ``indent`` does CPython encode in C.
-        manifest = json.dumps(_manifest(self.config, tasks, self.task_ids, layout, MANIFEST_VERSION))
+        manifest = json.dumps(_manifest(self.config, entries, self.task_ids, layout, MANIFEST_VERSION))
         replace_file(directory / "manifest.json", [manifest.encode()])
-        delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in slots})
+        delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in held})
 
     @classmethod
     def restore(cls, directory: str | Path) -> "MergeEngine":
         """The engine that :meth:`persist` wrote to ``directory``.
 
         Accepts exactly the stores that ``persist`` writes, at manifest
-        version 1 or 2; any other raises :class:`RestoreError`, or the
+        version 1, 2 or 3; any other raises :class:`RestoreError`, or the
         :class:`~kmerge.errors.FormatError` of a damaged slot file, which
         names that file. It parses the policy, each slot's tasks (slot ``i``
-        is entry ``i``, in ``slot_<i>.kmrg``), the ingested task ids (arrival
-        ``i`` has index ``i``) and each cache entry's rank, then the slot
-        files; derives the layout and manifest and requires every other field
-        to equal them in value and JSON type; then builds each slot once.
+        is entry ``i``) and, in version 3, each merged slot's scaling, the
+        ingested task ids (arrival ``i`` has index ``i``), each cache entry's
+        rank and each merged slot's layer keys and shapes from its cache
+        entries; then the file-held slots' ``slot_<i>.kmrg`` files; derives
+        the layout and manifest and requires every other field to equal them
+        in value and JSON type, and each version-2 or 3 cache rank to be at
+        most its layer's ``min(d_out, d_in)``; then builds each slot once.
+        Version-1 and 2 stores hold every slot in a file.
 
         Each file is opened with no ``exists()`` probe before it; a missing
         one raises :class:`RestoreError`. The running cache file and each
-        slot's adapter file are mapped once, read-only, with their pages
-        populated: the cache is viewed once, as one float64 array, and each
-        cache entry's ``b`` and ``a`` are read-only slices of that view;
-        each slot adapter's factors are read-only views of its file's
-        mapping. Both last until the slot is next merged. That is ``K + 1``
-        mappings for ``K`` slots, each holding one file descriptor until
-        nothing refers to it. ``persist`` renames a new file over the old
-        one, so persisting over the store or deleting it leaves every mapping
-        as it was; the files must not be edited or truncated in place while
-        the engine lives.
+        file-held slot's adapter file are mapped once, read-only, with their
+        pages populated: the cache is viewed once, as one float64 array, and
+        each cache entry's ``b`` and ``a`` are read-only slices of that view;
+        each file-held adapter's factors are read-only views of its file's
+        mapping. Both last until the slot is next merged. That is one
+        mapping per file-held slot plus the cache's, each holding one file
+        descriptor until nothing refers to it. A merged slot is restored
+        without its adapter, and no ``refactor`` runs here: the first read of
+        ``slot.adapter`` derives it. ``persist`` renames a new file over the
+        old one, so persisting over the store or deleting it leaves every
+        mapping as it was; the files must not be edited or truncated in place
+        while the engine lives.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
         version = json_field(manifest, "version", RestoreError, int)
-        if version not in (1, MANIFEST_VERSION):
+        if version not in (1, 2, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
         try:
             config = PolicyConfig.from_dict(manifest)
         except ConfigError as exc:
             raise RestoreError(f"manifest policy: {exc}") from None
-        tasks = [
-            [
+        tasks, scalings = [], {}
+        for slot_key, entry in enumerate(json_field(manifest, "slots", RestoreError, list), 1):
+            tasks.append([
                 json_value(t, int, RestoreError, "task index of slot {}", slot_key)
                 for t in json_field(entry, "tasks", RestoreError, list)
-            ]
-            for slot_key, entry in enumerate(json_field(manifest, "slots", RestoreError, list), 1)
-        ]
+            ])
+            # A version-1 or 2 entry that names a scaling is read as file-held,
+            # and the comparison below rejects it.
+            derived = version == MANIFEST_VERSION and "scaling" in entry
+            scalings[slot_key] = _scaling(entry, slot_key) if derived else None
         ingested = json_field(manifest, "ingested", RestoreError, list)
         try:
             task_ids = [json_value(name, str, RestoreError, "ingested task id") for _, name in ingested]
         except (TypeError, ValueError):
             raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
-        ranks = []
+        merged = {slot_key for slot_key, scaling in scalings.items() if scaling is not None}
+        ranks, geometries = [], {slot_key: {} for slot_key in merged}
         for i, entry in enumerate(json_field(manifest, "cache_index", RestoreError, list)):
             shape = entry.get("b_shape") if type(entry) is dict else None
             if type(shape) is not list or len(shape) != 2 or type(shape[1]) is not int or shape[1] < 0:
                 raise RestoreError(f"cache_index[{i}].b_shape is not [rows, rank]: {shape!r}")
             ranks.append(shape[1])
+            slot_key = entry.get("slot_key")
+            if type(slot_key) is int and slot_key in merged:
+                key, d_out_d_in = _indexed_layer(i, entry)
+                geometries[slot_key][key] = d_out_d_in
 
         # The parts must describe a state that ingests reach.
         if [] in tasks:
@@ -434,26 +500,45 @@ class MergeEngine:
             raise RestoreError("two ingested tasks share a task id")
         if sorted(t for slot_tasks in tasks for t in slot_tasks) != list(range(1, len(task_ids) + 1)):
             raise RestoreError("slot task lists do not partition the ingested task indices")
+        for slot_key in merged:
+            if not geometries[slot_key]:
+                raise RestoreError(f"slots[{slot_key - 1}] is merged and has no cache_index entry")
 
         adapters = {}
         for slot_key in range(1, len(tasks) + 1):
+            if slot_key in merged:
+                continue
             adapter_path = directory / f"slot_{slot_key}.kmrg"
             with _opened(adapter_path, f"adapter file for slot {slot_key} is missing") as fh:
                 try:
                     adapters[slot_key] = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
                 except FormatError as exc:
                     raise exc.in_file(adapter_path) from None
+            geometries[slot_key] = adapters[slot_key].geometry
         # Entries past the declared ones get rank 0; the comparison rejects them.
         declared = iter(ranks)
-        geometries = {slot_key: adapter.geometry for slot_key, adapter in adapters.items()}
         layout, cache_bytes = _cache_layout(geometries, lambda *_: next(declared, 0))
         tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(task_ids, 1))
-        derived = _manifest(config, tasks, task_ids, layout, version)
+        entries = {slot_key: (tasks[slot_key], scalings[slot_key]) for slot_key in tasks}
+        derived = _manifest(config, entries, task_ids, layout, version)
         # ``from_dict`` alone judges the policy. ``==`` takes ``true`` for 1
         # and ``2.0`` for 2, which persist never writes.
         stored = {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
         if stored != derived or not all(type(n) is int for n in _integers(stored)):
             raise RestoreError(_difference(stored, derived))
+        # Every ingest after the first meets every slot, so all slots adapt
+        # the same layers at the same shapes; a merged slot's are read from
+        # the cache index alone, so this is their check.
+        for slot_key, geometry in geometries.items():
+            if geometry != geometries[1]:
+                raise RestoreError(f"slots[{slot_key - 1}] adapts other layers or shapes than slots[0]")
+        # A canonical cache has at most as many directions as its layer's
+        # smaller side; version-1 caches were not canonical.
+        for i, (_, _, (d_out, rank), (_, d_in), _) in enumerate(layout):
+            if version > 1 and rank > min(d_out, d_in):
+                raise RestoreError(
+                    f"cache_index[{i}] has rank {rank}, above min(d_out, d_in) of its {d_out} x {d_in} layer"
+                )
 
         cache_path = directory / "running_cache.bin"
         with _opened(cache_path, f"running cache file {cache_path.name} is missing") as blob:
@@ -461,7 +546,7 @@ class MergeEngine:
             if size != cache_bytes:
                 raise RestoreError(f"{cache_path.name} is {size} bytes; persist writes {cache_bytes}")
             whole = np.frombuffer(_mapped(blob, size), "<f8")
-        caches = {slot_key: {} for slot_key in adapters}
+        caches = {slot_key: {} for slot_key in tasks}
         for i, (slot_key, key, b_shape, a_shape, offset) in enumerate(layout):
             first = offset // 8
             middle = first + b_shape[0] * b_shape[1]
@@ -472,11 +557,42 @@ class MergeEngine:
                 shapes = f"b_shape {list(b_shape)}, a_shape {list(a_shape)}"
                 raise RestoreError(f"cache_index[{i}] is too large: {shapes}") from None
             # Version-1 stores kept concatenated factors; canonicalise them once.
-            caches[slot_key][key] = LowRankDelta(b=b, a=a, canonical=version == MANIFEST_VERSION).compressed()
+            caches[slot_key][key] = LowRankDelta(b=b, a=a, canonical=version > 1).compressed()
         engine = cls(config)
-        engine.store.slots = {k: SlotState(adapters[k], caches[k], tasks[k]) for k in adapters}
+        for k in tasks:
+            derivation = None if k not in merged else Derivation(
+                config.rank_policy.target_rank, f"slot-{k}", scalings[k]
+            )
+            engine.store.slots[k] = SlotState(adapters.get(k), caches[k], tasks[k], derivation)
         engine.task_ids = task_ids
         return engine
+
+
+def _scaling(entry: dict, slot_key: int) -> float:
+    """The scaling a version-3 slot entry derives its merged adapter at:
+    a finite nonzero float, as ``persist`` writes it."""
+    scaling = entry["scaling"]
+    if type(scaling) is not float or not math.isfinite(scaling) or scaling == 0:
+        raise RestoreError(
+            f"slots[{slot_key - 1}].scaling is {scaling!r}; persist writes a finite nonzero float"
+        )
+    return scaling
+
+
+def _indexed_layer(i: int, entry: dict) -> tuple[LayerKey, tuple[int, int]]:
+    """The layer key and ``(d_out, d_in)`` that ``cache_index[i]`` declares,
+    read typed, as a merged slot's geometry is read from its cache entries."""
+    layer = json_value(entry.get("layer"), int, RestoreError, "cache_index[{}].layer", i)
+    proj = json_value(entry.get("proj"), str, RestoreError, "cache_index[{}].proj", i)
+    b_shape, a_shape = entry["b_shape"], entry.get("a_shape")
+    pairs = type(a_shape) is list and len(a_shape) == 2
+    if not pairs or not all(type(n) is int for n in (*a_shape, *b_shape)):
+        raise RestoreError(f"cache_index[{i}] shapes are not integer pairs: {b_shape!r}, {a_shape!r}")
+    try:
+        key = LayerKey(layer, proj)
+    except ShapeError as exc:
+        raise RestoreError(f"cache_index[{i}]: {exc}") from None
+    return key, (b_shape[0], a_shape[1])
 
 
 def _opened(path: Path, missing: str):
@@ -499,10 +615,10 @@ def _mapped(fh, size: int):
 
 def _cache_layout(geometries: dict[int, Mapping[LayerKey, tuple[int, int]]], rank_of) -> tuple[list, int]:
     """The ``(slot_key, key, b_shape, a_shape, offset)`` of each running-cache
-    entry in ``running_cache.bin``, and the file's length, for slots whose
-    served adapters have ``geometries`` (slot key -> each layer's ``(d_out,
-    d_in)``): slots in key order, each slot's layers in sorted order, each
-    layer's ``b`` then ``a`` in float64, back to back from 0.
+    entry in ``running_cache.bin``, and the file's length, for slots of
+    ``geometries`` (slot key -> each layer's ``(d_out, d_in)``): slots in
+    key order, each slot's layers in sorted order, each layer's ``b`` then
+    ``a`` in float64, back to back from 0.
     ``rank_of(slot_key, key)`` gives each cache rank, in that order."""
     layout, offset = [], 0
     for slot_key, geometry in sorted(geometries.items()):
@@ -514,17 +630,20 @@ def _cache_layout(geometries: dict[int, Mapping[LayerKey, tuple[int, int]]], ran
     return layout, offset
 
 
-def _manifest(config: PolicyConfig, tasks: dict, task_ids: dict, layout: list, version: int) -> dict:
-    """The manifest of a store with policy ``config``, each slot's members
-    ``tasks`` (slot key -> arrival indices), each arrival's task id
-    ``task_ids`` and its caches at ``layout`` (see :func:`_cache_layout`):
-    what ``persist`` writes and ``restore`` requires."""
+def _manifest(config: PolicyConfig, slots: dict, task_ids: dict, layout: list, version: int) -> dict:
+    """The manifest of a store with policy ``config``, its ``slots`` (slot
+    key -> ``(tasks, scaling)``: the members' arrival indices, and ``None``
+    for a file-held slot or the scaling a merged one is derived at), each
+    arrival's task id ``task_ids`` and its caches at ``layout`` (see
+    :func:`_cache_layout`): what ``persist`` writes and ``restore``
+    requires."""
     return {
         "version": version,
         **config.to_dict(),
         "slots": [
-            {"slot_key": k, "file": f"slot_{k}.kmrg", "tasks": list(t), "merge_count": len(t)}
-            for k, t in sorted(tasks.items())
+            {"slot_key": k, **({"file": f"slot_{k}.kmrg"} if scaling is None else {"scaling": scaling}),
+             "tasks": list(t), "merge_count": len(t)}
+            for k, (t, scaling) in sorted(slots.items())
         ],
         "running_cache_file": "running_cache.bin",
         "cache_index": [
@@ -532,7 +651,7 @@ def _manifest(config: PolicyConfig, tasks: dict, task_ids: dict, layout: list, v
              "b_shape": list(b_shape), "a_shape": list(a_shape), "offset": offset}
             for k, key, b_shape, a_shape, offset in layout
         ],
-        "next_slot_key": len(tasks) + 1,
+        "next_slot_key": len(slots) + 1,
         "timestep": len(task_ids),
         "ingested": [[t, task_ids[t]] for t in sorted(task_ids)],
     }

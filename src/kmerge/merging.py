@@ -200,7 +200,8 @@ def refactor(
     width 2048, whose factors are then read in place. Each layer's factors
     and residual have the bits of serving that layer alone. The served
     float32 stacks are checked finite once per batch
-    (:func:`kmerge.adapters.factor_pairs`), not once per layer.
+    (:func:`kmerge.adapters.factor_pairs`), not once per layer, and are
+    read-only, as a slot serves one adapter object to every reader.
     """
     if target_rank < 1:
         raise ShapeError("target_rank must be >= 1")
@@ -228,6 +229,7 @@ def refactor(
         served_b[:, :, kept:] = np.divide(0.0, served_scaling)
         served_a = np.zeros((n, r, a.shape[2]), np.float32)
         served_a[:, :kept] = a[:, :kept]
+        served_a.flags.writeable = served_b.flags.writeable = False
         for i, pair in zip(batch, factor_pairs(served_a, served_b)):
             pairs[i] = pair
     adapter = LoraAdapter(

@@ -18,7 +18,7 @@ import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, _header_dict
 from kmerge.bench import clustering_consistency, order_stream
-from kmerge.engine import MANIFEST_VERSION, MergeHistory, SlotState, _cache_layout, _manifest
+from kmerge.engine import MergeHistory, SlotState, _cache_layout, _manifest
 from kmerge.lowrank import NOISE_TOL, LowRankDelta
 from kmerge.merging import RefactorResult
 from kmerge.similarity import adapter_similarity
@@ -155,11 +155,14 @@ def per_tensor_write_adapter(adapter, path):
 
 
 def per_tensor_persist(engine, directory):
-    """Write ``engine``'s store to the new ``directory`` one buffered
-    ``write`` per tensor: each slot's adapter through
-    :func:`per_tensor_write_adapter`, each cache entry's ``b`` then ``a`` in
-    ``_cache_layout`` order, and the compact manifest; the oracle of
-    ``persist``'s vectored writes."""
+    """Write ``engine``'s store to the new ``directory`` at manifest version
+    2, one buffered ``write`` per tensor: every slot's adapter, merged or
+    not, through :func:`per_tensor_write_adapter`, each cache entry's ``b``
+    then ``a`` in ``_cache_layout`` order, and the compact manifest naming
+    every slot's file. It is the oracle of ``persist``'s vectored writes,
+    whose version-3 store differs only in keeping no file for a merged slot
+    and its scaling in the manifest instead, and it writes the version-2
+    stores that restore must still read."""
     directory.mkdir(parents=True)
     slots = engine.store.slots
     for slot_key, slot in slots.items():
@@ -170,8 +173,8 @@ def per_tensor_persist(engine, directory):
         for slot_key, key, *_ in layout:
             for factor in (slots[slot_key].cache[key].b, slots[slot_key].cache[key].a):
                 fh.write(np.ascontiguousarray(factor, dtype="<f8"))
-    tasks = {slot_key: slot.tasks for slot_key, slot in slots.items()}
-    manifest = _manifest(engine.config, tasks, engine.task_ids, layout, MANIFEST_VERSION)
+    entries = {slot_key: (slot.tasks, None) for slot_key, slot in slots.items()}
+    manifest = _manifest(engine.config, entries, engine.task_ids, layout, 2)
     (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
 
 

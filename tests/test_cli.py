@@ -457,19 +457,49 @@ def test_inspect_store(suite_dir, tmp_path, capsys):
     main(["run", "--suite", str(suite_dir), "--k", "2", "--target-rank", "3",
           "--seeds", "0", "--out", str(tmp_path / "r"), "--store-dir", str(store)])
     capsys.readouterr()
-    assert main(["inspect", "--store", str(store)]) == 0
+    assert main(["inspect", "--store", str(store), "--json"]) == 0
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["budget_k"] == 2
+    assert manifest == json.loads((store / "manifest.json").read_text())
+
+
+def test_inspect_store_prints_one_line_per_slot(tmp_path, rng, capsys):
+    """One line per slot: its key, member count, whether its adapter is
+    served from its file or derived from its cache, its largest cache rank
+    and its cache bytes, each recomputed here from the manifest."""
+    engine = MergeEngine(PolicyConfig(budget_k=3, rank_policy=RankPolicy(target_rank=2)))
+    for i in range(6):
+        engine.ingest(small_random_adapter(f"t{i}", rng, rank=2, n_keys=3, width=8))
+    store = tmp_path / "store"
+    engine.persist(store)
+    manifest = json.loads((store / "manifest.json").read_text())
+    assert main(["inspect", "--store", str(store)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["slot", "members", "served", "from", "cache", "rank", "cache", "bytes"]
+    want = []
+    for entry in manifest["slots"]:
+        cache = [e for e in manifest["cache_index"] if e["slot_key"] == entry["slot_key"]]
+        want.append([
+            str(entry["slot_key"]), str(len(entry["tasks"])), "file" if "file" in entry else "derived",
+            str(max(e["b_shape"][1] for e in cache)),
+            str(sum(8 * (e["b_shape"][0] * e["b_shape"][1] + e["a_shape"][0] * e["a_shape"][1]) for e in cache)),
+        ])
+    assert [line.split() for line in lines[1:]] == want
+    assert [row[2] for row in want] == ["derived", "derived", "file"]
+    assert sum(int(row[4]) for row in want) == (store / "running_cache.bin").stat().st_size
 
 
 def test_inspect_damaged_store(tmp_path, capsys):
-    assert main(["inspect", "--store", str(tmp_path)]) == 1
-    assert "no manifest.json" in capsys.readouterr().err
-    (tmp_path / "manifest.json").write_text("{bad")
-    assert main(["inspect", "--store", str(tmp_path)]) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    for json_flag in ([], ["--json"]):
+        (tmp_path / "manifest.json").unlink(missing_ok=True)
+        assert main(["inspect", "--store", str(tmp_path), *json_flag]) == 1
+        assert "no manifest.json" in capsys.readouterr().err
+        (tmp_path / "manifest.json").write_text("{bad")
+        assert main(["inspect", "--store", str(tmp_path), *json_flag]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
     (tmp_path / "manifest.json").write_bytes(b'{"\xff\xfeversion": 2}')
-    for command in (["inspect", "--store", str(tmp_path)], ["route", "--store", str(tmp_path), "--task", "1"]):
+    for command in (["inspect", "--store", str(tmp_path)], ["inspect", "--store", str(tmp_path), "--json"],
+                    ["route", "--store", str(tmp_path), "--task", "1"]):
         assert main(command) == 1
         assert "manifest.json is not valid JSON" in capsys.readouterr().err
 
@@ -514,6 +544,14 @@ def test_inspect_geometry_rank_below_1_exits_2(capsys, rank):
     assert captured.out == ""
 
 
+def test_inspect_geometry_refuses_json():
+    """``--json`` prints a store's manifest; beside ``--geometry`` it would
+    be ignored, so it is a usage error."""
+    with pytest.raises(SystemExit) as err:
+        main(["inspect", "--geometry", "llama-3.2-1b", "--json"])
+    assert err.value.code == 2
+
+
 @pytest.mark.parametrize("rank", ["32", "-5"])
 def test_inspect_store_refuses_rank(tmp_path, rank):
     """``--rank`` sizes a ``--geometry``; beside ``--store`` it would be
@@ -525,16 +563,17 @@ def test_inspect_store_refuses_rank(tmp_path, rank):
 
 def test_closed_stdout_exits_141(tmp_path, rng):
     """A reader that closes the pipe after one line (``kmerge inspect
-    --store S | head -1``) ends the command as SIGPIPE would: exit 141 and
-    nothing on stderr. The manifest of 5 slots of 512 layers, printed
-    indented, is several times a pipe's 64 KiB buffer, so the write fails."""
+    --store S --json | head -1``) ends the command as SIGPIPE would: exit
+    141 and nothing on stderr. The manifest of 5 slots of 512 layers,
+    printed indented, is several times a pipe's 64 KiB buffer, so the
+    write fails."""
     engine = MergeEngine(PolicyConfig(budget_k=5, rank_policy=RankPolicy(target_rank=1)))
     for i in range(5):
         engine.ingest(small_random_adapter(f"t{i}", rng, rank=1, n_keys=512, width=2))
     engine.persist(tmp_path / "store")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    command = [sys.executable, "-m", "kmerge.cli", "inspect", "--store", str(tmp_path / "store")]
+    command = [sys.executable, "-m", "kmerge.cli", "inspect", "--store", str(tmp_path / "store"), "--json"]
     with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         assert child.stdout.readline() == b"{\n"
         child.stdout.close()

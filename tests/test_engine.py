@@ -37,11 +37,12 @@ from kmerge.errors import (
 import kmerge.engine
 import kmerge.lowrank
 from kmerge.lowrank import LowRankDelta, fold_layers
-from kmerge.merging import MergeOperator, RankPolicy, linear_merge
+from kmerge.merging import OPERATOR_KINDS, MergeOperator, RankPolicy, linear_merge
 
 from conftest import (
     NaiveState,
     RecordedWrites,
+    assert_same_adapter,
     dense_delta_map,
     factor_delta,
     make_adapter,
@@ -450,10 +451,14 @@ def test_restore_continues_identically(tmp_path, rng):
 
 
 def _persisted(tmp_path, rng):
+    """A K=2 store of 4 adapters: slot 1 has one member and keeps its
+    adapter file; slot 2 is merged and keeps none."""
     engine = MergeEngine(_config(2))
     for a in _stream(rng, 4):
         engine.ingest(a)
     engine.persist(tmp_path)
+    assert engine.history.entries == {1: [1], 2: [2, 3, 4]}
+    assert sorted(p.name for p in tmp_path.glob("slot_*")) == ["slot_1.kmrg"]
     return engine
 
 
@@ -598,11 +603,17 @@ def _renumber_ingested(manifest):
         pair[0] = len(manifest["ingested"]) - i
 
 
-def _huge_zero_width_rank(manifest):
-    """Give the 0 x 0 layer of a ``zero_width_adapter`` slot (entry 2) rank 2**62."""
-    entry = manifest["cache_index"][2]
-    assert entry["b_shape"][0] == entry["a_shape"][1] == 0
-    entry["b_shape"][1] = entry["a_shape"][0] = 2**62
+def _zero_width_rank(rank, version=None, members=1):
+    """Give the 0 x 0 layer (entry 2) of a store's one slot of ``members``
+    ``zero_width_adapter`` members ``rank``, in a manifest of ``version`` if
+    given. A merged slot's shapes are read from its cache entries alone."""
+    def damage(manifest):
+        entry = manifest["cache_index"][2]
+        assert entry["b_shape"][0] == entry["a_shape"][1] == 0
+        entry["b_shape"][1] = entry["a_shape"][0] = rank
+        manifest["version"] = version or manifest["version"]
+    damage.zero_width_members = members
+    return damage
 
 
 EXTRA_ENTRY = r"cache_index\[4\] is \{.*\}; persist writes nothing there"
@@ -624,7 +635,7 @@ INCONSISTENT_MANIFESTS = {
     ),
     "next-slot-key-occupied": (lambda m: m.__setitem__("next_slot_key", 1), "next_slot_key"),
     "slot-entry-repeated": (
-        lambda m: m["slots"].append({**m["slots"][0], "file": m["slots"][1]["file"]}),
+        lambda m: m["slots"].append({**m["slots"][0], "file": "slot_3.kmrg"}),
         "3 slots exceed budget_k 2",
     ),
     "slot-without-tasks": (_empty_second_slot, r"slots\[1\]\.tasks is empty"),
@@ -657,10 +668,24 @@ INCONSISTENT_MANIFESTS = {
     "unknown-field": (
         lambda m: m.__setitem__("comment", "x"), "comment is 'x'; persist writes nothing there"
     ),
-    # A rank past numpy's size limit on a 0 x 0 layer holds 0 bytes, so only
-    # viewing the cache can reject it.
+    # A canonical cache entry has at most min(d_out, d_in) directions.
+    "rank-above-zero-widths": (
+        _zero_width_rank(3),
+        r"cache_index\[2\] has rank 3, above min\(d_out, d_in\) of its 0 x 0 layer",
+    ),
     "huge-rank-zero-widths": (
-        _huge_zero_width_rank,
+        _zero_width_rank(2**62),
+        r"cache_index\[2\] has rank 4611686018427387904, above min\(d_out, d_in\) of its 0 x 0 layer",
+    ),
+    "rank-above-zero-widths-merged": (
+        _zero_width_rank(3, members=2),
+        r"cache_index\[2\] has rank 3, above min\(d_out, d_in\) of its 0 x 0 layer",
+    ),
+    # Version-1 caches were not canonical, so their ranks have no such bound,
+    # and a rank past numpy's size limit on a 0 x 0 layer holds 0 bytes: only
+    # viewing the cache can reject it.
+    "huge-rank-zero-widths-version-1": (
+        _zero_width_rank(2**62, version=1),
         r"cache_index\[2\] is too large: b_shape \[0, 4611686018427387904\], a_shape \[4611686018427387904, 0\]",
     ),
 }
@@ -668,14 +693,100 @@ INCONSISTENT_MANIFESTS = {
 
 @pytest.mark.parametrize("damage, match", INCONSISTENT_MANIFESTS.values(), ids=INCONSISTENT_MANIFESTS)
 def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
-    if damage is _huge_zero_width_rank:
-        engine = MergeEngine(_config(2, rank=1))
-        engine.ingest(zero_width_adapter("zero-widths", rng))
+    members = getattr(damage, "zero_width_members", 0)
+    if members:
+        engine = MergeEngine(_config(1, rank=1))
+        for i in range(members):
+            engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
         engine.persist(tmp_path)
+        assert [p.name for p in tmp_path.glob("slot_*")] == ["slot_1.kmrg"] * (members == 1)
     else:
         _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     damage(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+def _stale_slot_2_file(manifest, store):
+    """Drop merged slot 2's scaling, and leave slot 1's file as a stale
+    ``slot_2.kmrg``, as an earlier store may have."""
+    manifest["slots"][1].pop("scaling")
+    (store / "slot_2.kmrg").write_bytes((store / "slot_1.kmrg").read_bytes())
+
+
+def _merged_slot_entries_dropped(manifest, store):
+    manifest["cache_index"] = [e for e in manifest["cache_index"] if e["slot_key"] != 2]
+
+
+def _slot_scaling(value):
+    return lambda manifest, store: manifest["slots"][1].__setitem__("scaling", value)
+
+
+def _scaling_message(value):
+    return rf"slots\[1\]\.scaling is {value}; persist writes a finite nonzero float"
+
+
+DAMAGED_MERGED_SLOTS = {
+    "no-scaling": (
+        lambda m, store: m["slots"][1].pop("scaling"), "adapter file for slot 2 is missing"
+    ),
+    "no-scaling-stale-file": (
+        _stale_slot_2_file, r"slots\[1\]\.file is missing; persist writes 'slot_2\.kmrg'"
+    ),
+    "file-and-scaling": (
+        lambda m, store: m["slots"][1].__setitem__("file", "slot_2.kmrg"),
+        r"slots\[1\]\.file is 'slot_2\.kmrg'; persist writes nothing there",
+    ),
+    "text-scaling": (_slot_scaling("0.5"), _scaling_message("'0.5'")),
+    "integer-scaling": (_slot_scaling(1), _scaling_message(1)),
+    "bool-scaling": (_slot_scaling(True), _scaling_message(True)),
+    "null-scaling": (_slot_scaling(None), _scaling_message(None)),
+    "nan-scaling": (_slot_scaling(float("nan")), _scaling_message("nan")),
+    "inf-scaling": (_slot_scaling(float("-inf")), _scaling_message("-inf")),
+    "zero-scaling": (_slot_scaling(0.0), _scaling_message("0.0")),
+    "negative-zero-scaling": (_slot_scaling(-0.0), _scaling_message("-0.0")),
+    # Version 2 holds every slot in a file, whatever its entry says.
+    "version-2-scaling": (
+        lambda m, store: m.__setitem__("version", 2), "adapter file for slot 2 is missing"
+    ),
+    # A merged slot's layers are read from its cache entries alone.
+    "no-cache-entries": (
+        _merged_slot_entries_dropped, r"slots\[1\] is merged and has no cache_index entry"
+    ),
+    "other-layers": (
+        lambda m, store: m["cache_index"][3].__setitem__("layer", 1),
+        r"slots\[1\] adapts other layers or shapes than slots\[0\]",
+    ),
+    "text-layer": (
+        lambda m, store: m["cache_index"][3].__setitem__("layer", "1"),
+        r"cache_index\[3\]\.layer is not an integer: '1'",
+    ),
+    "unknown-proj": (
+        lambda m, store: m["cache_index"][3].__setitem__("proj", "gate"),
+        r"cache_index\[3\]: unknown projection 'gate'",
+    ),
+    "float-rows": (
+        lambda m, store: m["cache_index"][3]["b_shape"].__setitem__(0, 8.0),
+        r"cache_index\[3\] shapes are not integer pairs: \[8\.0, 6\], \[6, 8\]",
+    ),
+    "no-a_shape": (
+        lambda m, store: m["cache_index"][3].pop("a_shape"),
+        r"cache_index\[3\] shapes are not integer pairs: \[8, 6\], None",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, match", DAMAGED_MERGED_SLOTS.values(), ids=DAMAGED_MERGED_SLOTS)
+def test_restore_rejects_damaged_merged_slot(tmp_path, rng, damage, match):
+    """A version-3 slot entry holds either a file or a finite nonzero float
+    scaling; a merged slot's layers, read from its cache entries, are
+    typed, and match every other slot's."""
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "scaling" in manifest["slots"][1] and manifest["cache_index"][3]["slot_key"] == 2
+    damage(manifest, tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
         MergeEngine.restore(tmp_path)
@@ -864,7 +975,7 @@ def test_restore_truncated_slot_file_is_named(tmp_path, rng):
     """A slot file that lost its last 3 bytes fails restore with the parse
     error of those bytes, its text and offset kept, behind the file's path."""
     _persisted(tmp_path, rng)
-    path = tmp_path / "slot_2.kmrg"
+    path = tmp_path / "slot_1.kmrg"
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError) as unnamed:
         parse_adapter(path.read_bytes())
@@ -879,14 +990,14 @@ def test_restore_non_finite_slot_tensor_is_named(tmp_path, rng, tensor):
     """A NaN in a slot file fails restore with the parse error naming the
     file and the layer holding it."""
     _persisted(tmp_path, rng)
-    path = tmp_path / "slot_2.kmrg"
+    path = tmp_path / "slot_1.kmrg"
     poison_tensor(path, 1, tensor, np.nan)
     with pytest.raises(FormatError) as exc:
         MergeEngine.restore(tmp_path)
     assert str(exc.value) == f"{path}: invalid tensors for layer 0.query: factor matrices must be finite"
 
 
-@pytest.mark.parametrize("target", ["slot_2.kmrg", "running_cache.bin", "manifest.json"])
+@pytest.mark.parametrize("target", ["slot_1.kmrg", "running_cache.bin", "manifest.json"])
 def test_failed_persist_leaves_no_temporary_file(tmp_path, rng, monkeypatch, target):
     """A persist that fails on ``target``, whether a directory is in the way
     of its rename or its vectored write raises after writing part of it,
@@ -1000,12 +1111,31 @@ def _store_bytes(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-def _default_grid_engine():
-    """A K=5 engine after the 40 adapters of the default generator grid."""
+def _default_grid_engine(count=40):
+    """A K=5 engine after the first ``count`` of the 40 adapters of the
+    default generator grid."""
     engine = MergeEngine(PolicyConfig(budget_k=5))
-    for adapter in generate_suite(GeneratorConfig())[0]:
+    for adapter in generate_suite(GeneratorConfig())[0][:count]:
         engine.ingest(adapter)
     return engine
+
+
+def _version3_of(oracle, engine):
+    """The bytes of ``engine``'s version-3 store, from ``oracle``, its
+    version-2 store written by ``per_tensor_persist``: the same files but
+    for each merged slot's adapter file, and the same manifest at version
+    3, with each merged slot's entry naming its scaling instead of a file."""
+    want = _store_bytes(oracle)
+    manifest = json.loads(want["manifest.json"])
+    manifest["version"] = 3
+    for entry in manifest["slots"]:
+        derivation = engine.store.slots[entry["slot_key"]].derivation
+        if derivation is not None:
+            del want[entry.pop("file")]
+            entry = {"slot_key": entry.pop("slot_key"), "scaling": derivation.scaling, **entry}
+            manifest["slots"][entry["slot_key"] - 1] = entry
+    want["manifest.json"] = json.dumps(manifest).encode()
+    return want
 
 
 def _mixed_geometry_engine(rng):
@@ -1022,7 +1152,7 @@ def _version1_engine(tmp_path, rng):
     engine = MergeEngine(_config(2))
     for a in stream:
         engine.ingest(a)
-    engine.persist(tmp_path / "v1")
+    per_tensor_persist(engine, tmp_path / "v1")
     _write_version1_caches(tmp_path / "v1", engine, stream)
     return MergeEngine.restore(tmp_path / "v1")
 
@@ -1031,9 +1161,12 @@ def _version1_engine(tmp_path, rng):
     ("default-grid", None), ("mixed-geometry", None), ("mixed-geometry", 7), ("version-1", None), ("version-1", 7),
 ])
 def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, limit):
-    """``persist`` writes the bytes of a store written one tensor at a time,
-    also when ``os.writev`` takes at most 7 bytes a call, and every byte of
-    every file goes through ``os.writev``."""
+    """``persist`` writes the bytes of a store written one tensor at a time
+    (as :func:`_version3_of` that store), also when ``os.writev`` takes at
+    most 7 bytes a call, and every byte of every file goes through
+    ``os.writev``. The stores hold one-member and merged slots (the
+    default grid), merged slots only (mixed geometry), and merged slots
+    held by their files (restored from version 1)."""
     if store == "default-grid":
         engine = _default_grid_engine()
     elif store == "mixed-geometry":
@@ -1044,7 +1177,12 @@ def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, li
     writes = RecordedWrites(os.writev, limit)
     monkeypatch.setattr(os, "writev", writes)
     engine.persist(tmp_path / "got")
-    want = _store_bytes(tmp_path / "want")
+    want = _version3_of(tmp_path / "want", engine)
+    files = sorted(name for name in want if name.startswith("slot_"))
+    assert files == {
+        "default-grid": ["slot_4.kmrg", "slot_5.kmrg"], "mixed-geometry": [],
+        "version-1": ["slot_1.kmrg", "slot_2.kmrg"],
+    }[store]
     assert _store_bytes(tmp_path / "got") == want
     for name, data in want.items():
         assert sum(written for _, written in writes.per_file(tmp_path / "got" / name)) == len(data)
@@ -1052,15 +1190,17 @@ def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, li
 
 def test_persist_writes_each_file_in_vectored_calls(tmp_path, monkeypatch):
     """A K=5 default-grid store: each file takes ``ceil(buffers / IOV_MAX)``
-    ``os.writev`` calls, one here, and they carry all of its bytes: a slot
-    file's two header parts and 32 tensors, the cache's 160 factors and the
+    ``os.writev`` calls, one here, and they carry all of its bytes: each
+    one-member slot file's two header parts and 32 tensors (slots 4 and 5;
+    slots 1-3 are merged and keep no file), the cache's 160 factors and the
     manifest."""
     engine = _default_grid_engine()
+    assert [len(tasks) for tasks in engine.history.entries.values()] == [25, 4, 9, 1, 1]
     writes = RecordedWrites(os.writev)
     monkeypatch.setattr(os, "writev", writes)
     engine.persist(tmp_path)
     iov_max = os.sysconf("SC_IOV_MAX")
-    buffers = {f"slot_{k}.kmrg": 2 + 2 * 16 for k in range(1, 6)}
+    buffers = {f"slot_{k}.kmrg": 2 + 2 * 16 for k in (4, 5)}
     buffers.update({"running_cache.bin": 2 * 5 * 16, "manifest.json": 1})
     assert sorted(buffers) == sorted(p.name for p in tmp_path.iterdir())
     for name, count in buffers.items():
@@ -1096,8 +1236,8 @@ def _assert_slots_equal(engine, copies):
 
 
 def test_restored_cache_is_read_only(tmp_path, rng):
-    """Restored caches and served adapters are read-only views of the
-    mapped store files."""
+    """Restored caches and served adapters are read-only: views of the
+    mapped store files, or, for merged slot 2, derived from them."""
     engine = _persisted(tmp_path, rng)
     back = MergeEngine.restore(tmp_path)
     _assert_slots_equal(back, _slot_copies(engine))
@@ -1123,28 +1263,27 @@ def _misalign_payload(path, misalign):
 
 
 def _check_restored_engine_outlives_its_store(tmp_path, rng, misalign=None):
-    """Restore a store, with its slot payloads moved to start ``misalign``
-    bytes past a multiple of 4 if given, persist over it twice and delete
-    it; the restored engine must keep its factors and continue as an engine
-    never persisted."""
+    """Restore a K=3 store of one file-held and two merged slots, with the
+    slot file's payload moved to start ``misalign`` bytes past a multiple of
+    4 if given, persist over it twice and delete it; the restored engine
+    must keep its factors and continue as an engine never persisted."""
     stream = _stream(rng, 10)
-    never_persisted = MergeEngine(_config(2))
+    never_persisted = MergeEngine(_config(3))
     for a in stream[:6]:
         never_persisted.ingest(a)
     store = tmp_path / "store"
-    persisted = MergeEngine(_config(2))
+    persisted = MergeEngine(_config(3))
     for a in stream[:6]:
         persisted.ingest(a)
     persisted.persist(store)
+    assert sorted(p.name for p in store.glob("slot_*")) == ["slot_3.kmrg"]
     original_bytes = _store_bytes(store)
     if misalign is not None:
-        for slot_key in persisted.store.slots:
-            _misalign_payload(store / f"slot_{slot_key}.kmrg", misalign)
+        _misalign_payload(store / "slot_3.kmrg", misalign)
     back = MergeEngine.restore(store)
     if misalign is not None:
-        for slot in back.store.slots.values():
-            for fp in slot.adapter.layers.values():
-                assert not fp.a.flags.aligned and not fp.b.flags.aligned
+        for fp in back.store.slots[3].adapter.layers.values():
+            assert not fp.a.flags.aligned and not fp.b.flags.aligned
     before = _slot_copies(back)
 
     back.persist(store)
@@ -1224,9 +1363,9 @@ def _open_descriptors():
 
 
 def test_restore_leaves_no_open_file(tmp_path, rng, monkeypatch):
-    """Restore closes every file it opens. The ``K + 1`` mappings (the cache
-    file and each slot file) hold one descriptor each, released with the
-    engine, and neither warns."""
+    """Restore closes every file it opens. The two mappings (the cache file
+    and one-member slot 1's file; merged slot 2 keeps none) hold one
+    descriptor each, released with the engine, and neither warns."""
     _persisted(tmp_path, rng)
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
@@ -1238,7 +1377,7 @@ def test_restore_leaves_no_open_file(tmp_path, rng, monkeypatch):
         gc.collect()
         assert back.store.occupied == 2
         if opened is not None:
-            assert _open_descriptors() == opened + back.store.occupied + 1
+            assert _open_descriptors() == opened + 2
         del back
         gc.collect()
     assert unraisable == []
@@ -1296,8 +1435,9 @@ def test_persisted_cache_file_layout(tmp_path, rng):
 
 
 def _write_version1_caches(store, engine, stream):
-    """Rewrite a persisted store the way manifest version 1 kept caches:
-    each slot's mean as the concatenated, 1/n-weighted member factors."""
+    """Rewrite a version-2 store (``per_tensor_persist``) the way manifest
+    version 1 kept caches: each slot's mean as the concatenated,
+    1/n-weighted member factors."""
     manifest = json.loads((store / "manifest.json").read_text())
     blob = bytearray()
     index = []
@@ -1323,12 +1463,15 @@ def test_restore_version1_store_continues_identically(tmp_path, rng):
     first = MergeEngine(_config(2))
     for a in stream[:8]:
         first.ingest(a)
-    first.persist(tmp_path)
-    _write_version1_caches(tmp_path, first, stream)
-    assert max(e["b_shape"][1] for e in json.loads((tmp_path / "manifest.json").read_text())["cache_index"]) > 6
+    per_tensor_persist(first, tmp_path / "v1")
+    _write_version1_caches(tmp_path / "v1", first, stream)
+    index = json.loads((tmp_path / "v1" / "manifest.json").read_text())["cache_index"]
+    assert max(e["b_shape"][1] for e in index) > 6
 
-    resumed = MergeEngine.restore(tmp_path)
+    resumed = MergeEngine.restore(tmp_path / "v1")
     for slot in resumed.store.slots.values():
+        # A version-1 adapter is not known to be its canonicalised cache's slice.
+        assert slot.derivation is None
         for low in slot.cache.values():
             assert low.canonical and low.rank_bound <= 6
     resumed_decisions = [resumed.ingest(a) for a in stream[8:]]
@@ -1351,4 +1494,99 @@ def test_restore_version1_store_continues_identically(tmp_path, rng):
             assert np.linalg.norm(served - ref) <= 1e-5 * np.linalg.norm(ref)
 
     resumed.persist(tmp_path / "again")
-    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 2
+    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 3
+
+
+def _no_refactor(*args):
+    raise AssertionError("refactor ran")
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_store_keeps_each_merged_slot_once(tmp_path, rng, monkeypatch, kind):
+    """Under every operator a store holds files only for its one-member
+    slots. Restore and a persist of the restored engine run no
+    ``refactor``; a merged slot's first read derives the adapter it served
+    before the store was written, bit for bit, once; and the restored
+    engine continues as one never persisted."""
+    stream = _stream(rng, 10)
+    config = _config(3, operator=MergeOperator(kind=kind))
+    never_persisted, persisted = MergeEngine(config), MergeEngine(config)
+    for a in stream[:6]:
+        never_persisted.ingest(a)
+        persisted.ingest(a)
+    store = tmp_path / "store"
+    persisted.persist(store)
+    single = [k for k, tasks in persisted.history.entries.items() if len(tasks) == 1]
+    assert single == [3]
+    assert sorted(p.name for p in store.glob("slot_*")) == ["slot_3.kmrg"]
+    served = {k: slot.adapter for k, slot in persisted.store.slots.items()}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kmerge.engine, "refactor", _no_refactor)
+        back = MergeEngine.restore(store)
+        back.persist(tmp_path / "again")
+    assert _store_bytes(tmp_path / "again") == _store_bytes(store)
+    for k, slot in back.store.slots.items():
+        assert (slot.derivation is None) == (k in single)
+        assert_same_adapter(slot.adapter, served[k])
+        assert back.load_for_inference(k) is slot.adapter
+    for k in (1, 2):
+        derivation = back.store.slots[k].derivation
+        assert derivation == (2, f"slot-{k}", stream[back.history.entries[k][-1] - 1].scaling)
+
+    for a in stream[6:]:
+        expect, got = never_persisted.ingest(a), back.ingest(a)
+        assert (got.action, got.slot_key, got.similarity) == (
+            expect.action, expect.slot_key, expect.similarity
+        )
+    _assert_slots_equal(back, _slot_copies(never_persisted))
+    never_persisted.persist(tmp_path / "never")
+    back.persist(tmp_path / "again")
+    assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "never")
+
+
+def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch):
+    """A version-2 store, whose merged slots kept their adapter files,
+    restores with every slot served from its file. A persist writes version
+    3 and keeps each file until its slot is merged again, which drops it.
+    The engine continues as one never persisted."""
+    stream = _stream(rng, 10)
+    never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
+    for a in stream[:6]:
+        never_persisted.ingest(a)
+        persisted.ingest(a)
+    old, new = tmp_path / "v2", tmp_path / "v3"
+    per_tensor_persist(persisted, old)
+    with monkeypatch.context() as patch:
+        patch.setattr(kmerge.engine, "refactor", _no_refactor)
+        back = MergeEngine.restore(old)
+        for k, slot in back.store.slots.items():
+            assert slot.derivation is None
+            assert_same_adapter(slot.adapter, persisted.store.slots[k].adapter)
+        back.persist(new)
+    manifest = json.loads((new / "manifest.json").read_text())
+    assert manifest["version"] == 3
+    assert [entry["file"] for entry in manifest["slots"]] == ["slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg"]
+    for name in ("slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg", "running_cache.bin"):
+        assert (new / name).read_bytes() == (old / name).read_bytes()
+
+    merged_since = []
+    for a in stream[6:]:
+        expect, got = never_persisted.ingest(a), back.ingest(a)
+        assert (got.action, got.slot_key, got.similarity) == (
+            expect.action, expect.slot_key, expect.similarity
+        )
+        merged_since.append(got.slot_key)
+        back.persist(new)
+        manifest = json.loads((new / "manifest.json").read_text())
+        for k, entry in enumerate(manifest["slots"], 1):
+            if k in merged_since:
+                assert "file" not in entry and entry["scaling"] == back.store.slots[k].derivation.scaling
+            else:
+                assert "scaling" not in entry and entry["file"] == f"slot_{k}.kmrg"
+                assert (new / entry["file"]).read_bytes() == (old / entry["file"]).read_bytes()
+        held = [f"slot_{k}.kmrg" for k in (1, 2, 3) if k not in merged_since]
+        assert sorted(p.name for p in new.glob("slot_*")) == held
+    # One-member slot 3, then slots 2 and 1, merged in version 2, merge again.
+    assert merged_since == [3, 2, 2, 1]
+    _assert_slots_equal(back, _slot_copies(never_persisted))
