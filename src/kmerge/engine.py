@@ -15,18 +15,23 @@ restore reads: :func:`_cache_layout` places each cache entry of
 ``running_cache.bin`` from the slots' geometries and :func:`_manifest`
 builds ``manifest.json``. ``persist`` writes them, each file in one vectored
 write; ``restore`` derives them again and accepts no store that differs
-before it builds each slot once, with its finished cache. A merged slot's
-adapter is the leading slice of its cache, so a version-3 store keeps it
-once, as the cache and the scaling it is served at; only a file-held slot
-(see :class:`SlotState`) keeps a ``slot_<key>.kmrg`` file. Version-2 and 3
-caches are canonical read-only slices of one view of the mapped cache
-file; version-1 caches are canonicalised once. Each restored file-held
-adapter is a read-only view of its mapped file until the slot is next
-merged: one mapping for each file-held slot plus one for the cache, one
-file descriptor each, which ``persist`` leaves valid, as it renames new
-files over old ones. A restored merged slot maps nothing of its own; the
-first read of its adapter pays one :func:`~kmerge.merging.refactor` of its
-cache (about 40 ms a slot at width 2048).
+before it builds each slot once, with its finished cache. A version-4
+manifest holds only what restore cannot derive: the policy, the one
+geometry every slot adapts, each slot's tasks, scaling (if merged) and
+cache ranks, and the task ids. A merged slot's adapter is the leading
+slice of its cache, so a store keeps it once, as the cache and the scaling
+it is served at; only a file-held slot (see :class:`SlotState`) keeps a
+``slot_<key>.kmrg`` file. Versions 1 to 3 spelt out every cache entry's
+place and shapes; restore still reads them, through :func:`_legacy_plan`.
+Version-2 and later caches are canonical read-only slices of one view of
+the mapped cache file; version-1 caches are canonicalised once. Each
+restored file-held adapter is a read-only view of its mapped file until
+the slot is next merged: one mapping for each file-held slot plus one for
+the cache, one file descriptor each, which ``persist`` leaves valid, as it
+renames new files over old ones. A restored merged slot maps nothing of
+its own; the first read of its adapter pays one
+:func:`~kmerge.merging.refactor` of its cache (about 40 ms a slot at width
+2048).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import mmap
 import os
 import time
 from dataclasses import dataclass, field, fields
+from operator import gt
 from pathlib import Path
 from typing import Mapping, NamedTuple, get_type_hints
 
@@ -75,8 +81,10 @@ ALLOCATED = "allocated_new_slot"
 MERGED = "merged_into"
 
 # 2: running caches are stored in canonical form; 3: a merged slot keeps no
-# adapter file, only the scaling its adapter is derived at.
-MANIFEST_VERSION = 3
+# adapter file, only the scaling its adapter is derived at; 4: the manifest
+# keeps each fact once, one geometry for every slot and each slot's cache
+# ranks, and no field that restore derives.
+MANIFEST_VERSION = 4
 
 # Restore maps the running cache and the file-held slot adapters with their
 # page tables filled, so that the first read of a restored slot, or a persist
@@ -338,17 +346,21 @@ class MergeEngine:
             raise DuplicateTask(f"task {incoming.task_id!r} already ingested")
         t = len(self.task_ids) + 1
 
+        occupied, budget_k = self.store.occupied, self.config.budget_k
         best_key, best_score = None, None
-        if self.store.slots:
-            best_key, best_score = most_similar(incoming, self.store.adapters_by_slot())
-
-        occupied = self.store.occupied
-        if self.config.variant == "k_merge":
-            do_merge = occupied >= self.config.budget_k
+        if self.config.variant == "k_merge" and occupied < budget_k:
+            # Below its budget k_merge allocates whatever the scores, so none
+            # is computed. The incoming adapter must still meet every slot, as
+            # a similarity would check; all slots share one geometry, so slot
+            # 1, the first a similarity checks, stands for them. No slot has
+            # merged yet, so its adapter is its one member's.
+            if occupied:
+                check_compatible(incoming, self.store.slots[1].adapter)
+            do_merge = False
         else:
-            do_merge = occupied == self.config.budget_k or (
-                occupied > 0 and best_score >= self.config.threshold_s
-            )
+            if occupied:
+                best_key, best_score = most_similar(incoming, self.store.adapters_by_slot())
+            do_merge = occupied >= budget_k or (occupied > 0 and best_score >= self.config.threshold_s)
 
         if do_merge:
             slot_key, action, similarity = best_key, MERGED, best_score
@@ -389,15 +401,19 @@ class MergeEngine:
         Caches are stored in canonical form as raw float64 little-endian
         tensors, back to back where :func:`_cache_layout` puts them, so a
         restored engine continues from the same exact state. The manifest is
-        :func:`_manifest`: it names each file-held slot's ``slot_<key>.kmrg``
-        and gives each merged slot the scaling its adapter is derived at.
-        Every geometry comes from the caches, so persist never builds a
-        merged slot's adapter. Each file (every file-held slot adapter,
-        through :func:`~kmerge.adapters.write_adapter`; the cache; the
-        manifest) is one vectored write of its buffers, uncopied, through
+        :func:`_manifest`, which holds only what restore cannot derive: the
+        policy; ``layers``, the one geometry every slot adapts, as ``[layer,
+        proj, d_out, d_in]`` in sorted key order; each slot's ``tasks``, its
+        ``scaling`` if it is merged (a file-held slot has none, and its file
+        is ``slot_<key>.kmrg``) and its cache ``ranks`` in ``layers`` order;
+        and the task ids in arrival order, ``ingested``. Every geometry
+        comes from the caches, so persist never builds a merged slot's
+        adapter. Each file (every file-held slot adapter, through
+        :func:`~kmerge.adapters.write_adapter`; the cache; the manifest) is
+        one vectored write of its buffers, uncopied, through
         :func:`~kmerge.adapters.replace_file`, so a write that fails leaves
-        no temporary file. Slot files of an earlier store that the new
-        manifest does not name are deleted only once it is in place.
+        no temporary file. Slot files of an earlier store that are no
+        file-held slot's are deleted only once the new manifest is in place.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -418,8 +434,10 @@ class MergeEngine:
             slot_key: (slot.tasks, None if slot.derivation is None else slot.derivation.scaling)
             for slot_key, slot in slots.items()
         }
+        # Every ingest checks that the slots adapt one geometry, slot 1's.
+        geometry = geometries.get(1, {})
         # Compact, as only without ``indent`` does CPython encode in C.
-        manifest = json.dumps(_manifest(self.config, entries, self.task_ids, layout, MANIFEST_VERSION))
+        manifest = json.dumps(_manifest(self.config, geometry, entries, self.task_ids, layout))
         replace_file(directory / "manifest.json", [manifest.encode()])
         delete_stale(directory, "slot", {f"slot_{slot_key}.kmrg" for slot_key in held})
 
@@ -428,17 +446,21 @@ class MergeEngine:
         """The engine that :meth:`persist` wrote to ``directory``.
 
         Accepts exactly the stores that ``persist`` writes, at manifest
-        version 1, 2 or 3; any other raises :class:`RestoreError`, or the
+        version 4, and those of versions 1 to 3 as they were written; any
+        other raises :class:`RestoreError`, or the
         :class:`~kmerge.errors.FormatError` of a damaged slot file, which
-        names that file. It parses the policy, each slot's tasks (slot ``i``
-        is entry ``i``) and, in version 3, each merged slot's scaling, the
-        ingested task ids (arrival ``i`` has index ``i``), each cache entry's
-        rank and each merged slot's layer keys and shapes from its cache
-        entries; then the file-held slots' ``slot_<i>.kmrg`` files; derives
-        the layout and manifest and requires every other field to equal them
-        in value and JSON type, and each version-2 or 3 cache rank to be at
-        most its layer's ``min(d_out, d_in)``; then builds each slot once.
-        Version-1 and 2 stores hold every slot in a file.
+        names that file. From a version-4 manifest it reads, typed, the
+        policy, ``layers``, each slot's tasks (slot ``i`` is entry ``i``),
+        scaling and cache ranks (each at most its layer's ``min(d_out,
+        d_in)``), and the ingested task ids (arrival ``i`` is entry ``i``).
+        The task lists must be non-empty, at most ``budget_k`` of them, and
+        partition the arrivals, and the task ids must be distinct. It then
+        parses the file-held slots' ``slot_<i>.kmrg`` files, whose geometry
+        must be ``layers``, derives the cache layout and the manifest from
+        those facts, and requires the stored manifest to equal the derived
+        one in value and JSON type (see :func:`_plan`). Versions 1 to 3 are
+        read as :func:`_legacy_plan` says. Only then is the cache file
+        opened, and it must be exactly as long as the layout.
 
         Each file is opened with no ``exists()`` probe before it; a missing
         one raises :class:`RestoreError`. The running cache file and each
@@ -448,97 +470,28 @@ class MergeEngine:
         each file-held adapter's factors are read-only views of its file's
         mapping. Both last until the slot is next merged. That is one
         mapping per file-held slot plus the cache's, each holding one file
-        descriptor until nothing refers to it. A merged slot is restored
-        without its adapter, and no ``refactor`` runs here: the first read of
-        ``slot.adapter`` derives it. ``persist`` renames a new file over the
-        old one, so persisting over the store or deleting it leaves every
-        mapping as it was; the files must not be edited or truncated in place
-        while the engine lives.
+        descriptor until nothing refers to it. Each slot is built once, with
+        its finished cache. A merged slot is built without its adapter, and
+        no ``refactor`` runs here: the first read of ``slot.adapter``
+        derives it. ``persist`` renames a new file over the old one, so
+        persisting over the store or deleting it leaves every mapping as it
+        was; the files must not be edited or truncated in place while the
+        engine lives.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
         version = json_field(manifest, "version", RestoreError, int)
-        if version not in (1, 2, MANIFEST_VERSION):
+        if version not in (1, 2, 3, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
         try:
             config = PolicyConfig.from_dict(manifest)
         except ConfigError as exc:
             raise RestoreError(f"manifest policy: {exc}") from None
-        tasks, scalings = [], {}
-        for slot_key, entry in enumerate(json_field(manifest, "slots", RestoreError, list), 1):
-            tasks.append([
-                json_value(t, int, RestoreError, "task index of slot {}", slot_key)
-                for t in json_field(entry, "tasks", RestoreError, list)
-            ])
-            # A version-1 or 2 entry that names a scaling is read as file-held,
-            # and the comparison below rejects it.
-            derived = version == MANIFEST_VERSION and "scaling" in entry
-            scalings[slot_key] = _scaling(entry, slot_key) if derived else None
-        ingested = json_field(manifest, "ingested", RestoreError, list)
-        try:
-            task_ids = [json_value(name, str, RestoreError, "ingested task id") for _, name in ingested]
-        except (TypeError, ValueError):
-            raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
-        merged = {slot_key for slot_key, scaling in scalings.items() if scaling is not None}
-        ranks, geometries = [], {slot_key: {} for slot_key in merged}
-        for i, entry in enumerate(json_field(manifest, "cache_index", RestoreError, list)):
-            shape = entry.get("b_shape") if type(entry) is dict else None
-            if type(shape) is not list or len(shape) != 2 or type(shape[1]) is not int or shape[1] < 0:
-                raise RestoreError(f"cache_index[{i}].b_shape is not [rows, rank]: {shape!r}")
-            ranks.append(shape[1])
-            slot_key = entry.get("slot_key")
-            if type(slot_key) is int and slot_key in merged:
-                key, d_out_d_in = _indexed_layer(i, entry)
-                geometries[slot_key][key] = d_out_d_in
-
-        # The parts must describe a state that ingests reach.
-        if [] in tasks:
-            raise RestoreError(f"slots[{tasks.index([])}].tasks is empty")
-        if len(tasks) > config.budget_k:
-            raise RestoreError(f"{len(tasks)} slots exceed budget_k {config.budget_k}")
-        if len(set(task_ids)) != len(task_ids):
-            raise RestoreError("two ingested tasks share a task id")
-        if sorted(t for slot_tasks in tasks for t in slot_tasks) != list(range(1, len(task_ids) + 1)):
-            raise RestoreError("slot task lists do not partition the ingested task indices")
-        for slot_key in merged:
-            if not geometries[slot_key]:
-                raise RestoreError(f"slots[{slot_key - 1}] is merged and has no cache_index entry")
-
-        adapters = {}
-        for slot_key in range(1, len(tasks) + 1):
-            if slot_key in merged:
-                continue
-            adapter_path = directory / f"slot_{slot_key}.kmrg"
-            with _opened(adapter_path, f"adapter file for slot {slot_key} is missing") as fh:
-                try:
-                    adapters[slot_key] = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
-                except FormatError as exc:
-                    raise exc.in_file(adapter_path) from None
-            geometries[slot_key] = adapters[slot_key].geometry
-        # Entries past the declared ones get rank 0; the comparison rejects them.
-        declared = iter(ranks)
-        layout, cache_bytes = _cache_layout(geometries, lambda *_: next(declared, 0))
-        tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(task_ids, 1))
-        entries = {slot_key: (tasks[slot_key], scalings[slot_key]) for slot_key in tasks}
-        derived = _manifest(config, entries, task_ids, layout, version)
-        # ``from_dict`` alone judges the policy. ``==`` takes ``true`` for 1
-        # and ``2.0`` for 2, which persist never writes.
-        stored = {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
-        if stored != derived or not all(type(n) is int for n in _integers(stored)):
-            raise RestoreError(_difference(stored, derived))
-        # Every ingest after the first meets every slot, so all slots adapt
-        # the same layers at the same shapes; a merged slot's are read from
-        # the cache index alone, so this is their check.
-        for slot_key, geometry in geometries.items():
-            if geometry != geometries[1]:
-                raise RestoreError(f"slots[{slot_key - 1}] adapts other layers or shapes than slots[0]")
-        # A canonical cache has at most as many directions as its layer's
-        # smaller side; version-1 caches were not canonical.
-        for i, (_, _, (d_out, rank), (_, d_in), _) in enumerate(layout):
-            if version > 1 and rank > min(d_out, d_in):
-                raise RestoreError(
-                    f"cache_index[{i}] has rank {rank}, above min(d_out, d_in) of its {d_out} x {d_in} layer"
-                )
+        if version == MANIFEST_VERSION:
+            plan = _plan(directory, manifest, config)
+        else:
+            plan = _legacy_plan(directory, manifest, config, version)
+        tasks, scalings, task_ids, adapters, layout, cache_bytes = plan
 
         cache_path = directory / "running_cache.bin"
         with _opened(cache_path, f"running cache file {cache_path.name} is missing") as blob:
@@ -560,7 +513,7 @@ class MergeEngine:
             caches[slot_key][key] = LowRankDelta(b=b, a=a, canonical=version > 1).compressed()
         engine = cls(config)
         for k in tasks:
-            derivation = None if k not in merged else Derivation(
+            derivation = None if scalings[k] is None else Derivation(
                 config.rank_policy.target_rank, f"slot-{k}", scalings[k]
             )
             engine.store.slots[k] = SlotState(adapters.get(k), caches[k], tasks[k], derivation)
@@ -568,9 +521,184 @@ class MergeEngine:
         return engine
 
 
+def _plan(directory: Path, manifest: dict, config: PolicyConfig) -> tuple:
+    """What :meth:`MergeEngine.restore` builds from the version-4 store in
+    ``directory``: each slot's tasks and scaling (``None`` when file-held)
+    and each file-held slot's adapter, by slot key; each arrival's task id;
+    and the cache's layout and length. ``manifest`` must be the one
+    :func:`_manifest` derives from those facts, in value and JSON type: the
+    facts are read typed, so only a field out of place, missing or extra
+    is left for the comparison, which :func:`_difference` names."""
+    geometry, bounds = {}, []
+    for i, entry in enumerate(json_field(manifest, "layers", RestoreError, list)):
+        if type(entry) is not list or list(map(type, entry)) != [int, str, int, int] or min(entry[2:]) < 0:
+            raise RestoreError(f"layers[{i}] is {entry!r}; persist writes [layer, proj, d_out, d_in]")
+        layer, proj, d_out, d_in = entry
+        try:
+            geometry[LayerKey(layer, proj)] = (d_out, d_in)
+        except ShapeError as exc:
+            raise RestoreError(f"layers[{i}]: {exc}") from None
+        bounds.append(min(d_out, d_in))
+    tasks, scalings, ranks = [], {}, []
+    for i, entry in enumerate(json_field(manifest, "slots", RestoreError, list)):
+        if type(entry) is not dict:
+            raise RestoreError(f"slots[{i}] is {entry!r}; persist writes an object")
+        tasks.append(_naturals(entry, i, "tasks"))
+        scalings[i + 1] = _scaling(entry, i + 1) if "scaling" in entry else None
+        slot_ranks = _naturals(entry, i, "ranks")
+        if len(slot_ranks) != len(bounds):
+            raise RestoreError(
+                f"slots[{i}].ranks holds {len(slot_ranks)} ranks; layers holds {len(bounds)} layers"
+            )
+        # A canonical cache has at most as many directions as its layer's smaller side.
+        if any(map(gt, slot_ranks, bounds)):
+            j = next(j for j, bound in enumerate(bounds) if slot_ranks[j] > bound)
+            raise RestoreError(
+                f"slots[{i}].ranks[{j}] is {slot_ranks[j]}, above min(d_out, d_in) {bounds[j]} of layers[{j}]"
+            )
+        ranks.extend(slot_ranks)
+    ingested = json_field(manifest, "ingested", RestoreError, list)
+    if not all(type(name) is str for name in ingested):
+        i = next(i for i, name in enumerate(ingested) if type(name) is not str)
+        raise RestoreError(f"ingested[{i}] is {ingested[i]!r}; persist writes a task id")
+    if tasks and not geometry:
+        raise RestoreError("layers is empty; every slot adapts at least one layer")
+    _check_state(config, tasks, scalings, ingested)
+
+    adapters = _held_adapters(directory, [k for k, scaling in scalings.items() if scaling is None])
+    for slot_key, adapter in adapters.items():
+        if adapter.geometry != geometry:
+            raise RestoreError(
+                f"slots[{slot_key - 1}]: slot_{slot_key}.kmrg adapts other layers or shapes than layers"
+            )
+    declared = iter(ranks)
+    layout, cache_bytes = _cache_layout(dict.fromkeys(scalings, geometry), lambda *_: next(declared))
+    tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(ingested, 1))
+    derived = _manifest(config, geometry, {k: (tasks[k], scalings[k]) for k in tasks}, task_ids, layout)
+    stored = _with_policy(manifest, derived)
+    if stored != derived:
+        raise RestoreError(_difference(stored, derived))
+    return tasks, scalings, task_ids, adapters, layout, cache_bytes
+
+
+def _legacy_plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -> tuple:
+    """:func:`_plan` for a store of manifest version 1, 2 or 3, which spelt
+    out each cache entry's place and shapes in ``cache_index``. It reads
+    the policy, each slot's tasks and, in version 3, each merged slot's
+    scaling, the ingested ``[index, task id]`` pairs, each cache entry's
+    rank and each merged slot's layer keys and shapes from its cache
+    entries; then the file-held slots' files. It derives the layout and
+    :func:`_legacy_manifest` and requires every other field to equal them
+    in value and JSON type, then that all slots adapt the same layers at
+    the same shapes and that each version-2 or 3 cache rank is at most its
+    layer's ``min(d_out, d_in)``. Versions 1 and 2 hold every slot in a
+    file."""
+    tasks, scalings = [], {}
+    for slot_key, entry in enumerate(json_field(manifest, "slots", RestoreError, list), 1):
+        tasks.append([
+            json_value(t, int, RestoreError, "task index of slot {}", slot_key)
+            for t in json_field(entry, "tasks", RestoreError, list)
+        ])
+        # A version-1 or 2 entry that names a scaling is read as file-held,
+        # and the comparison below rejects it.
+        derived = version == 3 and "scaling" in entry
+        scalings[slot_key] = _scaling(entry, slot_key) if derived else None
+    ingested = json_field(manifest, "ingested", RestoreError, list)
+    try:
+        task_ids = [json_value(name, str, RestoreError, "ingested task id") for _, name in ingested]
+    except (TypeError, ValueError):
+        raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
+    merged = {slot_key for slot_key, scaling in scalings.items() if scaling is not None}
+    ranks, geometries = [], {slot_key: {} for slot_key in merged}
+    for i, entry in enumerate(json_field(manifest, "cache_index", RestoreError, list)):
+        shape = entry.get("b_shape") if type(entry) is dict else None
+        if type(shape) is not list or len(shape) != 2 or type(shape[1]) is not int or shape[1] < 0:
+            raise RestoreError(f"cache_index[{i}].b_shape is not [rows, rank]: {shape!r}")
+        ranks.append(shape[1])
+        slot_key = entry.get("slot_key")
+        if type(slot_key) is int and slot_key in merged:
+            key, d_out_d_in = _indexed_layer(i, entry)
+            geometries[slot_key][key] = d_out_d_in
+    _check_state(config, tasks, scalings, task_ids)
+    for slot_key in merged:
+        if not geometries[slot_key]:
+            raise RestoreError(f"slots[{slot_key - 1}] is merged and has no cache_index entry")
+
+    adapters = _held_adapters(directory, [k for k in range(1, len(tasks) + 1) if k not in merged])
+    geometries.update((slot_key, adapter.geometry) for slot_key, adapter in adapters.items())
+    # Entries past the declared ones get rank 0; the comparison rejects them.
+    declared = iter(ranks)
+    layout, cache_bytes = _cache_layout(geometries, lambda *_: next(declared, 0))
+    tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(task_ids, 1))
+    entries = {slot_key: (tasks[slot_key], scalings[slot_key]) for slot_key in tasks}
+    derived = _legacy_manifest(config, entries, task_ids, layout, version)
+    # ``==`` takes ``true`` for 1 and ``2.0`` for 2, which persist never wrote.
+    stored = _with_policy(manifest, derived)
+    if stored != derived or not all(type(n) is int for n in _integers(stored)):
+        raise RestoreError(_difference(stored, derived))
+    # Every ingest after the first meets every slot, so all slots adapt
+    # the same layers at the same shapes; a merged slot's are read from
+    # the cache index alone, so this is their check.
+    for slot_key, geometry in geometries.items():
+        if geometry != geometries[1]:
+            raise RestoreError(f"slots[{slot_key - 1}] adapts other layers or shapes than slots[0]")
+    # A canonical cache has at most as many directions as its layer's
+    # smaller side; version-1 caches were not canonical.
+    for i, (_, _, (d_out, rank), (_, d_in), _) in enumerate(layout):
+        if version > 1 and rank > min(d_out, d_in):
+            raise RestoreError(
+                f"cache_index[{i}] has rank {rank}, above min(d_out, d_in) of its {d_out} x {d_in} layer"
+            )
+    return tasks, scalings, task_ids, adapters, layout, cache_bytes
+
+
+def _check_state(config: PolicyConfig, tasks: list, scalings: dict, task_ids: list) -> None:
+    """Raise :class:`RestoreError` unless the slots' task lists and
+    scalings (slot key -> ``None`` for a file-held slot) and the arrivals'
+    task ids describe a state that ingests reach."""
+    if [] in tasks:
+        raise RestoreError(f"slots[{tasks.index([])}].tasks is empty")
+    # A merge adds a member to a slot that has one, so a merged slot has two.
+    for i, slot_tasks in enumerate(tasks):
+        if len(slot_tasks) == 1 and scalings[i + 1] is not None:
+            raise RestoreError(f"slots[{i}] has a scaling but one task; a merged slot has two or more")
+    if len(tasks) > config.budget_k:
+        raise RestoreError(f"{len(tasks)} slots exceed budget_k {config.budget_k}")
+    if len(set(task_ids)) != len(task_ids):
+        raise RestoreError("two ingested tasks share a task id")
+    if sorted(t for slot_tasks in tasks for t in slot_tasks) != list(range(1, len(task_ids) + 1)):
+        raise RestoreError("slot task lists do not partition the ingested task indices")
+
+
+def _held_adapters(directory: Path, slot_keys: list) -> dict[int, LoraAdapter]:
+    """The adapter of each file-held slot of ``slot_keys``, parsed from its
+    mapped ``slot_<key>.kmrg``; a parse error names the file."""
+    adapters = {}
+    for slot_key in slot_keys:
+        path = directory / f"slot_{slot_key}.kmrg"
+        with _opened(path, f"adapter file for slot {slot_key} is missing") as fh:
+            try:
+                adapters[slot_key] = parse_adapter(_mapped(fh, os.fstat(fh.fileno()).st_size))
+            except FormatError as exc:
+                raise exc.in_file(path) from None
+    return adapters
+
+
+def _naturals(entry: dict, i: int, name: str) -> list:
+    """Field ``name`` of version-4 slot entry ``i``: a list of non-negative
+    integers, as ``persist`` writes ``tasks`` and ``ranks``."""
+    try:
+        values = entry[name]
+    except KeyError:
+        raise RestoreError(f"missing field 'slots[{i}].{name}'") from None
+    if type(values) is not list or not all(type(n) is int and n >= 0 for n in values):
+        raise RestoreError(f"slots[{i}].{name} is {values!r}; persist writes a list of non-negative integers")
+    return values
+
+
 def _scaling(entry: dict, slot_key: int) -> float:
-    """The scaling a version-3 slot entry derives its merged adapter at:
-    a finite nonzero float, as ``persist`` writes it."""
+    """The scaling a slot entry derives its merged adapter at: a finite
+    nonzero float, as ``persist`` writes it."""
     scaling = entry["scaling"]
     if type(scaling) is not float or not math.isfinite(scaling) or scaling == 0:
         raise RestoreError(
@@ -630,13 +758,37 @@ def _cache_layout(geometries: dict[int, Mapping[LayerKey, tuple[int, int]]], ran
     return layout, offset
 
 
-def _manifest(config: PolicyConfig, slots: dict, task_ids: dict, layout: list, version: int) -> dict:
-    """The manifest of a store with policy ``config``, its ``slots`` (slot
-    key -> ``(tasks, scaling)``: the members' arrival indices, and ``None``
-    for a file-held slot or the scaling a merged one is derived at), each
-    arrival's task id ``task_ids`` and its caches at ``layout`` (see
-    :func:`_cache_layout`): what ``persist`` writes and ``restore``
-    requires."""
+def _manifest(config: PolicyConfig, geometry: Mapping, slots: dict, task_ids: dict, layout: list) -> dict:
+    """The version-4 manifest of a store with policy ``config``, whose
+    slots all adapt ``geometry`` (each layer's ``(d_out, d_in)``), with its
+    ``slots`` (slot key -> ``(tasks, scaling)``: the members' arrival
+    indices, and ``None`` for a file-held slot or the scaling a merged one
+    is derived at), each arrival's task id ``task_ids`` and its caches at
+    ``layout`` (see :func:`_cache_layout`): what ``persist`` writes and
+    ``restore`` requires. It holds each fact once and nothing that
+    ``restore`` derives: no file name, offset, shape or count."""
+    ranks = {slot_key: [] for slot_key in slots}
+    for slot_key, _, (_, rank), *_ in layout:
+        ranks[slot_key].append(rank)
+    return {
+        "version": MANIFEST_VERSION,
+        **config.to_dict(),
+        "layers": [[key.layer, key.proj, *geometry[key]] for key in sorted(geometry, key=LayerKey.sort_key)],
+        "slots": [
+            {"tasks": list(t), **({} if scaling is None else {"scaling": scaling}), "ranks": ranks[k]}
+            for k, (t, scaling) in sorted(slots.items())
+        ],
+        "ingested": [task_ids[t] for t in sorted(task_ids)],
+    }
+
+
+def _legacy_manifest(config: PolicyConfig, slots: dict, task_ids: dict, layout: list, version: int) -> dict:
+    """The manifest that version ``version`` (1 to 3) of ``persist`` wrote
+    for a store with the arguments of :func:`_manifest`, and no shared
+    geometry: it spelt out each slot's file or scaling and member count,
+    each cache entry's slot, layer, shapes and offset, the next slot key,
+    the arrival count and each arrival's index. :func:`_legacy_plan`
+    requires it of such a store."""
     return {
         "version": version,
         **config.to_dict(),
@@ -655,6 +807,12 @@ def _manifest(config: PolicyConfig, slots: dict, task_ids: dict, layout: list, v
         "timestep": len(task_ids),
         "ingested": [[t, task_ids[t]] for t in sorted(task_ids)],
     }
+
+
+def _with_policy(manifest: dict, derived: dict) -> dict:
+    """``manifest`` with ``derived``'s policy fields: ``PolicyConfig.from_dict``
+    alone judges the policy, as it reads older policies too."""
+    return {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
 
 
 def _integers(manifest: dict) -> list:

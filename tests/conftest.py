@@ -18,7 +18,7 @@ import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, _header_dict
 from kmerge.bench import clustering_consistency, order_stream
-from kmerge.engine import MergeHistory, SlotState, _cache_layout, _manifest
+from kmerge.engine import MergeHistory, SlotState, _cache_layout, _legacy_manifest
 from kmerge.lowrank import NOISE_TOL, LowRankDelta
 from kmerge.merging import RefactorResult
 from kmerge.similarity import adapter_similarity
@@ -155,15 +155,14 @@ def per_tensor_write_adapter(adapter, path):
 
 
 def per_tensor_persist(engine, directory):
-    """Write ``engine``'s store to the new ``directory`` at manifest version
-    2, one buffered ``write`` per tensor: every slot's adapter, merged or
-    not, through :func:`per_tensor_write_adapter`, each cache entry's ``b``
-    then ``a`` in ``_cache_layout`` order, and the compact manifest naming
-    every slot's file. It is the oracle of ``persist``'s vectored writes,
-    whose version-3 store differs only in keeping no file for a merged slot
-    and its scaling in the manifest instead, and it writes the version-2
-    stores that restore must still read."""
-    directory.mkdir(parents=True)
+    """Write ``engine``'s store to ``directory`` at manifest version 2, one
+    buffered ``write`` per tensor: every slot's adapter, merged or not,
+    through :func:`per_tensor_write_adapter`, each cache entry's ``b`` then
+    ``a`` in ``_cache_layout`` order, and the compact manifest naming every
+    slot's file. It is the oracle of ``persist``'s vectored writes, which
+    write the same slot files for file-held slots and the same cache, and
+    it writes the version-2 stores that restore must still read."""
+    directory.mkdir(parents=True, exist_ok=True)
     slots = engine.store.slots
     for slot_key, slot in slots.items():
         per_tensor_write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
@@ -174,7 +173,24 @@ def per_tensor_persist(engine, directory):
             for factor in (slots[slot_key].cache[key].b, slots[slot_key].cache[key].a):
                 fh.write(np.ascontiguousarray(factor, dtype="<f8"))
     entries = {slot_key: (slot.tasks, None) for slot_key, slot in slots.items()}
-    manifest = _manifest(engine.config, entries, engine.task_ids, layout, 2)
+    manifest = _legacy_manifest(engine.config, entries, engine.task_ids, layout, 2)
+    (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
+
+
+def version3_persist(engine, directory):
+    """Write ``engine``'s store to ``directory`` at manifest version 3, the
+    bytes that ``persist`` wrote at that version: the version-2 store of
+    :func:`per_tensor_persist` without a merged slot's adapter file, whose
+    entry names the scaling its adapter is derived at instead. It writes
+    the version-3 stores that restore must still read."""
+    per_tensor_persist(engine, directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["version"] = 3
+    for i, entry in enumerate(manifest["slots"]):
+        derivation = engine.store.slots[entry["slot_key"]].derivation
+        if derivation is not None:
+            (directory / entry.pop("file")).unlink()
+            manifest["slots"][i] = {"slot_key": entry.pop("slot_key"), "scaling": derivation.scaling, **entry}
     (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
 
 

@@ -466,7 +466,9 @@ def test_inspect_store(suite_dir, tmp_path, capsys):
 def test_inspect_store_prints_one_line_per_slot(tmp_path, rng, capsys):
     """One line per slot: its key, member count, whether its adapter is
     served from its file or derived from its cache, its largest cache rank
-    and its cache bytes, each recomputed here from the manifest."""
+    and its cache bytes, each recomputed here from the manifest: a slot
+    entry with a scaling is derived, and its cache bytes are 8 per entry of
+    each layer's ``b`` and ``a`` at its rank."""
     engine = MergeEngine(PolicyConfig(budget_k=3, rank_policy=RankPolicy(target_rank=2)))
     for i in range(6):
         engine.ingest(small_random_adapter(f"t{i}", rng, rank=2, n_keys=3, width=8))
@@ -477,12 +479,12 @@ def test_inspect_store_prints_one_line_per_slot(tmp_path, rng, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["slot", "members", "served", "from", "cache", "rank", "cache", "bytes"]
     want = []
-    for entry in manifest["slots"]:
-        cache = [e for e in manifest["cache_index"] if e["slot_key"] == entry["slot_key"]]
+    shapes = [(d_out, d_in) for _, _, d_out, d_in in manifest["layers"]]
+    for slot_key, entry in enumerate(manifest["slots"], 1):
         want.append([
-            str(entry["slot_key"]), str(len(entry["tasks"])), "file" if "file" in entry else "derived",
-            str(max(e["b_shape"][1] for e in cache)),
-            str(sum(8 * (e["b_shape"][0] * e["b_shape"][1] + e["a_shape"][0] * e["a_shape"][1]) for e in cache)),
+            str(slot_key), str(len(entry["tasks"])), "derived" if "scaling" in entry else "file",
+            str(max(entry["ranks"])),
+            str(sum(8 * (d_out * rank + rank * d_in) for (d_out, d_in), rank in zip(shapes, entry["ranks"]))),
         ])
     assert [line.split() for line in lines[1:]] == want
     assert [row[2] for row in want] == ["derived", "derived", "file"]
@@ -564,13 +566,15 @@ def test_inspect_store_refuses_rank(tmp_path, rank):
 def test_closed_stdout_exits_141(tmp_path, rng):
     """A reader that closes the pipe after one line (``kmerge inspect
     --store S --json | head -1``) ends the command as SIGPIPE would: exit
-    141 and nothing on stderr. The manifest of 5 slots of 512 layers,
+    141 and nothing on stderr. The manifest of 5 slots of 2048 layers,
     printed indented, is several times a pipe's 64 KiB buffer, so the
     write fails."""
     engine = MergeEngine(PolicyConfig(budget_k=5, rank_policy=RankPolicy(target_rank=1)))
     for i in range(5):
-        engine.ingest(small_random_adapter(f"t{i}", rng, rank=1, n_keys=512, width=2))
+        engine.ingest(small_random_adapter(f"t{i}", rng, rank=1, n_keys=2048, width=2))
     engine.persist(tmp_path / "store")
+    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+    assert len(json.dumps(manifest, indent=2)) > 3 * 65536
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     command = [sys.executable, "-m", "kmerge.cli", "inspect", "--store", str(tmp_path / "store"), "--json"]

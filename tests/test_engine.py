@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from kmerge.adapters import LayerKey, parse_adapter
-from kmerge.bench import GeneratorConfig, generate_suite
+from kmerge.bench import GeneratorConfig, OrderingSpec, generate_suite, run_simulation
 from kmerge.engine import (
     ALLOCATED,
+    MANIFEST_VERSION,
     MERGED,
     MergeEngine,
     PolicyConfig,
@@ -38,6 +39,7 @@ import kmerge.engine
 import kmerge.lowrank
 from kmerge.lowrank import LowRankDelta, fold_layers
 from kmerge.merging import OPERATOR_KINDS, MergeOperator, RankPolicy, linear_merge
+from kmerge.similarity import most_similar
 
 from conftest import (
     NaiveState,
@@ -53,6 +55,7 @@ from conftest import (
     poison_tensor,
     rewrite_header,
     small_random_adapter,
+    version3_persist,
     width_mismatched_pair,
     zero_width_adapter,
 )
@@ -360,6 +363,49 @@ def test_mismatched_key_set_rejected(rng):
         engine.ingest(small_random_adapter("b", rng, n_keys=3))
 
 
+def _no_scoring(*args):
+    raise AssertionError("most_similar ran")
+
+
+def test_k_merge_allocates_without_scoring(monkeypatch):
+    """Below its budget k_merge allocates whatever the scores, so it
+    computes none: with ``most_similar`` patched to raise, an engine fills
+    its K slots and the simulation rows equal an unpatched engine's."""
+    adapters, tasks = generate_suite(GeneratorConfig())
+    adapters, tasks, ordering = adapters[:5], tasks[:5], OrderingSpec("random", 3)
+
+    def rows():
+        report = run_simulation(adapters, tasks, ordering, PolicyConfig(budget_k=5))
+        return [{**vars(row), "elapsed": None} for row in report.rows]
+
+    want = rows()
+    with monkeypatch.context() as patch:
+        patch.setattr(kmerge.engine, "most_similar", _no_scoring)
+        got = rows()
+    assert got == want
+    assert [row["action"] for row in got] == [ALLOCATED] * 5
+
+
+@pytest.mark.parametrize("pair", ["key-sets", "widths"])
+def test_k_merge_rejects_incompatible_adapter_without_scoring(rng, monkeypatch, pair):
+    """An allocation that computes no score still rejects an adapter that
+    cannot meet the slots, before the commit, with the error and message
+    of the similarity it skips."""
+    if pair == "key-sets":
+        first, second = small_random_adapter("a", rng, n_keys=2), small_random_adapter("b", rng, n_keys=3)
+    else:
+        first, second = width_mismatched_pair(rng)
+    engine = MergeEngine(_config(3))
+    engine.ingest(first)
+    with pytest.raises((IncompatibleAdapters, ShapeError)) as want:
+        most_similar(second, engine.store.adapters_by_slot())
+    monkeypatch.setattr(kmerge.engine, "most_similar", _no_scoring)
+    with pytest.raises(type(want.value)) as got:
+        engine.ingest(second)
+    assert str(got.value) == str(want.value)
+    assert engine.history.entries == {1: [1]} and engine.task_ids == {1: first.task_id}
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         PolicyConfig(budget_k=0)
@@ -450,13 +496,17 @@ def test_restore_continues_identically(tmp_path, rng):
             )
 
 
-def _persisted(tmp_path, rng):
+def _persisted(tmp_path, rng, version=MANIFEST_VERSION):
     """A K=2 store of 4 adapters: slot 1 has one member and keeps its
-    adapter file; slot 2 is merged and keeps none."""
+    adapter file; slot 2 is merged and keeps none. ``version`` 3 writes it
+    as ``persist`` did at manifest version 3."""
     engine = MergeEngine(_config(2))
     for a in _stream(rng, 4):
         engine.ingest(a)
-    engine.persist(tmp_path)
+    if version == 3:
+        version3_persist(engine, tmp_path)
+    else:
+        engine.persist(tmp_path)
     assert engine.history.entries == {1: [1], 2: [2, 3, 4]}
     assert sorted(p.name for p in tmp_path.glob("slot_*")) == ["slot_1.kmrg"]
     return engine
@@ -564,7 +614,7 @@ DAMAGED_ENTRIES = {
 
 @pytest.mark.parametrize("table, damage, match", DAMAGED_ENTRIES.values(), ids=DAMAGED_ENTRIES)
 def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
-    _persisted(tmp_path, rng)
+    _persisted(tmp_path, rng, 3)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     damage(manifest[table][0])
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -579,7 +629,7 @@ def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
     ("ingested", [[1, 7], [2, "task-1"], [3, "task-2"], [4, "task-3"]]),
 ])
 def test_restore_non_integer_manifest_field(tmp_path, rng, field, value):
-    _persisted(tmp_path, rng)
+    _persisted(tmp_path, rng, 3)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest[field] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -698,10 +748,10 @@ def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
         engine = MergeEngine(_config(1, rank=1))
         for i in range(members):
             engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
-        engine.persist(tmp_path)
+        version3_persist(engine, tmp_path)
         assert [p.name for p in tmp_path.glob("slot_*")] == ["slot_1.kmrg"] * (members == 1)
     else:
-        _persisted(tmp_path, rng)
+        _persisted(tmp_path, rng, 3)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     damage(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -722,6 +772,13 @@ def _merged_slot_entries_dropped(manifest, store):
 
 def _slot_scaling(value):
     return lambda manifest, store: manifest["slots"][1].__setitem__("scaling", value)
+
+
+def _one_member_slot_merged(manifest, store):
+    """Give one-member slot 1 a scaling in place of its file."""
+    entry = manifest["slots"][0]
+    del entry["file"]
+    entry["scaling"] = 1.0
 
 
 def _scaling_message(value):
@@ -747,6 +804,10 @@ DAMAGED_MERGED_SLOTS = {
     "inf-scaling": (_slot_scaling(float("-inf")), _scaling_message("-inf")),
     "zero-scaling": (_slot_scaling(0.0), _scaling_message("0.0")),
     "negative-zero-scaling": (_slot_scaling(-0.0), _scaling_message("-0.0")),
+    # A merge adds a member to a slot that has one.
+    "one-member-scaling": (
+        _one_member_slot_merged, r"slots\[0\] has a scaling but one task; a merged slot has two or more",
+    ),
     # Version 2 holds every slot in a file, whatever its entry says.
     "version-2-scaling": (
         lambda m, store: m.__setitem__("version", 2), "adapter file for slot 2 is missing"
@@ -783,7 +844,7 @@ def test_restore_rejects_damaged_merged_slot(tmp_path, rng, damage, match):
     """A version-3 slot entry holds either a file or a finite nonzero float
     scaling; a merged slot's layers, read from its cache entries, are
     typed, and match every other slot's."""
-    _persisted(tmp_path, rng)
+    _persisted(tmp_path, rng, 3)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "scaling" in manifest["slots"][1] and manifest["cache_index"][3]["slot_key"] == 2
     damage(manifest, tmp_path)
@@ -810,13 +871,227 @@ DAMAGED_CACHE_FILES = {
 
 @pytest.mark.parametrize("damage, match", DAMAGED_CACHE_FILES.values(), ids=DAMAGED_CACHE_FILES)
 def test_restore_rejects_damaged_cache_file(tmp_path, rng, damage, match):
-    _persisted(tmp_path, rng)
+    _persisted(tmp_path, rng, 3)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     blob = damage(manifest, (tmp_path / "running_cache.bin").read_bytes())
     (tmp_path / "running_cache.bin").write_bytes(blob)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
         MergeEngine.restore(tmp_path)
+
+
+def _zero_widths_persisted(tmp_path, rng):
+    """A K=1 store of two rank-1 ``zero_width_adapter`` ingests, whose
+    layers are ``4 x 0``, ``0 x 3``, ``0 x 0`` and ``5 x 6``."""
+    engine = MergeEngine(_config(1, rank=1))
+    for i in range(2):
+        engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
+    engine.persist(tmp_path)
+
+
+def _slot(i, change):
+    return lambda m: change(m["slots"][i])
+
+
+def _no_layers(manifest):
+    """List no layer, and so no rank in any slot."""
+    manifest["layers"].clear()
+    for entry in manifest["slots"]:
+        entry["ranks"].clear()
+
+
+def _repeat_first_layer(manifest):
+    """List layer 0 twice, with a rank for it in every slot."""
+    manifest["layers"].insert(1, manifest["layers"][0])
+    for entry in manifest["slots"]:
+        entry["ranks"].insert(1, entry["ranks"][0])
+
+
+def _last_layer_first(manifest):
+    """Move the last layer to the front, with its rank in every slot."""
+    manifest["layers"].insert(0, manifest["layers"].pop())
+    for entry in manifest["slots"]:
+        entry["ranks"].insert(0, entry["ranks"].pop())
+
+
+def _move_tasks_to_first_slot(manifest):
+    first, second = (entry["tasks"] for entry in manifest["slots"])
+    first.extend(second)
+    second.clear()
+
+
+# ``_persisted``'s version-4 manifest: layers [[0, "key", 8, 8], [0, "query",
+# 8, 8]], slots [{"tasks": [1], "ranks": [2, 2]}, {"tasks": [2, 3, 4],
+# "scaling": 1.0, "ranks": [6, 6]}] and ingested ["task-0", ..., "task-3"].
+# Damage marked "zero-widths" applies to a merged-only store of two
+# ``zero_width_adapter`` ingests, whose layer 2 is 0 x 0.
+DAMAGED_VERSION4_MANIFESTS = {
+    "no-version": (lambda m: m.pop("version"), "missing field 'version'"),
+    "no-layers": (lambda m: m.pop("layers"), "missing field 'layers'"),
+    "no-slots": (lambda m: m.pop("slots"), "missing field 'slots'"),
+    "no-ingested": (lambda m: m.pop("ingested"), "missing field 'ingested'"),
+    "no-tasks": (_slot(0, lambda e: e.pop("tasks")), r"missing field 'slots\[0\]\.tasks'"),
+    "no-ranks": (_slot(1, lambda e: e.pop("ranks")), r"missing field 'slots\[1\]\.ranks'"),
+    # Each field has one JSON type.
+    "text-version": (lambda m: m.__setitem__("version", "4"), "version is not an integer: '4'"),
+    "object-layers": (lambda m: m.__setitem__("layers", {}), "layers is not a list"),
+    "short-layer": (
+        lambda m: m["layers"][1].pop(),
+        r"layers\[1\] is \[0, 'query', 8\]; persist writes \[layer, proj, d_out, d_in\]",
+    ),
+    "long-layer": (lambda m: m["layers"][0].append(2), r"layers\[0\] is \[0, 'key', 8, 8, 2\]"),
+    "text-width": (lambda m: m["layers"][0].__setitem__(2, "8"), r"layers\[0\] is \[0, 'key', '8', 8\]"),
+    "float-width": (lambda m: m["layers"][1].__setitem__(3, 8.0), r"layers\[1\] is \[0, 'query', 8, 8\.0\]"),
+    "number-proj": (lambda m: m["layers"][0].__setitem__(1, 0), r"layers\[0\] is \[0, 0, 8, 8\]"),
+    "null-slots": (lambda m: m.__setitem__("slots", None), "slots is not a list"),
+    "text-slot": (
+        lambda m: m["slots"].__setitem__(0, "slot_1.kmrg"),
+        r"slots\[0\] is 'slot_1\.kmrg'; persist writes an object",
+    ),
+    "text-ranks": (_slot(0, lambda e: e.__setitem__("ranks", "22")), r"slots\[0\]\.ranks is '22'"),
+    "float-task": (_slot(1, lambda e: e["tasks"].__setitem__(0, 2.0)), r"slots\[1\]\.tasks is \[2\.0, 3, 4\]"),
+    "text-scaling": (
+        _slot(1, lambda e: e.__setitem__("scaling", "1.0")),
+        r"slots\[1\]\.scaling is '1\.0'; persist writes a finite nonzero float",
+    ),
+    "integer-scaling": (_slot(1, lambda e: e.__setitem__("scaling", 1)), r"slots\[1\]\.scaling is 1;"),
+    "zero-scaling": (_slot(1, lambda e: e.__setitem__("scaling", 0.0)), r"slots\[1\]\.scaling is 0\.0;"),
+    "nan-scaling": (_slot(1, lambda e: e.__setitem__("scaling", float("nan"))), r"slots\[1\]\.scaling is nan;"),
+    "number-task-id": (
+        lambda m: m["ingested"].__setitem__(2, 3), r"ingested\[2\] is 3; persist writes a task id"
+    ),
+    "pair-task-id": (lambda m: m["ingested"].__setitem__(0, [1, "task-0"]), r"ingested\[0\] is \[1, 'task-0'\]"),
+    # ``true`` is no integer.
+    "bool-version": (lambda m: m.__setitem__("version", True), "version is not an integer: True"),
+    "bool-layer": (lambda m: m["layers"][0].__setitem__(0, False), r"layers\[0\] is \[False, 'key', 8, 8\]"),
+    "bool-width": (lambda m: m["layers"][0].__setitem__(3, True), r"layers\[0\] is \[0, 'key', 8, True\]"),
+    "bool-rank": (_slot(0, lambda e: e["ranks"].__setitem__(0, True)), r"slots\[0\]\.ranks is \[True, 2\]"),
+    "bool-task": (_slot(0, lambda e: e["tasks"].__setitem__(0, True)), r"slots\[0\]\.tasks is \[True\]"),
+    # One rank per layer, each at most the layer's smaller side.
+    "ranks-short": (
+        _slot(1, lambda e: e["ranks"].pop()), r"slots\[1\]\.ranks holds 1 ranks; layers holds 2 layers"
+    ),
+    "ranks-long": (
+        _slot(0, lambda e: e["ranks"].append(0)), r"slots\[0\]\.ranks holds 3 ranks; layers holds 2 layers"
+    ),
+    "rank-above-widths": (
+        _slot(1, lambda e: e["ranks"].__setitem__(1, 9)),
+        r"slots\[1\]\.ranks\[1\] is 9, above min\(d_out, d_in\) 8 of layers\[1\]",
+    ),
+    "negative-rank": (_slot(0, lambda e: e["ranks"].__setitem__(0, -1)), r"slots\[0\]\.ranks is \[-1, 2\]"),
+    "negative-width": (lambda m: m["layers"][0].__setitem__(3, -8), r"layers\[0\] is \[0, 'key', 8, -8\]"),
+    "rank-above-zero-widths": (
+        "zero-widths", _slot(0, lambda e: e["ranks"].__setitem__(2, 3)),
+        r"slots\[0\]\.ranks\[2\] is 3, above min\(d_out, d_in\) 0 of layers\[2\]",
+    ),
+    "huge-rank-zero-widths": (
+        "zero-widths", _slot(0, lambda e: e["ranks"].__setitem__(2, 2**62)),
+        r"slots\[0\]\.ranks\[2\] is 4611686018427387904, above min\(d_out, d_in\) 0 of layers\[2\]",
+    ),
+    # ``layers`` lists each layer once, in sorted key order, with known projections.
+    "layers-unsorted": (
+        lambda m: m["layers"].reverse(), r"layers\[0\]\[1\] is 'query'; persist writes 'key'"
+    ),
+    "layers-unsorted-merged": (
+        "zero-widths", _last_layer_first,
+        r"layers\[0\]\[0\] is 1; persist writes 0",
+    ),
+    "layer-repeated": (_repeat_first_layer, r"layers\[1\]\[1\] is 'key'; persist writes 'query'"),
+    "layer-repeated-merged": (
+        "zero-widths", _repeat_first_layer, r"layers\[1\]\[1\] is 'key'; persist writes 'query'"
+    ),
+    "unknown-proj": (
+        lambda m: m["layers"][1].__setitem__(1, "gate"), r"layers\[1\]: unknown projection 'gate'"
+    ),
+    "negative-layer": (
+        lambda m: m["layers"][0].__setitem__(0, -1), r"layers\[0\]: layer index must be >= 0, got -1"
+    ),
+    "no-layers-listed": (_no_layers, "layers is empty; every slot adapts at least one layer"),
+    # A file-held slot's file adapts ``layers``.
+    "file-geometry-differs": (
+        lambda m: m["layers"][1].__setitem__(2, 7),
+        r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers",
+    ),
+    "file-layer-differs": (
+        lambda m: m["layers"][1].__setitem__(0, 1),
+        r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers",
+    ),
+    # Nothing that persist does not write.
+    "extra-top-level-key": (
+        lambda m: m.__setitem__("cache_index", []), r"cache_index is \[\]; persist writes nothing there"
+    ),
+    "extra-slot-key": (
+        _slot(0, lambda e: e.__setitem__("file", "slot_1.kmrg")),
+        r"slots\[0\]\.file is 'slot_1\.kmrg'; persist writes nothing there",
+    ),
+    "extra-slot-key-merged": (
+        _slot(1, lambda e: e.__setitem__("merge_count", 3)),
+        r"slots\[1\]\.merge_count is 3; persist writes nothing there",
+    ),
+    # A state that ingests reach.
+    "shared-task-id": (lambda m: m["ingested"].__setitem__(1, m["ingested"][0]), "share a task id"),
+    "task-in-two-slots": (_slot(1, lambda e: e["tasks"].append(1)), "partition"),
+    "task-in-no-slot": (_slot(1, lambda e: e["tasks"].pop()), "partition"),
+    "unknown-task-index": (_slot(0, lambda e: e["tasks"].append(99)), "partition"),
+    "ingested-extra": (lambda m: m["ingested"].append("task-9"), "partition"),
+    "slot-without-tasks": (_move_tasks_to_first_slot, r"slots\[1\]\.tasks is empty"),
+    "slots-over-budget": (lambda m: m.__setitem__("budget_k", 1), "2 slots exceed budget_k 1"),
+    "scaling-on-one-member": (
+        _slot(0, lambda e: e.__setitem__("scaling", 1.0)),
+        r"slots\[0\] has a scaling but one task; a merged slot has two or more",
+    ),
+    "no-scaling": (_slot(1, lambda e: e.pop("scaling")), "adapter file for slot 2 is missing"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED_VERSION4_MANIFESTS.values(), ids=DAMAGED_VERSION4_MANIFESTS)
+def test_restore_rejects_damaged_version4_manifest(tmp_path, rng, case):
+    """Each damaged version-4 manifest raises ``RestoreError`` naming the
+    field, before the cache file is opened."""
+    *store, damage, match = case
+    if store == ["zero-widths"]:
+        _zero_widths_persisted(tmp_path, rng)
+        assert not list(tmp_path.glob("slot_*"))
+    else:
+        _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["version"] == 4
+    damage(manifest)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+POLICY_KEYS = ["budget_k", "variant", "threshold_s", "operator", "rank_policy"]
+
+
+def test_version4_manifest_holds_each_fact_once(tmp_path, rng):
+    """The exact keys of a version-4 manifest and of its slot entries, in
+    order: a merged slot's entry adds ``scaling``. Shown for the default
+    grid (merged and one-member slots), a mixed-geometry engine (merged
+    slots, zero-width layers) and an engine with no slot."""
+    top = ["version", *POLICY_KEYS, "layers", "slots", "ingested"]
+    held, merged = ["tasks", "ranks"], ["tasks", "scaling", "ranks"]
+    cases = {
+        "default-grid": (_default_grid_engine(), [merged] * 3 + [held] * 2),
+        "mixed-geometry": (_mixed_geometry_engine(rng), [merged] * 2),
+        "no-slot": (MergeEngine(_config(2)), []),
+    }
+    for name, (engine, slot_keys) in cases.items():
+        engine.persist(tmp_path / name)
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert list(manifest) == top
+        assert [list(entry) for entry in manifest["slots"]] == slot_keys
+        assert manifest["ingested"] == [engine.task_ids[t] for t in sorted(engine.task_ids)]
+        for entry, slot in zip(manifest["slots"], engine.store.slots.values()):
+            assert entry["tasks"] == list(slot.tasks)
+    default = json.loads((tmp_path / "default-grid" / "manifest.json").read_text())
+    assert len(default["layers"]) == 16 and all(len(entry["ranks"]) == 16 for entry in default["slots"])
+    mixed = json.loads((tmp_path / "mixed-geometry" / "manifest.json").read_text())
+    assert mixed["layers"] == [[0, "key", 4, 0], [0, "query", 0, 3], [0, "value", 0, 0], [1, "key", 5, 6]]
+    assert [entry["ranks"] for entry in mixed["slots"]] == [[0, 0, 0, 2], [0, 0, 0, 3]]
+    empty = json.loads((tmp_path / "no-slot" / "manifest.json").read_text())
+    assert empty == {"version": 4, **_config(2).to_dict(), "layers": [], "slots": [], "ingested": []}
 
 
 def _integer_leaf_paths(node, path=()):
@@ -831,7 +1106,7 @@ def test_restore_rejects_every_integer_leaf_changed(tmp_path, rng):
     """Every integer outside the policy is one that persist derives or
     restore reads typed, so restore rejects it changed by one, as a float,
     a boolean, a string or null."""
-    engine = _persisted(tmp_path, rng)
+    engine = _persisted(tmp_path, rng, 3)
     assert any(len(tasks) > 1 for tasks in engine.history.entries.values())
     original = json.loads((tmp_path / "manifest.json").read_text())
     policy = set(engine.config.to_dict())
@@ -851,13 +1126,38 @@ def test_restore_rejects_every_integer_leaf_changed(tmp_path, rng):
     assert len(paths) > 40 and accepted == []
 
 
+def test_restore_rejects_every_version4_integer_leaf_changed(tmp_path, rng):
+    """Every integer of a version-4 manifest outside the policy (the
+    version, each layer's index and widths, each task index and cache rank)
+    is read typed and checked, so restore rejects it changed by one, as a
+    float, a boolean, a string or null."""
+    engine = _persisted(tmp_path, rng)
+    original = json.loads((tmp_path / "manifest.json").read_text())
+    policy = set(engine.config.to_dict())
+    paths = [path for path in _integer_leaf_paths(original) if path[0] not in policy]
+    accepted = []
+    for *parents, last in paths:
+        value = reduce(getitem, parents, original)[last]
+        for changed in (value + 1, float(value), bool(value), str(value), None):
+            manifest = json.loads(json.dumps(original))
+            reduce(getitem, parents, manifest)[last] = changed
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            try:
+                MergeEngine.restore(tmp_path)
+            except RestoreError:
+                continue
+            accepted.append(((*parents, last), changed))
+    # The version, 2 layers of 3 integers, 4 task indices and 2 slots of 2 ranks.
+    assert len(paths) == 1 + 2 * 3 + 4 + 2 * 2 and accepted == []
+
+
 @pytest.mark.parametrize("outside", ["parent", "absolute"])
 @pytest.mark.parametrize("field", ["file", "running_cache_file"])
 def test_restore_rejects_file_outside_store(tmp_path, rng, field, outside):
     """A manifest naming a file outside its store is rejected, even when
     that file exists and holds the right bytes."""
     store = tmp_path / "store"
-    _persisted(store, rng)
+    _persisted(store, rng, 3)
     manifest = json.loads((store / "manifest.json").read_text())
     owner = manifest["slots"][0] if field == "file" else manifest
     store_file = owner[field]
@@ -1120,20 +1420,32 @@ def _default_grid_engine(count=40):
     return engine
 
 
-def _version3_of(oracle, engine):
-    """The bytes of ``engine``'s version-3 store, from ``oracle``, its
+def _version4_of(oracle, engine):
+    """The bytes of ``engine``'s version-4 store, from ``oracle``, its
     version-2 store written by ``per_tensor_persist``: the same files but
-    for each merged slot's adapter file, and the same manifest at version
-    3, with each merged slot's entry naming its scaling instead of a file."""
+    for each merged slot's adapter file, and a manifest holding the same
+    policy, ``layers`` read from slot 1's cache entries, each slot's tasks,
+    its scaling if it is merged and its cache entries' ranks, and the
+    ingested task ids."""
     want = _store_bytes(oracle)
-    manifest = json.loads(want["manifest.json"])
-    manifest["version"] = 3
-    for entry in manifest["slots"]:
+    old = json.loads(want["manifest.json"])
+    index = old["cache_index"]
+    slots = []
+    for entry in old["slots"]:
+        slot = {"tasks": entry["tasks"]}
         derivation = engine.store.slots[entry["slot_key"]].derivation
         if derivation is not None:
-            del want[entry.pop("file")]
-            entry = {"slot_key": entry.pop("slot_key"), "scaling": derivation.scaling, **entry}
-            manifest["slots"][entry["slot_key"] - 1] = entry
+            del want[entry["file"]]
+            slot["scaling"] = derivation.scaling
+        slot["ranks"] = [e["b_shape"][1] for e in index if e["slot_key"] == entry["slot_key"]]
+        slots.append(slot)
+    manifest = {
+        "version": 4,
+        **{name: old[name] for name in engine.config.to_dict()},
+        "layers": [[e["layer"], e["proj"], e["b_shape"][0], e["a_shape"][1]] for e in index if e["slot_key"] == 1],
+        "slots": slots,
+        "ingested": [task_id for _, task_id in old["ingested"]],
+    }
     want["manifest.json"] = json.dumps(manifest).encode()
     return want
 
@@ -1162,7 +1474,7 @@ def _version1_engine(tmp_path, rng):
 ])
 def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, limit):
     """``persist`` writes the bytes of a store written one tensor at a time
-    (as :func:`_version3_of` that store), also when ``os.writev`` takes at
+    (as :func:`_version4_of` that store), also when ``os.writev`` takes at
     most 7 bytes a call, and every byte of every file goes through
     ``os.writev``. The stores hold one-member and merged slots (the
     default grid), merged slots only (mixed geometry), and merged slots
@@ -1177,7 +1489,7 @@ def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, li
     writes = RecordedWrites(os.writev, limit)
     monkeypatch.setattr(os, "writev", writes)
     engine.persist(tmp_path / "got")
-    want = _version3_of(tmp_path / "want", engine)
+    want = _version4_of(tmp_path / "want", engine)
     files = sorted(name for name in want if name.startswith("slot_"))
     assert files == {
         "default-grid": ["slot_4.kmrg", "slot_5.kmrg"], "mixed-geometry": [],
@@ -1417,20 +1729,22 @@ def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):
 
 
 def test_persisted_cache_file_layout(tmp_path, rng):
-    """running_cache.bin is every index entry's b then a, float64
-    little-endian, back to back in index order."""
+    """running_cache.bin is, for each slot in order and each of its layers
+    in ``layers`` order, the cache entry's b then a, float64 little-endian,
+    back to back; each slot's ``ranks`` are its cache entries' ranks."""
     engine = MergeEngine(_config(2))
     for a in _stream(rng, 5, n_keys=3):
         engine.ingest(a)
     engine.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     expected = bytearray()
-    for entry in manifest["cache_index"]:
-        low = engine.store.slots[entry["slot_key"]].cache[LayerKey(entry["layer"], entry["proj"])]
-        assert entry["offset"] == len(expected)
-        assert entry["b_shape"] == list(low.b.shape) and entry["a_shape"] == list(low.a.shape)
-        expected += low.b.astype("<f8").tobytes() + low.a.astype("<f8").tobytes()
-    assert len(manifest["cache_index"]) == 2 * 3
+    for slot_key, entry in enumerate(manifest["slots"], 1):
+        assert len(entry["ranks"]) == len(manifest["layers"]) == 3
+        for (layer, proj, d_out, d_in), rank in zip(manifest["layers"], entry["ranks"]):
+            low = engine.store.slots[slot_key].cache[LayerKey(layer, proj)]
+            assert low.b.shape == (d_out, rank) and low.a.shape == (rank, d_in)
+            expected += low.b.astype("<f8").tobytes() + low.a.astype("<f8").tobytes()
+    assert len(manifest["slots"]) == 2
     assert (tmp_path / "running_cache.bin").read_bytes() == bytes(expected)
 
 
@@ -1494,7 +1808,7 @@ def test_restore_version1_store_continues_identically(tmp_path, rng):
             assert np.linalg.norm(served - ref) <= 1e-5 * np.linalg.norm(ref)
 
     resumed.persist(tmp_path / "again")
-    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 3
+    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 4
 
 
 def _no_refactor(*args):
@@ -1548,14 +1862,14 @@ def test_store_keeps_each_merged_slot_once(tmp_path, rng, monkeypatch, kind):
 def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch):
     """A version-2 store, whose merged slots kept their adapter files,
     restores with every slot served from its file. A persist writes version
-    3 and keeps each file until its slot is merged again, which drops it.
+    4 and keeps each file until its slot is merged again, which drops it.
     The engine continues as one never persisted."""
     stream = _stream(rng, 10)
     never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
     for a in stream[:6]:
         never_persisted.ingest(a)
         persisted.ingest(a)
-    old, new = tmp_path / "v2", tmp_path / "v3"
+    old, new = tmp_path / "v2", tmp_path / "v4"
     per_tensor_persist(persisted, old)
     with monkeypatch.context() as patch:
         patch.setattr(kmerge.engine, "refactor", _no_refactor)
@@ -1565,8 +1879,8 @@ def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch)
             assert_same_adapter(slot.adapter, persisted.store.slots[k].adapter)
         back.persist(new)
     manifest = json.loads((new / "manifest.json").read_text())
-    assert manifest["version"] == 3
-    assert [entry["file"] for entry in manifest["slots"]] == ["slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg"]
+    assert manifest["version"] == 4
+    assert ["scaling" in entry for entry in manifest["slots"]] == [False] * 3
     for name in ("slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg", "running_cache.bin"):
         assert (new / name).read_bytes() == (old / name).read_bytes()
 
@@ -1581,12 +1895,36 @@ def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch)
         manifest = json.loads((new / "manifest.json").read_text())
         for k, entry in enumerate(manifest["slots"], 1):
             if k in merged_since:
-                assert "file" not in entry and entry["scaling"] == back.store.slots[k].derivation.scaling
+                assert entry["scaling"] == back.store.slots[k].derivation.scaling
             else:
-                assert "scaling" not in entry and entry["file"] == f"slot_{k}.kmrg"
-                assert (new / entry["file"]).read_bytes() == (old / entry["file"]).read_bytes()
+                assert "scaling" not in entry
+                assert (new / f"slot_{k}.kmrg").read_bytes() == (old / f"slot_{k}.kmrg").read_bytes()
         held = [f"slot_{k}.kmrg" for k in (1, 2, 3) if k not in merged_since]
         assert sorted(p.name for p in new.glob("slot_*")) == held
     # One-member slot 3, then slots 2 and 1, merged in version 2, merge again.
     assert merged_since == [3, 2, 2, 1]
     _assert_slots_equal(back, _slot_copies(never_persisted))
+
+
+def test_version3_store_continues_to_the_version4_store(tmp_path, rng):
+    """A version-3 store, as ``persist`` wrote it at that version, restores,
+    merges once more and persists the version-4 store of an engine never
+    persisted, byte for byte."""
+    stream = _stream(rng, 8)
+    never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
+    for a in stream[:6]:
+        never_persisted.ingest(a)
+        persisted.ingest(a)
+    version3_persist(persisted, tmp_path / "v3")
+    manifest = json.loads((tmp_path / "v3" / "manifest.json").read_text())
+    assert manifest["version"] == 3 and "cache_index" in manifest
+    assert ["scaling" in entry for entry in manifest["slots"]] == [True, True, False]
+    back = MergeEngine.restore(tmp_path / "v3")
+    for a in stream[6:7]:
+        expect, got = never_persisted.ingest(a), back.ingest(a)
+        assert got.action == expect.action == MERGED
+        assert (got.slot_key, got.similarity) == (expect.slot_key, expect.similarity)
+    back.persist(tmp_path / "again")
+    never_persisted.persist(tmp_path / "never")
+    assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "never")
+    assert json.loads((tmp_path / "never" / "manifest.json").read_text())["version"] == 4
