@@ -22,9 +22,10 @@ cache ranks, and the task ids. A merged slot's adapter is the leading
 slice of its cache, so a store keeps it once, as the cache and the scaling
 it is served at; only a file-held slot (see :class:`SlotState`) keeps a
 ``slot_<key>.kmrg`` file. Versions 1 to 3 spelt out every cache entry's
-place and shapes; restore still reads them, through :func:`_legacy_plan`.
-Version-2 and later caches are canonical read-only slices of one view of
-the mapped cache file; version-1 caches are canonicalised once. Each
+place and shapes; restore reads the version-4 facts from them
+(:func:`_version4_facts`), and then every version alike. Version-2 and
+later caches are canonical read-only slices of one view of the mapped
+cache file; version-1 caches are canonicalised once. Each
 restored file-held adapter is a read-only view of its mapped file until
 the slot is next merged: one mapping for each file-held slot plus one for
 the cache, one file descriptor each, which ``persist`` leaves valid, as it
@@ -449,17 +450,17 @@ class MergeEngine:
         version 4, and those of versions 1 to 3 as they were written; any
         other raises :class:`RestoreError`, or the
         :class:`~kmerge.errors.FormatError` of a damaged slot file, which
-        names that file. From a version-4 manifest it reads, typed, the
-        policy, ``layers``, each slot's tasks (slot ``i`` is entry ``i``),
-        scaling and cache ranks (each at most its layer's ``min(d_out,
-        d_in)``), and the ingested task ids (arrival ``i`` is entry ``i``).
-        The task lists must be non-empty, at most ``budget_k`` of them, and
-        partition the arrivals, and the task ids must be distinct. It then
-        parses the file-held slots' ``slot_<i>.kmrg`` files, whose geometry
-        must be ``layers``, derives the cache layout and the manifest from
-        those facts, and requires the stored manifest to equal the derived
-        one in value and JSON type (see :func:`_plan`). Versions 1 to 3 are
-        read as :func:`_legacy_plan` says. Only then is the cache file
+        names that file. One reader, :func:`_plan`, reads every version: it
+        reads typed the policy and the version-4 facts (which versions 1 to
+        3 spelt out in ``cache_index``): ``layers``, each slot's tasks (slot
+        ``i`` is entry ``i``), scaling and cache ranks (from version 2 on,
+        each at most its layer's ``min(d_out, d_in)``), and the ingested
+        task ids (arrival ``i`` is entry ``i``). The task lists must be
+        non-empty, at most ``budget_k``, in arrival order within and across
+        slots, and partition the arrivals, and the task ids distinct. It
+        then parses the file-held slots' ``slot_<i>.kmrg`` files, whose
+        geometry must be ``layers``, and requires the stored manifest to
+        equal the one derived from those facts. Only then is the cache file
         opened, and it must be exactly as long as the layout.
 
         Each file is opened with no ``exists()`` probe before it; a missing
@@ -487,11 +488,7 @@ class MergeEngine:
             config = PolicyConfig.from_dict(manifest)
         except ConfigError as exc:
             raise RestoreError(f"manifest policy: {exc}") from None
-        if version == MANIFEST_VERSION:
-            plan = _plan(directory, manifest, config)
-        else:
-            plan = _legacy_plan(directory, manifest, config, version)
-        tasks, scalings, task_ids, adapters, layout, cache_bytes = plan
+        tasks, scalings, task_ids, adapters, layout, cache_bytes = _plan(directory, manifest, config, version)
 
         cache_path = directory / "running_cache.bin"
         with _opened(cache_path, f"running cache file {cache_path.name} is missing") as blob:
@@ -521,16 +518,20 @@ class MergeEngine:
         return engine
 
 
-def _plan(directory: Path, manifest: dict, config: PolicyConfig) -> tuple:
-    """What :meth:`MergeEngine.restore` builds from the version-4 store in
-    ``directory``: each slot's tasks and scaling (``None`` when file-held)
-    and each file-held slot's adapter, by slot key; each arrival's task id;
-    and the cache's layout and length. ``manifest`` must be the one
-    :func:`_manifest` derives from those facts, in value and JSON type: the
-    facts are read typed, so only a field out of place, missing or extra
-    is left for the comparison, which :func:`_difference` names."""
+def _plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -> tuple:
+    """What :meth:`MergeEngine.restore` builds from the store of manifest
+    ``version`` in ``directory``: each slot's tasks and scaling (``None``
+    when file-held) and each file-held slot's adapter, by slot key; each
+    arrival's task id; and the cache's layout and length.
+
+    The version-4 facts, ``manifest`` itself or :func:`_version4_facts` of
+    an older one, are read typed; ``manifest`` must then equal the one
+    they derive (:func:`_manifest` or :func:`_legacy_manifest`) in value
+    and JSON type, which :func:`_difference` compares. A version-4 manifest
+    holds only facts, so ``==`` is that comparison there."""
+    facts = manifest if version == MANIFEST_VERSION else _version4_facts(manifest, version)
     geometry, bounds = {}, []
-    for i, entry in enumerate(json_field(manifest, "layers", RestoreError, list)):
+    for i, entry in enumerate(json_field(facts, "layers", RestoreError, list)):
         if type(entry) is not list or list(map(type, entry)) != [int, str, int, int] or min(entry[2:]) < 0:
             raise RestoreError(f"layers[{i}] is {entry!r}; persist writes [layer, proj, d_out, d_in]")
         layer, proj, d_out, d_in = entry
@@ -538,9 +539,11 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig) -> tuple:
             geometry[LayerKey(layer, proj)] = (d_out, d_in)
         except ShapeError as exc:
             raise RestoreError(f"layers[{i}]: {exc}") from None
-        bounds.append(min(d_out, d_in))
+        # A canonical cache has at most as many directions as its layer's
+        # smaller side; version-1 caches were not canonical.
+        bounds.append(min(d_out, d_in) if version > 1 else math.inf)
     tasks, scalings, ranks = [], {}, []
-    for i, entry in enumerate(json_field(manifest, "slots", RestoreError, list)):
+    for i, entry in enumerate(json_field(facts, "slots", RestoreError, list)):
         if type(entry) is not dict:
             raise RestoreError(f"slots[{i}] is {entry!r}; persist writes an object")
         tasks.append(_naturals(entry, i, "tasks"))
@@ -550,14 +553,13 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig) -> tuple:
             raise RestoreError(
                 f"slots[{i}].ranks holds {len(slot_ranks)} ranks; layers holds {len(bounds)} layers"
             )
-        # A canonical cache has at most as many directions as its layer's smaller side.
         if any(map(gt, slot_ranks, bounds)):
             j = next(j for j, bound in enumerate(bounds) if slot_ranks[j] > bound)
             raise RestoreError(
                 f"slots[{i}].ranks[{j}] is {slot_ranks[j]}, above min(d_out, d_in) {bounds[j]} of layers[{j}]"
             )
         ranks.extend(slot_ranks)
-    ingested = json_field(manifest, "ingested", RestoreError, list)
+    ingested = json_field(facts, "ingested", RestoreError, list)
     if not all(type(name) is str for name in ingested):
         i = next(i for i, name in enumerate(ingested) if type(name) is not str)
         raise RestoreError(f"ingested[{i}] is {ingested[i]!r}; persist writes a task id")
@@ -574,82 +576,54 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig) -> tuple:
     declared = iter(ranks)
     layout, cache_bytes = _cache_layout(dict.fromkeys(scalings, geometry), lambda *_: next(declared))
     tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(ingested, 1))
-    derived = _manifest(config, geometry, {k: (tasks[k], scalings[k]) for k in tasks}, task_ids, layout)
+    entries = {k: (tasks[k], scalings[k]) for k in tasks}
+    if version == MANIFEST_VERSION:
+        derived = _manifest(config, geometry, entries, task_ids, layout)
+    else:
+        derived = _legacy_manifest(config, entries, task_ids, layout, version)
     stored = _with_policy(manifest, derived)
-    if stored != derived:
-        raise RestoreError(_difference(stored, derived))
+    if stored != derived or version != MANIFEST_VERSION:
+        if fault := _difference(stored, derived):
+            raise RestoreError(fault)
     return tasks, scalings, task_ids, adapters, layout, cache_bytes
 
 
-def _legacy_plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -> tuple:
-    """:func:`_plan` for a store of manifest version 1, 2 or 3, which spelt
-    out each cache entry's place and shapes in ``cache_index``. It reads
-    the policy, each slot's tasks and, in version 3, each merged slot's
-    scaling, the ingested ``[index, task id]`` pairs, each cache entry's
-    rank and each merged slot's layer keys and shapes from its cache
-    entries; then the file-held slots' files. It derives the layout and
-    :func:`_legacy_manifest` and requires every other field to equal them
-    in value and JSON type, then that all slots adapt the same layers at
-    the same shapes and that each version-2 or 3 cache rank is at most its
-    layer's ``min(d_out, d_in)``. Versions 1 and 2 hold every slot in a
-    file."""
-    tasks, scalings = [], {}
+def _version4_facts(manifest: dict, version: int) -> dict:
+    """The version-4 facts of ``manifest``, of ``version`` 1 to 3:
+    ``layers`` from slot 1's ``cache_index`` entries; each slot's
+    ``tasks``, ``scaling`` (only a version-3 entry names one) and
+    ``ranks``, its cache entries' ``b_shape[1]``; and the ``ingested`` task
+    ids. Values are copied as found (``None`` where a cache entry holds
+    none) and checked by :func:`_plan`."""
+    index = json_field(manifest, "cache_index", RestoreError, list)
+    slots = []
     for slot_key, entry in enumerate(json_field(manifest, "slots", RestoreError, list), 1):
-        tasks.append([
-            json_value(t, int, RestoreError, "task index of slot {}", slot_key)
-            for t in json_field(entry, "tasks", RestoreError, list)
-        ])
-        # A version-1 or 2 entry that names a scaling is read as file-held,
-        # and the comparison below rejects it.
-        derived = version == 3 and "scaling" in entry
-        scalings[slot_key] = _scaling(entry, slot_key) if derived else None
-    ingested = json_field(manifest, "ingested", RestoreError, list)
-    try:
-        task_ids = [json_value(name, str, RestoreError, "ingested task id") for _, name in ingested]
-    except (TypeError, ValueError):
-        raise RestoreError("field 'ingested' is not a list of [index, task id] pairs") from None
-    merged = {slot_key for slot_key, scaling in scalings.items() if scaling is not None}
-    ranks, geometries = [], {slot_key: {} for slot_key in merged}
-    for i, entry in enumerate(json_field(manifest, "cache_index", RestoreError, list)):
-        shape = entry.get("b_shape") if type(entry) is dict else None
-        if type(shape) is not list or len(shape) != 2 or type(shape[1]) is not int or shape[1] < 0:
-            raise RestoreError(f"cache_index[{i}].b_shape is not [rows, rank]: {shape!r}")
-        ranks.append(shape[1])
-        slot_key = entry.get("slot_key")
-        if type(slot_key) is int and slot_key in merged:
-            key, d_out_d_in = _indexed_layer(i, entry)
-            geometries[slot_key][key] = d_out_d_in
-    _check_state(config, tasks, scalings, task_ids)
-    for slot_key in merged:
-        if not geometries[slot_key]:
-            raise RestoreError(f"slots[{slot_key - 1}] is merged and has no cache_index entry")
+        if type(entry) is dict:
+            names = ("tasks", "scaling") if version == 3 else ("tasks",)
+            ranks = [_at(e, "b_shape", 1) for e in index if _at(e, "slot_key") == slot_key]
+            entry = {**{name: entry[name] for name in names if name in entry}, "ranks": ranks}
+        slots.append(entry)
+    return {
+        "layers": [
+            [_at(e, "layer"), _at(e, "proj"), _at(e, "b_shape", 0), _at(e, "a_shape", 1)]
+            for e in index if _at(e, "slot_key") == 1
+        ],
+        "slots": slots,
+        "ingested": [
+            pair[1] if type(pair) is list and len(pair) == 2 else pair
+            for pair in json_field(manifest, "ingested", RestoreError, list)
+        ],
+    }
 
-    adapters = _held_adapters(directory, [k for k in range(1, len(tasks) + 1) if k not in merged])
-    geometries.update((slot_key, adapter.geometry) for slot_key, adapter in adapters.items())
-    # Entries past the declared ones get rank 0; the comparison rejects them.
-    declared = iter(ranks)
-    layout, cache_bytes = _cache_layout(geometries, lambda *_: next(declared, 0))
-    tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(task_ids, 1))
-    entries = {slot_key: (tasks[slot_key], scalings[slot_key]) for slot_key in tasks}
-    derived = _legacy_manifest(config, entries, task_ids, layout, version)
-    # ``==`` takes ``true`` for 1 and ``2.0`` for 2, which persist never wrote.
-    stored = _with_policy(manifest, derived)
-    if stored != derived or not all(type(n) is int for n in _integers(stored)):
-        raise RestoreError(_difference(stored, derived))
-    # Every ingest after the first meets every slot, so all slots adapt
-    # the same layers at the same shapes; a merged slot's are read from
-    # the cache index alone, so this is their check.
-    for slot_key, geometry in geometries.items():
-        if geometry != geometries[1]:
-            raise RestoreError(f"slots[{slot_key - 1}] adapts other layers or shapes than slots[0]")
-    # A canonical cache has at most as many directions as its layer's
-    # smaller side; version-1 caches were not canonical.
-    for i, (_, _, (d_out, rank), (_, d_in), _) in enumerate(layout):
-        if version > 1 and rank > min(d_out, d_in):
-            raise RestoreError(
-                f"cache_index[{i}] has rank {rank}, above min(d_out, d_in) of its {d_out} x {d_in} layer"
-            )
-    return tasks, scalings, task_ids, adapters, layout, cache_bytes
+
+def _at(node, *path):
+    """``node[path[0]][path[1]]...`` of parsed JSON, or ``None`` if there is none."""
+    try:
+        for step in path:
+            node = node[step]
+    except (KeyError, IndexError, TypeError):
+        return None
+    return node
 
 
 def _check_state(config: PolicyConfig, tasks: list, scalings: dict, task_ids: list) -> None:
@@ -668,6 +642,16 @@ def _check_state(config: PolicyConfig, tasks: list, scalings: dict, task_ids: li
         raise RestoreError("two ingested tasks share a task id")
     if sorted(t for slot_tasks in tasks for t in slot_tasks) != list(range(1, len(task_ids) + 1)):
         raise RestoreError("slot task lists do not partition the ingested task indices")
+    # An ingest appends its arrival to one slot's tasks, and allocates the
+    # next slot key at its arrival.
+    for i, slot_tasks in enumerate(tasks):
+        if sorted(slot_tasks) != slot_tasks:
+            raise RestoreError(f"slots[{i}].tasks is {slot_tasks}; a slot's tasks are in arrival order")
+        if i and slot_tasks[0] < tasks[i - 1][0]:
+            raise RestoreError(
+                f"slots[{i}] begins at arrival {slot_tasks[0]}, before slots[{i - 1}]; "
+                "slots are allocated in arrival order"
+            )
 
 
 def _held_adapters(directory: Path, slot_keys: list) -> dict[int, LoraAdapter]:
@@ -705,22 +689,6 @@ def _scaling(entry: dict, slot_key: int) -> float:
             f"slots[{slot_key - 1}].scaling is {scaling!r}; persist writes a finite nonzero float"
         )
     return scaling
-
-
-def _indexed_layer(i: int, entry: dict) -> tuple[LayerKey, tuple[int, int]]:
-    """The layer key and ``(d_out, d_in)`` that ``cache_index[i]`` declares,
-    read typed, as a merged slot's geometry is read from its cache entries."""
-    layer = json_value(entry.get("layer"), int, RestoreError, "cache_index[{}].layer", i)
-    proj = json_value(entry.get("proj"), str, RestoreError, "cache_index[{}].proj", i)
-    b_shape, a_shape = entry["b_shape"], entry.get("a_shape")
-    pairs = type(a_shape) is list and len(a_shape) == 2
-    if not pairs or not all(type(n) is int for n in (*a_shape, *b_shape)):
-        raise RestoreError(f"cache_index[{i}] shapes are not integer pairs: {b_shape!r}, {a_shape!r}")
-    try:
-        key = LayerKey(layer, proj)
-    except ShapeError as exc:
-        raise RestoreError(f"cache_index[{i}]: {exc}") from None
-    return key, (b_shape[0], a_shape[1])
 
 
 def _opened(path: Path, missing: str):
@@ -787,8 +755,8 @@ def _legacy_manifest(config: PolicyConfig, slots: dict, task_ids: dict, layout: 
     for a store with the arguments of :func:`_manifest`, and no shared
     geometry: it spelt out each slot's file or scaling and member count,
     each cache entry's slot, layer, shapes and offset, the next slot key,
-    the arrival count and each arrival's index. :func:`_legacy_plan`
-    requires it of such a store."""
+    the arrival count and each arrival's index. :func:`_plan` requires it
+    of such a store."""
     return {
         "version": version,
         **config.to_dict(),
@@ -813,17 +781,6 @@ def _with_policy(manifest: dict, derived: dict) -> dict:
     """``manifest`` with ``derived``'s policy fields: ``PolicyConfig.from_dict``
     alone judges the policy, as it reads older policies too."""
     return {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
-
-
-def _integers(manifest: dict) -> list:
-    """The values where a manifest that equals a derived one holds integers
-    that restore does not read typed."""
-    return [
-        manifest["next_slot_key"], manifest["timestep"], *(t for t, _ in manifest["ingested"]),
-        *(n for e in manifest["slots"] for n in (e["slot_key"], e["merge_count"])),
-        *(n for e in manifest["cache_index"]
-          for n in (e["slot_key"], e["layer"], e["offset"], *e["b_shape"], *e["a_shape"])),
-    ]
 
 
 def _difference(stored, derived, path: str = "") -> str | None:
