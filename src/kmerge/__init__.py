@@ -28,6 +28,7 @@ from .merging import (
     ties_merge,
 )
 from .similarity import (
+    Profile,
     adapter_similarity,
     calibrate_threshold,
     most_similar,

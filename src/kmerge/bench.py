@@ -30,7 +30,7 @@ from .adapters import (
 )
 from .engine import MergeEngine, MergeHistory, PolicyConfig
 from .errors import ConfigError, FormatError
-from .similarity import adapter_similarity, similarities
+from .similarity import Profile, adapter_similarity, similarities
 
 ORDERING_KINDS = ("random", "problem_types", "worst")
 
@@ -255,22 +255,26 @@ def surrogate_metric(candidate: LoraAdapter, single_task: LoraAdapter) -> float:
 
 
 def aggregate_score(
-    engine: MergeEngine, seen: Sequence[tuple[int, LoraAdapter]]
+    engine: MergeEngine, seen: Sequence[tuple[int, LoraAdapter | Profile]]
 ) -> tuple[float, list[float]]:
     """Mean surrogate ratio over the seen tasks; ``seen`` pairs each
-    arrival index with the task's original single-task adapter.
+    arrival index with the task's original single-task adapter or its
+    profile. No task seen scores 0.0, as an empty simulation does.
 
     Tasks are grouped by the slot that serves them, and each slot's served
-    adapter is compared against its tasks' originals in one similarity
-    call. Each ratio equals ``surrogate_metric(served, original)``; the
-    ratios are returned in the order of ``seen``.
+    adapter, through the slot's profile, is compared against its tasks'
+    originals in one similarity call. Each ratio equals
+    ``surrogate_metric(served, original)``; the ratios are returned in the
+    order of ``seen``.
     """
+    if not seen:
+        return 0.0, []
     by_slot: dict[int, list[int]] = {}
     for position, (arrival_index, _) in enumerate(seen):
         by_slot.setdefault(engine.route(arrival_index), []).append(position)
     ratios = [0.0] * len(seen)
     for slot_key, positions in by_slot.items():
-        candidate = engine.load_for_inference(slot_key)
+        candidate = engine.store.slots[slot_key].profile
         scores = similarities(candidate, [seen[i][1] for i in positions])
         for position, score in zip(positions, scores):
             ratios[position] = max(0.0, score)
@@ -346,24 +350,26 @@ def run_simulation(
     The score after a step is the mean surrogate ratio over every task
     seen so far, in arrival order. An ingest changes only the served
     adapter of the slot it touched, so only that slot's tasks are
-    rescored; the others keep their ratios. Deterministic given the seeds,
-    except for the wall-clock ``elapsed`` fields, which are measurements.
+    rescored; the others keep their ratios. Each arrival's profile is
+    built once, ingested and kept for its rescoring. Deterministic given
+    the seeds, except for the wall-clock ``elapsed`` fields, which are
+    measurements.
     """
     if len(adapters) != len(tasks):
         raise ConfigError("adapters and tasks must align")
     engine = MergeEngine(config)
     order = order_stream(tasks, ordering)
     rows: list[SimulationRow] = []
-    originals: dict[int, LoraAdapter] = {}
+    profiles: dict[int, Profile] = {}  # each arrival's, by arrival index
     ratios: dict[int, float] = {}  # by arrival index, in arrival order
     tasks_by_arrival: dict[int, TaskSpec] = {}
     for position in order:
-        adapter, task = adapters[position], tasks[position]
-        decision = engine.ingest(adapter)
-        originals[decision.task_index] = adapter
+        profile, task = Profile(adapters[position]), tasks[position]
+        decision = engine.ingest(profile)
+        profiles[decision.task_index] = profile
         tasks_by_arrival[decision.task_index] = task
         members = engine.store.slots[decision.slot_key].tasks
-        _, rescored = aggregate_score(engine, [(t, originals[t]) for t in members])
+        _, rescored = aggregate_score(engine, [(t, profiles[t]) for t in members])
         ratios.update(zip(members, rescored))
         score = float(np.mean(list(ratios.values())))
         rows.append(

@@ -74,7 +74,7 @@ from .merging import (
     refactor,
     ties_merge,
 )
-from .similarity import most_similar
+from .similarity import Profile, most_similar
 
 VARIANTS = ("k_merge", "k_merge_pp")
 
@@ -195,7 +195,11 @@ class SlotState:
     derivation's scaling alone. A merged slot is built with its adapter
     when it is merged; one restored from a store is built without it, and
     the first read of ``adapter`` derives it, once: every later read
-    returns the same object.
+    returns the same object. ``profile``, the adapter's
+    :class:`~kmerge.similarity.Profile`, which scores the slot, is derived
+    the same way: a slot that an ingest allocates after scoring holds the
+    incoming adapter's profile, and any other builds its own at the first
+    read, so restore builds none.
 
     The factors may be read-only: those of a restored slot are views of
     the store's mapped ``running_cache.bin`` (the cache) and, for a
@@ -203,7 +207,7 @@ class SlotState:
     slot is next merged, which builds new arrays.
     """
 
-    __slots__ = ("cache", "tasks", "derivation", "_adapter")
+    __slots__ = ("cache", "tasks", "derivation", "_adapter", "_profile")
 
     def __init__(
         self,
@@ -211,14 +215,22 @@ class SlotState:
         cache: dict[LayerKey, LowRankDelta],
         tasks: tuple[int, ...],
         derivation: Derivation | None = None,
+        profile: Profile | None = None,
     ):
         self._adapter, self.cache, self.tasks, self.derivation = adapter, cache, tasks, derivation
+        self._profile = profile
 
     @property
     def adapter(self) -> LoraAdapter:
         if self._adapter is None:
             self._adapter = refactor(self.cache, *self.derivation).adapter
         return self._adapter
+
+    @property
+    def profile(self) -> Profile:
+        if self._profile is None:
+            self._profile = Profile(self.adapter)
+        return self._profile
 
 
 def slot_cache(adapter: LoraAdapter) -> dict[LayerKey, LowRankDelta]:
@@ -341,8 +353,14 @@ class MergeEngine:
 
     # -- ingest -----------------------------------------------------------
 
-    def ingest(self, incoming: LoraAdapter) -> IngestDecision:
+    def ingest(self, incoming: LoraAdapter | Profile) -> IngestDecision:
+        """Route ``incoming``, an adapter or its profile, to a slot. An
+        ingest that scores does so through the incoming profile, built here
+        if none is given, and hands it to the slot it allocates."""
         start = time.perf_counter()
+        profile = incoming if isinstance(incoming, Profile) else None
+        if profile is not None:
+            incoming = profile.adapter
         if incoming.task_id in self.task_ids.values():
             raise DuplicateTask(f"task {incoming.task_id!r} already ingested")
         t = len(self.task_ids) + 1
@@ -360,7 +378,10 @@ class MergeEngine:
             do_merge = False
         else:
             if occupied:
-                best_key, best_score = most_similar(incoming, self.store.adapters_by_slot())
+                if profile is None:
+                    profile = Profile(incoming)
+                slots = {slot_key: slot.profile for slot_key, slot in self.store.slots.items()}
+                best_key, best_score = most_similar(profile, slots)
             do_merge = occupied >= budget_k or (occupied > 0 and best_score >= self.config.threshold_s)
 
         if do_merge:
@@ -368,7 +389,7 @@ class MergeEngine:
             slot = self._merged_slot(slot_key, incoming, t)
         else:
             slot_key, action, similarity = occupied + 1, ALLOCATED, None
-            slot = SlotState(adapter=incoming, cache=slot_cache(incoming), tasks=(t,))
+            slot = SlotState(adapter=incoming, cache=slot_cache(incoming), tasks=(t,), profile=profile)
 
         # Everything above may raise and changes no engine state; the commit
         # below cannot raise, so an ingest is all-or-nothing.

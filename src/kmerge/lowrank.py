@@ -193,12 +193,19 @@ def canonical_batch(b: np.ndarray, a: np.ndarray) -> list["LowRankDelta"]:
 def scaled_stacks(
     pairs: Sequence[FactorPair | LowRankDelta], scaling: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The float64 factors of same-shape ``pairs``, stacked: ``b`` (n, d_out,
-    r), converted and then scaled by ``scaling``, and ``a`` (n, r, d_in).
-    Each slice is the delta ``scaling * b @ a`` of its pair in float64. The
-    one conversion rule of similarity, a new slot's cache and the fold."""
-    b = np.array([fp.b for fp in pairs], dtype=np.float64)
-    a = np.array([fp.a for fp in pairs], dtype=np.float64)
+    """The float64 factors of same-shape ``pairs``, stacked by
+    :func:`scaled_float64`. Each slice is the delta ``scaling * b @ a`` of
+    its pair in float64."""
+    return scaled_float64([fp.b for fp in pairs], [fp.a for fp in pairs], scaling)
+
+
+def scaled_float64(b, a, scaling: float) -> tuple[np.ndarray, np.ndarray]:
+    """C-ordered float64 copies of the factor stacks ``b`` (n, d_out, r) and
+    ``a`` (n, r, d_in), each an array or a list of same-shape arrays, ``b``
+    then scaled by ``scaling``. The one conversion rule of similarity, a new
+    slot's cache and the fold."""
+    b = np.array(b, dtype=np.float64, order="C")
+    a = np.array(a, dtype=np.float64, order="C")
     b *= scaling
     return b, a
 

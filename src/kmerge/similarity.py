@@ -8,16 +8,29 @@ flattening the dense products and never materializes them.
 One kernel compares one adapter against many: :func:`similarities`; the
 other functions here call it. It checks each pair through
 :func:`kmerge.adapters.check_compatible`, then walks the first adapter's
-layers in batches of same-shape layers (shapes from its geometry), stacks
-that adapter's scaled float64 factors once per batch and each other
-adapter's once (:func:`kmerge.lowrank.scaled_stacks`), and gets the
-per-layer inner products as batched Gram products; each layer's norm comes
-from the same stacks, so every adapter is stacked once per batch and
-nothing is cached on it. Batches come from :func:`kmerge.lowrank.batches`,
+layers in batches of same-shape layers (shapes from its geometry),
+converts that adapter's stacked factors to scaled float64 once per batch
+and each other adapter's once, and gets the per-layer inner products as
+batched Gram products. Batches come from :func:`kmerge.lowrank.batches`,
 the fold's rule: at most ``FOLD_BATCH_BYTES`` of working set and at least
 one layer. That is one layer at width 2048 and rank 32, where stacking
 every layer would build a fresh 32 MiB stack per factor and adapter, and
 all layers of a shape at smaller widths.
+
+What a score needs of one adapter alone is its :class:`Profile`, computed
+once: its batch plan, its float32 factor stacks per batch and each
+layer's squared norm. Every function here takes adapters or profiles and
+builds a profile for an adapter that needs one. The engine keeps a slot's
+profile in its ``SlotState`` and the simulation one per arrival, so a
+slot's stacks and norms are computed at its first score, not at every
+score; nothing is cached on an adapter. A profile other than the first
+adapter's is used only where its plan equals the first's (the same key
+order and batches); otherwise that adapter is stacked in the first's
+batches and its norms computed there, per call. A profile keeps no
+float64 copies: those would triple the memory of every adapter a store
+or suite holds. Its stacks are views of the adapter's factors where a
+batch is one layer, and float32 copies where small layers share a batch.
+
 Stacked products give each layer the bits of that layer alone, so the
 batching never changes a score. The cosine of one layer is the score of
 two one-layer adapters.
@@ -45,44 +58,89 @@ def _inner(bx: np.ndarray, ax: np.ndarray, by: np.ndarray, ay: np.ndarray) -> np
     return gram.reshape(len(gram), -1).sum(axis=1)
 
 
-def _cosines(x: LoraAdapter, ys: Sequence[LoraAdapter]) -> np.ndarray:
+class Profile:
+    """What scoring needs of one adapter alone, computed once (module
+    docstring): ``batches``, the positions of the adapter's layer keys
+    batched by :func:`kmerge.lowrank.batches` over its geometry and rank;
+    ``plan``, the keys and those batches as tuples, which two profiles
+    share exactly when their stacks line up; ``stacks``, per batch the
+    float32 factor stacks ``(b, a)`` (views of a one-layer batch's factors,
+    :func:`kmerge.lowrank.stacked`); and ``norms``, each layer's squared
+    norm ``<scaling B A, scaling B A>`` in key order, computed from the
+    float64 stacks the kernel scores with."""
+
+    __slots__ = ("adapter", "batches", "plan", "stacks", "norms")
+
+    def __init__(self, adapter: LoraAdapter):
+        keys = list(adapter.geometry)
+        shapes = [(d_out, d_in, adapter.rank) for d_out, d_in in adapter.geometry.values()]
+        self.adapter = adapter
+        self.batches = list(lowrank.batches(shapes))
+        self.plan = (tuple(keys), tuple(tuple(batch.tolist()) for batch in self.batches))
+        self.stacks = []
+        self.norms = np.empty(len(keys))
+        for batch in self.batches:
+            pairs = [adapter.layers[keys[i]] for i in batch]
+            stack = lowrank.stacked([fp.b for fp in pairs]), lowrank.stacked([fp.a for fp in pairs])
+            self.stacks.append(stack)
+            b, a = lowrank.scaled_float64(*stack, adapter.scaling)
+            self.norms[batch] = _inner(b, a, b, a)
+
+
+def _adapter(v: LoraAdapter | Profile) -> LoraAdapter:
+    return v.adapter if isinstance(v, Profile) else v
+
+
+def _profile(v: LoraAdapter | Profile) -> Profile:
+    return v if isinstance(v, Profile) else Profile(v)
+
+
+def _cosines(x: Profile, ys: Sequence[LoraAdapter | Profile]) -> np.ndarray:
     """Per-layer cosines, one row per adapter in ``ys`` and one column per
     key of ``x``, in order.
 
     Near-zero-norm updates contribute 0 by convention: a zero adapter
     carries no direction and 0 keeps averages and argmax well-defined.
     Ranks may differ; the callers have checked that every adapter in ``ys``
-    has ``x``'s geometry, from which the batches' shapes come.
+    has ``x``'s geometry, from which the batches' shapes come. A ``y``
+    profile of ``x``'s plan gives its stacks and norms; any other ``y`` is
+    stacked in ``x``'s batches, and its norms computed from those stacks.
     """
-    keys = list(x.geometry)
+    keys = x.plan[0]
     inner = np.empty((len(ys), len(keys)))
     ny = np.empty_like(inner)
-    nx = np.empty(len(keys))
-    shapes = [(d_out, d_in, x.rank) for d_out, d_in in x.geometry.values()]
-    for batch in lowrank.batches(shapes):
-        batch_keys = [keys[i] for i in batch]
-        bx, ax = lowrank.scaled_stacks([x.layers[k] for k in batch_keys], x.scaling)
-        nx[batch] = _inner(bx, ax, bx, ax)
+    planned = [isinstance(y, Profile) and y.plan == x.plan for y in ys]
+    for i, y in enumerate(ys):
+        if planned[i]:
+            ny[i] = y.norms
+    for j, batch in enumerate(x.batches):
+        bx, ax = lowrank.scaled_float64(*x.stacks[j], x.adapter.scaling)
         for i, y in enumerate(ys):
-            by, ay = lowrank.scaled_stacks([y.layers[k] for k in batch_keys], y.scaling)
+            if planned[i]:
+                by, ay = lowrank.scaled_float64(*y.stacks[j], y.adapter.scaling)
+            else:
+                adapter = _adapter(y)
+                by, ay = lowrank.scaled_stacks([adapter.layers[keys[k]] for k in batch], adapter.scaling)
+                ny[i, batch] = _inner(by, ay, by, ay)
             inner[i, batch] = _inner(bx, ax, by, ay)
-            ny[i, batch] = _inner(by, ay, by, ay)
             del by, ay  # free this stack before the next adapter's is built
-    nx, ny = np.sqrt(np.maximum(0.0, nx)), np.sqrt(np.maximum(0.0, ny))
+    nx, ny = np.sqrt(np.maximum(0.0, x.norms)), np.sqrt(np.maximum(0.0, ny))
     live = (nx >= DEGENERATE_NORM) & (ny >= DEGENERATE_NORM)
     cos = np.divide(inner, nx * ny, out=np.zeros_like(inner), where=live)
     return np.clip(cos, -1.0, 1.0)
 
 
-def similarities(x: LoraAdapter, others: Sequence[LoraAdapter]) -> list[float]:
+def similarities(x: LoraAdapter | Profile, others: Sequence[LoraAdapter | Profile]) -> list[float]:
     """``[adapter_similarity(x, y) for y in others]``, in one pass over
     ``x``'s layers: the mean of the per-layer cosines over ``x``'s layer
-    keys, in order, and exactly 1.0 for ``x`` itself."""
-    rest = [y for y in others if y is not x]
+    keys, in order, and exactly 1.0 for ``x``'s own adapter. Each of
+    ``x`` and ``others`` is an adapter or its :class:`Profile`."""
+    adapter = _adapter(x)
+    rest = [y for y in others if _adapter(y) is not adapter]
     for y in rest:
-        check_compatible(x, y)
-    rows = iter(_cosines(x, rest) if rest else ())
-    return [1.0 if y is x else float(np.mean(next(rows))) for y in others]
+        check_compatible(adapter, _adapter(y))
+    rows = iter(_cosines(_profile(x), rest) if rest else ())
+    return [1.0 if _adapter(y) is adapter else float(np.mean(next(rows))) for y in others]
 
 
 def adapter_similarity(x: LoraAdapter, y: LoraAdapter) -> float:
@@ -91,9 +149,9 @@ def adapter_similarity(x: LoraAdapter, y: LoraAdapter) -> float:
 
 
 def most_similar(
-    incoming: LoraAdapter, slots: Mapping[int, LoraAdapter]
+    incoming: LoraAdapter | Profile, slots: Mapping[int, LoraAdapter | Profile]
 ) -> tuple[int, float]:
-    """Slot with maximal similarity to ``incoming``.
+    """Slot with maximal similarity to ``incoming``; adapters or profiles.
 
     Ties break toward the smallest slot key for determinism.
     """
@@ -119,18 +177,20 @@ class SimilarityMatrix:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def similarity_matrix(adapters: Sequence[LoraAdapter]) -> SimilarityMatrix:
-    """All pairwise scores; symmetric with unit diagonal."""
+def similarity_matrix(adapters: Sequence[LoraAdapter | Profile]) -> SimilarityMatrix:
+    """All pairwise scores; symmetric with unit diagonal. Each adapter's
+    profile is built once, for every row it appears in."""
     if len(adapters) < 2:
         raise InsufficientInputs("similarity matrix needs at least 2 adapters")
-    n = len(adapters)
+    profiles = [_profile(a) for a in adapters]
+    n = len(profiles)
     values = np.ones((n, n))
     for i in range(n):
-        values[i, i + 1:] = values[i + 1:, i] = similarities(adapters[i], adapters[i + 1:])
-    return SimilarityMatrix([a.task_id for a in adapters], values)
+        values[i, i + 1:] = values[i + 1:, i] = similarities(profiles[i], profiles[i + 1:])
+    return SimilarityMatrix([p.adapter.task_id for p in profiles], values)
 
 
-def calibrate_threshold(held_out: Sequence[LoraAdapter]) -> float:
+def calibrate_threshold(held_out: Sequence[LoraAdapter | Profile]) -> float:
     """Median of all pairwise similarities over a held-out adapter set: the
     upper triangle of :func:`similarity_matrix`.
 

@@ -21,7 +21,7 @@ from kmerge.bench import clustering_consistency, order_stream
 from kmerge.engine import MergeHistory, SlotState, _cache_layout, _legacy_manifest
 from kmerge.lowrank import NOISE_TOL, LowRankDelta
 from kmerge.merging import RefactorResult
-from kmerge.similarity import adapter_similarity
+from kmerge.similarity import Profile, adapter_similarity
 
 
 def make_adapter(task_id, layer_arrays, rank, scale_numerator, problem_type="t", language="l"):
@@ -403,6 +403,20 @@ def naive_policy_step(state, incoming, variant, budget_k, threshold_s):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def profile_builds(monkeypatch):
+    """The adapters whose :class:`Profile` is built during the test, in order."""
+    built = []
+    build = Profile.__init__
+
+    def counting(self, adapter):
+        built.append(adapter)
+        build(self, adapter)
+
+    monkeypatch.setattr(Profile, "__init__", counting)
+    return built
 
 
 def pytest_terminal_summary(terminalreporter):

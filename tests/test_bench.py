@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import kmerge.lowrank
 from kmerge.adapters import LayerKey
 from kmerge.bench import (
     GEOMETRY_PRESETS,
@@ -232,22 +233,54 @@ def _full_recount_rows(adapters, tasks, ordering, config):
 
 @pytest.mark.parametrize("kind", ORDERING_KINDS)
 # The ids keep naming the served form, svd_truncate, so the test names stay stable.
+# At twice the suite's rank, with a batch budget of two of the suite's layers,
+# merged slots batch one layer at a time and their profiles' plans differ from
+# the arrivals', so their scores stack each arrival per call.
 @pytest.mark.parametrize(
-    "variant", ["k_merge", "k_merge_pp"], ids=["k_merge-svd_truncate", "k_merge_pp-svd_truncate"]
+    "variant, target_rank",
+    [
+        pytest.param("k_merge", MIXED.rank, id="k_merge-svd_truncate"),
+        pytest.param("k_merge_pp", MIXED.rank, id="k_merge_pp-svd_truncate"),
+        pytest.param("k_merge", 2 * MIXED.rank, id="k_merge-svd_truncate-rank8"),
+        pytest.param("k_merge_pp", 2 * MIXED.rank, id="k_merge_pp-svd_truncate-rank8"),
+    ],
 )
-def test_incremental_scores_equal_full_recount(variant, kind):
+def test_incremental_scores_equal_full_recount(variant, target_rank, kind, monkeypatch):
+    if target_rank != MIXED.rank:
+        monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", 2 * 8 * 32 * MIXED.rank)
     adapters, tasks = generate_suite(MIXED)
     config = PolicyConfig(
         budget_k=3,
         variant=variant,
         threshold_s=calibrate_threshold(adapters) if variant == "k_merge_pp" else None,
-        rank_policy=RankPolicy(target_rank=MIXED.rank),
+        rank_policy=RankPolicy(target_rank=target_rank),
     )
     ordering = OrderingSpec(kind, 4)
     report = run_simulation(adapters, tasks, ordering, config)
     got = [(r.action, r.slot_key, r.similarity, r.score, r.occupied) for r in report.rows]
     assert got == _full_recount_rows(adapters, tasks, ordering, config)
     assert any(row[0] == MERGED for row in got)
+
+
+def test_aggregate_score_of_no_task_is_zero():
+    """As an empty simulation's final score; the mean of no ratios would be
+    nan, with numpy's "Mean of empty slice" warning."""
+    assert aggregate_score(MergeEngine(_policy(3)), []) == (0.0, [])
+
+
+@pytest.mark.parametrize("variant", ["k_merge", "k_merge_pp"])
+def test_simulation_builds_each_profile_once(variant, profile_builds):
+    """One profile per arrival, which its slot keeps if it allocates one, and
+    one per merged slot state, built at its first scoring: no adapter is
+    profiled twice, and every served adapter is profiled once."""
+    adapters, tasks = generate_suite(GeneratorConfig())
+    threshold = calibrate_threshold(adapters[:8]) if variant == "k_merge_pp" else None
+    profile_builds.clear()
+    report = run_simulation(adapters, tasks, OrderingSpec("random", 0), PolicyConfig(5, variant, threshold))
+    merges = sum(row.action == MERGED for row in report.rows)
+    assert merges > 0
+    assert len(profile_builds) == len(adapters) + merges
+    assert len({id(a) for a in profile_builds}) == len(profile_builds)
 
 
 def test_simulation_report_files(tmp_path):

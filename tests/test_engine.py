@@ -368,10 +368,11 @@ def _no_scoring(*args):
     raise AssertionError("most_similar ran")
 
 
-def test_k_merge_allocates_without_scoring(monkeypatch):
+def test_k_merge_allocates_without_scoring(monkeypatch, profile_builds):
     """Below its budget k_merge allocates whatever the scores, so it
     computes none: with ``most_similar`` patched to raise, an engine fills
-    its K slots and the simulation rows equal an unpatched engine's."""
+    its K slots and the simulation rows equal an unpatched engine's. Its
+    ingests of adapters build no profile either."""
     adapters, tasks = generate_suite(GeneratorConfig())
     adapters, tasks, ordering = adapters[:5], tasks[:5], OrderingSpec("random", 3)
 
@@ -383,8 +384,13 @@ def test_k_merge_allocates_without_scoring(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(kmerge.engine, "most_similar", _no_scoring)
         got = rows()
+        profile_builds.clear()
+        engine = MergeEngine(PolicyConfig(budget_k=5))
+        for adapter in adapters:
+            engine.ingest(adapter)
     assert got == want
     assert [row["action"] for row in got] == [ALLOCATED] * 5
+    assert profile_builds == []
 
 
 @pytest.mark.parametrize("pair", ["key-sets", "widths"])
@@ -1424,10 +1430,12 @@ def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
     assert restored.history.entries == engine.history.entries
 
 
-def test_restore_builds_each_slot_once_with_its_cache(tmp_path, rng, monkeypatch):
+def test_restore_builds_each_slot_once_with_its_cache(tmp_path, rng, monkeypatch, profile_builds):
     """``restore`` builds every ``SlotState`` once, holding a cache entry
-    for each layer of its adapter when it is built, and builds nothing else."""
+    for each layer of its adapter when it is built, and builds nothing else:
+    no slot's profile, which the first score builds."""
     engine = _persisted(tmp_path, rng)
+    profile_builds.clear()
     built = []
 
     def recording(*args, **kwargs):
@@ -1439,6 +1447,7 @@ def test_restore_builds_each_slot_once_with_its_cache(tmp_path, rng, monkeypatch
     restored = MergeEngine.restore(tmp_path)
     assert len(restored.store.slots) == len(engine.store.slots)
     assert [id(slot) for slot, _ in built] == [id(slot) for slot in restored.store.slots.values()]
+    assert profile_builds == []
     for slot, keys in built:
         assert keys == set(slot.adapter.layers)
 

@@ -7,6 +7,7 @@ import kmerge.lowrank
 from kmerge.adapters import PROJECTIONS, LayerKey
 from kmerge.errors import EmptyStore, IncompatibleAdapters, InsufficientInputs, ShapeError
 from kmerge.similarity import (
+    Profile,
     adapter_similarity,
     calibrate_threshold,
     most_similar,
@@ -278,14 +279,22 @@ def test_batched_similarity_is_bit_identical(rng, monkeypatch, budget):
     """Each run of same-shape layers is stacked in batches of at most
     ``FOLD_BATCH_BYTES`` (1: one layer a batch; 1000: two layers at rank 3,
     so every longer run splits); the scores equal the default run's, where
-    each run is one batch, bit for bit."""
+    each run is one batch, bit for bit. So do the scores of profiles, built
+    under the default budget (every plan one batch a run) or under
+    ``budget`` (at 1000, the ranks other than 3 batch otherwise than ``x``),
+    and of ``x``'s profile against the adapters."""
     x = _mixed_adapter("x", rng, rank=3, shapes=LONG_RUN_SHAPES)
     ys = [_mixed_adapter(f"y{r}", rng, rank=r, shapes=LONG_RUN_SHAPES) for r in (1, 3, 5)]
     ys.append(_mixed_adapter("zero-layer", rng, rank=2, shapes=LONG_RUN_SHAPES, zero_layers={7}))
     ys.insert(1, x)
     default = np.array(similarities(x, ys))
+    early = [Profile(y) for y in ys]
     monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", budget)
+    late = [Profile(y) for y in ys]
     assert np.array_equal(np.array(similarities(x, ys)), default)
+    for profiles in (early, late):
+        assert np.array_equal(np.array(similarities(profiles[1], profiles)), default)
+        assert np.array_equal(np.array(similarities(profiles[1], ys)), default)
 
 
 def test_zero_layer_scores_zero(rng):
