@@ -196,14 +196,19 @@ def cmd_inspect(args) -> int:
     if args.json:
         print(json.dumps(read_manifest(args.store), indent=2))
         return 0
-    # Reads no slot's adapter, so no merged slot's is derived for the table.
+    # Derives nothing: no merged slot's adapter, no one-member slot's cache.
     engine = MergeEngine.restore(args.store)
-    print(f"{'slot':>4}  {'members':>7}  {'served from':<11}  {'cache rank':>10}  {'cache bytes':>11}")
+    print(f"{'slot':>4}  {'members':>7}  {'stored as':<10}  {'stored bytes':>12}  {'cache rank':>10}")
     for slot_key, slot in engine.store.slots.items():
-        rank = max(low.rank_bound for low in slot.cache.values())
-        size = sum(low.b.nbytes + low.a.nbytes for low in slot.cache.values())
-        source = "file" if slot.derivation is None else "derived"
-        print(f"{slot_key:>4}  {len(slot.tasks):>7}  {source:<11}  {rank:>10}  {size:>11}")
+        forms, size, rank = [], 0, "-"
+        if slot.derivation is None:
+            forms.append("file")
+            size += (Path(args.store) / f"slot_{slot_key}.kmrg").stat().st_size
+        if (cache := slot.held_cache) is not None:
+            forms.append("cache")
+            size += sum(low.b.nbytes + low.a.nbytes for low in cache.values())
+            rank = max((low.rank_bound for low in cache.values()), default=0)
+        print(f"{slot_key:>4}  {len(slot.tasks):>7}  {'+'.join(forms):<10}  {size:>12}  {rank:>10}")
     return 0
 
 
@@ -289,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="a store's slots, or a geometry's storage cost")
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--store", help="print one line per slot: members, where its adapter is served "
-                        "from (its file, or derived from its cache), largest cache rank and cache bytes")
+    target.add_argument("--store", help="print one line per slot: members, what the store keeps of it "
+                        "(its adapter file, its cache or both), those bytes and the kept cache's largest rank")
     target.add_argument("--geometry", choices=sorted(GEOMETRY_PRESETS))
     p.add_argument("--rank", type=int, help="adapter rank for --geometry, default 32")
     p.add_argument("--json", action="store_true", help="with --store, print the raw manifest instead")

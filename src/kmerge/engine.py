@@ -15,24 +15,27 @@ restore reads: :func:`_cache_layout` places each cache entry of
 ``running_cache.bin`` from the slots' geometries and :func:`_manifest`
 builds ``manifest.json``. ``persist`` writes them, each file in one vectored
 write; ``restore`` derives them again and accepts no store that differs
-before it builds each slot once, with its finished cache. A version-4
-manifest holds only what restore cannot derive: the policy, the one
-geometry every slot adapts, each slot's tasks, scaling (if merged) and
-cache ranks, and the task ids. A merged slot's adapter is the leading
-slice of its cache, so a store keeps it once, as the cache and the scaling
-it is served at; only a file-held slot (see :class:`SlotState`) keeps a
-``slot_<key>.kmrg`` file. Versions 1 to 3 spelt out every cache entry's
-place and shapes; restore reads the version-4 facts from them
-(:func:`_version4_facts`), and then every version alike. Version-2 and
-later caches are canonical read-only slices of one view of the mapped
-cache file; version-1 caches are canonicalised once. Each
-restored file-held adapter is a read-only view of its mapped file until
-the slot is next merged: one mapping for each file-held slot plus one for
-the cache, one file descriptor each, which ``persist`` leaves valid, as it
-renames new files over old ones. A restored merged slot maps nothing of
-its own; the first read of its adapter pays one
-:func:`~kmerge.merging.refactor` of its cache (about 40 ms a slot at width
-2048).
+before it builds each slot once. A version-5 manifest holds only what
+restore cannot derive: the policy, the one geometry every slot adapts, each
+slot's tasks, scaling (if merged) and cache ranks (if its cache is stored),
+and the task ids. A store keeps each slot once. A merged slot's adapter is
+the leading slice of its cache, so the store keeps the cache and the scaling
+it is served at. A one-member slot's cache is :func:`slot_cache` of its
+adapter, so the store keeps only the adapter, in ``slot_<key>.kmrg``. Only a
+slot restored from a version-1 or 2 store with several members and not
+merged since keeps both. Versions 1 to 3 spelt out every cache entry's place
+and shapes; restore reads the version-4 facts from them
+(:func:`_version4_facts`), and then every version alike, with every slot's
+cache stored up to version 4. Version-2 and later caches are canonical
+read-only slices of one view of the mapped cache file; version-1 caches are
+canonicalised once. Each restored file-held adapter is a read-only view of
+its mapped file until the slot is next merged: one mapping for each
+file-held slot plus one for the cache, one file descriptor each, which
+``persist`` leaves valid, as it renames new files over old ones. A restored
+slot derives what its store does not keep at its first read, once: a merged
+slot's adapter pays one :func:`~kmerge.merging.refactor` of its cache (about
+40 ms a slot at width 2048), and a one-member slot's cache one
+:func:`slot_cache` (about 0.3 s a slot of 64 layers at width 2048).
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ MERGED = "merged_into"
 # 2: running caches are stored in canonical form; 3: a merged slot keeps no
 # adapter file, only the scaling its adapter is derived at; 4: the manifest
 # keeps each fact once, one geometry for every slot and each slot's cache
-# ranks, and no field that restore derives.
-MANIFEST_VERSION = 4
+# ranks, and no field that restore derives; 5: a one-member slot keeps no
+# cache, only its adapter file, and its entry no ranks.
+MANIFEST_VERSION = 5
 
 # Restore maps the running cache and the file-held slot adapters with their
 # page tables filled, so that the first read of a restored slot, or a persist
@@ -195,11 +199,14 @@ class SlotState:
     derivation's scaling alone. A merged slot is built with its adapter
     when it is merged; one restored from a store is built without it, and
     the first read of ``adapter`` derives it, once: every later read
-    returns the same object. ``profile``, the adapter's
-    :class:`~kmerge.similarity.Profile`, which scores the slot, is derived
-    the same way: a slot that an ingest allocates after scoring holds the
-    incoming adapter's profile, and any other builds its own at the first
-    read, so restore builds none.
+    returns the same object. A one-member slot's ``cache`` is
+    :func:`slot_cache` of its adapter, which a store does not keep: an
+    allocation builds the slot with it, a restore without it, and the first
+    read of ``cache`` derives it the same way, once, read-only. ``profile``,
+    the adapter's :class:`~kmerge.similarity.Profile`, which scores the
+    slot, is derived the same way: a slot that an ingest allocates after
+    scoring holds the incoming adapter's profile, and any other builds its
+    own at the first read, so restore builds none.
 
     The factors may be read-only: those of a restored slot are views of
     the store's mapped ``running_cache.bin`` (the cache) and, for a
@@ -207,17 +214,17 @@ class SlotState:
     slot is next merged, which builds new arrays.
     """
 
-    __slots__ = ("cache", "tasks", "derivation", "_adapter", "_profile")
+    __slots__ = ("tasks", "derivation", "_adapter", "_cache", "_profile")
 
     def __init__(
         self,
         adapter: LoraAdapter | None,
-        cache: dict[LayerKey, LowRankDelta],
+        cache: dict[LayerKey, LowRankDelta] | None,
         tasks: tuple[int, ...],
         derivation: Derivation | None = None,
         profile: Profile | None = None,
     ):
-        self._adapter, self.cache, self.tasks, self.derivation = adapter, cache, tasks, derivation
+        self._adapter, self._cache, self.tasks, self.derivation = adapter, cache, tasks, derivation
         self._profile = profile
 
     @property
@@ -225,6 +232,21 @@ class SlotState:
         if self._adapter is None:
             self._adapter = refactor(self.cache, *self.derivation).adapter
         return self._adapter
+
+    @property
+    def cache(self) -> dict[LayerKey, LowRankDelta]:
+        if self._cache is None:
+            cache = slot_cache(self.adapter)
+            for low in cache.values():
+                low.b.flags.writeable = low.a.flags.writeable = False
+            self._cache = cache
+        return self._cache
+
+    @property
+    def held_cache(self) -> dict[LayerKey, LowRankDelta] | None:
+        """``cache`` if the slot holds it, ``None`` if its first read would
+        derive it; derives nothing."""
+        return self._cache
 
     @property
     def profile(self) -> Profile:
@@ -417,20 +439,24 @@ class MergeEngine:
     # -- persistence ------------------------------------------------------
 
     def persist(self, directory: str | Path) -> None:
-        """Write the file-held slots' adapters, the exact running caches, and
-        a manifest.
+        """Write the file-held slots' adapters, the running caches that
+        cannot be derived, and a manifest.
 
-        Caches are stored in canonical form as raw float64 little-endian
-        tensors, back to back where :func:`_cache_layout` puts them, so a
-        restored engine continues from the same exact state. The manifest is
+        A slot's cache is stored unless it has one member: its cache is then
+        :func:`slot_cache` of its adapter, which its file holds. Caches are
+        stored in canonical form as raw float64 little-endian tensors, back
+        to back where :func:`_cache_layout` puts them, so a restored engine
+        continues from the same exact state. The manifest is
         :func:`_manifest`, which holds only what restore cannot derive: the
         policy; ``layers``, the one geometry every slot adapts, as ``[layer,
         proj, d_out, d_in]`` in sorted key order; each slot's ``tasks``, its
         ``scaling`` if it is merged (a file-held slot has none, and its file
-        is ``slot_<key>.kmrg``) and its cache ``ranks`` in ``layers`` order;
-        and the task ids in arrival order, ``ingested``. Every geometry
-        comes from the caches, so persist never builds a merged slot's
-        adapter. Each file (every file-held slot adapter, through
+        is ``slot_<key>.kmrg``) and, if its cache is stored, its cache
+        ``ranks`` in ``layers`` order; and the task ids in arrival order,
+        ``ingested``. A stored cache gives its slot's geometry and a
+        one-member slot's adapter gives its own, so persist never builds a
+        merged slot's adapter nor reads a one-member slot's cache. Each file
+        (every file-held slot adapter, through
         :func:`~kmerge.adapters.write_adapter`; the cache; the manifest) is
         one vectored write of its buffers, uncopied, through
         :func:`~kmerge.adapters.replace_file`, so a write that fails leaves
@@ -443,21 +469,22 @@ class MergeEngine:
         held = [slot_key for slot_key, slot in slots.items() if slot.derivation is None]
         for slot_key in held:
             write_adapter(slots[slot_key].adapter, directory / f"slot_{slot_key}.kmrg")
-        # From the caches, so that no merged slot's adapter is built here.
+        stored = {slot_key: slot.cache for slot_key, slot in slots.items() if len(slot.tasks) > 1}
         geometries = {
-            slot_key: {key: (low.b.shape[0], low.a.shape[1]) for key, low in slot.cache.items()}
-            for slot_key, slot in slots.items()
+            slot_key: {key: (low.b.shape[0], low.a.shape[1]) for key, low in cache.items()}
+            for slot_key, cache in stored.items()
         }
-        layout, _ = _cache_layout(geometries, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
-        caches = (slots[slot_key].cache[key] for slot_key, key, *_ in layout)
+        layout, _ = _cache_layout(geometries, lambda slot_key, key: stored[slot_key][key].rank_bound)
+        caches = (stored[slot_key][key] for slot_key, key, *_ in layout)
         factors = [np.ascontiguousarray(f, dtype="<f8") for low in caches for f in (low.b, low.a)]
         replace_file(directory / "running_cache.bin", factors)
         entries = {
             slot_key: (slot.tasks, None if slot.derivation is None else slot.derivation.scaling)
             for slot_key, slot in slots.items()
         }
-        # Every ingest checks that the slots adapt one geometry, slot 1's.
-        geometry = geometries.get(1, {})
+        # Every ingest checks that the slots adapt one geometry, slot 1's; a
+        # one-member slot 1 is file-held, so its adapter is not derived here.
+        geometry = geometries[1] if 1 in geometries else slots[1].adapter.geometry if slots else {}
         # Compact, as only without ``indent`` does CPython encode in C.
         manifest = json.dumps(_manifest(self.config, geometry, entries, self.task_ids, layout))
         replace_file(directory / "manifest.json", [manifest.encode()])
@@ -468,21 +495,22 @@ class MergeEngine:
         """The engine that :meth:`persist` wrote to ``directory``.
 
         Accepts exactly the stores that ``persist`` writes, at manifest
-        version 4, and those of versions 1 to 3 as they were written; any
+        version 5, and those of versions 1 to 4 as they were written; any
         other raises :class:`RestoreError`, or the
         :class:`~kmerge.errors.FormatError` of a damaged slot file, which
         names that file. One reader, :func:`_plan`, reads every version: it
         reads typed the policy and the version-4 facts (which versions 1 to
         3 spelt out in ``cache_index``): ``layers``, each slot's tasks (slot
         ``i`` is entry ``i``), scaling and cache ranks (from version 2 on,
-        each at most its layer's ``min(d_out, d_in)``), and the ingested
-        task ids (arrival ``i`` is entry ``i``). The task lists must be
-        non-empty, at most ``budget_k``, in arrival order within and across
-        slots, and partition the arrivals, and the task ids distinct. It
-        then parses the file-held slots' ``slot_<i>.kmrg`` files, whose
-        geometry must be ``layers``, and requires the stored manifest to
-        equal the one derived from those facts. Only then is the cache file
-        opened, and it must be exactly as long as the layout.
+        each at most its layer's ``min(d_out, d_in)``; at version 5 only a
+        slot of several members has them), and the ingested task ids
+        (arrival ``i`` is entry ``i``). The task lists must be non-empty, at
+        most ``budget_k``, in arrival order within and across slots, and
+        partition the arrivals, and the task ids distinct. It then parses the
+        file-held slots' ``slot_<i>.kmrg`` files, whose geometry must be
+        ``layers``, and requires the stored manifest to equal the one derived
+        from those facts. Only then is the cache file opened, and it must be
+        exactly as long as the layout.
 
         Each file is opened with no ``exists()`` probe before it; a missing
         one raises :class:`RestoreError`. The running cache file and each
@@ -493,17 +521,19 @@ class MergeEngine:
         mapping. Both last until the slot is next merged. That is one
         mapping per file-held slot plus the cache's, each holding one file
         descriptor until nothing refers to it. Each slot is built once, with
-        its finished cache. A merged slot is built without its adapter, and
-        no ``refactor`` runs here: the first read of ``slot.adapter``
-        derives it. ``persist`` renames a new file over the old one, so
-        persisting over the store or deleting it leaves every mapping as it
-        was; the files must not be edited or truncated in place while the
+        what its store keeps, and nothing is derived here: a merged slot is
+        built without its adapter, and the first read of ``slot.adapter``
+        runs its ``refactor``; a version-5 one-member slot is built without
+        its cache, and the first read of ``slot.cache`` runs its
+        :func:`slot_cache`. ``persist`` renames a new file over the old one,
+        so persisting over the store or deleting it leaves every mapping as
+        it was; the files must not be edited or truncated in place while the
         engine lives.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
         version = json_field(manifest, "version", RestoreError, int)
-        if version not in (1, 2, 3, MANIFEST_VERSION):
+        if version not in (1, 2, 3, 4, MANIFEST_VERSION):
             raise RestoreError(f"unsupported manifest version {version}")
         try:
             config = PolicyConfig.from_dict(manifest)
@@ -517,7 +547,7 @@ class MergeEngine:
             if size != cache_bytes:
                 raise RestoreError(f"{cache_path.name} is {size} bytes; persist writes {cache_bytes}")
             whole = np.frombuffer(_mapped(blob, size), "<f8")
-        caches = {slot_key: {} for slot_key in tasks}
+        caches = {}
         for i, (slot_key, key, b_shape, a_shape, offset) in enumerate(layout):
             first = offset // 8
             middle = first + b_shape[0] * b_shape[1]
@@ -528,13 +558,13 @@ class MergeEngine:
                 shapes = f"b_shape {list(b_shape)}, a_shape {list(a_shape)}"
                 raise RestoreError(f"cache_index[{i}] is too large: {shapes}") from None
             # Version-1 stores kept concatenated factors; canonicalise them once.
-            caches[slot_key][key] = LowRankDelta(b=b, a=a, canonical=version > 1).compressed()
+            caches.setdefault(slot_key, {})[key] = LowRankDelta(b=b, a=a, canonical=version > 1).compressed()
         engine = cls(config)
         for k in tasks:
             derivation = None if scalings[k] is None else Derivation(
                 config.rank_policy.target_rank, f"slot-{k}", scalings[k]
             )
-            engine.store.slots[k] = SlotState(adapters.get(k), caches[k], tasks[k], derivation)
+            engine.store.slots[k] = SlotState(adapters.get(k), caches.get(k), tasks[k], derivation)
         engine.task_ids = task_ids
         return engine
 
@@ -545,12 +575,16 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -
     when file-held) and each file-held slot's adapter, by slot key; each
     arrival's task id; and the cache's layout and length.
 
-    The version-4 facts, ``manifest`` itself or :func:`_version4_facts` of
-    an older one, are read typed; ``manifest`` must then equal the one
-    they derive (:func:`_manifest` or :func:`_legacy_manifest`) in value
-    and JSON type, which :func:`_difference` compares. A version-4 manifest
-    holds only facts, so ``==`` is that comparison there."""
-    facts = manifest if version == MANIFEST_VERSION else _version4_facts(manifest, version)
+    The version-4 facts, ``manifest`` itself from version 4 on or
+    :func:`_version4_facts` of an older one, are read typed; ``manifest``
+    must then equal the one they derive (:func:`_manifest` or
+    :func:`_legacy_manifest`) in value and JSON type, which
+    :func:`_difference` compares. A version-4 or 5 manifest holds only
+    facts, so ``==`` is that comparison there. Up to version 4 every slot
+    stores its cache; at version 5 only a slot of several members does, so
+    only its ranks are read, and a one-member entry that names ranks
+    differs from the derived manifest."""
+    facts = manifest if version >= 4 else _version4_facts(manifest, version)
     geometry, bounds = {}, []
     for i, entry in enumerate(json_field(facts, "layers", RestoreError, list)):
         if type(entry) is not list or list(map(type, entry)) != [int, str, int, int] or min(entry[2:]) < 0:
@@ -563,12 +597,15 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -
         # A canonical cache has at most as many directions as its layer's
         # smaller side; version-1 caches were not canonical.
         bounds.append(min(d_out, d_in) if version > 1 else math.inf)
-    tasks, scalings, ranks = [], {}, []
+    tasks, scalings, ranks, stored = [], {}, [], []
     for i, entry in enumerate(json_field(facts, "slots", RestoreError, list)):
         if type(entry) is not dict:
             raise RestoreError(f"slots[{i}] is {entry!r}; persist writes an object")
         tasks.append(_naturals(entry, i, "tasks"))
         scalings[i + 1] = _scaling(entry, i + 1) if "scaling" in entry else None
+        if version >= 5 and len(tasks[i]) < 2:
+            continue  # a one-member slot's cache is derived from its adapter
+        stored.append(i + 1)
         slot_ranks = _naturals(entry, i, "ranks")
         if len(slot_ranks) != len(bounds):
             raise RestoreError(
@@ -595,16 +632,16 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -
                 f"slots[{slot_key - 1}]: slot_{slot_key}.kmrg adapts other layers or shapes than layers"
             )
     declared = iter(ranks)
-    layout, cache_bytes = _cache_layout(dict.fromkeys(scalings, geometry), lambda *_: next(declared))
+    layout, cache_bytes = _cache_layout(dict.fromkeys(stored, geometry), lambda *_: next(declared))
     tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(ingested, 1))
     entries = {k: (tasks[k], scalings[k]) for k in tasks}
-    if version == MANIFEST_VERSION:
-        derived = _manifest(config, geometry, entries, task_ids, layout)
+    if version >= 4:
+        derived = _manifest(config, geometry, entries, task_ids, layout, version)
     else:
         derived = _legacy_manifest(config, entries, task_ids, layout, version)
-    stored = _with_policy(manifest, derived)
-    if stored != derived or version != MANIFEST_VERSION:
-        if fault := _difference(stored, derived):
+    found = _with_policy(manifest, derived)
+    if found != derived or version < 4:
+        if fault := _difference(found, derived):
             raise RestoreError(fault)
     return tasks, scalings, task_ids, adapters, layout, cache_bytes
 
@@ -747,24 +784,30 @@ def _cache_layout(geometries: dict[int, Mapping[LayerKey, tuple[int, int]]], ran
     return layout, offset
 
 
-def _manifest(config: PolicyConfig, geometry: Mapping, slots: dict, task_ids: dict, layout: list) -> dict:
-    """The version-4 manifest of a store with policy ``config``, whose
-    slots all adapt ``geometry`` (each layer's ``(d_out, d_in)``), with its
-    ``slots`` (slot key -> ``(tasks, scaling)``: the members' arrival
-    indices, and ``None`` for a file-held slot or the scaling a merged one
-    is derived at), each arrival's task id ``task_ids`` and its caches at
-    ``layout`` (see :func:`_cache_layout`): what ``persist`` writes and
-    ``restore`` requires. It holds each fact once and nothing that
+def _manifest(
+    config: PolicyConfig, geometry: Mapping, slots: dict, task_ids: dict, layout: list,
+    version: int = MANIFEST_VERSION,
+) -> dict:
+    """The manifest of a store with policy ``config``, whose slots all adapt
+    ``geometry`` (each layer's ``(d_out, d_in)``), with its ``slots`` (slot
+    key -> ``(tasks, scaling)``: the members' arrival indices, and ``None``
+    for a file-held slot or the scaling a merged one is derived at), each
+    arrival's task id ``task_ids`` and its stored caches at ``layout`` (see
+    :func:`_cache_layout`): what ``persist`` writes and ``restore``
+    requires. A slot entry names ``ranks`` only if ``layout`` stores its
+    cache, as version 4 did every slot's and version 5 (``version``) does
+    a slot's of several members. It holds each fact once and nothing that
     ``restore`` derives: no file name, offset, shape or count."""
-    ranks = {slot_key: [] for slot_key in slots}
+    ranks = {}
     for slot_key, _, (_, rank), *_ in layout:
-        ranks[slot_key].append(rank)
+        ranks.setdefault(slot_key, []).append(rank)
     return {
-        "version": MANIFEST_VERSION,
+        "version": version,
         **config.to_dict(),
         "layers": [[key.layer, key.proj, *geometry[key]] for key in sorted(geometry, key=LayerKey.sort_key)],
         "slots": [
-            {"tasks": list(t), **({} if scaling is None else {"scaling": scaling}), "ranks": ranks[k]}
+            {"tasks": list(t), **({} if scaling is None else {"scaling": scaling}),
+             **({"ranks": ranks[k]} if k in ranks else {})}
             for k, (t, scaling) in sorted(slots.items())
         ],
         "ingested": [task_ids[t] for t in sorted(task_ids)],

@@ -19,7 +19,9 @@ all layers of a shape at smaller widths.
 
 What a score needs of one adapter alone is its :class:`Profile`, computed
 once: its batch plan, its float32 factor stacks per batch and each
-layer's squared norm. Every function here takes adapters or profiles and
+layer's squared norm, which the profile's first score computes from the
+float64 stacks it converts anyway, so one score converts each adapter
+once per batch. Every function here takes adapters or profiles and
 builds a profile for an adapter that needs one. The engine keeps a slot's
 profile in its ``SlotState`` and the simulation one per arrival, so a
 slot's stacks and norms are computed at its first score, not at every
@@ -66,8 +68,9 @@ class Profile:
     share exactly when their stacks line up; ``stacks``, per batch the
     float32 factor stacks ``(b, a)`` (views of a one-layer batch's factors,
     :func:`kmerge.lowrank.stacked`); and ``norms``, each layer's squared
-    norm ``<scaling B A, scaling B A>`` in key order, computed from the
-    float64 stacks the kernel scores with."""
+    norm ``<scaling B A, scaling B A>`` in key order, or ``None`` until the
+    first score that reads the profile's own stacks computes them from the
+    float64 stacks it converts for its inner products."""
 
     __slots__ = ("adapter", "batches", "plan", "stacks", "norms")
 
@@ -78,13 +81,10 @@ class Profile:
         self.batches = list(lowrank.batches(shapes))
         self.plan = (tuple(keys), tuple(tuple(batch.tolist()) for batch in self.batches))
         self.stacks = []
-        self.norms = np.empty(len(keys))
         for batch in self.batches:
             pairs = [adapter.layers[keys[i]] for i in batch]
-            stack = lowrank.stacked([fp.b for fp in pairs]), lowrank.stacked([fp.a for fp in pairs])
-            self.stacks.append(stack)
-            b, a = lowrank.scaled_float64(*stack, adapter.scaling)
-            self.norms[batch] = _inner(b, a, b, a)
+            self.stacks.append((lowrank.stacked([fp.b for fp in pairs]), lowrank.stacked([fp.a for fp in pairs])))
+        self.norms: np.ndarray | None = None
 
 
 def _adapter(v: LoraAdapter | Profile) -> LoraAdapter:
@@ -103,28 +103,40 @@ def _cosines(x: Profile, ys: Sequence[LoraAdapter | Profile]) -> np.ndarray:
     carries no direction and 0 keeps averages and argmax well-defined.
     Ranks may differ; the callers have checked that every adapter in ``ys``
     has ``x``'s geometry, from which the batches' shapes come. A ``y``
-    profile of ``x``'s plan gives its stacks and norms; any other ``y`` is
-    stacked in ``x``'s batches, and its norms computed from those stacks.
+    profile of ``x``'s plan gives its stacks; any other ``y`` is stacked in
+    ``x``'s batches. Each adapter's float64 stacks are converted once per
+    batch, and give its norms too unless its profile holds them; a profile
+    keeps the norms computed from its own stacks.
     """
     keys = x.plan[0]
     inner = np.empty((len(ys), len(keys)))
     ny = np.empty_like(inner)
     planned = [isinstance(y, Profile) and y.plan == x.plan for y in ys]
+    normed = [planned[i] and y.norms is not None for i, y in enumerate(ys)]
     for i, y in enumerate(ys):
-        if planned[i]:
+        if normed[i]:
             ny[i] = y.norms
+    nx = np.empty(len(keys)) if x.norms is None else x.norms
     for j, batch in enumerate(x.batches):
         bx, ax = lowrank.scaled_float64(*x.stacks[j], x.adapter.scaling)
+        if x.norms is None:
+            nx[batch] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
             if planned[i]:
                 by, ay = lowrank.scaled_float64(*y.stacks[j], y.adapter.scaling)
             else:
                 adapter = _adapter(y)
                 by, ay = lowrank.scaled_stacks([adapter.layers[keys[k]] for k in batch], adapter.scaling)
+            if not normed[i]:
                 ny[i, batch] = _inner(by, ay, by, ay)
             inner[i, batch] = _inner(bx, ax, by, ay)
             del by, ay  # free this stack before the next adapter's is built
-    nx, ny = np.sqrt(np.maximum(0.0, x.norms)), np.sqrt(np.maximum(0.0, ny))
+    # Kept only once every batch is done, so a score that raises keeps none.
+    x.norms = nx
+    for i, y in enumerate(ys):
+        if planned[i] and not normed[i]:
+            y.norms = ny[i].copy()
+    nx, ny = np.sqrt(np.maximum(0.0, nx)), np.sqrt(np.maximum(0.0, ny))
     live = (nx >= DEGENERATE_NORM) & (ny >= DEGENERATE_NORM)
     cos = np.divide(inner, nx * ny, out=np.zeros_like(inner), where=live)
     return np.clip(cos, -1.0, 1.0)

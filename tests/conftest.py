@@ -194,6 +194,32 @@ def version3_persist(engine, directory):
     (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
 
 
+def version4_persist(engine, directory):
+    """Write ``engine``'s store to ``directory`` at manifest version 4, the
+    bytes that ``persist`` wrote at that version: the files of
+    :func:`version3_persist` (every slot's cache, and a file for each slot
+    that is not merged) and a compact manifest holding each fact once: the
+    policy, ``layers`` read from slot 1's cache entries, each slot's tasks,
+    its scaling if it is merged and its cache entries' ranks, and the
+    ingested task ids. It writes the version-4 stores that restore must
+    still read."""
+    version3_persist(engine, directory)
+    old = json.loads((directory / "manifest.json").read_text())
+    index = old["cache_index"]
+    manifest = {
+        "version": 4,
+        **{name: old[name] for name in engine.config.to_dict()},
+        "layers": [[e["layer"], e["proj"], e["b_shape"][0], e["a_shape"][1]] for e in index if e["slot_key"] == 1],
+        "slots": [
+            {"tasks": entry["tasks"], **({"scaling": entry["scaling"]} if "scaling" in entry else {}),
+             "ranks": [e["b_shape"][1] for e in index if e["slot_key"] == entry["slot_key"]]}
+            for entry in old["slots"]
+        ],
+        "ingested": [task_id for _, task_id in old["ingested"]],
+    }
+    (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
+
+
 def assert_same_adapter(got, want):
     """``got`` equals ``want`` field for field, with its layers in the same
     order and each factor of the same dtype, shape and bits."""

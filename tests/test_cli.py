@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kmerge.engine
+
 from kmerge.adapters import FactorPair, LayerKey, LoraAdapter, read_adapter, write_adapter
 from kmerge.bench import GEOMETRY_PRESETS, OrderingSpec, load_suite, lora_param_count, threshold_sweep
 from kmerge.cli import main
@@ -14,7 +16,13 @@ from kmerge.engine import MergeEngine, PolicyConfig
 from kmerge.errors import FormatError
 from kmerge.merging import MergeOperator, RankPolicy
 
-from conftest import rewrite_header, small_random_adapter, width_mismatched_pair
+from conftest import (
+    per_tensor_persist,
+    rewrite_header,
+    small_random_adapter,
+    version4_persist,
+    width_mismatched_pair,
+)
 
 GEN = [
     "gen",
@@ -463,32 +471,71 @@ def test_inspect_store(suite_dir, tmp_path, capsys):
     assert manifest == json.loads((store / "manifest.json").read_text())
 
 
-def test_inspect_store_prints_one_line_per_slot(tmp_path, rng, capsys):
-    """One line per slot: its key, member count, whether its adapter is
-    served from its file or derived from its cache, its largest cache rank
-    and its cache bytes, each recomputed here from the manifest: a slot
-    entry with a scaling is derived, and its cache bytes are 8 per entry of
-    each layer's ``b`` and ``a`` at its rank."""
+def _check_inspect_table(tmp_path, rng, capsys, monkeypatch, store, forms):
+    """``kmerge inspect --store`` of a K=3 engine's ``store`` prints one line
+    per slot: its key, member count, what the store keeps of it (its
+    adapter file, its cache or both: ``forms``), those bytes and the kept
+    cache's largest rank, each recomputed here from the store's files: a
+    slot keeps ``slot_<key>.kmrg`` if that file is there, and a cache if
+    its manifest entry names ``ranks``, of 8 bytes per entry of each
+    layer's ``b`` and ``a`` at its rank. The rows add up to every file but
+    the manifest, and the table derives no cache or adapter."""
     engine = MergeEngine(PolicyConfig(budget_k=3, rank_policy=RankPolicy(target_rank=2)))
     for i in range(6):
         engine.ingest(small_random_adapter(f"t{i}", rng, rank=2, n_keys=3, width=8))
-    store = tmp_path / "store"
-    engine.persist(store)
-    manifest = json.loads((store / "manifest.json").read_text())
-    assert main(["inspect", "--store", str(store)]) == 0
+    assert [len(tasks) for tasks in engine.history.entries.values()] == [3, 2, 1]
+    path = tmp_path / "store"
+    if store == "current":
+        engine.persist(path)
+    elif store == "version-4":
+        version4_persist(engine, path)
+    else:
+        per_tensor_persist(engine, tmp_path / "v2")
+        MergeEngine.restore(tmp_path / "v2").persist(path)
+    manifest = json.loads((path / "manifest.json").read_text())
+    monkeypatch.setattr(kmerge.engine, "slot_cache", _no_derivation)
+    monkeypatch.setattr(kmerge.engine, "refactor", _no_derivation)
+    assert main(["inspect", "--store", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["slot", "members", "served", "from", "cache", "rank", "cache", "bytes"]
+    assert lines[0].split() == ["slot", "members", "stored", "as", "stored", "bytes", "cache", "rank"]
     want = []
-    shapes = [(d_out, d_in) for _, _, d_out, d_in in manifest["layers"]]
+    widths = [d_out + d_in for _, _, d_out, d_in in manifest["layers"]]
     for slot_key, entry in enumerate(manifest["slots"], 1):
-        want.append([
-            str(slot_key), str(len(entry["tasks"])), "derived" if "scaling" in entry else "file",
-            str(max(entry["ranks"])),
-            str(sum(8 * (d_out * rank + rank * d_in) for (d_out, d_in), rank in zip(shapes, entry["ranks"]))),
-        ])
+        file = path / f"slot_{slot_key}.kmrg"
+        kept, size, rank = [], 0, "-"
+        if file.exists():
+            kept.append("file")
+            size += len(file.read_bytes())
+        if "ranks" in entry:
+            kept.append("cache")
+            size += sum(8 * r * width for r, width in zip(entry["ranks"], widths))
+            rank = str(max(entry["ranks"]))
+        want.append([str(slot_key), str(len(entry["tasks"])), "+".join(kept), str(size), rank])
     assert [line.split() for line in lines[1:]] == want
-    assert [row[2] for row in want] == ["derived", "derived", "file"]
-    assert sum(int(row[4]) for row in want) == (store / "running_cache.bin").stat().st_size
+    assert [row[2] for row in want] == forms
+    files = sum(len(p.read_bytes()) for p in path.iterdir() if p.name != "manifest.json")
+    assert sum(int(row[3]) for row in want) == files
+
+
+def test_inspect_store_prints_one_line_per_slot(tmp_path, rng, capsys, monkeypatch):
+    """The current store keeps merged slots 1 and 2 as their caches and
+    one-member slot 3 as its adapter file."""
+    _check_inspect_table(tmp_path, rng, capsys, monkeypatch, "current", ["cache", "cache", "file"])
+
+
+@pytest.mark.parametrize("store, forms", [
+    ("version-4", ["cache", "cache", "file+cache"]),
+    ("version-2-restored", ["file+cache", "file+cache", "file"]),
+], ids=["version-4", "version-2-restored"])
+def test_inspect_store_prints_what_older_stores_keep(tmp_path, rng, capsys, monkeypatch, store, forms):
+    """A version-4 store keeps one-member slot 3's cache beside its file;
+    the current store of an engine restored from a version-2 store keeps
+    its slots of several members as their files and their caches."""
+    _check_inspect_table(tmp_path, rng, capsys, monkeypatch, store, forms)
+
+
+def _no_derivation(*args):
+    raise AssertionError("inspect derived a slot's cache or adapter")
 
 
 def test_inspect_damaged_store(tmp_path, capsys):
@@ -566,12 +613,12 @@ def test_inspect_store_refuses_rank(tmp_path, rank):
 def test_closed_stdout_exits_141(tmp_path, rng):
     """A reader that closes the pipe after one line (``kmerge inspect
     --store S --json | head -1``) ends the command as SIGPIPE would: exit
-    141 and nothing on stderr. The manifest of 5 slots of 2048 layers,
-    printed indented, is several times a pipe's 64 KiB buffer, so the
-    write fails."""
+    141 and nothing on stderr. The manifest of 5 one-member slots of 4096
+    layers, printed indented, is several times a pipe's 64 KiB buffer, so
+    the write fails."""
     engine = MergeEngine(PolicyConfig(budget_k=5, rank_policy=RankPolicy(target_rank=1)))
     for i in range(5):
-        engine.ingest(small_random_adapter(f"t{i}", rng, rank=1, n_keys=2048, width=2))
+        engine.ingest(small_random_adapter(f"t{i}", rng, rank=1, n_keys=4096, width=2))
     engine.persist(tmp_path / "store")
     manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
     assert len(json.dumps(manifest, indent=2)) > 3 * 65536

@@ -7,6 +7,7 @@ import shutil
 import struct
 import sys
 import warnings
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 
@@ -40,7 +41,7 @@ import kmerge.engine
 import kmerge.lowrank
 from kmerge.lowrank import LowRankDelta, fold_layers
 from kmerge.merging import OPERATOR_KINDS, MergeOperator, RankPolicy, linear_merge
-from kmerge.similarity import most_similar
+from kmerge.similarity import adapter_similarity, most_similar
 
 from conftest import (
     NaiveState,
@@ -57,6 +58,7 @@ from conftest import (
     rewrite_header,
     small_random_adapter,
     version3_persist,
+    version4_persist,
     width_mismatched_pair,
     zero_width_adapter,
 )
@@ -393,6 +395,36 @@ def test_k_merge_allocates_without_scoring(monkeypatch, profile_builds):
     assert profile_builds == []
 
 
+def test_ingest_converts_each_adapter_once_per_batch(rng, monkeypatch):
+    """With each of 3 layers its own batch, an ingest makes 3 calls of
+    ``scaled_float64`` per adapter it reads: a score converts the incoming
+    adapter and every slot's once, and takes their norms from those
+    conversions, and then the new slot's ``slot_cache`` or the merge's fold
+    converts the incoming adapter once more. Each score keeps its bits: it
+    equals ``adapter_similarity`` of fresh adapters."""
+    monkeypatch.setattr(kmerge.lowrank, "FOLD_BATCH_BYTES", 1)
+    convert, calls = kmerge.lowrank.scaled_float64, []
+
+    def counting(b, a, scaling):
+        calls.append(scaling)
+        return convert(b, a, scaling)
+
+    monkeypatch.setattr(kmerge.lowrank, "scaled_float64", counting)
+    engine = MergeEngine(_config(3, variant="k_merge_pp", s=2.0))
+    counts, decisions = [], []
+    for adapter in _stream(rng, 6, n_keys=3):
+        before = {k: slot.adapter for k, slot in engine.store.slots.items()}
+        calls.clear()
+        decision = engine.ingest(adapter)
+        counts.append(len(calls))
+        if decision.similarity is not None:
+            decisions.append((decision.similarity, adapter, before[decision.slot_key]))
+    # No slot, then 1 and 2 slots to score and allocate, then 3 to score and merge.
+    assert counts == [3, 3 * 3, 3 * 4, 3 * 5, 3 * 5, 3 * 5]
+    monkeypatch.undo()
+    assert [score for score, *_ in decisions] == [adapter_similarity(x, y) for _, x, y in decisions]
+
+
 @pytest.mark.parametrize("pair", ["key-sets", "widths"])
 def test_k_merge_rejects_incompatible_adapter_without_scoring(rng, monkeypatch, pair):
     """An allocation that computes no score still rejects an adapter that
@@ -508,6 +540,8 @@ def _write_store(engine, stream, directory, version):
     ``directory`` as ``persist`` wrote it at manifest ``version``."""
     if version == MANIFEST_VERSION:
         engine.persist(directory)
+    elif version == 4:
+        version4_persist(engine, directory)
     elif version == 3:
         version3_persist(engine, directory)
     else:
@@ -518,8 +552,8 @@ def _write_store(engine, stream, directory, version):
 
 def _persisted(tmp_path, rng, version=MANIFEST_VERSION):
     """A K=2 store of 4 adapters, written at manifest ``version``: slot 1
-    has one member and keeps its adapter file; slot 2 is merged and, from
-    version 3 on, keeps none."""
+    has one member and keeps its adapter file, and from version 5 on no
+    cache; slot 2 is merged and, from version 3 on, keeps no file."""
     stream = _stream(rng, 4)
     engine = MergeEngine(_config(2))
     for a in stream:
@@ -584,7 +618,8 @@ def test_restore_truncated_cache(tmp_path, rng):
     _persisted(tmp_path, rng)
     blob = (tmp_path / "running_cache.bin").read_bytes()
     (tmp_path / "running_cache.bin").write_bytes(blob[:-16])
-    with pytest.raises(RestoreError, match=r"running_cache\.bin is 2032 bytes; persist writes 2048"):
+    # Merged slot 2's cache alone: 2 layers of rank 6 and widths 8 and 8.
+    with pytest.raises(RestoreError, match=r"running_cache\.bin is 1520 bytes; persist writes 1536"):
         MergeEngine.restore(tmp_path)
 
 
@@ -918,46 +953,63 @@ def test_restore_rejects_damaged_cache_file(tmp_path, rng, damage, match):
         MergeEngine.restore(tmp_path)
 
 
-def _zero_widths_persisted(tmp_path, rng):
+def _zero_widths_persisted(tmp_path, rng, version=MANIFEST_VERSION):
     """A K=1 store of two rank-1 ``zero_width_adapter`` ingests, whose
-    layers are ``4 x 0``, ``0 x 3``, ``0 x 0`` and ``5 x 6``."""
+    layers are ``4 x 0``, ``0 x 3``, ``0 x 0`` and ``5 x 6``, written at
+    manifest ``version``."""
     engine = MergeEngine(_config(1, rank=1))
     for i in range(2):
         engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
-    engine.persist(tmp_path)
+    _write_store(engine, None, tmp_path, version)
+    assert not list(tmp_path.glob("slot_*"))
 
 
-def _mixed_geometry_persisted(tmp_path, rng):
-    """The store of :func:`_mixed_geometry_engine`: two merged slots, tasks
-    ``[1, 3]`` and ``[2, 4, 5]``."""
+def _mixed_geometry_persisted(tmp_path, rng, version=MANIFEST_VERSION):
+    """The store of :func:`_mixed_geometry_engine`, written at manifest
+    ``version``: two merged slots, tasks ``[1, 3]`` and ``[2, 4, 5]``."""
     engine = _mixed_geometry_engine(rng)
     assert engine.history.entries == {1: [1, 3], 2: [2, 4, 5]}
-    engine.persist(tmp_path)
+    _write_store(engine, None, tmp_path, version)
+    assert not list(tmp_path.glob("slot_*"))
+
+
+def _version2_restored_persisted(tmp_path, rng, version=MANIFEST_VERSION):
+    """``_persisted``'s engine restored from its version-2 store and
+    persisted: merged slot 2 is held by its file, and keeps its cache."""
+    _persisted(tmp_path / "v2", rng, 2)
+    MergeEngine.restore(tmp_path / "v2").persist(tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("slot_*")) == ["slot_1.kmrg", "slot_2.kmrg"]
 
 
 def _slot(i, change):
     return lambda m: change(m["slots"][i])
 
 
+def _ranks(manifest):
+    """The ``ranks`` list of every slot entry that names one."""
+    return [entry["ranks"] for entry in manifest["slots"] if "ranks" in entry]
+
+
 def _no_layers(manifest):
     """List no layer, and so no rank in any slot."""
     manifest["layers"].clear()
-    for entry in manifest["slots"]:
-        entry["ranks"].clear()
+    for ranks in _ranks(manifest):
+        ranks.clear()
 
 
 def _repeat_first_layer(manifest):
-    """List layer 0 twice, with a rank for it in every slot."""
+    """List layer 0 twice, with a rank for it in every slot that names ranks."""
     manifest["layers"].insert(1, manifest["layers"][0])
-    for entry in manifest["slots"]:
-        entry["ranks"].insert(1, entry["ranks"][0])
+    for ranks in _ranks(manifest):
+        ranks.insert(1, ranks[0])
 
 
 def _last_layer_first(manifest):
-    """Move the last layer to the front, with its rank in every slot."""
+    """Move the last layer to the front, with its rank in every slot that
+    names ranks."""
     manifest["layers"].insert(0, manifest["layers"].pop())
-    for entry in manifest["slots"]:
-        entry["ranks"].insert(0, entry["ranks"].pop())
+    for ranks in _ranks(manifest):
+        ranks.insert(0, ranks.pop())
 
 
 def _move_tasks_to_first_slot(manifest):
@@ -1102,35 +1154,94 @@ DAMAGED_VERSION4_MANIFESTS = {
 }
 
 
-@pytest.mark.parametrize("case", DAMAGED_VERSION4_MANIFESTS.values(), ids=DAMAGED_VERSION4_MANIFESTS)
-def test_restore_rejects_damaged_version4_manifest(tmp_path, rng, case):
-    """Each damaged version-4 manifest raises ``RestoreError`` naming the
-    field, before the cache file is opened."""
+# Version 5 keeps no cache of ``_persisted``'s one-member slot 1, so its entry
+# names no ranks: the version-4 cases that damage them damage slot 2's here.
+ONE_MEMBER_RANKS = ("text-ranks", "bool-rank", "ranks-long", "negative-rank")
+DAMAGED_VERSION5_MANIFESTS = {
+    **{name: case for name, case in DAMAGED_VERSION4_MANIFESTS.items() if name not in ONE_MEMBER_RANKS},
+    "text-ranks-merged": (_slot(1, lambda e: e.__setitem__("ranks", "66")), r"slots\[1\]\.ranks is '66'"),
+    "bool-rank-merged": (_slot(1, lambda e: e["ranks"].__setitem__(0, True)), r"slots\[1\]\.ranks is \[True, 6\]"),
+    "ranks-long-merged": (
+        _slot(1, lambda e: e["ranks"].append(0)), r"slots\[1\]\.ranks holds 3 ranks; layers holds 2 layers"
+    ),
+    "negative-rank-merged": (_slot(1, lambda e: e["ranks"].__setitem__(0, -1)), r"slots\[1\]\.ranks is \[-1, 6\]"),
+    # A task added to one-member slot 1 makes it a slot whose cache is stored.
+    "unknown-task-index": (_slot(0, lambda e: e["tasks"].append(99)), r"missing field 'slots\[0\]\.ranks'"),
+    "unknown-task-index-merged": (_slot(1, lambda e: e["tasks"].append(99)), "partition"),
+    "slot-without-tasks": (_move_tasks_to_first_slot, r"missing field 'slots\[0\]\.ranks'"),
+    "first-slot-without-tasks": (_slot(0, lambda e: e["tasks"].clear()), r"slots\[0\]\.tasks is empty"),
+    # Only a slot of several members stores its cache and names its ranks.
+    "one-member-ranks": (
+        _slot(0, lambda e: e.__setitem__("ranks", [2, 2])),
+        r"slots\[0\]\.ranks is \[2, 2\]; persist writes nothing there",
+    ),
+    "one-member-text-ranks": (
+        _slot(0, lambda e: e.__setitem__("ranks", "22")), r"slots\[0\]\.ranks is '22'; persist writes nothing there"
+    ),
+    "file-held-merged-no-ranks": (
+        "version-2-restored", _slot(1, lambda e: e.pop("ranks")), r"missing field 'slots\[1\]\.ranks'"
+    ),
+    # A version-4 store names the ranks of one-member slot 1, which version 5
+    # derives; a version-5 store names none, which version 4 requires.
+    "version-4-relabelled": (
+        "version-4", lambda m: m.__setitem__("version", 5),
+        r"slots\[0\]\.ranks is \[2, 2\]; persist writes nothing there",
+    ),
+    "version-5-relabelled": (lambda m: m.__setitem__("version", 4), r"missing field 'slots\[0\]\.ranks'"),
+}
+
+DAMAGED_STORES = {
+    "zero-widths": _zero_widths_persisted,
+    "mixed-geometry": _mixed_geometry_persisted,
+    "version-2-restored": _version2_restored_persisted,
+    "version-4": lambda tmp_path, rng, version: _persisted(tmp_path, rng, 4),
+}
+
+
+def _check_damaged_manifest(tmp_path, rng, case, version):
+    """Write the store a ``case`` names (``_persisted``'s by default) at
+    manifest ``version``, damage its manifest and require ``RestoreError``
+    matching the case's message."""
     *store, damage, match = case
     if store:
-        write = {"zero-widths": _zero_widths_persisted, "mixed-geometry": _mixed_geometry_persisted}[store[0]]
-        write(tmp_path, rng)
-        assert not list(tmp_path.glob("slot_*"))
+        DAMAGED_STORES[store[0]](tmp_path, rng, version)
     else:
-        _persisted(tmp_path, rng)
+        _persisted(tmp_path, rng, version)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["version"] == 4
+    assert manifest["version"] == (4 if store == ["version-4"] else version)
     damage(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
         MergeEngine.restore(tmp_path)
 
 
+@pytest.mark.parametrize("case", DAMAGED_VERSION4_MANIFESTS.values(), ids=DAMAGED_VERSION4_MANIFESTS)
+def test_restore_rejects_damaged_version4_manifest(tmp_path, rng, case):
+    """Each damaged version-4 manifest, of a store as ``persist`` wrote it
+    at that version, raises ``RestoreError`` naming the field, before the
+    cache file is opened."""
+    _check_damaged_manifest(tmp_path, rng, case, 4)
+
+
+@pytest.mark.parametrize("case", DAMAGED_VERSION5_MANIFESTS.values(), ids=DAMAGED_VERSION5_MANIFESTS)
+def test_restore_rejects_damaged_version5_manifest(tmp_path, rng, case):
+    """Each damaged version-5 manifest raises ``RestoreError`` naming the
+    field, before the cache file is opened."""
+    _check_damaged_manifest(tmp_path, rng, case, 5)
+
+
 POLICY_KEYS = ["budget_k", "variant", "threshold_s", "operator", "rank_policy"]
 
 
-def test_version4_manifest_holds_each_fact_once(tmp_path, rng):
-    """The exact keys of a version-4 manifest and of its slot entries, in
-    order: a merged slot's entry adds ``scaling``. Shown for the default
-    grid (merged and one-member slots), a mixed-geometry engine (merged
-    slots, zero-width layers) and an engine with no slot."""
+def test_manifest_holds_each_fact_once(tmp_path, rng):
+    """The exact keys of a version-5 manifest and of its slot entries, in
+    order: a merged slot's entry adds ``scaling`` and ``ranks``, and a
+    one-member slot's names neither, as its cache is derived from its file.
+    Shown for the default grid (merged and one-member slots), a
+    mixed-geometry engine (merged slots, zero-width layers) and an engine
+    with no slot."""
     top = ["version", *POLICY_KEYS, "layers", "slots", "ingested"]
-    held, merged = ["tasks", "ranks"], ["tasks", "scaling", "ranks"]
+    held, merged = ["tasks"], ["tasks", "scaling", "ranks"]
     cases = {
         "default-grid": (_default_grid_engine(), [merged] * 3 + [held] * 2),
         "mixed-geometry": (_mixed_geometry_engine(rng), [merged] * 2),
@@ -1145,28 +1256,33 @@ def test_version4_manifest_holds_each_fact_once(tmp_path, rng):
         for entry, slot in zip(manifest["slots"], engine.store.slots.values()):
             assert entry["tasks"] == list(slot.tasks)
     default = json.loads((tmp_path / "default-grid" / "manifest.json").read_text())
-    assert len(default["layers"]) == 16 and all(len(entry["ranks"]) == 16 for entry in default["slots"])
+    assert len(default["layers"]) == 16 and [len(ranks) for ranks in _ranks(default)] == [16] * 3
     mixed = json.loads((tmp_path / "mixed-geometry" / "manifest.json").read_text())
     assert mixed["layers"] == [[0, "key", 4, 0], [0, "query", 0, 3], [0, "value", 0, 0], [1, "key", 5, 6]]
     assert [entry["ranks"] for entry in mixed["slots"]] == [[0, 0, 0, 2], [0, 0, 0, 3]]
     empty = json.loads((tmp_path / "no-slot" / "manifest.json").read_text())
-    assert empty == {"version": 4, **_config(2).to_dict(), "layers": [], "slots": [], "ingested": []}
+    assert empty == {"version": 5, **_config(2).to_dict(), "layers": [], "slots": [], "ingested": []}
 
 
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_version4_facts_of_older_store(tmp_path, rng, version):
     """The facts ``_version4_facts`` reads from an engine's version-1, 2 or
     3 store are the ``layers``, ``slots`` and ``ingested`` of the same
-    engine's version-4 store, but that versions 1 and 2 hold every slot in
-    a file, so no slot of theirs names a scaling. The version-1 caches,
-    each slot's member factors side by side, have the canonical ranks."""
+    engine's current store, with the ranks of one-member slot 1's cache,
+    which version 5 derives and so leaves out, but that versions 1 and 2
+    hold every slot in a file, so no slot of theirs names a scaling. The
+    version-1 caches, each slot's member factors side by side, have the
+    canonical ranks."""
     stream = _stream(rng, 4)
     engine = MergeEngine(_config(2))
     for a in stream:
         engine.ingest(a)
-    engine.persist(tmp_path / "v4")
+    engine.persist(tmp_path / "new")
     _write_store(engine, stream, tmp_path / "old", version)
-    want = json.loads((tmp_path / "v4" / "manifest.json").read_text())
+    want = json.loads((tmp_path / "new" / "manifest.json").read_text())
+    assert "ranks" not in want["slots"][0]
+    cache = engine.store.slots[1].cache
+    want["slots"][0]["ranks"] = [cache[key].rank_bound for key in sorted(cache, key=LayerKey.sort_key)]
     assert [entry["ranks"] for entry in want["slots"]] == [[2, 2], [6, 6]] and "scaling" in want["slots"][1]
     if version < 3:
         for entry in want["slots"]:
@@ -1183,6 +1299,28 @@ def _integer_leaf_paths(node, path=()):
             yield from _integer_leaf_paths(value, (*path, name))
 
 
+def _leaf_changes_accepted(tmp_path, engine):
+    """The integer leaves outside the policy of the manifest of ``engine``'s
+    store in ``tmp_path``, and each change of one (by one, as a float, a
+    boolean, a string or null) with which the store still restores."""
+    original = json.loads((tmp_path / "manifest.json").read_text())
+    policy = set(engine.config.to_dict())
+    paths = [path for path in _integer_leaf_paths(original) if path[0] not in policy]
+    accepted = []
+    for *parents, last in paths:
+        value = reduce(getitem, parents, original)[last]
+        for changed in (value + 1, float(value), bool(value), str(value), None):
+            manifest = json.loads(json.dumps(original))
+            reduce(getitem, parents, manifest)[last] = changed
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            try:
+                MergeEngine.restore(tmp_path)
+            except RestoreError:
+                continue
+            accepted.append(((*parents, last), changed))
+    return paths, accepted
+
+
 @pytest.mark.parametrize("version", [1, 2, 3])
 def test_restore_rejects_every_integer_leaf_changed(tmp_path, rng, version):
     """Every integer outside the policy of a version-1, 2 or 3 manifest is
@@ -1194,21 +1332,7 @@ def test_restore_rejects_every_integer_leaf_changed(tmp_path, rng, version):
     their ranks fit their layers, as these do."""
     engine = _persisted(tmp_path, rng, version)
     assert any(len(tasks) > 1 for tasks in engine.history.entries.values())
-    original = json.loads((tmp_path / "manifest.json").read_text())
-    policy = set(engine.config.to_dict())
-    paths = [path for path in _integer_leaf_paths(original) if path[0] not in policy]
-    accepted = []
-    for *parents, last in paths:
-        value = reduce(getitem, parents, original)[last]
-        for changed in (value + 1, float(value), bool(value), str(value), None):
-            manifest = json.loads(json.dumps(original))
-            reduce(getitem, parents, manifest)[last] = changed
-            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-            try:
-                MergeEngine.restore(tmp_path)
-            except RestoreError:
-                continue
-            accepted.append(((*parents, last), changed))
+    paths, accepted = _leaf_changes_accepted(tmp_path, engine)
     assert len(paths) > 40
     assert accepted == ([(("version",), version + 1)] if version < 3 else [])
 
@@ -1217,25 +1341,21 @@ def test_restore_rejects_every_version4_integer_leaf_changed(tmp_path, rng):
     """Every integer of a version-4 manifest outside the policy (the
     version, each layer's index and widths, each task index and cache rank)
     is read typed and checked, so restore rejects it changed by one, as a
-    float, a boolean, a string or null."""
-    engine = _persisted(tmp_path, rng)
-    original = json.loads((tmp_path / "manifest.json").read_text())
-    policy = set(engine.config.to_dict())
-    paths = [path for path in _integer_leaf_paths(original) if path[0] not in policy]
-    accepted = []
-    for *parents, last in paths:
-        value = reduce(getitem, parents, original)[last]
-        for changed in (value + 1, float(value), bool(value), str(value), None):
-            manifest = json.loads(json.dumps(original))
-            reduce(getitem, parents, manifest)[last] = changed
-            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-            try:
-                MergeEngine.restore(tmp_path)
-            except RestoreError:
-                continue
-            accepted.append(((*parents, last), changed))
+    float, a boolean, a string or null. Relabelled 5, the store names the
+    ranks of a one-member slot, which version 5 derives."""
+    engine = _persisted(tmp_path, rng, 4)
+    paths, accepted = _leaf_changes_accepted(tmp_path, engine)
     # The version, 2 layers of 3 integers, 4 task indices and 2 slots of 2 ranks.
     assert len(paths) == 1 + 2 * 3 + 4 + 2 * 2 and accepted == []
+
+
+def test_restore_rejects_every_version5_integer_leaf_changed(tmp_path, rng):
+    """As for version 4, where only merged slot 2 names its cache ranks.
+    Relabelled 4, the store lacks one-member slot 1's ranks."""
+    engine = _persisted(tmp_path, rng)
+    paths, accepted = _leaf_changes_accepted(tmp_path, engine)
+    # The version, 2 layers of 3 integers, 4 task indices and 1 slot of 2 ranks.
+    assert len(paths) == 1 + 2 * 3 + 4 + 1 * 2 and accepted == []
 
 
 @pytest.mark.parametrize("outside", ["parent", "absolute"])
@@ -1431,25 +1551,92 @@ def test_persist_and_restore_format_no_layer_names(tmp_path, rng, monkeypatch):
 
 
 def test_restore_builds_each_slot_once_with_its_cache(tmp_path, rng, monkeypatch, profile_builds):
-    """``restore`` builds every ``SlotState`` once, holding a cache entry
-    for each layer of its adapter when it is built, and builds nothing else:
-    no slot's profile, which the first score builds."""
+    """``restore`` builds every ``SlotState`` once, with what its store
+    keeps, and derives nothing: merged slot 2 is built with a cache entry
+    for each layer and no adapter, one-member slot 1 with its adapter and
+    no cache, and no ``slot_cache``, ``refactor`` or profile runs. The first
+    merge into slot 1 derives its cache once, from its adapter."""
     engine = _persisted(tmp_path, rng)
     profile_builds.clear()
-    built = []
+    built, derived = [], []
 
-    def recording(*args, **kwargs):
-        slot = SlotState(*args, **kwargs)
-        built.append((slot, set(slot.cache)))
+    def recording(adapter, cache, tasks, derivation=None, profile=None):
+        slot = SlotState(adapter, cache, tasks, derivation, profile)
+        built.append((slot, adapter, cache))
         return slot
 
-    monkeypatch.setattr(kmerge.engine, "SlotState", recording)
-    restored = MergeEngine.restore(tmp_path)
-    assert len(restored.store.slots) == len(engine.store.slots)
-    assert [id(slot) for slot, _ in built] == [id(slot) for slot in restored.store.slots.values()]
-    assert profile_builds == []
-    for slot, keys in built:
-        assert keys == set(slot.adapter.layers)
+    def counting(adapter):
+        derived.append(adapter)
+        return slot_cache(adapter)
+
+    monkeypatch.setattr(kmerge.engine, "slot_cache", counting)
+    with monkeypatch.context() as patch:
+        patch.setattr(kmerge.engine, "SlotState", recording)
+        patch.setattr(kmerge.engine, "refactor", _no_refactor)
+        restored = MergeEngine.restore(tmp_path)
+    assert [id(slot) for slot, *_ in built] == [id(slot) for slot in restored.store.slots.values()]
+    (one, one_adapter, one_cache), (merged, merged_adapter, merged_cache) = built
+    assert one_adapter is not None and one_cache is None and one.held_cache is None
+    assert merged_adapter is None and set(merged_cache) == set(engine.store.slots[2].adapter.layers)
+    assert derived == [] and profile_builds == []
+
+    # Slot 1's own member again, under a new task id, merges into slot 1.
+    decision = restored.ingest(replace(one_adapter, task_id="again"))
+    assert (decision.action, decision.slot_key) == (MERGED, 1)
+    assert derived == [one_adapter]
+
+
+@pytest.mark.parametrize("store", ["small", "default-grid"])
+def test_restored_one_member_cache_is_its_allocation_cache(tmp_path, rng, store):
+    """A restored one-member slot's first ``cache`` read derives the cache
+    its allocation built, bit for bit, once and read-only: ``_persisted``'s
+    slot 1, and the default grid's slots 4 and 5, whose 16 layers
+    ``slot_cache`` stacks in batches."""
+    if store == "small":
+        engine, single = _persisted(tmp_path, rng), [1]
+    else:
+        engine, single = _default_grid_engine(), [4, 5]
+        engine.persist(tmp_path)
+    back = MergeEngine.restore(tmp_path)
+    for k in single:
+        slot, want = back.store.slots[k], engine.store.slots[k].cache
+        assert len(slot.tasks) == 1 and slot.held_cache is None
+        cache = slot.cache
+        assert slot.cache is cache and slot.held_cache is cache
+        assert list(cache) == list(want)
+        for key, low in want.items():
+            assert cache[key].canonical == low.canonical
+            np.testing.assert_array_equal(cache[key].b, low.b)
+            np.testing.assert_array_equal(cache[key].a, low.a)
+            assert not cache[key].b.flags.writeable and not cache[key].a.flags.writeable
+
+
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
+def test_store_of_each_version_continues_identically(tmp_path, rng, version):
+    """An engine restored from its store as ``persist`` wrote it at manifest
+    ``version`` continues as one never persisted, bit for bit: the same
+    decisions and similarities, caches and served adapters, and then the
+    same store. Every slot merges after the restore, one-member slot 3
+    first, so each slot's restored cache, stored or derived, is folded."""
+    stream = _stream(rng, 10)
+    never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
+    for a in stream[:6]:
+        never_persisted.ingest(a)
+        persisted.ingest(a)
+    assert [len(tasks) for tasks in persisted.history.entries.values()] == [2, 3, 1]
+    _write_store(persisted, stream, tmp_path / "old", version)
+    assert json.loads((tmp_path / "old" / "manifest.json").read_text())["version"] == version
+    back = MergeEngine.restore(tmp_path / "old")
+    merged_since = []
+    for a in stream[6:]:
+        expect, got = never_persisted.ingest(a), back.ingest(a)
+        assert (got.action, got.slot_key, got.similarity) == (expect.action, expect.slot_key, expect.similarity)
+        merged_since.append(got.slot_key)
+    assert merged_since == [3, 2, 2, 1]
+    _assert_slots_equal(back, _slot_copies(never_persisted))
+    back.persist(tmp_path / "again")
+    never_persisted.persist(tmp_path / "never")
+    assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "never")
 
 
 @pytest.mark.parametrize("kind", ["running_average", "linear", "ties", "dare", "dare_ties"])
@@ -1510,32 +1697,25 @@ def _default_grid_engine(count=40):
     return engine
 
 
-def _version4_of(oracle, engine):
-    """The bytes of ``engine``'s version-4 store, from ``oracle``, its
-    version-2 store written by ``per_tensor_persist``: the same files but
-    for each merged slot's adapter file, and a manifest holding the same
-    policy, ``layers`` read from slot 1's cache entries, each slot's tasks,
-    its scaling if it is merged and its cache entries' ranks, and the
-    ingested task ids."""
+def _version5_of(oracle):
+    """The bytes of an engine's version-5 store, from ``oracle``, its
+    version-4 store written by ``version4_persist``: the same files but for
+    each one-member slot's cache entries, cut out of ``running_cache.bin``,
+    and the manifest relabelled 5 with no ``ranks`` in such a slot's entry."""
     want = _store_bytes(oracle)
-    old = json.loads(want["manifest.json"])
-    index = old["cache_index"]
-    slots = []
-    for entry in old["slots"]:
-        slot = {"tasks": entry["tasks"]}
-        derivation = engine.store.slots[entry["slot_key"]].derivation
-        if derivation is not None:
-            del want[entry["file"]]
-            slot["scaling"] = derivation.scaling
-        slot["ranks"] = [e["b_shape"][1] for e in index if e["slot_key"] == entry["slot_key"]]
-        slots.append(slot)
-    manifest = {
-        "version": 4,
-        **{name: old[name] for name in engine.config.to_dict()},
-        "layers": [[e["layer"], e["proj"], e["b_shape"][0], e["a_shape"][1]] for e in index if e["slot_key"] == 1],
-        "slots": slots,
-        "ingested": [task_id for _, task_id in old["ingested"]],
-    }
+    manifest = json.loads(want["manifest.json"])
+    blob, kept, offset = want["running_cache.bin"], bytearray(), 0
+    for entry in manifest["slots"]:
+        widths = [d_out + d_in for _, _, d_out, d_in in manifest["layers"]]
+        size = sum(8 * rank * width for rank, width in zip(entry["ranks"], widths))
+        if len(entry["tasks"]) > 1:
+            kept += blob[offset : offset + size]
+        else:
+            del entry["ranks"]
+        offset += size
+    assert offset == len(blob)
+    manifest["version"] = 5
+    want["running_cache.bin"] = bytes(kept)
     want["manifest.json"] = json.dumps(manifest).encode()
     return want
 
@@ -1564,7 +1744,7 @@ def _version1_engine(tmp_path, rng):
 ])
 def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, limit):
     """``persist`` writes the bytes of a store written one tensor at a time
-    (as :func:`_version4_of` that store), also when ``os.writev`` takes at
+    (as :func:`_version5_of` that store), also when ``os.writev`` takes at
     most 7 bytes a call, and every byte of every file goes through
     ``os.writev``. The stores hold one-member and merged slots (the
     default grid), merged slots only (mixed geometry), and merged slots
@@ -1575,11 +1755,11 @@ def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, li
         engine = _mixed_geometry_engine(rng)
     else:
         engine = _version1_engine(tmp_path, rng)
-    per_tensor_persist(engine, tmp_path / "want")
+    version4_persist(engine, tmp_path / "want")
     writes = RecordedWrites(os.writev, limit)
     monkeypatch.setattr(os, "writev", writes)
     engine.persist(tmp_path / "got")
-    want = _version4_of(tmp_path / "want", engine)
+    want = _version5_of(tmp_path / "want")
     files = sorted(name for name in want if name.startswith("slot_"))
     assert files == {
         "default-grid": ["slot_4.kmrg", "slot_5.kmrg"], "mixed-geometry": [],
@@ -1594,8 +1774,8 @@ def test_persist_writes_each_file_in_vectored_calls(tmp_path, monkeypatch):
     """A K=5 default-grid store: each file takes ``ceil(buffers / IOV_MAX)``
     ``os.writev`` calls, one here, and they carry all of its bytes: each
     one-member slot file's two header parts and 32 tensors (slots 4 and 5;
-    slots 1-3 are merged and keep no file), the cache's 160 factors and the
-    manifest."""
+    slots 1-3 are merged and keep no file), the cache's 96 factors (slots
+    1-3; slots 4 and 5 keep no cache) and the manifest."""
     engine = _default_grid_engine()
     assert [len(tasks) for tasks in engine.history.entries.values()] == [25, 4, 9, 1, 1]
     writes = RecordedWrites(os.writev)
@@ -1603,7 +1783,7 @@ def test_persist_writes_each_file_in_vectored_calls(tmp_path, monkeypatch):
     engine.persist(tmp_path)
     iov_max = os.sysconf("SC_IOV_MAX")
     buffers = {f"slot_{k}.kmrg": 2 + 2 * 16 for k in (4, 5)}
-    buffers.update({"running_cache.bin": 2 * 5 * 16, "manifest.json": 1})
+    buffers.update({"running_cache.bin": 2 * 3 * 16, "manifest.json": 1})
     assert sorted(buffers) == sorted(p.name for p in tmp_path.iterdir())
     for name, count in buffers.items():
         path = tmp_path / name
@@ -1819,22 +1999,29 @@ def test_rejected_merge_leaves_engine_unchanged(rng, monkeypatch):
 
 
 def test_persisted_cache_file_layout(tmp_path, rng):
-    """running_cache.bin is, for each slot in order and each of its layers
-    in ``layers`` order, the cache entry's b then a, float64 little-endian,
-    back to back; each slot's ``ranks`` are its cache entries' ranks."""
-    engine = MergeEngine(_config(2))
+    """running_cache.bin is, for each slot of several members in order and
+    each of its layers in ``layers`` order, the cache entry's b then a,
+    float64 little-endian, back to back; such a slot's ``ranks`` are its
+    cache entries' ranks. A one-member slot's entry names no ranks, and the
+    file holds nothing of its cache."""
+    engine = MergeEngine(_config(3))
     for a in _stream(rng, 5, n_keys=3):
         engine.ingest(a)
     engine.persist(tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    members = [len(entry["tasks"]) for entry in manifest["slots"]]
+    assert 1 in members and max(members) > 1
     expected = bytearray()
     for slot_key, entry in enumerate(manifest["slots"], 1):
+        if len(entry["tasks"]) == 1:
+            assert "ranks" not in entry
+            continue
         assert len(entry["ranks"]) == len(manifest["layers"]) == 3
         for (layer, proj, d_out, d_in), rank in zip(manifest["layers"], entry["ranks"]):
             low = engine.store.slots[slot_key].cache[LayerKey(layer, proj)]
             assert low.b.shape == (d_out, rank) and low.a.shape == (rank, d_in)
             expected += low.b.astype("<f8").tobytes() + low.a.astype("<f8").tobytes()
-    assert len(manifest["slots"]) == 2
+    assert len(manifest["slots"]) == 3
     assert (tmp_path / "running_cache.bin").read_bytes() == bytes(expected)
 
 
@@ -1898,7 +2085,7 @@ def test_restore_version1_store_continues_identically(tmp_path, rng):
             assert np.linalg.norm(served - ref) <= 1e-5 * np.linalg.norm(ref)
 
     resumed.persist(tmp_path / "again")
-    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 4
+    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 5
 
 
 def _no_refactor(*args):
@@ -1952,14 +2139,15 @@ def test_store_keeps_each_merged_slot_once(tmp_path, rng, monkeypatch, kind):
 def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch):
     """A version-2 store, whose merged slots kept their adapter files,
     restores with every slot served from its file. A persist writes version
-    4 and keeps each file until its slot is merged again, which drops it.
-    The engine continues as one never persisted."""
+    5 and keeps each file until its slot is merged again, which drops it;
+    it keeps the caches of the slots of several members, and not that of
+    one-member slot 3. The engine continues as one never persisted."""
     stream = _stream(rng, 10)
     never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
     for a in stream[:6]:
         never_persisted.ingest(a)
         persisted.ingest(a)
-    old, new = tmp_path / "v2", tmp_path / "v4"
+    old, new = tmp_path / "v2", tmp_path / "v5"
     per_tensor_persist(persisted, old)
     with monkeypatch.context() as patch:
         patch.setattr(kmerge.engine, "refactor", _no_refactor)
@@ -1969,10 +2157,16 @@ def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch)
             assert_same_adapter(slot.adapter, persisted.store.slots[k].adapter)
         back.persist(new)
     manifest = json.loads((new / "manifest.json").read_text())
-    assert manifest["version"] == 4
+    assert manifest["version"] == 5
     assert ["scaling" in entry for entry in manifest["slots"]] == [False] * 3
-    for name in ("slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg", "running_cache.bin"):
+    assert [len(entry["tasks"]) for entry in manifest["slots"]] == [2, 3, 1]
+    assert ["ranks" in entry for entry in manifest["slots"]] == [True, True, False]
+    for name in ("slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg"):
         assert (new / name).read_bytes() == (old / name).read_bytes()
+    # The version-2 cache holds slots 1, 2 and 3 in that order.
+    cache = (new / "running_cache.bin").read_bytes()
+    assert 0 < len(cache) < (old / "running_cache.bin").stat().st_size
+    assert cache == (old / "running_cache.bin").read_bytes()[: len(cache)]
 
     merged_since = []
     for a in stream[6:]:
@@ -1996,9 +2190,9 @@ def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch)
     _assert_slots_equal(back, _slot_copies(never_persisted))
 
 
-def test_version3_store_continues_to_the_version4_store(tmp_path, rng):
+def test_version3_store_continues_to_the_current_store(tmp_path, rng):
     """A version-3 store, as ``persist`` wrote it at that version, restores,
-    merges once more and persists the version-4 store of an engine never
+    merges once more and persists the current store of an engine never
     persisted, byte for byte."""
     stream = _stream(rng, 8)
     never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
@@ -2017,4 +2211,4 @@ def test_version3_store_continues_to_the_version4_store(tmp_path, rng):
     back.persist(tmp_path / "again")
     never_persisted.persist(tmp_path / "never")
     assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "never")
-    assert json.loads((tmp_path / "never" / "manifest.json").read_text())["version"] == 4
+    assert json.loads((tmp_path / "never" / "manifest.json").read_text())["version"] == MANIFEST_VERSION == 5
