@@ -31,13 +31,11 @@ from .bench import (
     save_suite,
     threshold_sweep,
 )
-from .engine import (
-    MANIFEST_VERSION, VARIANTS, MergeEngine, PolicyConfig, SlotState, merged_cache, read_manifest,
-    slot_cache,
-)
+from .engine import VARIANTS, MergeEngine, PolicyConfig, SlotState, merged_cache
 from .errors import ConfigError, KMergeError
 from .merging import OPERATOR_KINDS, MergeOperator, RankPolicy, refactor
 from .similarity import calibrate_threshold, similarity_matrix
+from .store import MANIFEST_VERSION, read_manifest, slot_file
 
 OPERATOR_FLAGS = tuple(kind.replace("_", "-") for kind in OPERATOR_KINDS)
 
@@ -141,7 +139,8 @@ def cmd_merge(args) -> int:
         raise ConfigError(f"--weight must be in [0, 1], got {args.weight}")
     weight = 0.5 if args.weight is None else args.weight
     rank_policy = RankPolicy(max(x.rank, y.rank) if args.target_rank is None else args.target_rank)
-    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x), tasks=(1,)), y, weight)
+    # Only the running average reads the slot's cache, which it derives then.
+    cache = merged_cache(operator, SlotState(adapter=x, cache=None, tasks=(1,)), y, weight)
     result = refactor(cache, rank_policy.target_rank, f"merged-{x.task_id}-{y.task_id}", y.scaling)
     write_adapter(result.adapter, args.out)
     report = {
@@ -203,7 +202,7 @@ def cmd_inspect(args) -> int:
         forms, size, rank = [], 0, "-"
         if slot.derivation is None:
             forms.append("file")
-            size += (Path(args.store) / f"slot_{slot_key}.kmrg").stat().st_size
+            size += (Path(args.store) / slot_file(slot_key)).stat().st_size
         if (cache := slot.held_cache) is not None:
             forms.append("cache")
             size += sum(low.b.nbytes + low.a.nbytes for low in cache.values())

@@ -18,7 +18,7 @@ import pytest
 
 from kmerge.adapters import PROJECTIONS, FactorPair, LayerKey, LoraAdapter, _header_dict
 from kmerge.bench import clustering_consistency, order_stream
-from kmerge.engine import MergeHistory, SlotState, _cache_layout, _legacy_manifest
+from kmerge.engine import MergeHistory, SlotState
 from kmerge.lowrank import NOISE_TOL, LowRankDelta
 from kmerge.merging import RefactorResult
 from kmerge.similarity import Profile, adapter_similarity
@@ -154,68 +154,37 @@ def per_tensor_write_adapter(adapter, path):
             fh.write(np.ascontiguousarray(adapter.layers[key].b, dtype="<f4"))
 
 
-def per_tensor_persist(engine, directory):
-    """Write ``engine``'s store to ``directory`` at manifest version 2, one
-    buffered ``write`` per tensor: every slot's adapter, merged or not,
-    through :func:`per_tensor_write_adapter`, each cache entry's ``b`` then
-    ``a`` in ``_cache_layout`` order, and the compact manifest naming every
-    slot's file. It is the oracle of ``persist``'s vectored writes, which
-    write the same slot files for file-held slots and the same cache, and
-    it writes the version-2 stores that restore must still read."""
-    directory.mkdir(parents=True, exist_ok=True)
-    slots = engine.store.slots
-    for slot_key, slot in slots.items():
-        per_tensor_write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
-    geometries = {slot_key: slot.adapter.geometry for slot_key, slot in slots.items()}
-    layout, _ = _cache_layout(geometries, lambda slot_key, key: slots[slot_key].cache[key].rank_bound)
-    with open(directory / "running_cache.bin", "wb") as fh:
-        for slot_key, key, *_ in layout:
-            for factor in (slots[slot_key].cache[key].b, slots[slot_key].cache[key].a):
-                fh.write(np.ascontiguousarray(factor, dtype="<f8"))
-    entries = {slot_key: (slot.tasks, None) for slot_key, slot in slots.items()}
-    manifest = _legacy_manifest(engine.config, entries, engine.task_ids, layout, 2)
-    (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
-
-
-def version3_persist(engine, directory):
-    """Write ``engine``'s store to ``directory`` at manifest version 3, the
-    bytes that ``persist`` wrote at that version: the version-2 store of
-    :func:`per_tensor_persist` without a merged slot's adapter file, whose
-    entry names the scaling its adapter is derived at instead. It writes
-    the version-3 stores that restore must still read."""
-    per_tensor_persist(engine, directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["version"] = 3
-    for i, entry in enumerate(manifest["slots"]):
-        derivation = engine.store.slots[entry["slot_key"]].derivation
-        if derivation is not None:
-            (directory / entry.pop("file")).unlink()
-            manifest["slots"][i] = {"slot_key": entry.pop("slot_key"), "scaling": derivation.scaling, **entry}
-    (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
-
-
 def version4_persist(engine, directory):
-    """Write ``engine``'s store to ``directory`` at manifest version 4, the
-    bytes that ``persist`` wrote at that version: the files of
-    :func:`version3_persist` (every slot's cache, and a file for each slot
-    that is not merged) and a compact manifest holding each fact once: the
-    policy, ``layers`` read from slot 1's cache entries, each slot's tasks,
-    its scaling if it is merged and its cache entries' ranks, and the
-    ingested task ids. It writes the version-4 stores that restore must
-    still read."""
-    version3_persist(engine, directory)
-    old = json.loads((directory / "manifest.json").read_text())
-    index = old["cache_index"]
+    """Write ``engine``'s store to ``directory`` at manifest version 4, one
+    buffered ``write`` per tensor: each one-member slot's adapter through
+    :func:`per_tensor_write_adapter`; every slot's cache, also a one-member
+    slot's, each entry's ``b`` then ``a`` as float64, slots in key order and
+    layers in sorted order; and a compact manifest holding each fact once:
+    the policy, ``layers`` read from slot 1's cache, each slot's tasks, its
+    scaling if it is merged and its cache entries' ranks, and the ingested
+    task ids. It is the oracle of ``persist``'s vectored writes, which write
+    the same slot files and the merged slots' part of the cache, and it
+    writes the version-4 stores that restore must still read."""
+    directory.mkdir(parents=True, exist_ok=True)
+    slots = dict(sorted(engine.store.slots.items()))
+    keys = sorted(slots[1].cache, key=LayerKey.sort_key) if slots else []
+    entries = []
+    with open(directory / "running_cache.bin", "wb") as fh:
+        for slot_key, slot in slots.items():
+            if slot.derivation is None:
+                per_tensor_write_adapter(slot.adapter, directory / f"slot_{slot_key}.kmrg")
+            for key in keys:
+                fh.write(np.ascontiguousarray(slot.cache[key].b, dtype="<f8"))
+                fh.write(np.ascontiguousarray(slot.cache[key].a, dtype="<f8"))
+            scaling = {} if slot.derivation is None else {"scaling": slot.derivation.scaling}
+            ranks = [slot.cache[key].rank_bound for key in keys]
+            entries.append({"tasks": list(slot.tasks), **scaling, "ranks": ranks})
     manifest = {
         "version": 4,
-        **{name: old[name] for name in engine.config.to_dict()},
-        "layers": [[e["layer"], e["proj"], e["b_shape"][0], e["a_shape"][1]] for e in index if e["slot_key"] == 1],
-        "slots": [
-            {"tasks": entry["tasks"], **({"scaling": entry["scaling"]} if "scaling" in entry else {}),
-             "ranks": [e["b_shape"][1] for e in index if e["slot_key"] == entry["slot_key"]]}
-            for entry in old["slots"]
-        ],
-        "ingested": [task_id for _, task_id in old["ingested"]],
+        **engine.config.to_dict(),
+        "layers": [[key.layer, key.proj, *slots[1].cache[key].shape] for key in keys],
+        "slots": entries,
+        "ingested": [engine.task_ids[t] for t in sorted(engine.task_ids)],
     }
     (directory / "manifest.json").write_bytes(json.dumps(manifest).encode())
 

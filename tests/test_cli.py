@@ -12,12 +12,11 @@ import kmerge.engine
 from kmerge.adapters import FactorPair, LayerKey, LoraAdapter, read_adapter, write_adapter
 from kmerge.bench import GEOMETRY_PRESETS, OrderingSpec, load_suite, lora_param_count, threshold_sweep
 from kmerge.cli import main
-from kmerge.engine import MergeEngine, PolicyConfig
+from kmerge.engine import MergeEngine, PolicyConfig, SlotState, merged_cache, slot_cache
 from kmerge.errors import FormatError
-from kmerge.merging import MergeOperator, RankPolicy
+from kmerge.merging import MergeOperator, RankPolicy, refactor
 
 from conftest import (
-    per_tensor_persist,
     rewrite_header,
     small_random_adapter,
     version4_persist,
@@ -400,6 +399,34 @@ def test_merge_all_operators(tmp_path, rng):
         assert out.exists()
 
 
+@pytest.mark.parametrize("op, builds", [
+    ("running-average", 1), ("linear", 1), ("ties", 0), ("dare", 0), ("dare-ties", 0),
+])
+def test_merge_builds_a_cache_only_to_fold(tmp_path, rng, monkeypatch, op, builds):
+    """``kmerge merge`` builds a ``slot_cache`` only for an operator that
+    folds into one: once for the running average and for ``linear``, and
+    never for TIES and DARE, which merge in dense space. It writes the
+    adapter that merging into a slot built with its cache serves."""
+    x = small_random_adapter("left", rng, rank=3, n_keys=4)
+    y = small_random_adapter("right", rng, rank=3, n_keys=4)
+    write_adapter(x, tmp_path / "x.kmrg")
+    write_adapter(y, tmp_path / "y.kmrg")
+    operator = MergeOperator(kind=op.replace("-", "_"), density=0.5, drop_rate=0.5, rng_seed=0)
+    cache = merged_cache(operator, SlotState(adapter=x, cache=slot_cache(x), tasks=(1,)), y)
+    write_adapter(refactor(cache, 3, "merged-left-right", y.scaling).adapter, tmp_path / "want.kmrg")
+    built = []
+
+    def counting(adapter):
+        built.append(adapter)
+        return slot_cache(adapter)
+
+    monkeypatch.setattr(kmerge.engine, "slot_cache", counting)
+    out = tmp_path / "m.kmrg"
+    assert main(["merge", str(tmp_path / "x.kmrg"), str(tmp_path / "y.kmrg"), "--op", op, "--out", str(out)]) == 0
+    assert len(built) == builds
+    assert out.read_bytes() == (tmp_path / "want.kmrg").read_bytes()
+
+
 @pytest.mark.parametrize("op", ["running-average", "linear", "ties", "dare", "dare-ties"])
 def test_merge_width_mismatch_exits_1(tmp_path, rng, capsys, op):
     """Same keys, different widths: every operator exits 1 naming the layer
@@ -487,11 +514,8 @@ def _check_inspect_table(tmp_path, rng, capsys, monkeypatch, store, forms):
     path = tmp_path / "store"
     if store == "current":
         engine.persist(path)
-    elif store == "version-4":
-        version4_persist(engine, path)
     else:
-        per_tensor_persist(engine, tmp_path / "v2")
-        MergeEngine.restore(tmp_path / "v2").persist(path)
+        version4_persist(engine, path)
     manifest = json.loads((path / "manifest.json").read_text())
     monkeypatch.setattr(kmerge.engine, "slot_cache", _no_derivation)
     monkeypatch.setattr(kmerge.engine, "refactor", _no_derivation)
@@ -523,14 +547,9 @@ def test_inspect_store_prints_one_line_per_slot(tmp_path, rng, capsys, monkeypat
     _check_inspect_table(tmp_path, rng, capsys, monkeypatch, "current", ["cache", "cache", "file"])
 
 
-@pytest.mark.parametrize("store, forms", [
-    ("version-4", ["cache", "cache", "file+cache"]),
-    ("version-2-restored", ["file+cache", "file+cache", "file"]),
-], ids=["version-4", "version-2-restored"])
+@pytest.mark.parametrize("store, forms", [("version-4", ["cache", "cache", "file+cache"])], ids=["version-4"])
 def test_inspect_store_prints_what_older_stores_keep(tmp_path, rng, capsys, monkeypatch, store, forms):
-    """A version-4 store keeps one-member slot 3's cache beside its file;
-    the current store of an engine restored from a version-2 store keeps
-    its slots of several members as their files and their caches."""
+    """A version-4 store keeps one-member slot 3's cache beside its file."""
     _check_inspect_table(tmp_path, rng, capsys, monkeypatch, store, forms)
 
 

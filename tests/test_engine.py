@@ -14,16 +14,14 @@ from operator import getitem
 import numpy as np
 import pytest
 
-from kmerge.adapters import LayerKey, parse_adapter
+from kmerge.adapters import LayerKey, parse_adapter, write_adapter
 from kmerge.bench import GeneratorConfig, OrderingSpec, generate_suite, run_simulation
 from kmerge.engine import (
     ALLOCATED,
-    MANIFEST_VERSION,
     MERGED,
     MergeEngine,
     PolicyConfig,
     SlotState,
-    _version4_facts,
     merged_cache,
     slot_cache,
 )
@@ -39,9 +37,11 @@ from kmerge.errors import (
 )
 import kmerge.engine
 import kmerge.lowrank
+import kmerge.store
 from kmerge.lowrank import LowRankDelta, fold_layers
 from kmerge.merging import OPERATOR_KINDS, MergeOperator, RankPolicy, linear_merge
 from kmerge.similarity import adapter_similarity, most_similar
+from kmerge.store import MANIFEST_VERSION
 
 from conftest import (
     NaiveState,
@@ -53,11 +53,9 @@ from conftest import (
     mixed_geometry_slot,
     naive_policy_step,
     naive_slot_cache,
-    per_tensor_persist,
     poison_tensor,
     rewrite_header,
     small_random_adapter,
-    version3_persist,
     version4_persist,
     width_mismatched_pair,
     zero_width_adapter,
@@ -535,33 +533,26 @@ def test_restore_continues_identically(tmp_path, rng):
             )
 
 
-def _write_store(engine, stream, directory, version):
-    """Write the store of ``engine``, which ingested ``stream``, to
-    ``directory`` as ``persist`` wrote it at manifest ``version``."""
+def _write_store(engine, directory, version):
+    """Write ``engine``'s store to ``directory`` as ``persist`` wrote it at
+    manifest ``version``, 4 or 5."""
     if version == MANIFEST_VERSION:
         engine.persist(directory)
-    elif version == 4:
-        version4_persist(engine, directory)
-    elif version == 3:
-        version3_persist(engine, directory)
     else:
-        per_tensor_persist(engine, directory)
-        if version == 1:
-            _write_version1_caches(directory, engine, stream)
+        assert version == 4
+        version4_persist(engine, directory)
 
 
 def _persisted(tmp_path, rng, version=MANIFEST_VERSION):
     """A K=2 store of 4 adapters, written at manifest ``version``: slot 1
-    has one member and keeps its adapter file, and from version 5 on no
-    cache; slot 2 is merged and, from version 3 on, keeps no file."""
-    stream = _stream(rng, 4)
+    has one member and keeps its adapter file, and at version 4 its cache
+    too; slot 2 is merged and keeps its cache and no file."""
     engine = MergeEngine(_config(2))
-    for a in stream:
+    for a in _stream(rng, 4):
         engine.ingest(a)
-    _write_store(engine, stream, tmp_path, version)
+    _write_store(engine, tmp_path, version)
     assert engine.history.entries == {1: [1], 2: [2, 3, 4]}
-    held = ["slot_1.kmrg", "slot_2.kmrg"] if version < 3 else ["slot_1.kmrg"]
-    assert sorted(p.name for p in tmp_path.glob("slot_*")) == held
+    assert sorted(p.name for p in tmp_path.glob("slot_*")) == ["slot_1.kmrg"]
     return engine
 
 
@@ -591,12 +582,33 @@ def test_restore_missing_field(tmp_path, rng):
         MergeEngine.restore(tmp_path)
 
 
-def test_restore_bad_version(tmp_path, rng):
+@pytest.mark.parametrize("version", [1, 2, 3, 42])
+def test_restore_bad_version(tmp_path, rng, version):
+    """Restore reads manifest versions 4 and 5 only. A store labelled with
+    any other version, older or newer, is rejected by its label alone."""
     _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    manifest["version"] = 42
+    manifest["version"] = version
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(RestoreError, match="version"):
+    with pytest.raises(RestoreError, match=rf"^unsupported manifest version {version}$"):
+        MergeEngine.restore(tmp_path)
+
+
+@pytest.mark.parametrize("version", [4, 5])
+def test_restore_rejects_merged_slot_without_scaling(tmp_path, rng, version):
+    """A slot of several members whose entry names no scaling is rejected,
+    naming the slot, even with an adapter file beside it. Such a slot was
+    held by its file, and stores restored from versions 1 and 2 held it so;
+    a slot now has one member and its file, or several and a scaling."""
+    engine = MergeEngine(_config(1))
+    for a in _stream(rng, 2):
+        engine.ingest(a)
+    _write_store(engine, tmp_path, version)
+    write_adapter(engine.store.slots[1].adapter, tmp_path / "slot_1.kmrg")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["slots"][0].pop("scaling") == engine.store.slots[1].derivation.scaling
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=r"^slots\[0\] has 2 tasks but no scaling; a merged slot has one$"):
         MergeEngine.restore(tmp_path)
 
 
@@ -623,67 +635,72 @@ def test_restore_truncated_cache(tmp_path, rng):
         MergeEngine.restore(tmp_path)
 
 
+# ``_persisted``'s version-5 manifest: layers [[0, "key", 8, 8], [0, "query",
+# 8, 8]], slots [{"tasks": [1]}, {"tasks": [2, 3, 4], "scaling": 1.0,
+# "ranks": [6, 6]}] and ingested ["task-0", ..., "task-3"]. Each case damages
+# one entry of ``layers`` or ``slots``, by table and index.
+NO_SCALING = r"slots\[1\] has 3 tasks but no scaling; a merged slot has one"
+LAYER_0_SHAPE = r"layers\[0\] is {}; persist writes \[layer, proj, d_out, d_in\]"
+FILE_GEOMETRY_DIFFERS = r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers"
+NATURALS = r"slots\[{}\]\.{} is {}; persist writes a list of non-negative integers"
+
 DAMAGED_ENTRIES = {
-    "no-offset": ("cache_index", lambda e: e.pop("offset"), "offset"),
-    "no-b_shape": (
-        "cache_index", lambda e: e.pop("b_shape"),
-        r"layers\[0\] is \[0, 'key', None, 8\]; persist writes \[layer, proj, d_out, d_in\]",
+    # A merged slot's ranks place its cache entries in the cache file.
+    "no-offset": ("slots", 1, lambda e: e.pop("ranks"), r"missing field 'slots\[1\]\.ranks'"),
+    "negative-offset": (
+        "slots", 1, lambda e: e["ranks"].__setitem__(0, -8),
+        NATURALS.format(1, "ranks", r"\[-8, 6\]"),
     ),
-    "negative-b": (
-        "cache_index", lambda e: e.__setitem__("b_shape", [-1, 3]),
-        r"layers\[0\] is \[0, 'key', -1, 8\]; persist writes \[layer, proj, d_out, d_in\]",
-    ),
-    "negative-a": (
-        "cache_index", lambda e: e.__setitem__("a_shape", [-2, 8]),
-        r"cache_index\[0\]\.a_shape\[0\] is -2; persist writes 2",
-    ),
-    "flat-b": (
-        "cache_index", lambda e: e.__setitem__("b_shape", [8]),
-        r"slots\[0\]\.ranks is \[None, 2\]; persist writes a list of non-negative integers",
+    "null-offset": ("slots", 1, lambda e: e.__setitem__("ranks", None), NATURALS.format(1, "ranks", "None")),
+    "bool-offset": (
+        "slots", 1, lambda e: e["ranks"].__setitem__(1, False), NATURALS.format(1, "ranks", r"\[6, False\]")
     ),
     "inner-mismatch": (
-        "cache_index", lambda e: e["a_shape"].__setitem__(0, e["b_shape"][1] + 1),
-        r"cache_index\[0\]\.a_shape\[0\] is 3; persist writes 2",
+        "slots", 1, lambda e: e["ranks"].__setitem__(0, 9),
+        r"slots\[1\]\.ranks\[0\] is 9, above min\(d_out, d_in\) 8 of layers\[0\]",
     ),
-    "negative-offset": (
-        "cache_index", lambda e: e.__setitem__("offset", -8),
-        r"cache_index\[0\]\.offset is -8; persist writes 0",
+    # A layer entry is [layer, proj, d_out, d_in]: b's rows and a's columns.
+    "no-b_shape": ("layers", 0, lambda e: e.__setitem__(2, None), LAYER_0_SHAPE.format(r"\[0, 'key', None, 8\]")),
+    "negative-b": ("layers", 0, lambda e: e.__setitem__(2, -1), LAYER_0_SHAPE.format(r"\[0, 'key', -1, 8\]")),
+    "negative-a": ("layers", 0, lambda e: e.__setitem__(3, -2), LAYER_0_SHAPE.format(r"\[0, 'key', 8, -2\]")),
+    "flat-b": ("layers", 0, lambda e: e.pop(), LAYER_0_SHAPE.format(r"\[0, 'key', 8\]")),
+    "huge-shape": ("layers", 0, lambda e: e.__setitem__(2, 1 << 40), FILE_GEOMETRY_DIFFERS),
+    "text-layer": ("layers", 0, lambda e: e.__setitem__(0, "x"), LAYER_0_SHAPE.format(r"\['x', 'key', 8, 8\]")),
+    "digit-string-layer": (
+        "layers", 0, lambda e: e.__setitem__(0, "3"),
+        LAYER_0_SHAPE.format(r"\['3', 'key', 8, 8\]"),
     ),
-    "huge-shape": (
-        "cache_index", lambda e: e["b_shape"].__setitem__(0, 1 << 40),
-        r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers",
-    ),
-    "no-tasks": ("slots", lambda e: e.pop("tasks"), "tasks"),
-    "no-file": ("slots", lambda e: e.pop("file"), "file"),
-    "text-layer": ("cache_index", lambda e: e.__setitem__("layer", "x"), "layer"),
-    "text-slot-key": (
-        "cache_index", lambda e: e.__setitem__("slot_key", "one"),
-        r"slots\[1\]\.ranks holds 2 ranks; layers holds 1 layers",
-    ),
-    "null-offset": ("cache_index", lambda e: e.__setitem__("offset", None), "offset"),
-    "text-slot": ("slots", lambda e: e.__setitem__("slot_key", "first"), "slot_key"),
+    "unknown-proj": ("layers", 0, lambda e: e.__setitem__(1, "gate"), r"layers\[0\]: unknown projection 'gate'"),
+    "number-proj": ("layers", 0, lambda e: e.__setitem__(1, 3), LAYER_0_SHAPE.format(r"\[0, 3, 8, 8\]")),
+    # A slot entry holds its tasks and, if merged, the scaling it is served at.
+    "no-tasks": ("slots", 0, lambda e: e.pop("tasks"), r"missing field 'slots\[0\]\.tasks'"),
+    "no-file": ("slots", 1, lambda e: e.pop("scaling"), NO_SCALING),
     "text-task": (
-        "slots", lambda e: e["tasks"].__setitem__(0, "late"),
-        r"slots\[0\]\.tasks is \['late'\]; persist writes a list of non-negative integers",
+        "slots", 0, lambda e: e["tasks"].__setitem__(0, "late"),
+        NATURALS.format(0, "tasks", r"\['late'\]"),
     ),
-    "scalar-tasks": ("slots", lambda e: e.__setitem__("tasks", 3), "tasks"),
-    "digit-string-tasks": ("slots", lambda e: e.__setitem__("tasks", "12"), "tasks"),
-    "digit-string-layer": ("cache_index", lambda e: e.__setitem__("layer", "3"), "layer"),
-    "bool-offset": ("cache_index", lambda e: e.__setitem__("offset", True), "offset"),
-    "float-task": (
-        "slots", lambda e: e["tasks"].__setitem__(0, 1.0),
-        r"slots\[0\]\.tasks is \[1\.0\]; persist writes a list of non-negative integers",
+    "scalar-tasks": ("slots", 0, lambda e: e.__setitem__("tasks", 3), NATURALS.format(0, "tasks", "3")),
+    "digit-string-tasks": ("slots", 0, lambda e: e.__setitem__("tasks", "12"), NATURALS.format(0, "tasks", "'12'")),
+    "float-task": ("slots", 0, lambda e: e["tasks"].__setitem__(0, 1.0), NATURALS.format(0, "tasks", r"\[1\.0\]")),
+    # Slot keys are positions; an entry names none.
+    "text-slot-key": (
+        "slots", 0, lambda e: e.__setitem__("slot_key", "one"),
+        r"slots\[0\]\.slot_key is 'one'; persist writes nothing there",
     ),
-    "unknown-proj": ("cache_index", lambda e: e.__setitem__("proj", "gate"), "proj"),
-    "number-proj": ("cache_index", lambda e: e.__setitem__("proj", 3), "proj"),
+    "text-slot": (
+        "slots", 1, lambda e: e.__setitem__("slot_key", "first"),
+        r"slots\[1\]\.slot_key is 'first'; persist writes nothing there",
+    ),
 }
 
 
-@pytest.mark.parametrize("table, damage, match", DAMAGED_ENTRIES.values(), ids=DAMAGED_ENTRIES)
-def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
-    _persisted(tmp_path, rng, 3)
+@pytest.mark.parametrize("table, index, damage, match", DAMAGED_ENTRIES.values(), ids=DAMAGED_ENTRIES)
+def test_restore_damaged_entry(tmp_path, rng, table, index, damage, match):
+    """Each damaged ``layers`` or ``slots`` entry of a version-5 manifest
+    raises ``RestoreError`` naming it."""
+    _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    damage(manifest[table][0])
+    damage(manifest[table][index])
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
         MergeEngine.restore(tmp_path)
@@ -696,289 +713,15 @@ def test_restore_damaged_entry(tmp_path, rng, table, damage, match):
     ("ingested", [[1, 7], [2, "task-1"], [3, "task-2"], [4, "task-3"]]),
 ])
 def test_restore_non_integer_manifest_field(tmp_path, rng, field, value):
-    _persisted(tmp_path, rng, 3)
+    """A version-5 manifest keeps no arrival count or next slot key, which
+    restore derives, and lists the task ids alone, not as ``[index, id]``
+    pairs: a manifest that holds either is rejected, naming the field."""
+    _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest[field] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=field):
         MergeEngine.restore(tmp_path)
-
-
-def _duplicate_first_cache_entry(manifest, **changes):
-    manifest["cache_index"].append({**manifest["cache_index"][0], **changes})
-
-
-def _empty_second_slot(manifest):
-    """Move slot 2's tasks to slot 1, so that they still partition the stream."""
-    first, second = (entry["tasks"] for entry in manifest["slots"])
-    first.extend(second)
-    second.clear()
-
-
-def _renumber_ingested(manifest):
-    for i, pair in enumerate(manifest["ingested"]):
-        pair[0] = len(manifest["ingested"]) - i
-
-
-def _zero_width_rank(rank, version=None, members=1):
-    """Give the 0 x 0 layer (entry 2) of a store's one slot of ``members``
-    ``zero_width_adapter`` members ``rank``, in a manifest of ``version`` if
-    given. Its rank is read from the entry's ``b_shape``."""
-    def damage(manifest):
-        entry = manifest["cache_index"][2]
-        assert entry["b_shape"][0] == entry["a_shape"][1] == 0
-        entry["b_shape"][1] = entry["a_shape"][0] = rank
-        manifest["version"] = version or manifest["version"]
-    damage.zero_width_members = members
-    return damage
-
-
-EXTRA_ENTRY = r"cache_index\[4\] is \{.*\}; persist writes nothing there"
-# A third cache entry of slot 1 adds a layer that slot 2 holds no rank for.
-SLOT_1_LAYER_ADDED = r"slots\[1\]\.ranks holds 2 ranks; layers holds 3 layers"
-
-
-INCONSISTENT_MANIFESTS = {
-    "shared-task-id": (
-        lambda m: m["ingested"][1].__setitem__(1, m["ingested"][0][1]), "share a task id"
-    ),
-    "task-in-two-slots": (
-        lambda m: m["slots"][1]["tasks"].append(m["slots"][0]["tasks"][0]), "partition"
-    ),
-    "task-in-no-slot": (
-        lambda m: max(m["slots"], key=lambda e: len(e["tasks"]))["tasks"].pop(), "partition"
-    ),
-    "unknown-task-index": (lambda m: m["slots"][0]["tasks"].append(99), "partition"),
-    "timestep-behind-ingested": (
-        lambda m: m.__setitem__("timestep", m["timestep"] - 1), "timestep"
-    ),
-    "next-slot-key-occupied": (lambda m: m.__setitem__("next_slot_key", 1), "next_slot_key"),
-    "slot-entry-repeated": (
-        lambda m: m["slots"].append({**m["slots"][0], "file": "slot_3.kmrg"}),
-        r"slots\[2\]\.ranks holds 0 ranks; layers holds 2 layers",
-    ),
-    "slot-without-tasks": (_empty_second_slot, r"slots\[1\]\.tasks is empty"),
-    "slots-over-budget": (lambda m: m.__setitem__("budget_k", 1), "2 slots exceed budget_k 1"),
-    # An ingest appends each arrival to its slot's tasks.
-    "tasks-reversed": (
-        lambda m: m["slots"][1]["tasks"].reverse(),
-        r"slots\[1\]\.tasks is \[4, 3, 2\]; a slot's tasks are in arrival order",
-    ),
-    # Each slot's cache must hold exactly its adapter's layers, at their shapes.
-    "cache-layer-missing": (
-        lambda m: m["cache_index"].pop(0), r"slots\[1\]\.ranks holds 2 ranks; layers holds 1 layers"
-    ),
-    "cache-layer-extra": (lambda m: _duplicate_first_cache_entry(m, layer=99), SLOT_1_LAYER_ADDED),
-    "cache-b-rows": (
-        lambda m: m["cache_index"][0]["b_shape"].__setitem__(0, 9),
-        r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers",
-    ),
-    "cache-a-columns": (
-        lambda m: m["cache_index"][0]["a_shape"].__setitem__(1, 7),
-        r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers",
-    ),
-    "cache-unknown-slot": (lambda m: _duplicate_first_cache_entry(m, slot_key=7), EXTRA_ENTRY),
-    "cache-entry-repeated": (_duplicate_first_cache_entry, SLOT_1_LAYER_ADDED),
-    # Each cache entry lies where persist puts it, and nowhere else.
-    "cache-entry-aliased": (
-        lambda m: m["cache_index"][1].update(
-            {name: m["cache_index"][0][name] for name in ("offset", "b_shape", "a_shape")}
-        ),
-        r"cache_index\[1\]\.offset is 0; persist writes \d+",
-    ),
-    "ingested-renumbered": (_renumber_ingested, r"ingested\[0\]\[0\] is 4; persist writes 1"),
-    "scalar-slots": (lambda m: m.__setitem__("slots", 5), "slots is not a list"),
-    "null-cache-index": (lambda m: m.__setitem__("cache_index", None), "cache_index is not a list"),
-    "unknown-field": (
-        lambda m: m.__setitem__("comment", "x"), "comment is 'x'; persist writes nothing there"
-    ),
-    # A canonical cache entry has at most min(d_out, d_in) directions.
-    "rank-above-zero-widths": (
-        _zero_width_rank(3), r"slots\[0\]\.ranks\[2\] is 3, above min\(d_out, d_in\) 0 of layers\[2\]",
-    ),
-    "huge-rank-zero-widths": (
-        _zero_width_rank(2**62),
-        r"slots\[0\]\.ranks\[2\] is 4611686018427387904, above min\(d_out, d_in\) 0 of layers\[2\]",
-    ),
-    "rank-above-zero-widths-merged": (
-        _zero_width_rank(3, members=2),
-        r"slots\[0\]\.ranks\[2\] is 3, above min\(d_out, d_in\) 0 of layers\[2\]",
-    ),
-    # Version-1 caches were not canonical, so their ranks have no such bound,
-    # and a rank past numpy's size limit on a 0 x 0 layer holds 0 bytes: only
-    # viewing the cache can reject it.
-    "huge-rank-zero-widths-version-1": (
-        _zero_width_rank(2**62, version=1),
-        r"cache_index\[2\] is too large: b_shape \[0, 4611686018427387904\], a_shape \[4611686018427387904, 0\]",
-    ),
-}
-
-
-@pytest.mark.parametrize("damage, match", INCONSISTENT_MANIFESTS.values(), ids=INCONSISTENT_MANIFESTS)
-def test_restore_rejects_inconsistent_manifest(tmp_path, rng, damage, match):
-    members = getattr(damage, "zero_width_members", 0)
-    if members:
-        engine = MergeEngine(_config(1, rank=1))
-        for i in range(members):
-            engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
-        version3_persist(engine, tmp_path)
-        assert [p.name for p in tmp_path.glob("slot_*")] == ["slot_1.kmrg"] * (members == 1)
-    else:
-        _persisted(tmp_path, rng, 3)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    damage(manifest)
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(RestoreError, match=match):
-        MergeEngine.restore(tmp_path)
-
-
-def _stale_slot_2_file(manifest, store):
-    """Drop merged slot 2's scaling, and leave slot 1's file as a stale
-    ``slot_2.kmrg``, as an earlier store may have."""
-    manifest["slots"][1].pop("scaling")
-    (store / "slot_2.kmrg").write_bytes((store / "slot_1.kmrg").read_bytes())
-
-
-def _merged_slot_entries_dropped(manifest, store):
-    manifest["cache_index"] = [e for e in manifest["cache_index"] if e["slot_key"] != 2]
-
-
-def _slot_scaling(value):
-    return lambda manifest, store: manifest["slots"][1].__setitem__("scaling", value)
-
-
-def _one_member_slot_merged(manifest, store):
-    """Give one-member slot 1 a scaling in place of its file."""
-    entry = manifest["slots"][0]
-    del entry["file"]
-    entry["scaling"] = 1.0
-
-
-def _scaling_message(value):
-    return rf"slots\[1\]\.scaling is {value}; persist writes a finite nonzero float"
-
-
-DAMAGED_MERGED_SLOTS = {
-    "no-scaling": (
-        lambda m, store: m["slots"][1].pop("scaling"), "adapter file for slot 2 is missing"
-    ),
-    "no-scaling-stale-file": (
-        _stale_slot_2_file, r"slots\[1\]\.file is missing; persist writes 'slot_2\.kmrg'"
-    ),
-    "file-and-scaling": (
-        lambda m, store: m["slots"][1].__setitem__("file", "slot_2.kmrg"),
-        r"slots\[1\]\.file is 'slot_2\.kmrg'; persist writes nothing there",
-    ),
-    "text-scaling": (_slot_scaling("0.5"), _scaling_message("'0.5'")),
-    "integer-scaling": (_slot_scaling(1), _scaling_message(1)),
-    "bool-scaling": (_slot_scaling(True), _scaling_message(True)),
-    "null-scaling": (_slot_scaling(None), _scaling_message(None)),
-    "nan-scaling": (_slot_scaling(float("nan")), _scaling_message("nan")),
-    "inf-scaling": (_slot_scaling(float("-inf")), _scaling_message("-inf")),
-    "zero-scaling": (_slot_scaling(0.0), _scaling_message("0.0")),
-    "negative-zero-scaling": (_slot_scaling(-0.0), _scaling_message("-0.0")),
-    # A merge adds a member to a slot that has one.
-    "one-member-scaling": (
-        _one_member_slot_merged, r"slots\[0\] has a scaling but one task; a merged slot has two or more",
-    ),
-    # Version 2 holds every slot in a file, whatever its entry says.
-    "version-2-scaling": (
-        lambda m, store: m.__setitem__("version", 2), "adapter file for slot 2 is missing"
-    ),
-    # A merged slot adapts slot 1's layers, and holds a cache entry for each.
-    "no-cache-entries": (
-        _merged_slot_entries_dropped, r"slots\[1\]\.ranks holds 0 ranks; layers holds 2 layers"
-    ),
-    "other-layers": (
-        lambda m, store: m["cache_index"][3].__setitem__("layer", 1),
-        r"cache_index\[3\]\.layer is 1; persist writes 0",
-    ),
-    "text-layer": (
-        lambda m, store: m["cache_index"][3].__setitem__("layer", "1"),
-        r"cache_index\[3\]\.layer is '1'; persist writes 0",
-    ),
-    "unknown-proj": (
-        lambda m, store: m["cache_index"][3].__setitem__("proj", "gate"),
-        r"cache_index\[3\]\.proj is 'gate'; persist writes 'query'",
-    ),
-    "float-rows": (
-        lambda m, store: m["cache_index"][3]["b_shape"].__setitem__(0, 8.0),
-        r"cache_index\[3\]\.b_shape\[0\] is 8\.0; persist writes 8",
-    ),
-    "no-a_shape": (
-        lambda m, store: m["cache_index"][3].pop("a_shape"),
-        r"cache_index\[3\]\.a_shape is missing; persist writes \[6, 8\]",
-    ),
-}
-
-
-@pytest.mark.parametrize("damage, match", DAMAGED_MERGED_SLOTS.values(), ids=DAMAGED_MERGED_SLOTS)
-def test_restore_rejects_damaged_merged_slot(tmp_path, rng, damage, match):
-    """A version-3 slot entry holds either a file or a finite nonzero float
-    scaling; a merged slot's cache entries name slot 1's layers at their
-    shapes, with JSON integers."""
-    _persisted(tmp_path, rng, 3)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert "scaling" in manifest["slots"][1] and manifest["cache_index"][3]["slot_key"] == 2
-    damage(manifest, tmp_path)
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(RestoreError, match=match):
-        MergeEngine.restore(tmp_path)
-
-
-def _gap_before_last_entry(manifest, blob):
-    last = manifest["cache_index"][-1]
-    last["offset"] += 8
-    return blob[: last["offset"] - 8] + bytes(8) + blob[last["offset"] - 8 :]
-
-
-DAMAGED_CACHE_FILES = {
-    "gap-before-last-entry": (
-        _gap_before_last_entry, r"cache_index\[3\]\.offset is 1288; persist writes 1280"
-    ),
-    "bytes-appended": (
-        lambda m, blob: blob + bytes(64), r"running_cache\.bin is 2112 bytes; persist writes 2048"
-    ),
-}
-
-
-@pytest.mark.parametrize("damage, match", DAMAGED_CACHE_FILES.values(), ids=DAMAGED_CACHE_FILES)
-def test_restore_rejects_damaged_cache_file(tmp_path, rng, damage, match):
-    _persisted(tmp_path, rng, 3)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    blob = damage(manifest, (tmp_path / "running_cache.bin").read_bytes())
-    (tmp_path / "running_cache.bin").write_bytes(blob)
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(RestoreError, match=match):
-        MergeEngine.restore(tmp_path)
-
-
-def _zero_widths_persisted(tmp_path, rng, version=MANIFEST_VERSION):
-    """A K=1 store of two rank-1 ``zero_width_adapter`` ingests, whose
-    layers are ``4 x 0``, ``0 x 3``, ``0 x 0`` and ``5 x 6``, written at
-    manifest ``version``."""
-    engine = MergeEngine(_config(1, rank=1))
-    for i in range(2):
-        engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
-    _write_store(engine, None, tmp_path, version)
-    assert not list(tmp_path.glob("slot_*"))
-
-
-def _mixed_geometry_persisted(tmp_path, rng, version=MANIFEST_VERSION):
-    """The store of :func:`_mixed_geometry_engine`, written at manifest
-    ``version``: two merged slots, tasks ``[1, 3]`` and ``[2, 4, 5]``."""
-    engine = _mixed_geometry_engine(rng)
-    assert engine.history.entries == {1: [1, 3], 2: [2, 4, 5]}
-    _write_store(engine, None, tmp_path, version)
-    assert not list(tmp_path.glob("slot_*"))
-
-
-def _version2_restored_persisted(tmp_path, rng, version=MANIFEST_VERSION):
-    """``_persisted``'s engine restored from its version-2 store and
-    persisted: merged slot 2 is held by its file, and keeps its cache."""
-    _persisted(tmp_path / "v2", rng, 2)
-    MergeEngine.restore(tmp_path / "v2").persist(tmp_path)
-    assert sorted(p.name for p in tmp_path.glob("slot_*")) == ["slot_1.kmrg", "slot_2.kmrg"]
 
 
 def _slot(i, change):
@@ -1016,6 +759,219 @@ def _move_tasks_to_first_slot(manifest):
     first, second = (entry["tasks"] for entry in manifest["slots"])
     first.extend(second)
     second.clear()
+
+
+def _empty_first_slot(manifest):
+    """Move slot 1's tasks to slot 2, in arrival order, so that they still
+    partition the stream."""
+    first, second = (entry["tasks"] for entry in manifest["slots"])
+    second[:0] = first
+    first.clear()
+
+
+def _zero_width_rank(rank):
+    """Give the 0 x 0 layer (entry 2) of a ``zero_width_adapter`` store's
+    slot 1 cache rank ``rank``."""
+    def damage(manifest):
+        assert manifest["layers"][2][2:] == [0, 0]
+        manifest["slots"][0]["ranks"][2] = rank
+    return damage
+
+
+def _renumber_ingested(manifest):
+    manifest["ingested"] = [[len(manifest["ingested"]) - i, name] for i, name in enumerate(manifest["ingested"])]
+
+
+# A third layer adds a layer that merged slot 2 holds no rank for.
+SLOT_1_LAYER_ADDED = r"slots\[1\]\.ranks holds 2 ranks; layers holds 3 layers"
+
+
+# Damage to the state a version-5 manifest describes, or to where its cache
+# entries lie, of ``_persisted``'s store unless a case names another.
+INCONSISTENT_MANIFESTS = {
+    "shared-task-id": (lambda m: m["ingested"].__setitem__(1, m["ingested"][0]), "share a task id"),
+    "task-in-two-slots": (_slot(1, lambda e: e["tasks"].append(1)), "partition"),
+    "task-in-no-slot": (_slot(1, lambda e: e["tasks"].pop()), "partition"),
+    "unknown-task-index": (_slot(1, lambda e: e["tasks"].append(99)), "partition"),
+    # One task id per arrival.
+    "timestep-behind-ingested": (lambda m: m["ingested"].pop(), "partition"),
+    # Slot keys are taken in their first tasks' arrival order.
+    "next-slot-key-occupied": (
+        lambda m: m["slots"].reverse(),
+        r"slots\[1\] begins at arrival 1, before slots\[0\]; slots are allocated in arrival order",
+    ),
+    "slot-entry-repeated": (lambda m: m["slots"].append(m["slots"][0]), "3 slots exceed budget_k 2"),
+    "slot-without-tasks": (_empty_first_slot, r"slots\[0\]\.tasks is empty"),
+    "slots-over-budget": (lambda m: m.__setitem__("budget_k", 1), "2 slots exceed budget_k 1"),
+    # An ingest appends each arrival to its slot's tasks.
+    "tasks-reversed": (
+        _slot(1, lambda e: e["tasks"].reverse()),
+        r"slots\[1\]\.tasks is \[4, 3, 2\]; a slot's tasks are in arrival order",
+    ),
+    # Each stored cache holds exactly the layers of ``layers``, at their shapes.
+    "cache-layer-missing": (
+        lambda m: m["layers"].pop(0), r"slots\[1\]\.ranks holds 2 ranks; layers holds 1 layers"
+    ),
+    "cache-layer-extra": (lambda m: m["layers"].append([99, "key", 8, 8]), SLOT_1_LAYER_ADDED),
+    "cache-b-rows": (lambda m: m["layers"][0].__setitem__(2, 9), FILE_GEOMETRY_DIFFERS),
+    "cache-a-columns": (lambda m: m["layers"][0].__setitem__(3, 7), FILE_GEOMETRY_DIFFERS),
+    "cache-entry-repeated": (_repeat_first_layer, r"layers\[1\]\[1\] is 'key'; persist writes 'query'"),
+    # Only a merged slot's cache is stored.
+    "cache-unknown-slot": (
+        _slot(0, lambda e: e.__setitem__("ranks", [2, 2])),
+        r"slots\[0\]\.ranks is \[2, 2\]; persist writes nothing there",
+    ),
+    # Each cache entry lies where the ranks before it put it, and nowhere else.
+    "cache-entry-aliased": (
+        _slot(1, lambda e: e["ranks"].__setitem__(1, 5)), r"running_cache\.bin is 1536 bytes; persist writes 1408"
+    ),
+    "ingested-renumbered": (_renumber_ingested, r"ingested\[0\] is \[4, 'task-0'\]; persist writes a task id"),
+    "scalar-slots": (lambda m: m.__setitem__("slots", 5), "slots is not a list"),
+    "null-cache-index": (
+        lambda m: m.__setitem__("cache_index", None), "cache_index is None; persist writes nothing there"
+    ),
+    "unknown-field": (lambda m: m.__setitem__("comment", "x"), "comment is 'x'; persist writes nothing there"),
+    # A canonical cache entry has at most min(d_out, d_in) directions. At
+    # version 4 a one-member slot names its cache ranks too.
+    "rank-above-zero-widths": (
+        "version-4-one-member-zero-widths", _zero_width_rank(3),
+        r"slots\[0\]\.ranks\[2\] is 3, above min\(d_out, d_in\) 0 of layers\[2\]",
+    ),
+    "huge-rank-zero-widths": (
+        "version-4-one-member-zero-widths", _zero_width_rank(2**62),
+        r"slots\[0\]\.ranks\[2\] is 4611686018427387904, above min\(d_out, d_in\) 0 of layers\[2\]",
+    ),
+    "rank-above-zero-widths-merged": (
+        "zero-widths", _zero_width_rank(3), r"slots\[0\]\.ranks\[2\] is 3, above min\(d_out, d_in\) 0 of layers\[2\]",
+    ),
+    # A width past numpy's size limit on a layer whose other width is 0
+    # holds 0 bytes at rank 0: only viewing the cache can reject it.
+    "huge-width-zero-rank": (
+        "zero-widths", lambda m: m["layers"][2].__setitem__(3, 2**62),
+        r"slots\[0\]: the cache of layer 0\.value is too large: b_shape \[0, 0\], a_shape \[0, 4611686018427387904\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INCONSISTENT_MANIFESTS.values(), ids=INCONSISTENT_MANIFESTS)
+def test_restore_rejects_inconsistent_manifest(tmp_path, rng, case):
+    """Each version-5 manifest that describes a state no ingest reaches, or
+    cache entries other than its cache file holds, raises ``RestoreError``."""
+    _check_damaged_manifest(tmp_path, rng, case, 5)
+
+
+def _stale_slot_2_file(manifest, store):
+    """Drop merged slot 2's scaling, and leave slot 1's file as a stale
+    ``slot_2.kmrg``, as an earlier store may have."""
+    manifest["slots"][1].pop("scaling")
+    (store / "slot_2.kmrg").write_bytes((store / "slot_1.kmrg").read_bytes())
+
+
+def _slot_scaling(value, i=1):
+    return lambda manifest, store: manifest["slots"][i].__setitem__("scaling", value)
+
+
+def _merged_ranks(change):
+    return lambda manifest, store: change(manifest["slots"][1]["ranks"])
+
+
+def _scaling_message(value):
+    return rf"slots\[1\]\.scaling is {value}; persist writes a finite nonzero float"
+
+
+DAMAGED_MERGED_SLOTS = {
+    "no-scaling": (lambda m, store: m["slots"][1].pop("scaling"), NO_SCALING),
+    "no-scaling-stale-file": (_stale_slot_2_file, NO_SCALING),
+    "file-and-scaling": (
+        lambda m, store: m["slots"][1].__setitem__("file", "slot_2.kmrg"),
+        r"slots\[1\]\.file is 'slot_2\.kmrg'; persist writes nothing there",
+    ),
+    "text-scaling": (_slot_scaling("0.5"), _scaling_message("'0.5'")),
+    "integer-scaling": (_slot_scaling(1), _scaling_message(1)),
+    "bool-scaling": (_slot_scaling(True), _scaling_message(True)),
+    "null-scaling": (_slot_scaling(None), _scaling_message(None)),
+    "nan-scaling": (_slot_scaling(float("nan")), _scaling_message("nan")),
+    "inf-scaling": (_slot_scaling(float("-inf")), _scaling_message("-inf")),
+    "zero-scaling": (_slot_scaling(0.0), _scaling_message("0.0")),
+    "negative-zero-scaling": (_slot_scaling(-0.0), _scaling_message("-0.0")),
+    # A merge adds a member to a slot that has one.
+    "one-member-scaling": (
+        _slot_scaling(1.0, 0), r"slots\[0\] has a scaling but one task; a merged slot has two or more",
+    ),
+    # Version 2 held every slot in a file, whatever its entry said; restore
+    # reads it no more.
+    "version-2-scaling": (lambda m, store: m.__setitem__("version", 2), "^unsupported manifest version 2$"),
+    # A merged slot holds a cache entry for each layer, at most its layer's
+    # smaller width, with JSON integers.
+    "no-cache-entries": (lambda m, store: m["slots"][1].pop("ranks"), r"missing field 'slots\[1\]\.ranks'"),
+    "other-layers": (
+        _merged_ranks(lambda ranks: ranks.append(6)), r"slots\[1\]\.ranks holds 3 ranks; layers holds 2 layers"
+    ),
+    "text-layer": (
+        _merged_ranks(lambda ranks: ranks.__setitem__(1, "6")),
+        NATURALS.format(1, "ranks", r"\[6, '6'\]"),
+    ),
+    "unknown-proj": (
+        lambda m, store: m["layers"][1].__setitem__(1, "gate"), r"layers\[1\]: unknown projection 'gate'"
+    ),
+    "float-rows": (
+        _merged_ranks(lambda ranks: ranks.__setitem__(0, 6.0)),
+        NATURALS.format(1, "ranks", r"\[6\.0, 6\]"),
+    ),
+    "no-a_shape": (_merged_ranks(list.clear), r"slots\[1\]\.ranks holds 0 ranks; layers holds 2 layers"),
+}
+
+
+@pytest.mark.parametrize("damage, match", DAMAGED_MERGED_SLOTS.values(), ids=DAMAGED_MERGED_SLOTS)
+def test_restore_rejects_damaged_merged_slot(tmp_path, rng, damage, match):
+    """A version-5 slot entry of several members holds a finite nonzero
+    float scaling and one JSON integer rank for each layer; a one-member
+    entry holds neither, and no entry names a file."""
+    _persisted(tmp_path, rng)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert list(manifest["slots"][1]) == ["tasks", "scaling", "ranks"]
+    damage(manifest, tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+DAMAGED_CACHE_FILES = {
+    # Merged slot 2's last cache entry, layer 0.query at rank 6, is its last 768 bytes.
+    "gap-before-last-entry": (
+        lambda blob: blob[:-768] + bytes(8) + blob[-768:], r"running_cache\.bin is 1544 bytes; persist writes 1536"
+    ),
+    "bytes-appended": (lambda blob: blob + bytes(64), r"running_cache\.bin is 1600 bytes; persist writes 1536"),
+}
+
+
+@pytest.mark.parametrize("damage, match", DAMAGED_CACHE_FILES.values(), ids=DAMAGED_CACHE_FILES)
+def test_restore_rejects_damaged_cache_file(tmp_path, rng, damage, match):
+    _persisted(tmp_path, rng)
+    blob = damage((tmp_path / "running_cache.bin").read_bytes())
+    (tmp_path / "running_cache.bin").write_bytes(blob)
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
+
+
+def _zero_widths_persisted(tmp_path, rng, version=MANIFEST_VERSION, members=2):
+    """A K=1 store of ``members`` rank-1 ``zero_width_adapter`` ingests,
+    whose layers are ``4 x 0``, ``0 x 3``, ``0 x 0`` and ``5 x 6``, written
+    at manifest ``version``."""
+    engine = MergeEngine(_config(1, rank=1))
+    for i in range(members):
+        engine.ingest(zero_width_adapter(f"zero-widths-{i}", rng))
+    _write_store(engine, tmp_path, version)
+    assert len(list(tmp_path.glob("slot_*"))) == (members == 1)
+
+
+def _mixed_geometry_persisted(tmp_path, rng, version=MANIFEST_VERSION):
+    """The store of :func:`_mixed_geometry_engine`, written at manifest
+    ``version``: two merged slots, tasks ``[1, 3]`` and ``[2, 4, 5]``."""
+    engine = _mixed_geometry_engine(rng)
+    assert engine.history.entries == {1: [1, 3], 2: [2, 4, 5]}
+    _write_store(engine, tmp_path, version)
+    assert not list(tmp_path.glob("slot_*"))
 
 
 # ``_persisted``'s version-4 manifest: layers [[0, "key", 8, 8], [0, "query",
@@ -1106,7 +1062,7 @@ DAMAGED_VERSION4_MANIFESTS = {
         lambda m: m["layers"][0].__setitem__(0, -1), r"layers\[0\]: layer index must be >= 0, got -1"
     ),
     "no-layers-listed": (_no_layers, "layers is empty; every slot adapts at least one layer"),
-    # A file-held slot's file adapts ``layers``.
+    # A one-member slot's file adapts ``layers``.
     "file-geometry-differs": (
         lambda m: m["layers"][1].__setitem__(2, 7),
         r"slots\[0\]: slot_1\.kmrg adapts other layers or shapes than layers",
@@ -1139,7 +1095,7 @@ DAMAGED_VERSION4_MANIFESTS = {
         _slot(0, lambda e: e.__setitem__("scaling", 1.0)),
         r"slots\[0\] has a scaling but one task; a merged slot has two or more",
     ),
-    "no-scaling": (_slot(1, lambda e: e.pop("scaling")), "adapter file for slot 2 is missing"),
+    "no-scaling": (_slot(1, lambda e: e.pop("scaling")), NO_SCALING),
     # An ingest appends each arrival to its slot's tasks, and allocates slots
     # in their first members' arrival order. Swapped, two merged slots would
     # route each one's tasks to the other's cache.
@@ -1178,8 +1134,10 @@ DAMAGED_VERSION5_MANIFESTS = {
     "one-member-text-ranks": (
         _slot(0, lambda e: e.__setitem__("ranks", "22")), r"slots\[0\]\.ranks is '22'; persist writes nothing there"
     ),
+    # A slot of several members keeps its cache, so its entry must name
+    # ranks, also when it names no scaling.
     "file-held-merged-no-ranks": (
-        "version-2-restored", _slot(1, lambda e: e.pop("ranks")), r"missing field 'slots\[1\]\.ranks'"
+        _slot(1, lambda e: (e.pop("scaling"), e.pop("ranks"))), r"missing field 'slots\[1\]\.ranks'"
     ),
     # A version-4 store names the ranks of one-member slot 1, which version 5
     # derives; a version-5 store names none, which version 4 requires.
@@ -1193,8 +1151,8 @@ DAMAGED_VERSION5_MANIFESTS = {
 DAMAGED_STORES = {
     "zero-widths": _zero_widths_persisted,
     "mixed-geometry": _mixed_geometry_persisted,
-    "version-2-restored": _version2_restored_persisted,
     "version-4": lambda tmp_path, rng, version: _persisted(tmp_path, rng, 4),
+    "version-4-one-member-zero-widths": lambda tmp_path, rng, version: _zero_widths_persisted(tmp_path, rng, 4, 1),
 }
 
 
@@ -1208,7 +1166,7 @@ def _check_damaged_manifest(tmp_path, rng, case, version):
     else:
         _persisted(tmp_path, rng, version)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["version"] == (4 if store == ["version-4"] else version)
+    assert manifest["version"] == (4 if store and store[0].startswith("version-4") else version)
     damage(manifest)
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(RestoreError, match=match):
@@ -1264,33 +1222,6 @@ def test_manifest_holds_each_fact_once(tmp_path, rng):
     assert empty == {"version": 5, **_config(2).to_dict(), "layers": [], "slots": [], "ingested": []}
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_version4_facts_of_older_store(tmp_path, rng, version):
-    """The facts ``_version4_facts`` reads from an engine's version-1, 2 or
-    3 store are the ``layers``, ``slots`` and ``ingested`` of the same
-    engine's current store, with the ranks of one-member slot 1's cache,
-    which version 5 derives and so leaves out, but that versions 1 and 2
-    hold every slot in a file, so no slot of theirs names a scaling. The
-    version-1 caches, each slot's member factors side by side, have the
-    canonical ranks."""
-    stream = _stream(rng, 4)
-    engine = MergeEngine(_config(2))
-    for a in stream:
-        engine.ingest(a)
-    engine.persist(tmp_path / "new")
-    _write_store(engine, stream, tmp_path / "old", version)
-    want = json.loads((tmp_path / "new" / "manifest.json").read_text())
-    assert "ranks" not in want["slots"][0]
-    cache = engine.store.slots[1].cache
-    want["slots"][0]["ranks"] = [cache[key].rank_bound for key in sorted(cache, key=LayerKey.sort_key)]
-    assert [entry["ranks"] for entry in want["slots"]] == [[2, 2], [6, 6]] and "scaling" in want["slots"][1]
-    if version < 3:
-        for entry in want["slots"]:
-            entry.pop("scaling", None)
-    facts = _version4_facts(json.loads((tmp_path / "old" / "manifest.json").read_text()), version)
-    assert facts == {name: want[name] for name in ("layers", "slots", "ingested")}
-
-
 def _integer_leaf_paths(node, path=()):
     if type(node) is int:
         yield path
@@ -1321,22 +1252,6 @@ def _leaf_changes_accepted(tmp_path, engine):
     return paths, accepted
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_restore_rejects_every_integer_leaf_changed(tmp_path, rng, version):
-    """Every integer outside the policy of a version-1, 2 or 3 manifest is
-    one that persist derives or restore reads typed, so restore rejects it
-    changed by one, as a float, a boolean, a string or null, but for the
-    version. A version-2 store relabelled 3 is the version-3 store of the
-    same state, every slot file-held. A version-1 store relabelled 2 is a
-    known hole (ROADMAP item 7): its caches are taken as canonical when
-    their ranks fit their layers, as these do."""
-    engine = _persisted(tmp_path, rng, version)
-    assert any(len(tasks) > 1 for tasks in engine.history.entries.values())
-    paths, accepted = _leaf_changes_accepted(tmp_path, engine)
-    assert len(paths) > 40
-    assert accepted == ([(("version",), version + 1)] if version < 3 else [])
-
-
 def test_restore_rejects_every_version4_integer_leaf_changed(tmp_path, rng):
     """Every integer of a version-4 manifest outside the policy (the
     version, each layer's index and widths, each task index and cache rank)
@@ -1362,17 +1277,17 @@ def test_restore_rejects_every_version5_integer_leaf_changed(tmp_path, rng):
 @pytest.mark.parametrize("field", ["file", "running_cache_file"])
 def test_restore_rejects_file_outside_store(tmp_path, rng, field, outside):
     """A manifest naming a file outside its store is rejected, even when
-    that file exists and holds the right bytes."""
+    that file exists and holds the right bytes: restore derives every file
+    name, so a version-5 manifest names none."""
     store = tmp_path / "store"
-    _persisted(store, rng, 3)
+    _persisted(store, rng)
     manifest = json.loads((store / "manifest.json").read_text())
-    owner = manifest["slots"][0] if field == "file" else manifest
-    store_file = owner[field]
-    copy = tmp_path / store_file
-    copy.write_bytes((store / owner[field]).read_bytes())
+    owner, name = (manifest["slots"][0], "slot_1.kmrg") if field == "file" else (manifest, "running_cache.bin")
+    copy = tmp_path / name
+    copy.write_bytes((store / name).read_bytes())
     owner[field] = f"../{copy.name}" if outside == "parent" else str(copy)
     (store / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(RestoreError, match=rf"{field} is '.+'; persist writes '{store_file}'"):
+    with pytest.raises(RestoreError, match=rf"{field} is '.+'; persist writes nothing there"):
         MergeEngine.restore(store)
 
 
@@ -1571,7 +1486,7 @@ def test_restore_builds_each_slot_once_with_its_cache(tmp_path, rng, monkeypatch
 
     monkeypatch.setattr(kmerge.engine, "slot_cache", counting)
     with monkeypatch.context() as patch:
-        patch.setattr(kmerge.engine, "SlotState", recording)
+        patch.setattr(kmerge.store, "SlotState", recording)
         patch.setattr(kmerge.engine, "refactor", _no_refactor)
         restored = MergeEngine.restore(tmp_path)
     assert [id(slot) for slot, *_ in built] == [id(slot) for slot in restored.store.slots.values()]
@@ -1611,7 +1526,7 @@ def test_restored_one_member_cache_is_its_allocation_cache(tmp_path, rng, store)
             assert not cache[key].b.flags.writeable and not cache[key].a.flags.writeable
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5])
+@pytest.mark.parametrize("version", [4, 5])
 def test_store_of_each_version_continues_identically(tmp_path, rng, version):
     """An engine restored from its store as ``persist`` wrote it at manifest
     ``version`` continues as one never persisted, bit for bit: the same
@@ -1624,7 +1539,7 @@ def test_store_of_each_version_continues_identically(tmp_path, rng, version):
         never_persisted.ingest(a)
         persisted.ingest(a)
     assert [len(tasks) for tasks in persisted.history.entries.values()] == [2, 3, 1]
-    _write_store(persisted, stream, tmp_path / "old", version)
+    _write_store(persisted, tmp_path / "old", version)
     assert json.loads((tmp_path / "old" / "manifest.json").read_text())["version"] == version
     back = MergeEngine.restore(tmp_path / "old")
     merged_since = []
@@ -1672,7 +1587,7 @@ def test_persist_removes_slot_files_it_no_longer_names(tmp_path, rng, monkeypatc
         raise OSError("disk full")
 
     with monkeypatch.context() as patch:
-        patch.setattr(kmerge.engine, "_manifest", fail)
+        patch.setattr(kmerge.store, "_manifest", fail)
         with pytest.raises(OSError):
             narrow.persist(tmp_path)
     assert all((tmp_path / f"slot_{k}.kmrg").exists() for k in range(1, 6))
@@ -1728,43 +1643,21 @@ def _mixed_geometry_engine(rng):
     return engine
 
 
-def _version1_engine(tmp_path, rng):
-    """The engine restored from a store rewritten with version-1 caches."""
-    stream = _stream(rng, 8, n_keys=2, width=6)
-    engine = MergeEngine(_config(2))
-    for a in stream:
-        engine.ingest(a)
-    per_tensor_persist(engine, tmp_path / "v1")
-    _write_version1_caches(tmp_path / "v1", engine, stream)
-    return MergeEngine.restore(tmp_path / "v1")
-
-
-@pytest.mark.parametrize("store, limit", [
-    ("default-grid", None), ("mixed-geometry", None), ("mixed-geometry", 7), ("version-1", None), ("version-1", 7),
-])
+@pytest.mark.parametrize("store, limit", [("default-grid", None), ("mixed-geometry", None), ("mixed-geometry", 7)])
 def test_persist_matches_per_tensor_writer(tmp_path, rng, monkeypatch, store, limit):
     """``persist`` writes the bytes of a store written one tensor at a time
     (as :func:`_version5_of` that store), also when ``os.writev`` takes at
     most 7 bytes a call, and every byte of every file goes through
     ``os.writev``. The stores hold one-member and merged slots (the
-    default grid), merged slots only (mixed geometry), and merged slots
-    held by their files (restored from version 1)."""
-    if store == "default-grid":
-        engine = _default_grid_engine()
-    elif store == "mixed-geometry":
-        engine = _mixed_geometry_engine(rng)
-    else:
-        engine = _version1_engine(tmp_path, rng)
+    default grid) and merged slots only (mixed geometry)."""
+    engine = _default_grid_engine() if store == "default-grid" else _mixed_geometry_engine(rng)
     version4_persist(engine, tmp_path / "want")
     writes = RecordedWrites(os.writev, limit)
     monkeypatch.setattr(os, "writev", writes)
     engine.persist(tmp_path / "got")
     want = _version5_of(tmp_path / "want")
     files = sorted(name for name in want if name.startswith("slot_"))
-    assert files == {
-        "default-grid": ["slot_4.kmrg", "slot_5.kmrg"], "mixed-geometry": [],
-        "version-1": ["slot_1.kmrg", "slot_2.kmrg"],
-    }[store]
+    assert files == {"default-grid": ["slot_4.kmrg", "slot_5.kmrg"], "mixed-geometry": []}[store]
     assert _store_bytes(tmp_path / "got") == want
     for name, data in want.items():
         assert sum(written for _, written in writes.per_file(tmp_path / "got" / name)) == len(data)
@@ -2025,69 +1918,6 @@ def test_persisted_cache_file_layout(tmp_path, rng):
     assert (tmp_path / "running_cache.bin").read_bytes() == bytes(expected)
 
 
-def _write_version1_caches(store, engine, stream):
-    """Rewrite a version-2 store (``per_tensor_persist``) the way manifest
-    version 1 kept caches: each slot's mean as the concatenated,
-    1/n-weighted member factors."""
-    manifest = json.loads((store / "manifest.json").read_text())
-    blob = bytearray()
-    index = []
-    for slot_key in sorted(engine.history.entries):
-        members = [stream[t - 1] for t in engine.history.entries[slot_key]]
-        for key in sorted(members[0].layers, key=LayerKey.sort_key):
-            b = np.hstack([m.scaling * m.layers[key].b.astype(np.float64) for m in members]) / len(members)
-            a = np.vstack([m.layers[key].a.astype(np.float64) for m in members])
-            index.append({"slot_key": slot_key, "layer": key.layer, "proj": key.proj,
-                          "b_shape": list(b.shape), "a_shape": list(a.shape), "offset": len(blob)})
-            blob += b.astype("<f8").tobytes() + a.astype("<f8").tobytes()
-    manifest["version"] = 1
-    manifest["cache_index"] = index
-    (store / "running_cache.bin").write_bytes(bytes(blob))
-    (store / "manifest.json").write_text(json.dumps(manifest))
-
-
-def test_restore_version1_store_continues_identically(tmp_path, rng):
-    stream = _stream(rng, 12, n_keys=2, width=6)
-    full = MergeEngine(_config(2))
-    full_decisions = [full.ingest(a) for a in stream]
-
-    first = MergeEngine(_config(2))
-    for a in stream[:8]:
-        first.ingest(a)
-    per_tensor_persist(first, tmp_path / "v1")
-    _write_version1_caches(tmp_path / "v1", first, stream)
-    index = json.loads((tmp_path / "v1" / "manifest.json").read_text())["cache_index"]
-    assert max(e["b_shape"][1] for e in index) > 6
-
-    resumed = MergeEngine.restore(tmp_path / "v1")
-    for slot in resumed.store.slots.values():
-        # A version-1 adapter is not known to be its canonicalised cache's slice.
-        assert slot.derivation is None
-        for low in slot.cache.values():
-            assert low.canonical and low.rank_bound <= 6
-    resumed_decisions = [resumed.ingest(a) for a in stream[8:]]
-
-    for expect, got in zip(full_decisions[8:], resumed_decisions):
-        assert (got.action, got.slot_key, got.task_index) == (
-            expect.action, expect.slot_key, expect.task_index
-        )
-    assert resumed.history.entries == full.history.entries
-    for key, slot in full.store.slots.items():
-        for lkey, low in slot.cache.items():
-            ref = low.materialize()
-            got = resumed.store.slots[key].cache[lkey].materialize()
-            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
-        # Served factors are float32 and a singular vector's sign is free,
-        # so the served updates are compared, at float32 precision.
-        for lkey in slot.adapter.layers:
-            served = dense_delta_map(resumed.store.slots[key].adapter)[lkey]
-            ref = dense_delta_map(slot.adapter)[lkey]
-            assert np.linalg.norm(served - ref) <= 1e-5 * np.linalg.norm(ref)
-
-    resumed.persist(tmp_path / "again")
-    assert json.loads((tmp_path / "again" / "manifest.json").read_text())["version"] == 5
-
-
 def _no_refactor(*args):
     raise AssertionError("refactor ran")
 
@@ -2134,81 +1964,3 @@ def test_store_keeps_each_merged_slot_once(tmp_path, rng, monkeypatch, kind):
     never_persisted.persist(tmp_path / "never")
     back.persist(tmp_path / "again")
     assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "never")
-
-
-def test_version2_store_keeps_its_files_until_merged(tmp_path, rng, monkeypatch):
-    """A version-2 store, whose merged slots kept their adapter files,
-    restores with every slot served from its file. A persist writes version
-    5 and keeps each file until its slot is merged again, which drops it;
-    it keeps the caches of the slots of several members, and not that of
-    one-member slot 3. The engine continues as one never persisted."""
-    stream = _stream(rng, 10)
-    never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
-    for a in stream[:6]:
-        never_persisted.ingest(a)
-        persisted.ingest(a)
-    old, new = tmp_path / "v2", tmp_path / "v5"
-    per_tensor_persist(persisted, old)
-    with monkeypatch.context() as patch:
-        patch.setattr(kmerge.engine, "refactor", _no_refactor)
-        back = MergeEngine.restore(old)
-        for k, slot in back.store.slots.items():
-            assert slot.derivation is None
-            assert_same_adapter(slot.adapter, persisted.store.slots[k].adapter)
-        back.persist(new)
-    manifest = json.loads((new / "manifest.json").read_text())
-    assert manifest["version"] == 5
-    assert ["scaling" in entry for entry in manifest["slots"]] == [False] * 3
-    assert [len(entry["tasks"]) for entry in manifest["slots"]] == [2, 3, 1]
-    assert ["ranks" in entry for entry in manifest["slots"]] == [True, True, False]
-    for name in ("slot_1.kmrg", "slot_2.kmrg", "slot_3.kmrg"):
-        assert (new / name).read_bytes() == (old / name).read_bytes()
-    # The version-2 cache holds slots 1, 2 and 3 in that order.
-    cache = (new / "running_cache.bin").read_bytes()
-    assert 0 < len(cache) < (old / "running_cache.bin").stat().st_size
-    assert cache == (old / "running_cache.bin").read_bytes()[: len(cache)]
-
-    merged_since = []
-    for a in stream[6:]:
-        expect, got = never_persisted.ingest(a), back.ingest(a)
-        assert (got.action, got.slot_key, got.similarity) == (
-            expect.action, expect.slot_key, expect.similarity
-        )
-        merged_since.append(got.slot_key)
-        back.persist(new)
-        manifest = json.loads((new / "manifest.json").read_text())
-        for k, entry in enumerate(manifest["slots"], 1):
-            if k in merged_since:
-                assert entry["scaling"] == back.store.slots[k].derivation.scaling
-            else:
-                assert "scaling" not in entry
-                assert (new / f"slot_{k}.kmrg").read_bytes() == (old / f"slot_{k}.kmrg").read_bytes()
-        held = [f"slot_{k}.kmrg" for k in (1, 2, 3) if k not in merged_since]
-        assert sorted(p.name for p in new.glob("slot_*")) == held
-    # One-member slot 3, then slots 2 and 1, merged in version 2, merge again.
-    assert merged_since == [3, 2, 2, 1]
-    _assert_slots_equal(back, _slot_copies(never_persisted))
-
-
-def test_version3_store_continues_to_the_current_store(tmp_path, rng):
-    """A version-3 store, as ``persist`` wrote it at that version, restores,
-    merges once more and persists the current store of an engine never
-    persisted, byte for byte."""
-    stream = _stream(rng, 8)
-    never_persisted, persisted = MergeEngine(_config(3)), MergeEngine(_config(3))
-    for a in stream[:6]:
-        never_persisted.ingest(a)
-        persisted.ingest(a)
-    version3_persist(persisted, tmp_path / "v3")
-    manifest = json.loads((tmp_path / "v3" / "manifest.json").read_text())
-    assert manifest["version"] == 3 and "cache_index" in manifest
-    assert ["scaling" in entry for entry in manifest["slots"]] == [True, True, False]
-    back = MergeEngine.restore(tmp_path / "v3")
-    for a in stream[6:7]:
-        expect, got = never_persisted.ingest(a), back.ingest(a)
-        assert got.action == expect.action == MERGED
-        assert (got.slot_key, got.similarity) == (expect.slot_key, expect.similarity)
-    back.persist(tmp_path / "again")
-    never_persisted.persist(tmp_path / "never")
-    assert _store_bytes(tmp_path / "again") == _store_bytes(tmp_path / "never")
-    assert json.loads((tmp_path / "never" / "manifest.json").read_text())["version"] == MANIFEST_VERSION == 5
