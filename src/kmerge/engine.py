@@ -130,6 +130,11 @@ class Derivation(NamedTuple):
     task_id: str
     scaling: float
 
+    @classmethod
+    def of(cls, config: PolicyConfig, slot_key: int, scaling: float) -> "Derivation":
+        """How merged slot ``slot_key`` serves under ``config``, at ``scaling``."""
+        return cls(config.rank_policy.target_rank, f"slot-{slot_key}", scaling)
+
 
 class SlotState:
     """One slot: the served adapter, the exact running cache and its members.
@@ -373,7 +378,7 @@ class MergeEngine:
         """The slot after merging ``incoming`` (arrival ``t``), built without changing it."""
         slot = self.store.slots[slot_key]
         cache = merged_cache(self.config.operator, slot, incoming)
-        derivation = Derivation(self.config.rank_policy.target_rank, f"slot-{slot_key}", incoming.scaling)
+        derivation = Derivation.of(self.config, slot_key, incoming.scaling)
         # Served here, not at first read, so that ``refactor``'s checks reject
         # a merge before the ingest commits.
         served = refactor(cache, *derivation)

@@ -13,13 +13,13 @@ adapter is served at.
 
 The format lives in two pure functions of the state persist holds and
 restore reads: :func:`_cache_layout` places each cache entry of
-``running_cache.bin`` from the slots' geometries and :func:`_manifest`
-builds ``manifest.json``. ``persist`` writes them, each file in one vectored
-write; ``restore`` derives them again and accepts no store that differs
-before it builds each slot once. A version-5 manifest holds only what
-restore cannot derive: the policy, the one geometry every slot adapts, each
-slot's tasks, scaling (if merged) and cache ranks (if its cache is stored),
-and the task ids.
+``running_cache.bin`` from the one geometry and the slots' cache ranks, and
+:func:`_manifest` builds ``manifest.json``. ``persist`` writes them, each
+file in one vectored write; ``restore`` derives them again and accepts no
+store whose manifest differs in any field, the policy too, before it builds
+each slot once. A version-5 manifest holds only what restore cannot derive:
+the policy, the one geometry every slot adapts, each slot's tasks, scaling
+(if merged) and cache ranks (if its cache is stored), and the task ids.
 
 ``restore`` reads two versions: 5, which ``persist`` writes, and 4, which
 kept every slot's cache, also a one-member slot's; any other raises
@@ -36,7 +36,6 @@ import json
 import math
 import mmap
 import os
-from dataclasses import fields
 from operator import gt
 from pathlib import Path
 from typing import Mapping
@@ -90,10 +89,10 @@ def persist(engine: MergeEngine, directory: str | Path) -> None:
     policy; ``layers``, the one geometry every slot adapts, as ``[layer,
     proj, d_out, d_in]`` in sorted key order; each slot's ``tasks``, and a
     merged slot's ``scaling`` and cache ``ranks`` in ``layers`` order; and
-    the task ids in arrival order, ``ingested``. A merged slot's cache gives
-    its geometry and a one-member slot's adapter gives its own, so persist
-    never builds a merged slot's adapter nor reads a one-member slot's
-    cache. Each file (every one-member slot's adapter, through
+    the task ids in arrival order, ``ingested``. The geometry is slot 1's:
+    its adapter if it has one member, its cache's shapes if merged, so
+    persist never builds a merged slot's adapter nor reads a one-member
+    slot's cache. Each file (every one-member slot's adapter, through
     :func:`~kmerge.adapters.write_adapter`; the cache; the manifest) is one
     vectored write of its buffers, uncopied, through
     :func:`~kmerge.adapters.replace_file`, so a write that fails leaves no
@@ -102,32 +101,26 @@ def persist(engine: MergeEngine, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    slots, held, stored = engine.store.slots, [], {}
+    slots, geometry = engine.store.slots, {}
+    if slots:  # every ingest checks that the slots adapt one geometry, slot 1's
+        first = slots[1]
+        held = first.derivation is None
+        geometry = first.adapter.geometry if held else {key: low.shape for key, low in first.cache.items()}
+    keys, entries = sorted(geometry, key=LayerKey.sort_key), {}
     for slot_key, slot in slots.items():
         if slot.derivation is None:
-            held.append(slot_key)
             write_adapter(slot.adapter, directory / slot_file(slot_key))
+            entries[slot_key] = (slot.tasks, None, None)
         else:
-            stored[slot_key] = slot.cache
-    geometries = {
-        slot_key: {key: (low.b.shape[0], low.a.shape[1]) for key, low in cache.items()}
-        for slot_key, cache in stored.items()
-    }
-    layout, _ = _cache_layout(geometries, lambda slot_key, key: stored[slot_key][key].rank_bound)
-    caches = (stored[slot_key][key] for slot_key, key, *_ in layout)
+            entries[slot_key] = (slot.tasks, slot.derivation.scaling, [slot.cache[key].rank_bound for key in keys])
+    layout, _ = _cache_layout(geometry, entries)
+    caches = (slots[slot_key].cache[key] for slot_key, key, *_ in layout)
     factors = [np.ascontiguousarray(f, dtype="<f8") for low in caches for f in (low.b, low.a)]
     replace_file(directory / "running_cache.bin", factors)
-    entries = {
-        slot_key: (slot.tasks, None if slot.derivation is None else slot.derivation.scaling)
-        for slot_key, slot in slots.items()
-    }
-    # Every ingest checks that the slots adapt one geometry, slot 1's; a
-    # one-member slot 1 is file-held, so its adapter is not derived here.
-    geometry = geometries[1] if 1 in geometries else slots[1].adapter.geometry if slots else {}
     # Compact, as only without ``indent`` does CPython encode in C.
-    manifest = json.dumps(_manifest(engine.config, geometry, entries, engine.task_ids, layout))
+    manifest = json.dumps(_manifest(engine.config, geometry, entries, engine.task_ids))
     replace_file(directory / "manifest.json", [manifest.encode()])
-    delete_stale(directory, "slot", {slot_file(slot_key) for slot_key in held})
+    delete_stale(directory, "slot", {slot_file(k) for k, (_, scaling, _) in entries.items() if scaling is None})
 
 
 def restore(directory: str | Path) -> MergeEngine:
@@ -145,9 +138,12 @@ def restore(directory: str | Path) -> MergeEngine:
     partition the arrivals, the task ids distinct, and a slot must name a
     scaling exactly when it has several members. It then parses the
     one-member slots' ``slot_<i>.kmrg`` files, whose geometry must be
-    ``layers``, and requires the stored manifest to equal the one derived
-    from those facts. Only then is the cache file opened, and it must be
-    exactly as long as the layout.
+    ``layers`` and whose task id must be their member's in ``ingested``, and
+    requires the stored manifest to equal the one derived from those facts
+    in every field, with no exception: the policy as ``persist`` writes it
+    (so no ``rank_policy.mode``), and ``layers`` empty when there is no
+    slot. Only then is the cache file opened, and it must be exactly as
+    long as the layout.
 
     Each file is opened with no ``exists()`` probe before it; a missing one
     raises :class:`RestoreError`. The running cache file and each
@@ -175,7 +171,7 @@ def restore(directory: str | Path) -> MergeEngine:
         config = PolicyConfig.from_dict(manifest)
     except ConfigError as exc:
         raise RestoreError(f"manifest policy: {exc}") from None
-    tasks, scalings, task_ids, adapters, layout, cache_bytes = _plan(directory, manifest, config, version)
+    slots, task_ids, adapters, layout, cache_bytes = _plan(directory, manifest, config, version)
 
     cache_path = directory / "running_cache.bin"
     with _opened(cache_path, f"running cache file {cache_path.name} is missing") as blob:
@@ -195,27 +191,29 @@ def restore(directory: str | Path) -> MergeEngine:
             raise RestoreError(f"slots[{slot_key - 1}]: the cache of layer {key} is too large: {shapes}") from None
         caches.setdefault(slot_key, {})[key] = LowRankDelta(b=b, a=a, canonical=True)
     engine = MergeEngine(config)
-    for k in tasks:
-        derivation = None if scalings[k] is None else Derivation(
-            config.rank_policy.target_rank, f"slot-{k}", scalings[k]
-        )
-        engine.store.slots[k] = SlotState(adapters.get(k), caches.get(k), tasks[k], derivation)
+    for k, (tasks, scaling, _) in slots.items():
+        derivation = None if scaling is None else Derivation.of(config, k, scaling)
+        engine.store.slots[k] = SlotState(adapters.get(k), caches.get(k), tuple(tasks), derivation)
     engine.task_ids = task_ids
     return engine
 
 
 def _plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -> tuple:
     """What :func:`restore` builds from the store of manifest ``version`` in
-    ``directory``: each slot's tasks and scaling (``None`` for a one-member
-    slot) and each one-member slot's adapter, by slot key; each arrival's
-    task id; and the cache's layout and length.
+    ``directory``: each slot's ``(tasks, scaling, ranks)`` and each
+    one-member slot's adapter, by slot key; each arrival's task id; and the
+    cache's layout and length.
 
     The facts of ``manifest`` are read typed; ``manifest`` must then equal
-    the one they derive, :func:`_manifest`, in value and JSON type, which
-    :func:`_difference` compares. A manifest holds only facts, so ``==`` is
-    that comparison. At version 4 every slot stores its cache; at version 5
-    only a merged slot does, so only its ranks are read, and a one-member
-    entry that names ranks differs from the derived manifest."""
+    the one they derive, :func:`_manifest`, in every field, the policy
+    included, in value and JSON type, which :func:`_difference` compares. A
+    manifest holds only facts, so ``==`` is that comparison. At version 4
+    every slot stores its cache; at version 5 only a merged slot does, so
+    only its ranks are read, and a one-member entry that names ranks
+    differs from the derived manifest. The geometry is derived from
+    ``layers`` only when there is a slot, so a slot-less manifest that
+    lists a layer differs too. Each one-member slot's file must adapt
+    ``layers`` and hold its member's task id."""
     geometry, bounds = {}, []
     for i, entry in enumerate(json_field(manifest, "layers", RestoreError, list)):
         if type(entry) is not list or list(map(type, entry)) != [int, str, int, int] or min(entry[2:]) < 0:
@@ -227,55 +225,55 @@ def _plan(directory: Path, manifest: dict, config: PolicyConfig, version: int) -
             raise RestoreError(f"layers[{i}]: {exc}") from None
         # A canonical cache has at most as many directions as its layer's smaller side.
         bounds.append(min(d_out, d_in))
-    tasks, scalings, ranks, stored = [], {}, [], []
+    slots = {}
     for i, entry in enumerate(json_field(manifest, "slots", RestoreError, list)):
         if type(entry) is not dict:
             raise RestoreError(f"slots[{i}] is {entry!r}; persist writes an object")
-        tasks.append(_naturals(entry, i, "tasks"))
-        scalings[i + 1] = _scaling(entry, i + 1) if "scaling" in entry else None
-        if version >= 5 and len(tasks[i]) < 2:
-            continue  # a one-member slot's cache is derived from its adapter
-        stored.append(i + 1)
-        slot_ranks = _naturals(entry, i, "ranks")
-        if len(slot_ranks) != len(bounds):
+        tasks = _naturals(entry, i, "tasks")
+        scaling = _scaling(entry, i + 1) if "scaling" in entry else None
+        # At version 5 a one-member slot's cache is derived from its adapter.
+        ranks = None if version >= 5 and len(tasks) < 2 else _naturals(entry, i, "ranks")
+        if ranks is not None and len(ranks) != len(bounds):
+            raise RestoreError(f"slots[{i}].ranks holds {len(ranks)} ranks; layers holds {len(bounds)} layers")
+        if ranks is not None and any(map(gt, ranks, bounds)):
+            j = next(j for j, bound in enumerate(bounds) if ranks[j] > bound)
             raise RestoreError(
-                f"slots[{i}].ranks holds {len(slot_ranks)} ranks; layers holds {len(bounds)} layers"
+                f"slots[{i}].ranks[{j}] is {ranks[j]}, above min(d_out, d_in) {bounds[j]} of layers[{j}]"
             )
-        if any(map(gt, slot_ranks, bounds)):
-            j = next(j for j, bound in enumerate(bounds) if slot_ranks[j] > bound)
-            raise RestoreError(
-                f"slots[{i}].ranks[{j}] is {slot_ranks[j]}, above min(d_out, d_in) {bounds[j]} of layers[{j}]"
-            )
-        ranks.extend(slot_ranks)
+        slots[i + 1] = (tasks, scaling, ranks)
     ingested = json_field(manifest, "ingested", RestoreError, list)
     if not all(type(name) is str for name in ingested):
         i = next(i for i, name in enumerate(ingested) if type(name) is not str)
         raise RestoreError(f"ingested[{i}] is {ingested[i]!r}; persist writes a task id")
-    if tasks and not geometry:
+    if slots and not geometry:
         raise RestoreError("layers is empty; every slot adapts at least one layer")
-    _check_state(config, tasks, scalings, ingested)
+    _check_state(config, slots, ingested)
 
-    adapters = _held_adapters(directory, [k for k, scaling in scalings.items() if scaling is None])
+    adapters = _held_adapters(directory, [k for k, (_, scaling, _) in slots.items() if scaling is None])
     for slot_key, adapter in adapters.items():
         if adapter.geometry != geometry:
             raise RestoreError(
                 f"slots[{slot_key - 1}]: {slot_file(slot_key)} adapts other layers or shapes than layers"
             )
-    declared = iter(ranks)
-    layout, cache_bytes = _cache_layout(dict.fromkeys(stored, geometry), lambda *_: next(declared))
-    tasks, task_ids = dict(enumerate(map(tuple, tasks), 1)), dict(enumerate(ingested, 1))
-    entries = {k: (tasks[k], scalings[k]) for k in tasks}
-    derived = _manifest(config, geometry, entries, task_ids, layout, version)
-    found = _with_policy(manifest, derived)
-    if found != derived:
-        raise RestoreError(_difference(found, derived))
-    return tasks, scalings, task_ids, adapters, layout, cache_bytes
+        t = slots[slot_key][0][0]
+        if adapter.task_id != ingested[t - 1]:
+            raise RestoreError(
+                f"slots[{slot_key - 1}]: {slot_file(slot_key)} holds task {adapter.task_id!r}, "
+                f"but its member, arrival {t}, is ingested[{t - 1}] {ingested[t - 1]!r}"
+            )
+    layout, cache_bytes = _cache_layout(geometry, slots)
+    task_ids = dict(enumerate(ingested, 1))
+    derived = _manifest(config, geometry if slots else {}, slots, task_ids, version)
+    if manifest != derived:
+        raise RestoreError(_difference(manifest, derived))
+    return slots, task_ids, adapters, layout, cache_bytes
 
 
-def _check_state(config: PolicyConfig, tasks: list, scalings: dict, task_ids: list) -> None:
-    """Raise :class:`RestoreError` unless the slots' task lists and
-    scalings (slot key -> ``None`` for a one-member slot) and the arrivals'
-    task ids describe a state that ingests reach."""
+def _check_state(config: PolicyConfig, slots: dict, task_ids: list) -> None:
+    """Raise :class:`RestoreError` unless the slots (slot key -> ``(tasks,
+    scaling, ranks)``, with ``None`` the scaling of a one-member slot) and
+    the arrivals' task ids describe a state that ingests reach."""
+    tasks = [slot_tasks for slot_tasks, _, _ in slots.values()]
     if [] in tasks:
         raise RestoreError(f"slots[{tasks.index([])}].tasks is empty")
     if len(tasks) > config.budget_k:
@@ -295,10 +293,10 @@ def _check_state(config: PolicyConfig, tasks: list, scalings: dict, task_ids: li
                 "slots are allocated in arrival order"
             )
     # A merge adds a member to a slot, and serves the slot at a scaling.
-    for i, slot_tasks in enumerate(tasks):
-        if len(slot_tasks) == 1 and scalings[i + 1] is not None:
+    for i, (slot_tasks, scaling, _) in enumerate(slots.values()):
+        if len(slot_tasks) == 1 and scaling is not None:
             raise RestoreError(f"slots[{i}] has a scaling but one task; a merged slot has two or more")
-        if len(slot_tasks) > 1 and scalings[i + 1] is None:
+        if len(slot_tasks) > 1 and scaling is None:
             raise RestoreError(f"slots[{i}] has {len(slot_tasks)} tasks but no scaling; a merged slot has one")
 
 
@@ -357,57 +355,49 @@ def _mapped(fh, size: int):
     return mmap.mmap(fh.fileno(), size, flags=mmap.MAP_SHARED | _MAP_POPULATE, prot=mmap.PROT_READ)
 
 
-def _cache_layout(geometries: dict[int, Mapping[LayerKey, tuple[int, int]]], rank_of) -> tuple[list, int]:
+def _cache_layout(geometry: Mapping[LayerKey, tuple[int, int]], slots: dict) -> tuple[list, int]:
     """The ``(slot_key, key, b_shape, a_shape, offset)`` of each running-cache
-    entry in ``running_cache.bin``, and the file's length, for slots of
-    ``geometries`` (slot key -> each layer's ``(d_out, d_in)``): slots in
-    key order, each slot's layers in sorted order, each layer's ``b`` then
-    ``a`` in float64, back to back from 0.
-    ``rank_of(slot_key, key)`` gives each cache rank, in that order."""
-    layout, offset = [], 0
-    for slot_key, geometry in sorted(geometries.items()):
-        for key in sorted(geometry, key=LayerKey.sort_key):
+    entry in ``running_cache.bin``, and the file's length, for ``slots``
+    (slot key -> ``(tasks, scaling, ranks)``) that all adapt ``geometry``
+    (each layer's ``(d_out, d_in)``). A slot whose ``ranks`` is ``None``
+    has no stored cache; any other has one entry per layer, at the rank
+    ``ranks`` gives in sorted layer order. Slots are in key order, each
+    slot's layers in sorted order, each layer's ``b`` then ``a`` in float64,
+    back to back from 0."""
+    keys, layout, offset = sorted(geometry, key=LayerKey.sort_key), [], 0
+    for slot_key, (_, _, ranks) in sorted(slots.items()):
+        for key, rank in zip(keys, ranks or ()):
             d_out, d_in = geometry[key]
-            rank = rank_of(slot_key, key)
             layout.append((slot_key, key, (d_out, rank), (rank, d_in), offset))
             offset += 8 * rank * (d_out + d_in)
     return layout, offset
 
 
 def _manifest(
-    config: PolicyConfig, geometry: Mapping, slots: dict, task_ids: dict, layout: list,
-    version: int = MANIFEST_VERSION,
+    config: PolicyConfig, geometry: Mapping, slots: dict, task_ids: dict, version: int = MANIFEST_VERSION
 ) -> dict:
     """The manifest of a store with policy ``config``, whose slots all adapt
     ``geometry`` (each layer's ``(d_out, d_in)``), with its ``slots`` (slot
-    key -> ``(tasks, scaling)``: the members' arrival indices, and ``None``
-    for a one-member slot or the scaling a merged one is derived at), each
-    arrival's task id ``task_ids`` and its stored caches at ``layout`` (see
-    :func:`_cache_layout`): what ``persist`` writes and ``restore``
-    requires. A slot entry names ``ranks`` only if ``layout`` stores its
-    cache, as version 4 did every slot's and version 5 (``version``) does
-    a merged slot's. It holds each fact once and nothing that ``restore``
-    derives: no file name, offset, shape or count."""
-    ranks = {}
-    for slot_key, _, (_, rank), *_ in layout:
-        ranks.setdefault(slot_key, []).append(rank)
+    key -> ``(tasks, scaling, ranks)``: the members' arrival indices; ``None``
+    for a one-member slot or the scaling a merged one is derived at; and
+    ``None`` for a slot whose cache the store does not keep or its cache
+    ranks in sorted layer order) and each arrival's task id ``task_ids``:
+    what ``persist`` writes and ``restore`` requires. A slot entry names
+    ``ranks`` only if the store keeps its cache, as version 4 did every
+    slot's and version 5 (``version``) does a merged slot's. It holds each
+    fact once and nothing that ``restore`` derives: no file name, offset,
+    shape or count."""
     return {
         "version": version,
         **config.to_dict(),
         "layers": [[key.layer, key.proj, *geometry[key]] for key in sorted(geometry, key=LayerKey.sort_key)],
         "slots": [
-            {"tasks": list(t), **({} if scaling is None else {"scaling": scaling}),
-             **({"ranks": ranks[k]} if k in ranks else {})}
-            for k, (t, scaling) in sorted(slots.items())
+            {"tasks": list(tasks), **({} if scaling is None else {"scaling": scaling}),
+             **({} if ranks is None else {"ranks": ranks})}
+            for _, (tasks, scaling, ranks) in sorted(slots.items())
         ],
         "ingested": [task_ids[t] for t in sorted(task_ids)],
     }
-
-
-def _with_policy(manifest: dict, derived: dict) -> dict:
-    """``manifest`` with ``derived``'s policy fields: ``PolicyConfig.from_dict``
-    alone judges the policy, as it reads older policies too."""
-    return {**manifest, **{f.name: derived[f.name] for f in fields(PolicyConfig)}}
 
 
 def _difference(stored, derived, path: str = "") -> str | None:

@@ -1096,6 +1096,17 @@ DAMAGED_VERSION4_MANIFESTS = {
         r"slots\[0\] has a scaling but one task; a merged slot has two or more",
     ),
     "no-scaling": (_slot(1, lambda e: e.pop("scaling")), NO_SCALING),
+    # A one-member slot's file holds its member's task id, as swapped
+    # ``ingested`` entries would route each id to the other's slot; a store
+    # with no slot adapts no layer.
+    "task-ids-swapped": (
+        lambda m: m["ingested"].insert(0, m["ingested"].pop(1)),
+        r"^slots\[0\]: slot_1\.kmrg holds task 'task-0', but its member, arrival 1, is ingested\[0\] 'task-1'$",
+    ),
+    "slot-less-layers": (
+        "no-slot", lambda m: m["layers"].append([0, "key", 8, 8]),
+        r"^layers\[0\] is \[0, 'key', 8, 8\]; persist writes nothing there$",
+    ),
     # An ingest appends each arrival to its slot's tasks, and allocates slots
     # in their first members' arrival order. Swapped, two merged slots would
     # route each one's tasks to the other's cache.
@@ -1149,6 +1160,7 @@ DAMAGED_VERSION5_MANIFESTS = {
 }
 
 DAMAGED_STORES = {
+    "no-slot": lambda tmp_path, rng, version: _write_store(MergeEngine(_config(2)), tmp_path, version),
     "zero-widths": _zero_widths_persisted,
     "mixed-geometry": _mixed_geometry_persisted,
     "version-4": lambda tmp_path, rng, version: _persisted(tmp_path, rng, 4),
@@ -1222,55 +1234,138 @@ def test_manifest_holds_each_fact_once(tmp_path, rng):
     assert empty == {"version": 5, **_config(2).to_dict(), "layers": [], "slots": [], "ingested": []}
 
 
-def _integer_leaf_paths(node, path=()):
-    if type(node) is int:
-        yield path
-    elif isinstance(node, (dict, list)):
-        for name, value in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _integer_leaf_paths(value, (*path, name))
+def _changes(value):
+    """The probe's changes of one JSON value outside the policy, by name: an
+    integer moved by one or retyped, the float scaled, zeroed, made
+    non-finite or retyped, a string renamed, emptied or retyped, a list or
+    object made null."""
+    retyped = {"made null": None, "wrapped in a list": [value]}
+    if type(value) is int:
+        return {"+1": value + 1, "-1": value - 1, "as float": float(value), "as bool": bool(value),
+                "as str": str(value), **retyped}
+    if type(value) is float:
+        return {"doubled": value * 2, "negated": -value, "zeroed": 0.0, "negative zero": -0.0,
+                "infinite": math.inf, "NaN": math.nan, "as int": int(value), "as bool": bool(value),
+                "as str": str(value), **retyped}
+    if type(value) is str:
+        return {"renamed": value + "-renamed", "emptied": "", "as int": 1, **retyped}
+    return {"made null": None}
 
 
-def _leaf_changes_accepted(tmp_path, engine):
-    """The integer leaves outside the policy of the manifest of ``engine``'s
-    store in ``tmp_path``, and each change of one (by one, as a float, a
-    boolean, a string or null) with which the store still restores."""
-    original = json.loads((tmp_path / "manifest.json").read_text())
-    policy = set(engine.config.to_dict())
-    paths = [path for path in _integer_leaf_paths(original) if path[0] not in policy]
-    accepted = []
-    for *parents, last in paths:
-        value = reduce(getitem, parents, original)[last]
-        for changed in (value + 1, float(value), bool(value), str(value), None):
-            manifest = json.loads(json.dumps(original))
-            reduce(getitem, parents, manifest)[last] = changed
-            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-            try:
-                MergeEngine.restore(tmp_path)
-            except RestoreError:
-                continue
-            accepted.append(((*parents, last), changed))
-    return paths, accepted
+def _nodes(node, keys=(), name="manifest"):
+    """``(keys, name, value)`` of ``node`` and of every value below it, in
+    document order: the keys that reach it and its name as restore's
+    messages write it."""
+    yield keys, name, node
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in items:
+        child_name = f"{name}[{key}]" if type(node) is list else key if not keys else f"{name}.{key}"
+        yield from _nodes(child, (*keys, key), child_name)
 
 
-def test_restore_rejects_every_version4_integer_leaf_changed(tmp_path, rng):
-    """Every integer of a version-4 manifest outside the policy (the
-    version, each layer's index and widths, each task index and cache rank)
-    is read typed and checked, so restore rejects it changed by one, as a
-    float, a boolean, a string or null. Relabelled 5, the store names the
-    ranks of a one-member slot, which version 5 derives."""
-    engine = _persisted(tmp_path, rng, 4)
-    paths, accepted = _leaf_changes_accepted(tmp_path, engine)
-    # The version, 2 layers of 3 integers, 4 task indices and 2 slots of 2 ranks.
-    assert len(paths) == 1 + 2 * 3 + 4 + 2 * 2 and accepted == []
+def _manifest_edits(manifest):
+    """Each distinct edit of ``manifest`` that the probe makes, as its name ->
+    the edited manifest's JSON text: every value outside the policy changed
+    (:func:`_changes`); every key dropped and every object given an unknown
+    key; every list item dropped or repeated, every adjacent pair swapped,
+    and every list emptied or given a trailing null. An edit that leaves the
+    manifest as it was, or as an earlier edit left it, is made once."""
+    policy = set(POLICY_KEYS)
+    original, edits = json.dumps(manifest), {}
+
+    def edit(name, keys, change):
+        edited = json.loads(original)
+        change(reduce(getitem, keys, edited))
+        text = json.dumps(edited)
+        if text != original and text not in edits:
+            edits[text] = name
+
+    def set_to(key, value):
+        return lambda parent: parent.__setitem__(key, value)
+
+    for keys, name, node in _nodes(manifest):
+        if keys and keys[0] not in policy:
+            for change, value in _changes(node).items():
+                edit(f"{name} {change}", keys[:-1], set_to(keys[-1], value))
+        if type(node) is dict:
+            for key in node:
+                edit(f"{name} drops {key}", keys, lambda n, key=key: n.pop(key))
+            edit(f"{name} gains a key", keys, set_to("unknown", None))
+        if type(node) is list:
+            for i in range(len(node)):
+                edit(f"{name}[{i}] dropped", keys, lambda n, i=i: n.pop(i))
+                edit(f"{name}[{i}] repeated", keys, lambda n, i=i: n.insert(i, n[i]))
+            for i in range(len(node) - 1):
+                edit(f"{name}[{i}] swapped with the next", keys, lambda n, i=i: n.insert(i, n.pop(i + 1)))
+            edit(f"{name} emptied", keys, list.clear)
+            edit(f"{name} gains a null", keys, lambda n: n.append(None))
+    return {name: text for text, name in edits.items()}
 
 
-def test_restore_rejects_every_version5_integer_leaf_changed(tmp_path, rng):
-    """As for version 4, where only merged slot 2 names its cache ranks.
-    Relabelled 4, the store lacks one-member slot 1's ranks."""
-    engine = _persisted(tmp_path, rng)
-    paths, accepted = _leaf_changes_accepted(tmp_path, engine)
-    # The version, 2 layers of 3 integers, 4 task indices and 1 slot of 2 ranks.
-    assert len(paths) == 1 + 2 * 3 + 4 + 1 * 2 and accepted == []
+PROBED_STORES = {
+    "persisted": _persisted, "zero-widths": _zero_widths_persisted, "mixed-geometry": _mixed_geometry_persisted,
+}
+
+
+def _rescaled(*slots):
+    return [f"slots[{i}].scaling {change}" for i in slots for change in ("doubled", "negated")]
+
+
+def _swapped(*arrivals):
+    return [f"ingested[{i}] swapped with the next" for i in arrivals]
+
+
+def _renamed(*arrivals):
+    return [f"ingested[{i}] {change}" for i in arrivals for change in ("renamed", "emptied")]
+
+
+# The zero-widths and mixed-geometry stores' layers are [[0, "key", 4, 0],
+# [0, "query", 0, 3], [0, "value", 0, 0], [1, "key", 5, 6]], and every slot
+# is merged, so ``layers`` is the only record of the geometry: the widths of
+# a layer every cache holds at rank 0, the last layer's widths swapped (its
+# cache bytes then read as other factors) and its index are free.
+MERGED_GEOMETRY = [
+    "layers[0][2] swapped with the next", "layers[0][2] +1", "layers[0][2] -1", "layers[0][3] +1",
+    "layers[1][2] swapped with the next", "layers[1][2] +1", "layers[1][3] +1", "layers[1][3] -1",
+    "layers[2][2] +1", "layers[2][3] +1", "layers[3][2] swapped with the next", "layers[3][0] +1",
+]
+
+# The edits that restore, by store and version; only a checksum (ROADMAP
+# item 7) can judge them. A merged slot's scaling doubled or negated serves
+# its cache at another scaling. A merged slot's member's task id renamed,
+# emptied or swapped with the next arrival's is recorded nowhere else; a
+# one-member slot's file names its own. A store whose slots are all merged
+# is the same store at versions 4 and 5, so its version relabels freely.
+PERSISTED_EDITS = [*_rescaled(1), *_swapped(1, 2), *_renamed(1, 2, 3)]
+ZERO_WIDTHS_EDITS = [*MERGED_GEOMETRY, *_rescaled(0), *_swapped(0), *_renamed(0, 1)]
+MIXED_GEOMETRY_EDITS = [*MERGED_GEOMETRY, *_rescaled(0, 1), *_swapped(0, 1, 2, 3), *_renamed(0, 1, 2, 3, 4)]
+RESTORING_EDITS = {
+    ("persisted", 4): PERSISTED_EDITS,
+    ("persisted", 5): PERSISTED_EDITS,
+    ("zero-widths", 4): ["version +1", *ZERO_WIDTHS_EDITS],
+    ("zero-widths", 5): ["version -1", *ZERO_WIDTHS_EDITS],
+    ("mixed-geometry", 4): ["version +1", *MIXED_GEOMETRY_EDITS],
+    ("mixed-geometry", 5): ["version -1", *MIXED_GEOMETRY_EDITS],
+}
+
+
+@pytest.mark.parametrize("store", PROBED_STORES)
+@pytest.mark.parametrize("version", [4, 5])
+def test_restore_rejects_every_manifest_edit(tmp_path, rng, version, store):
+    """Restore rejects every edit of a manifest that :func:`_manifest_edits`
+    makes with ``RestoreError`` and no other exception, but for the edits
+    of ``RESTORING_EDITS``, which only a checksum can judge."""
+    PROBED_STORES[store](tmp_path, rng, version)
+    path = tmp_path / "manifest.json"
+    restored = []
+    for name, text in _manifest_edits(json.loads(path.read_text())).items():
+        path.write_text(text)
+        try:
+            MergeEngine.restore(tmp_path)
+        except RestoreError:
+            continue
+        restored.append(name)
+    assert restored == RESTORING_EDITS[store, version]
 
 
 @pytest.mark.parametrize("outside", ["parent", "absolute"])
@@ -1291,22 +1386,24 @@ def test_restore_rejects_file_outside_store(tmp_path, rng, field, outside):
         MergeEngine.restore(store)
 
 
-@pytest.mark.parametrize("mode, error", [
-    pytest.param("svd_truncate", None, id="svd_truncate"),
-    pytest.param("factor_average", RestoreError, id="factor_average"),
+@pytest.mark.parametrize("mode, match", [
+    pytest.param("svd_truncate", r"^rank_policy\.mode is 'svd_truncate'; persist writes nothing there$",
+                 id="svd_truncate"),
+    pytest.param("factor_average", r"^manifest policy: unsupported rank_policy\.mode 'factor_average'$",
+                 id="factor_average"),
 ])
-def test_restore_stored_rank_mode(tmp_path, rng, mode, error):
-    """Stores that name the rank mode ``svd_truncate`` restore as before;
-    any other mode is rejected, naming ``rank_policy.mode``."""
-    engine = _persisted(tmp_path, rng)
+def test_restore_stored_rank_mode(tmp_path, rng, mode, match):
+    """No store that ``persist`` wrote at version 4 or 5 names a rank mode,
+    so a store that names one is rejected, naming ``rank_policy.mode``:
+    ``svd_truncate``, which a ``--config`` file may name, because the policy
+    must be the one ``persist`` writes, and any other mode as the policy
+    reader rejects it."""
+    _persisted(tmp_path, rng)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["rank_policy"]["mode"] = mode
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    if error is None:
-        assert MergeEngine.restore(tmp_path).config == engine.config
-    else:
-        with pytest.raises(error, match="rank_policy.mode"):
-            MergeEngine.restore(tmp_path)
+    with pytest.raises(RestoreError, match=match):
+        MergeEngine.restore(tmp_path)
 
 
 def test_restore_invalid_policy_value(tmp_path, rng):
