@@ -200,10 +200,10 @@ def scaled_stacks(
 
 
 def scaled_float64(b, a, scaling: float) -> tuple[np.ndarray, np.ndarray]:
-    """C-ordered float64 copies of the factor stacks ``b`` (n, d_out, r) and
-    ``a`` (n, r, d_in), each an array or a list of same-shape arrays, ``b``
-    then scaled by ``scaling``. The one conversion rule of similarity, a new
-    slot's cache and the fold."""
+    """C-ordered float64 stacks of ``b`` and ``a``, lists of same-shape
+    factors (d_out, r) and (r, d_in), ``b`` then scaled by ``scaling``.
+    Called by :func:`scaled_stacks`, the one conversion rule of similarity,
+    a new slot's cache and the fold."""
     b = np.array(b, dtype=np.float64, order="C")
     a = np.array(a, dtype=np.float64, order="C")
     b *= scaling

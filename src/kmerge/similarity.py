@@ -17,21 +17,19 @@ one layer. That is one layer at width 2048 and rank 32, where stacking
 every layer would build a fresh 32 MiB stack per factor and adapter, and
 all layers of a shape at smaller widths.
 
-What a score needs of one adapter alone is its :class:`Profile`, computed
-once: its batch plan, its float32 factor stacks per batch and each
-layer's squared norm, which the profile's first score computes from the
-float64 stacks it converts anyway, so one score converts each adapter
-once per batch. Every function here takes adapters or profiles and
-builds a profile for an adapter that needs one. The engine keeps a slot's
-profile in its ``SlotState`` and the simulation one per arrival, so a
-slot's stacks and norms are computed at its first score, not at every
-score; nothing is cached on an adapter. A profile other than the first
-adapter's is used only where its plan equals the first's (the same key
-order and batches); otherwise that adapter is stacked in the first's
-batches and its norms computed there, per call. A profile keeps no
-float64 copies: those would triple the memory of every adapter a store
-or suite holds. Its stacks are views of the adapter's factors where a
-batch is one layer, and float32 copies where small layers share a batch.
+What a score needs of one adapter alone is its :class:`Profile`: its
+layer keys, its batches and each layer's squared norm, which the
+profile's first score computes from the float64 stacks it gathers
+anyway, so one score converts each adapter once per batch. Every function
+here takes adapters or profiles and builds a profile for an adapter that
+needs one. The engine keeps a slot's profile in its ``SlotState`` and the
+simulation one per arrival, so a slot's norms are computed at its first
+score, not at every score; nothing is cached on an adapter. A score
+gathers each of the first adapter's batches from the factors of every
+adapter it reads, when it runs, so a profile holds no copy of them: float32
+copies would double the memory of every adapter a store or suite holds,
+float64 ones triple it. Any profile of the first adapter's key order
+gives or keeps its norms, whatever its batches.
 
 Stacked products give each layer the bits of that layer alone, so the
 batching never changes a score. The cosine of one layer is the score of
@@ -40,6 +38,7 @@ two one-layer adapters.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -61,29 +60,21 @@ def _inner(bx: np.ndarray, ax: np.ndarray, by: np.ndarray, ay: np.ndarray) -> np
 
 
 class Profile:
-    """What scoring needs of one adapter alone, computed once (module
-    docstring): ``batches``, the positions of the adapter's layer keys
-    batched by :func:`kmerge.lowrank.batches` over its geometry and rank;
-    ``plan``, the keys and those batches as tuples, which two profiles
-    share exactly when their stacks line up; ``stacks``, per batch the
-    float32 factor stacks ``(b, a)`` (views of a one-layer batch's factors,
-    :func:`kmerge.lowrank.stacked`); and ``norms``, each layer's squared
-    norm ``<scaling B A, scaling B A>`` in key order, or ``None`` until the
-    first score that reads the profile's own stacks computes them from the
-    float64 stacks it converts for its inner products."""
+    """What scoring needs of one adapter alone (module docstring):
+    ``keys``, the adapter's layer keys in order; ``batches``, their
+    positions batched by :func:`kmerge.lowrank.batches` over its geometry
+    and rank; and ``norms``, each layer's squared norm
+    ``<scaling B A, scaling B A>`` in key order, or ``None`` until a score
+    of ``keys``' order computes them from the float64 stacks it gathers
+    for its inner products. A profile holds no copy of the factors."""
 
-    __slots__ = ("adapter", "batches", "plan", "stacks", "norms")
+    __slots__ = ("adapter", "keys", "batches", "norms")
 
     def __init__(self, adapter: LoraAdapter):
-        keys = list(adapter.geometry)
         shapes = [(d_out, d_in, adapter.rank) for d_out, d_in in adapter.geometry.values()]
         self.adapter = adapter
+        self.keys = tuple(adapter.geometry)
         self.batches = list(lowrank.batches(shapes))
-        self.plan = (tuple(keys), tuple(tuple(batch.tolist()) for batch in self.batches))
-        self.stacks = []
-        for batch in self.batches:
-            pairs = [adapter.layers[keys[i]] for i in batch]
-            self.stacks.append((lowrank.stacked([fp.b for fp in pairs]), lowrank.stacked([fp.a for fp in pairs])))
         self.norms: np.ndarray | None = None
 
 
@@ -102,31 +93,31 @@ def _cosines(x: Profile, ys: Sequence[LoraAdapter | Profile]) -> np.ndarray:
     Near-zero-norm updates contribute 0 by convention: a zero adapter
     carries no direction and 0 keeps averages and argmax well-defined.
     Ranks may differ; the callers have checked that every adapter in ``ys``
-    has ``x``'s geometry, from which the batches' shapes come. A ``y``
-    profile of ``x``'s plan gives its stacks; any other ``y`` is stacked in
-    ``x``'s batches. Each adapter's float64 stacks are converted once per
-    batch, and give its norms too unless its profile holds them; a profile
-    keeps the norms computed from its own stacks.
+    has ``x``'s geometry, from which the batches' shapes come. Each batch
+    of ``x``'s is gathered from ``x``'s adapter and from every ``y``'s, and
+    converted to float64 once per adapter. A ``y`` profile of ``x``'s key
+    order gives its norms if it holds them and keeps them otherwise,
+    whatever its own batches: a layer's norm has the same bits in any batch.
     """
-    keys = x.plan[0]
+    keys = x.keys
     inner = np.empty((len(ys), len(keys)))
     ny = np.empty_like(inner)
-    planned = [isinstance(y, Profile) and y.plan == x.plan for y in ys]
-    normed = [planned[i] and y.norms is not None for i, y in enumerate(ys)]
+    kept = [isinstance(y, Profile) and y.keys == keys for y in ys]
+    normed = [kept[i] and y.norms is not None for i, y in enumerate(ys)]
     for i, y in enumerate(ys):
         if normed[i]:
             ny[i] = y.norms
     nx = np.empty(len(keys)) if x.norms is None else x.norms
-    for j, batch in enumerate(x.batches):
-        bx, ax = lowrank.scaled_float64(*x.stacks[j], x.adapter.scaling)
+
+    def gathered(adapter: LoraAdapter, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return lowrank.scaled_stacks([adapter.layers[keys[k]] for k in batch], adapter.scaling)
+
+    for batch in x.batches:
+        bx, ax = gathered(x.adapter, batch)
         if x.norms is None:
             nx[batch] = _inner(bx, ax, bx, ax)
         for i, y in enumerate(ys):
-            if planned[i]:
-                by, ay = lowrank.scaled_float64(*y.stacks[j], y.adapter.scaling)
-            else:
-                adapter = _adapter(y)
-                by, ay = lowrank.scaled_stacks([adapter.layers[keys[k]] for k in batch], adapter.scaling)
+            by, ay = gathered(_adapter(y), batch)
             if not normed[i]:
                 ny[i, batch] = _inner(by, ay, by, ay)
             inner[i, batch] = _inner(bx, ax, by, ay)
@@ -134,7 +125,7 @@ def _cosines(x: Profile, ys: Sequence[LoraAdapter | Profile]) -> np.ndarray:
     # Kept only once every batch is done, so a score that raises keeps none.
     x.norms = nx
     for i, y in enumerate(ys):
-        if planned[i] and not normed[i]:
+        if kept[i] and not normed[i]:
             y.norms = ny[i].copy()
     nx, ny = np.sqrt(np.maximum(0.0, nx)), np.sqrt(np.maximum(0.0, ny))
     live = (nx >= DEGENERATE_NORM) & (ny >= DEGENERATE_NORM)
@@ -183,10 +174,12 @@ class SimilarityMatrix:
     values: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
-        lines = [",".join(["id"] + self.adapter_ids)]
-        for name, row in zip(self.adapter_ids, self.values):
-            lines.append(",".join([name] + [f"{v:.6f}" for v in row]))
-        Path(path).write_text("\n".join(lines) + "\n")
+        """A header of ids, then a row per id; ids are quoted as CSV needs."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id"] + self.adapter_ids)
+            for name, row in zip(self.adapter_ids, self.values):
+                writer.writerow([name] + [f"{v:.6f}" for v in row])
 
 
 def similarity_matrix(adapters: Sequence[LoraAdapter | Profile]) -> SimilarityMatrix:

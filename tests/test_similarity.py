@@ -1,3 +1,5 @@
+import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -207,12 +209,18 @@ def test_similarity_matrix_insufficient(rng):
 
 
 def test_matrix_csv_roundtrip(tmp_path, rng):
-    ads = [small_random_adapter(f"a{i}", rng) for i in range(4)]
+    """Ids holding a comma or a double quote are quoted, so ``csv.reader``
+    reads one header and one row per id, each of ``1 + n`` fields."""
+    ids = ["a0", "x,1", 'say "hi"', "a3"]
+    ads = [small_random_adapter(task_id, rng) for task_id in ids]
     m = similarity_matrix(ads)
     path = tmp_path / "m.csv"
     m.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    parsed = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [5] * 5
+    assert rows[0] == ["id"] + ids and [row[0] for row in rows[1:]] == ids
+    parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
     np.testing.assert_allclose(parsed, parsed.T, atol=1e-6)
     np.testing.assert_allclose(parsed, m.values, atol=5e-7)
 
@@ -294,7 +302,27 @@ def test_batched_similarity_is_bit_identical(rng, monkeypatch, budget):
     assert np.array_equal(np.array(similarities(x, ys)), default)
     for profiles in (early, late):
         assert np.array_equal(np.array(similarities(profiles[1], profiles)), default)
+        # Every profile keeps its norms, whatever its batches, and gives them.
+        assert all(p.norms is not None for p in profiles)
+        assert np.array_equal(np.array(similarities(profiles[1], profiles)), default)
         assert np.array_equal(np.array(similarities(profiles[1], ys)), default)
+
+
+def test_profile_copies_no_factor():
+    """A profile of a default-grid adapter, whose small layers share a
+    batch, holds its keys and batch positions only: under an eighth of the
+    adapter's factor bytes."""
+    adapter = generate_suite(GeneratorConfig())[0][0]
+    factor_bytes = sum(fp.a.nbytes + fp.b.nbytes for fp in adapter.layers.values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profile = Profile(adapter)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(profile.batches) < len(adapter.layers)
+    assert held < factor_bytes / 8
 
 
 def test_zero_layer_scores_zero(rng):
